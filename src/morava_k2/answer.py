@@ -32,7 +32,7 @@ from .graded_algebra import (
     TensorExpression,
 )
 from .km2 import WindowError
-from .ss_engine import INF, Page, TowerSummand, degree_step, v_degree, zp_family_counts
+from .ss_engine import INF, Page, TowerSummand, _norm_window, v_degree, zp_family_counts
 
 _ID_V = 1
 _ID_Y = 100
@@ -65,17 +65,6 @@ def _trunc(gen: Generator, height: int, variance: str) -> Factor | None:
     if height < 2:
         return None
     return Factor(TP if variance == "cohomology" else GAMMA_TRUNC, gen, height)
-
-
-def _norm_window(n: int, window) -> tuple[int, int]:
-    if window is None:
-        return (0, km2.default_window(n))
-    if isinstance(window, int):
-        window = (0, window)
-    lo, hi = window
-    if lo != 0 or hi < 2:
-        raise ValueError("window must be [0, hi] with hi >= 2")
-    return (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -253,8 +242,12 @@ def to_page(a: AnswerModule) -> Page:
 
 @dataclass(frozen=True)
 class AnswerSeries:
+    """total and by_v_power on the requested window; family_counts holds each
+    torsion family's generator count on [0, window top] of the module."""
+
     total: PoincareSeries
     by_v_power: tuple[tuple[int, PoincareSeries], ...]
+    family_counts: tuple[int, ...]
 
     def power(self, s: int) -> PoincareSeries:
         for k, series in self.by_v_power:
@@ -298,8 +291,10 @@ def poincare_answer(a: AnswerModule, window=None) -> AnswerSeries:
     for d in range(series.lo, series.hi + 1):
         if series.dim(d):
             tower(d, series.dim(d), INF)
+    family_counts = []
     for f in a.torsion_families:
         fs = f.expression.poincare(0, a.window[1])
+        family_counts.append(sum(fs.dims))
         for d in range(fs.lo, fs.hi + 1):
             if fs.dim(d):
                 tower(d, fs.dim(d), f.order)
@@ -316,7 +311,9 @@ def poincare_answer(a: AnswerModule, window=None) -> AnswerSeries:
             dims[d - lo] += c
             total[d - lo] += c
         by_power.append((s, PoincareSeries(lo, hi, tuple(dims))))
-    return AnswerSeries(PoincareSeries(lo, hi, tuple(total)), tuple(by_power))
+    return AnswerSeries(
+        PoincareSeries(lo, hi, tuple(total)), tuple(by_power), tuple(family_counts)
+    )
 
 
 def bockstein_check(a: AnswerModule, max_degree: int | None = None) -> tuple[bool, str]:

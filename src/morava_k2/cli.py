@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 3 internal consistency failure.  The MORAVA_THREADS environment variable
-caps worker parallelism in the underlying rank computations.
+caps worker processes only in the direct-mode rank computation
+(km2._direct_trivial); the factored route used here ignores it.
 """
 
 from __future__ import annotations
@@ -59,17 +60,6 @@ _SUITES = (
 )
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="morava-k2",
@@ -110,7 +100,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     p = pick(args.p, "p", 3)
     n = pick(args.n, "n", 1)
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or not km2._is_prime(p):
         raise ConfigError("p must be prime")
     if not isinstance(n, int) or n < 1:
         raise ConfigError("n must be a positive integer")
@@ -186,20 +176,19 @@ def _parse_factor(entry: dict) -> Factor:
     return Factor(_PLAIN_KINDS[kind], gen)
 
 
-def serialize_answer(a: answer.AnswerModule, lo: int = 0) -> dict:
-    hi = a.window[1]
-    series = answer.poincare_answer(a, (lo, hi)).total
-    torsion = []
-    for f in a.torsion_families:
-        fs = f.expression.poincare(0, hi)
-        torsion.append(
-            {
-                "order": f.order,
-                "generator_degree": f.base_degree,
-                "cofactor": [_factor_dict(x) for x in f.expression.factors],
-                "count_in_window": sum(fs.dim(d) for d in range(hi + 1)),
-            }
-        )
+def serialize_answer(a: answer.AnswerModule, series: answer.AnswerSeries) -> dict:
+    """The JSON form of a, with series = poincare_answer(a, window) supplying
+    the poincare entries on that window and each family's count."""
+    torsion = [
+        {
+            "order": f.order,
+            "generator_degree": f.base_degree,
+            "cofactor": [_factor_dict(x) for x in f.expression.factors],
+            "count_in_window": count,
+        }
+        for f, count in zip(a.torsion_families, series.family_counts)
+    ]
+    total = series.total
     return {
         "p": a.p,
         "n": a.n,
@@ -208,8 +197,9 @@ def serialize_answer(a: answer.AnswerModule, lo: int = 0) -> dict:
         "free": [_factor_dict(x) for x in a.free_part.factors],
         "torsion": torsion,
         "zp_family": [{"degree": d, "count": c} for d, c in a.zp_family],
-        "poincare": [{"degree": d, "dim": series.dim(d)} for d in range(lo, hi + 1)],
+        "poincare": [{"degree": d, "dim": total.dim(d)} for d in range(total.lo, total.hi + 1)],
         "names_nominal": True,
+        "localized": a.localized,
     }
 
 
@@ -257,7 +247,7 @@ def parse_answer(data: dict) -> answer.AnswerModule:
         free_part=TensorExpression(tuple(_parse_factor(x) for x in data["free"])),
         torsion_families=tuple(families),
         zp_family=tuple((e["degree"], e["count"]) for e in data["zp_family"]),
-        localized=not data["torsion"] and not data["zp_family"],
+        localized=data["localized"],
     )
 
 
@@ -269,17 +259,17 @@ def cmd_compute(cfg: RunConfig, out) -> int:
     a = answer.closed_form(cfg.p, cfg.n, cfg.variance, (0, cfg.hi))
     if cfg.localize:
         a = answer.localize(a)
-    series = answer.poincare_answer(a, (cfg.lo, cfg.hi)).total
+    series = answer.poincare_answer(a, (cfg.lo, cfg.hi))
     chart = answer.to_page(a).chart_series()
-    if any(series.dim(d) != chart.dim(d) for d in range(0, cfg.hi + 1)):
+    if any(series.total.dim(d) != chart.dim(d) for d in range(0, cfg.hi + 1)):
         print("internal consistency failure: series readers disagree", file=sys.stderr)
         return 3
     if cfg.fmt == "json":
-        print(json.dumps(serialize_answer(a, cfg.lo)), file=out)
+        print(json.dumps(serialize_answer(a, series)), file=out)
     elif cfg.fmt == "tsv":
         print("degree\tdim", file=out)
         for d in range(cfg.lo, cfg.hi + 1):
-            print(f"{d}\t{series.dim(d)}", file=out)
+            print(f"{d}\t{series.total.dim(d)}", file=out)
     else:
         name = "k(n)_*" if cfg.variance == "homology" else "k(n)^*"
         print(
@@ -405,12 +395,12 @@ def _render_grid(page, out) -> None:
 
 
 def cmd_table(cfg: RunConfig, out) -> int:
-    sched = [
-        e
-        for e in ss_engine.window_schedule(cfg.p, cfg.n, cfg.hi, cfg.variance)
-        if min(e.source_degree, e.target_degree) <= cfg.hi
-    ]
-    page = ss_engine.e2_closed_form(cfg.p, cfg.n, cfg.variance, cfg.hi)
+    full = ss_engine.window_schedule(cfg.p, cfg.n, cfg.hi, cfg.variance)
+    sched = [e for e in full if min(e.source_degree, e.target_degree) <= cfg.hi]
+    pages = ss_engine.closed_form_pages(
+        ss_engine.e2_closed_form(cfg.p, cfg.n, cfg.variance, cfg.hi), full
+    )
+    page = next(pages)
     arrow = "d^" if cfg.variance == "cohomology" else "d_"
     print(
         f"Adams chart for {cfg.variance} at p={cfg.p}, n={cfg.n}, window [0, {cfg.hi}]",
@@ -430,14 +420,10 @@ def cmd_table(cfg: RunConfig, out) -> int:
                 f"   [{e.source_degree} -> {e.target_degree}]",
                 file=out,
             )
-        page = ss_engine.run_closed_form(
-            ss_engine.e2_closed_form(cfg.p, cfg.n, cfg.variance, cfg.hi),
-            [
-                x
-                for x in ss_engine.window_schedule(cfg.p, cfg.n, cfg.hi, cfg.variance)
-                if x.stage <= stage
-            ],
-        )
+        # every scheduled stage up to this one, shown or not; a page after
+        # stage r has page.stage r + 1
+        while page.stage <= stage:
+            page = next(pages)
     print("\nfinal page:", file=out)
     _render_grid(page, out)
     return 0
@@ -459,7 +445,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, AssertionError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from operator import sub
 
 P = "P"
 E = "E"
@@ -144,14 +145,22 @@ def series_one(lo: int, hi: int) -> PoincareSeries:
     return PoincareSeries(lo, hi, tuple(dims))
 
 
-def _factor_series(f: Factor, lo: int, hi: int) -> PoincareSeries:
-    dims = [0] * (hi - lo + 1)
-    d = f.gen.degree
-    for e in f.exponent_range(_exponent_limit(f, lo, hi)):
-        deg = e * d
-        if lo <= deg <= hi:
-            dims[deg - lo] += 1
-    return PoincareSeries(lo, hi, tuple(dims))
+def _times_exponent_range(dims: list[int], d: int, exps: range) -> list[int]:
+    """dims times sum_{e in exps} t^{e d} for d > 0, cut to the same window.
+
+    With stride-d prefix sums S[k] = dims[k] + S[k - d] the product is
+    S[k - e0 d] - S[k - e1 d] for exps = range(e0, e1), an index below 0
+    counting as 0: O(len(dims)) whatever the exponent range.
+    """
+    n = len(dims)
+    s = dims[:]
+    for k in range(d, n):
+        s[k] += s[k - d]
+    a, b = exps.start * d, exps.stop * d
+    out = [0] * min(a, n) + s[: max(n - a, 0)]
+    if b >= n:
+        return out
+    return list(map(sub, out, [0] * b + s[: n - b]))
 
 
 def _exponent_limit(f: Factor, lo: int, hi: int) -> int:
@@ -175,13 +184,24 @@ class TensorExpression:
         return " @ ".join(f.label() for f in self.factors)
 
     def poincare(self, lo: int, hi: int) -> PoincareSeries:
-        """Per-degree dimensions on [lo, hi] by windowed factor convolution."""
-        out = series_one(min(lo, 0), max(hi, 0))
+        """Per-degree dimensions on [lo, hi], one factor at a time.
+
+        The running series lives on [min(lo, 0), max(hi, 0)] and is cut back
+        to it after every factor, so classes that leave the window never
+        return through a factor of the opposite degree sign.  A negative
+        degree is the mirror image of a positive one on the reversed list.
+        """
+        wlo, whi = min(lo, 0), max(hi, 0)
+        dims = [0] * (whi - wlo + 1)
+        dims[-wlo] = 1
         for f in self.factors:
-            out = out.mul(_factor_series(f, min(lo, 0), max(hi, 0))).restrict(
-                min(lo, 0), max(hi, 0)
-            )
-        return out.restrict(lo, hi)
+            d = f.gen.degree
+            exps = f.exponent_range(_exponent_limit(f, wlo, whi))
+            if d > 0:
+                dims = _times_exponent_range(dims, d, exps)
+            else:
+                dims = _times_exponent_range(dims[::-1], -d, exps)[::-1]
+        return PoincareSeries(lo, hi, tuple(dims[lo - wlo : hi - wlo + 1]))
 
     def enumerate_basis(self, lo: int, hi: int) -> list[Monomial]:
         """All monomials with degree in [lo, hi], sorted canonically.

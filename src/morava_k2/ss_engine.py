@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -481,19 +482,29 @@ def e2_closed_form(p: int, n: int, variance: str = "cohomology", window=None) ->
     return state.snapshot(zp_family_counts(p, n, variance, win[1]))
 
 
-def run_closed_form(page: Page, sched: list[Differential]) -> Page:
-    """E-infinity by tensor rewriting, one scheduled stage at a time."""
+def closed_form_pages(page: Page, sched: list[Differential]) -> Iterator[Page]:
+    """The E2 page again, then the page after each scheduled stage in turn,
+    from one tensor rewrite of the E2 page."""
     if page.stage != 2 or page.torsion:
         raise RuntimeError("run_closed_form starts from an E2 page")
     state = _PageState(page.p, page.n, page.variance, page.window)
-    if state.snapshot(page.zp_family).v_free.label() != page.v_free.label():
+    e2 = state.snapshot(page.zp_family)
+    if e2.v_free.label() != page.v_free.label():
         raise RuntimeError("page was not produced by e2_closed_form")
     for e in sched:
         if e.variance != page.variance:
             raise RuntimeError("schedule and page disagree on variance")
+    yield e2
     for _, group in groupby(sched, key=lambda e: e.stage):
         state.apply_stage(list(group))
-    return state.snapshot(page.zp_family)
+        yield state.snapshot(page.zp_family)
+
+
+def run_closed_form(page: Page, sched: list[Differential]) -> Page:
+    """E-infinity by tensor rewriting, one scheduled stage at a time."""
+    for out in closed_form_pages(page, sched):
+        pass
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ def test_compute_json_schema_key_order(capsys):
     doc = json.loads(capsys.readouterr().out, object_pairs_hook=list)
     assert [k for k, _v in doc] == [
         "p", "n", "variance", "window", "free", "torsion", "zp_family",
-        "poincare", "names_nominal",
+        "poincare", "names_nominal", "localized",
     ]
     doc = dict(doc)
     assert doc["names_nominal"] is True
+    assert doc["localized"] is False
     free = [dict(pairs) for pairs in doc["free"]]
     assert list(free[0]) == ["factor_kind", "generator", "degree"]
     assert free[0] == {"factor_kind": "P", "generator": "v", "degree": -4}
@@ -35,6 +36,17 @@ def test_compute_json_round_trips(capsys):
         doc = json.loads(capsys.readouterr().out)
         rebuilt = cli.parse_answer(doc)
         assert rebuilt == answer.closed_form(2, 2, variance, (0, 80))
+
+
+@pytest.mark.parametrize("localize", [False, True])
+def test_compute_json_round_trips_small_window(capsys, localize):
+    # at [0, 4] the module has no torsion and no Z_p class yet, which must
+    # not read back as a localized module
+    argv = ["compute", "--p", "3", "--n", "1", "--max-degree", "4", "--format", "json"]
+    assert main(argv + ["--localize"] * localize) == 0
+    rebuilt = cli.parse_answer(json.loads(capsys.readouterr().out))
+    want = answer.closed_form(3, 1, "cohomology", (0, 4))
+    assert rebuilt == (answer.localize(want) if localize else want)
 
 
 def test_compute_output_is_deterministic(capsys):
@@ -98,6 +110,17 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert "verification failed in numerology" in captured.err
 
 
+def test_internal_assertion_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("planted invariant failure")
+
+    monkeypatch.setattr(cli.km2, "build", broken)
+    assert main(["compute", "--p", "3", "--n", "1", "--max-degree", "40"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal consistency failure: planted invariant failure" in captured.err
+
+
 def test_composite_p_rejected(capsys):
     assert main(["verify", "--p", "4", "--n", "1"]) == 2
     assert "p must be prime" in capsys.readouterr().err
@@ -155,7 +178,8 @@ def test_table_window_below_first_differential(capsys):
 
 
 def test_parse_answer_rejects_unknown_generator():
-    doc = json.loads(json.dumps(cli.serialize_answer(answer.closed_form(3, 1, window=30))))
+    a = answer.closed_form(3, 1, window=30)
+    doc = json.loads(json.dumps(cli.serialize_answer(a, answer.poincare_answer(a))))
     doc["free"][0]["generator"] = "q_1"
     with pytest.raises(ValueError):
         cli.parse_answer(doc)

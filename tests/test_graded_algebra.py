@@ -13,6 +13,7 @@ from morava_k2.graded_algebra import (
     TP,
     TP_BAR,
     TensorExpression,
+    _exponent_limit,
     expand_divided_powers,
     series_one,
 )
@@ -131,6 +132,43 @@ def test_poincare_multiplicative(a, b):
     lhs = a.tensor(b2).poincare(0, 24)
     rhs = a.poincare(0, 24).mul(b2.poincare(0, 24)).restrict(0, 24)
     assert lhs.dims == rhs.dims
+
+
+def _schoolbook_poincare(expr: TensorExpression, lo: int, hi: int) -> PoincareSeries:
+    """Reference: each factor's own series, folded in with PoincareSeries.mul."""
+    wlo, whi = min(lo, 0), max(hi, 0)
+    out = series_one(wlo, whi)
+    for f in expr.factors:
+        dims = [0] * (whi - wlo + 1)
+        for e in f.exponent_range(_exponent_limit(f, wlo, whi)):
+            if wlo <= e * f.gen.degree <= whi:
+                dims[e * f.gen.degree - wlo] += 1
+        out = out.mul(PoincareSeries(wlo, whi, tuple(dims))).restrict(wlo, whi)
+    return out.restrict(lo, hi)
+
+
+@st.composite
+def signed_expressions(draw):
+    factors = []
+    for i in range(draw(st.integers(0, 5))):
+        deg = draw(st.integers(1, 12)) * draw(st.sampled_from([1, -1]))
+        kind = draw(st.sampled_from([P, E, E_BAR, TP, TP_BAR, GAMMA, GAMMA_TRUNC]))
+        h = draw(st.integers(2, 6)) if kind in (TP, TP_BAR, GAMMA_TRUNC) else None
+        factors.append(Factor(kind, Generator(i + 1, f"g{i}", deg), height=h))
+    return TensorExpression(tuple(factors))
+
+
+@st.composite
+def windows(draw):
+    lo = draw(st.just(0) | st.integers(-40, -1))
+    return lo, draw(st.integers(lo, 40))
+
+
+@given(signed_expressions(), windows())
+@settings(deadline=None, max_examples=300)
+def test_poincare_matches_schoolbook_fold(expr, window):
+    lo, hi = window
+    assert expr.poincare(lo, hi) == _schoolbook_poincare(expr, lo, hi)
 
 
 def test_basis_sorted_by_degree_then_id():
