@@ -32,7 +32,7 @@ from .graded_algebra import (
     TensorExpression,
 )
 from .km2 import WindowError
-from .ss_engine import INF, Page, TowerSummand, _norm_window, v_degree, zp_family_counts
+from .ss_engine import INF, Page, TowerSummand, _norm_window, v_degree
 
 _ID_V = 1
 _ID_Y = 100
@@ -206,7 +206,7 @@ def closed_form(p: int, n: int, variance: str = "cohomology", window=None) -> An
         window=(lo, hi),
         free_part=free,
         torsion_families=tuple(_families(p, n, variance, hi)),
-        zp_family=zp_family_counts(p, n, variance, hi),
+        zp_family=ss_engine.zp_family_closed(p, n, variance, hi),
     )
 
 
@@ -348,7 +348,7 @@ def bockstein_check(a: AnswerModule, max_degree: int | None = None) -> tuple[boo
     if coh and ker_top > a.window[1]:
         zp += [
             (d, c)
-            for d, c in zp_family_counts(p, n, a.variance, ker_top)
+            for d, c in ss_engine.zp_family_closed(p, n, a.variance, ker_top)
             if d > a.window[1]
         ]
     for d, c in zp:

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 3 internal consistency failure.  The MORAVA_THREADS environment variable
 caps worker processes only in the direct-mode rank computation
-(km2._direct_trivial); the factored route used here ignores it.
+(km2._direct_trivial); the factored route that verify uses ignores it, and
+compute and table run no rank computation at all.
 """
 
 from __future__ import annotations

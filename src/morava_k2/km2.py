@@ -923,6 +923,41 @@ def default_window(n: int) -> int:
     return 600 if n == 1 else 2500
 
 
+_FACTORED_TRIVIAL: dict[tuple[int, int, int], tuple[int, ...]] = {}
+
+
+def _factored_trivial(p: int, n: int, hi: int) -> tuple[int, ...]:
+    """Trivial Q_n-homology dimensions on [0, hi], one component at a time.
+
+    Memoised per (p, n, hi): the homology matrices are the transposes of the
+    cohomology ones, so the ranks, and with them this series, do not depend
+    on the variance.  The component series are folded over their nonzero
+    coefficients only.
+    """
+    key = (p, n, hi)
+    if key not in _FACTORED_TRIVIAL:
+        pres = build(p, n)
+        series = [1] + [0] * hi
+        for comp in components(pres, hi + pres.qn_degree):
+            if p == 2:
+                cd = _p2_component_dims(pres, comp, hi)
+            else:
+                if len(comp) > 3:
+                    raise AssertionError("odd-prime components have at most 3 generators")
+                cd = _explicit_component_dims(pres, comp, hi)
+            terms = [(d2, c) for d2, c in enumerate(cd) if c]
+            out = [0] * (hi + 1)
+            for d1, a in enumerate(series):
+                if a:
+                    for d2, c in terms:
+                        if d1 + d2 > hi:
+                            break
+                        out[d1 + d2] += a * c
+            series = out
+        _FACTORED_TRIVIAL[key] = tuple(series)
+    return _FACTORED_TRIVIAL[key]
+
+
 def qn_homology(
     p: int,
     n: int,
@@ -938,22 +973,7 @@ def qn_homology(
     if mode == "direct":
         triv, reps = _direct_trivial(pres, hi, with_reps=True)
     elif mode == "factored":
-        series = [1] + [0] * hi
-        for comp in components(pres, hi + pres.qn_degree):
-            if p == 2:
-                cd = _p2_component_dims(pres, comp, hi)
-            else:
-                if len(comp) > 3:
-                    raise AssertionError("odd-prime components have at most 3 generators")
-                cd = _explicit_component_dims(pres, comp, hi)
-            out = [0] * (hi + 1)
-            for d1, a in enumerate(series):
-                if a:
-                    for d2 in range(0, hi + 1 - d1):
-                        if cd[d2]:
-                            out[d1 + d2] += a * cd[d2]
-            series = out
-        triv = series
+        triv = list(_factored_trivial(p, n, hi))
         reps = None
     else:
         raise ValueError(f"mode must be direct or factored, got {mode!r}")

@@ -11,6 +11,10 @@ Both report per-degree free ranks, v-torsion towers and the filtration-0 Z_p
 family; ``oracle_match`` compares the two degree for degree on a window, and
 ``pairing_check`` / ``uct_transport`` verify the duality between the homology
 and cohomology runs.
+
+The Z_p family, too, comes two ways: the closed route reads it off the
+total and E2 Poincare series (``zp_family_closed``, no linear algebra), the
+brute route off the F_p ranks of ``km2.qn_homology`` (``zp_family_counts``).
 """
 
 from __future__ import annotations
@@ -276,25 +280,15 @@ def _trunc_factor(gen: Generator, height: int, variance: str) -> Factor | None:
     return Factor(kind, gen, height)
 
 
-_FREE_RANK_CACHE: dict[tuple[int, int, int], tuple[int, ...]] = {}
-
-
-def _free_ranks(p: int, n: int, hi: int) -> tuple[int, ...]:
-    key = (p, n, hi)
-    if key not in _FREE_RANK_CACHE:
-        report = km2.qn_homology(p, n, "cohomology", hi)
-        _FREE_RANK_CACHE[key] = tuple(report.free_rank)
-    return _FREE_RANK_CACHE[key]
-
-
 def zp_family_counts(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int, int], ...]:
-    """Per-degree counts of the filtration-0 Z_p family on [0, hi].
+    """Per-degree counts of the filtration-0 Z_p family on [0, hi], read off
+    the F_p ranks of km2.qn_homology (the brute route's source).
 
     Each free E[Q_n]-summand of the mod-p cohomology on a degree-d generator
     contributes one Z_p: at the top cell d + 2p^n - 1 in cohomology, at the
     bottom cell d in homology.
     """
-    ranks = _free_ranks(p, n, hi)
+    ranks = km2.qn_homology(p, n, "cohomology", hi).free_rank
     dq = 2 * p**n - 1
     if variance == "cohomology":
         pairs = [(d + dq, ranks[d]) for d in range(hi + 1) if ranks[d] and d + dq <= hi]
@@ -474,12 +468,45 @@ class _PageState:
         )
 
 
+def zp_family_closed(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int, int], ...]:
+    """The filtration-0 Z_p family on [0, hi] from two closed-form series.
+
+    total is the Poincare series of H*K(Z_p, 2) over the presentation's
+    generators and trivial that of the E2 page without v.  A free
+    E[Q_n]-summand on a degree-d generator spans d and d + 2p^n - 1, so
+    free[d] = total[d] - trivial[d] - free[d - (2p^n - 1)]; each free
+    summand gives one Z_p at its top cell in cohomology and at its bottom
+    cell in homology.  No F_p rank is computed here.
+    """
+    pres = km2.build(p, n, variance)
+    total = TensorExpression(
+        tuple(
+            Factor(P if g.exp_kind == "P" else E, Generator(k + 1, g.name, g.degree))
+            for k, g in enumerate(pres.generators(hi))
+        )
+    ).poincare(0, hi)
+    base = _PageState(p, n, variance, (0, hi))._base_factors()
+    trivial = TensorExpression(tuple(base)).poincare(0, hi)
+    dq = pres.qn_degree
+    free = [0] * (hi + 1)
+    for d in range(hi + 1):
+        free[d] = total.dim(d) - trivial.dim(d) - (free[d - dq] if d >= dq else 0)
+        if free[d] < 0:
+            raise AssertionError(f"negative free rank at degree {d}")
+    if variance == "cohomology":
+        return tuple((d + dq, r) for d, r in enumerate(free) if r and d + dq <= hi)
+    return tuple((d, r) for d, r in enumerate(free) if r)
+
+
 def e2_closed_form(p: int, n: int, variance: str = "cohomology", window=None) -> Page:
     """The E2 page: P[v] tensored with the trivial part of the Q_n-homology,
-    plus the filtration-0 Z_p family read off the free part."""
+    written as the closed-form factor list of the rewrite, plus the
+    filtration-0 Z_p family from zp_family_closed.  No F_p linear algebra
+    runs; criterion 3 and the verify e2 suite compare this page with
+    km2.qn_homology."""
     win = _norm_window(n, window)
     state = _PageState(p, n, variance, win)
-    return state.snapshot(zp_family_counts(p, n, variance, win[1]))
+    return state.snapshot(zp_family_closed(p, n, variance, win[1]))
 
 
 def closed_form_pages(page: Page, sched: list[Differential]) -> Iterator[Page]:
@@ -968,7 +995,8 @@ def oracle_match(a: Page, b: Page) -> tuple[bool, str]:
     za = {d: c for d, c in a.zp_family if d <= top}
     zb = {d: c for d, c in b.zp_family if d <= top}
     if za != zb:
-        return False, "Z_p families differ"
+        d = min(set(za) ^ set(zb) | {d for d in za if za[d] != zb.get(d)})
+        return False, f"Z_p families differ at degree {d}: {za.get(d, 0)} vs {zb.get(d, 0)}"
     ca = Counter({k: v for k, v in a.chart_dims().items() if k[0] <= top and v})
     cb = Counter({k: v for k, v in b.chart_dims().items() if k[0] <= top and v})
     if ca != cb:

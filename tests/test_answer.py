@@ -181,6 +181,43 @@ def test_bockstein_sees_tampering():
     assert not ok
 
 
+@pytest.mark.parametrize("variance", ["cohomology", "homology"])
+def test_bockstein_sees_a_planted_closed_route_rank(monkeypatch, variance):
+    """One extra free rank at degree d0 on the closed side adds a Z_p at its
+    top (cohomology) or bottom (homology) cell; the Bockstein count against
+    km2.total_dims must fail first at d0."""
+    p, n, top, d0 = 3, 1, 60, 12
+    cell = d0 + 2 * p**n - 1 if variance == "cohomology" else d0
+    real = ss.zp_family_closed
+
+    def bumped(p_, n_, variance_, hi):
+        counts = dict(real(p_, n_, variance_, hi))
+        if cell <= hi:
+            counts[cell] = counts.get(cell, 0) + 1
+        return tuple(sorted(counts.items()))
+
+    monkeypatch.setattr(ss, "zp_family_closed", bumped)
+    ok, msg = answer.bockstein_check(answer.closed_form(p, n, variance, top))
+    assert not ok
+    assert msg.startswith(f"degree {d0}: "), msg
+
+
+def test_bockstein_reads_total_dims(monkeypatch):
+    """dim H^d comes from km2.total_dims, not from the series the module is
+    built on: a planted count there must fail at its degree."""
+    real = km2.total_dims
+
+    def bumped(pres, hi):
+        dims = real(pres, hi)
+        dims[30] += 1
+        return dims
+
+    monkeypatch.setattr(km2, "total_dims", bumped)
+    ok, msg = answer.bockstein_check(answer.closed_form(3, 1, window=60))
+    assert not ok
+    assert msg.startswith("degree 30: "), msg
+
+
 def test_bockstein_input_errors():
     a = answer.closed_form(3, 1, window=60)
     with pytest.raises(ValueError):

@@ -177,6 +177,34 @@ def test_table_window_below_first_differential(capsys):
     assert "no differentials reach the window" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--p", "3", "--n", "1", "--max-degree", "120", "--format", "json"],
+        ["compute", "--p", "2", "--n", "2", "--max-degree", "90", "--format", "json"],
+        ["compute", "--p", "2", "--n", "2", "--max-degree", "90",
+         "--variance", "homology", "--format", "json"],
+        ["table", "--p", "3", "--n", "1", "--max-degree", "60"],
+        ["table", "--p", "2", "--n", "2", "--max-degree", "90"],
+    ],
+)
+def test_answer_path_runs_no_linear_algebra(capsys, monkeypatch, argv):
+    """compute and table read everything off closed-form series: with the
+    F_p rank route disabled they print exactly what they print without."""
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("F_p linear algebra on the answer path")
+
+    for name in ("qn_homology", "rref_modp", "nullspace_modp"):
+        monkeypatch.setattr(cli.km2, name, forbidden)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == want
+
+
 def test_parse_answer_rejects_unknown_generator():
     a = answer.closed_form(3, 1, window=30)
     doc = json.loads(json.dumps(cli.serialize_answer(a, answer.poincare_answer(a))))

@@ -214,6 +214,19 @@ def test_report_invariant_is_checked():
     assert not rep.check_invariant()
 
 
+def test_factored_memo_is_shared_and_immutable(monkeypatch):
+    """Both variances read one factored computation per (p, n, hi), and a
+    caller that edits its report cannot edit the next caller's."""
+    c = km2.qn_homology(3, 2, "cohomology", 70)
+    want = (list(c.trivial), list(c.free_rank))
+    c.trivial[16] += 1
+    c.free_rank[16] += 1
+    monkeypatch.setattr(km2, "rref_modp", lambda *a: pytest.fail("memo missed"))
+    h = km2.qn_homology(3, 2, "homology", 70)
+    assert h.variance == "homology"
+    assert (h.trivial, h.free_rank) == want
+
+
 def test_direct_mode_parallel_matches(monkeypatch):
     serial = km2.qn_homology(3, 1, max_degree=30, mode="direct")
     monkeypatch.setenv("MORAVA_THREADS", "2")

@@ -143,6 +143,27 @@ def test_zp_family_tracks_free_rank():
     assert coh[7] == 1 and 2 not in coh
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("this route must not be called here")
+
+
+@pytest.mark.parametrize("variance", ["cohomology", "homology"])
+@pytest.mark.parametrize(
+    "p, n, top",
+    [(2, 1, 120), (3, 1, 120), (5, 1, 160), (7, 1, 200),
+     (2, 2, 90), (3, 2, 120), (5, 2, 200), (7, 2, 300)],
+)
+def test_zp_family_closed_matches_rank_route(monkeypatch, p, n, top, variance):
+    """The series route to the Z_p family equals the F_p rank route, and it
+    reads neither the ranks nor km2's own dimension count."""
+    want = ss.zp_family_counts(p, n, variance, top)
+    assert want
+    monkeypatch.setattr(km2, "qn_homology", _forbidden)
+    monkeypatch.setattr(km2, "total_dims", _forbidden)
+    monkeypatch.setattr(ss, "zp_family_counts", _forbidden)
+    assert ss.zp_family_closed(p, n, variance, top) == want
+
+
 def test_closed_form_31_families():
     e2 = ss.e2_closed_form(3, 1, window=60)
     sched = ss.window_schedule(3, 1, 60)
@@ -265,6 +286,30 @@ def test_oracle_match_reports_mismatch():
     gutted = dataclasses.replace(a, torsion=())
     ok, msg = ss.oracle_match(a, gutted)
     assert not ok and "degree 0" in msg
+
+
+@pytest.mark.parametrize("variance", ["cohomology", "homology"])
+def test_oracle_match_sees_a_planted_rank_route_defect(monkeypatch, variance):
+    """One extra free rank on the km2 side moves only the brute route's Z_p
+    family, so oracle_match must fail and name the degree of that Z_p."""
+    p, n, top, d0 = 3, 1, 60, 12
+    real = km2.qn_homology
+
+    def bumped(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.free_rank[d0] += 1
+        return rep
+
+    monkeypatch.setattr(km2, "qn_homology", bumped)
+    closed = ss.run_closed_form(
+        ss.e2_closed_form(p, n, variance, top), ss.window_schedule(p, n, top, variance)
+    )
+    monkeypatch.setattr(ss, "zp_family_closed", _forbidden)
+    brute = ss.run_bruteforce(p, n, variance, top)
+    ok, msg = ss.oracle_match(closed, brute)
+    cell = d0 + 2 * p**n - 1 if variance == "cohomology" else d0
+    assert not ok
+    assert msg.startswith(f"Z_p families differ at degree {cell}:"), msg
 
 
 def test_pairing_named_degrees():
