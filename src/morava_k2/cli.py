@@ -1,10 +1,8 @@
 """Command-line front end: compute module answers, verify, print charts.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
-3 internal consistency failure.  The MORAVA_THREADS environment variable
-caps worker processes only in the direct-mode rank computation
-(km2._direct_trivial); the factored route that verify uses ignores it, and
-compute and table run no rank computation at all.
+Exit codes: 0 success, 1 verification failure, 2 invalid configuration
+(ConfigError, WindowError), 3 internal consistency failure (any other
+ValueError, RuntimeError or AssertionError from inside the package).
 """
 
 from __future__ import annotations
@@ -290,7 +288,16 @@ def cmd_compute(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _run_suite(name: str, cfg: RunConfig):
+def _brute_page(cfg: RunConfig, pages: dict, variance: str, v_cap: int | None = None):
+    """The brute-force page of cfg in this variance, built at most once per
+    (variance, v_cap) and shared through pages by the suites of one run."""
+    key = (variance, v_cap)
+    if key not in pages:
+        pages[key] = ss_engine.run_bruteforce(cfg.p, cfg.n, variance, cfg.hi, v_cap=v_cap)
+    return pages[key]
+
+
+def _run_suite(name: str, cfg: RunConfig, pages: dict):
     p, n, variance, hi = cfg.p, cfg.n, cfg.variance, cfg.hi
     if name == "numerology":
         failures = numerology.identity_suite(p, n, cfg.j_max)
@@ -324,18 +331,15 @@ def _run_suite(name: str, cfg: RunConfig):
             ss_engine.e2_closed_form(p, n, variance, hi),
             ss_engine.window_schedule(p, n, hi, variance),
         )
-        brute = ss_engine.run_bruteforce(p, n, variance, hi, v_cap=cfg.v_cap)
-        return ss_engine.oracle_match(closed, brute)
+        return ss_engine.oracle_match(closed, _brute_page(cfg, pages, variance, cfg.v_cap))
     if name == "pairing":
         rep = ss_engine.pairing_check(
-            ss_engine.run_bruteforce(p, n, "cohomology", hi),
-            ss_engine.run_bruteforce(p, n, "homology", hi),
+            _brute_page(cfg, pages, "cohomology"), _brute_page(cfg, pages, "homology")
         )
         return rep.ok, rep.detail
     if name == "uct":
         return ss_engine.uct_matches(
-            ss_engine.run_bruteforce(p, n, "homology", hi),
-            ss_engine.run_bruteforce(p, n, "cohomology", hi),
+            _brute_page(cfg, pages, "homology"), _brute_page(cfg, pages, "cohomology")
         )
     if name == "bockstein":
         return answer.bockstein_check(answer.closed_form(p, n, variance, (0, hi)))
@@ -361,8 +365,9 @@ def _run_suite(name: str, cfg: RunConfig):
 def cmd_verify(cfg: RunConfig, out) -> int:
     names = _SUITES if cfg.suite == "all" else (cfg.suite,)
     first_failure = None
+    pages: dict = {}
     for name in names:
-        ok, detail = _run_suite(name, cfg)
+        ok, detail = _run_suite(name, cfg, pages)
         print(f"{'PASS' if ok else 'FAIL'}\t{name}\t{detail}", file=out)
         if not ok and first_failure is None:
             first_failure = (name, detail)
@@ -443,10 +448,10 @@ def main(argv=None) -> int:
         if cfg.command == "verify":
             return cmd_verify(cfg, sys.stdout)
         return cmd_table(cfg, sys.stdout)
-    except ValueError as exc:
+    except (ConfigError, km2.WindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as exc:
+    except (ValueError, RuntimeError, AssertionError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
 

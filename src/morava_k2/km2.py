@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pmap import pmap
 from .graded_algebra import PoincareSeries
 
 
@@ -392,16 +391,6 @@ def _qn_block(
 # ---------------------------------------------------------------------------
 # direct-mode homology
 
-_DIRECT_STATE: dict = {}
-
-
-def _direct_rank_worker(d: int) -> tuple[int, int]:
-    ctx = _DIRECT_STATE["ctx"]
-    buckets = _DIRECT_STATE["buckets"]
-    dq = ctx.pres.qn_degree
-    a = _qn_block(ctx, buckets[d], buckets[d + dq])
-    return d, rank_modp(a, ctx.p)
-
 
 def _direct_trivial(
     pres: Presentation, hi: int, with_reps: bool
@@ -409,17 +398,10 @@ def _direct_trivial(
     dq = pres.qn_degree
     ctx = DerivationContext(pres, hi + dq)
     buckets = window_bases(ctx.gens, hi + dq)
-    _DIRECT_STATE["ctx"] = ctx
-    _DIRECT_STATE["buckets"] = buckets
-    try:
-        ranks = dict(pmap(_direct_rank_worker, range(hi + 1)))
-    finally:
-        _DIRECT_STATE.clear()
-    triv = []
-    for d in range(hi + 1):
-        rank_out = ranks[d]
-        rank_in = ranks.get(d - dq, 0)
-        triv.append(len(buckets[d]) - rank_out - rank_in)
+    ranks = [rank_modp(_qn_block(ctx, buckets[d], buckets[d + dq]), ctx.p) for d in range(hi + 1)]
+    triv = [
+        len(buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0) for d in range(hi + 1)
+    ]
     if not with_reps:
         return triv, None
     reps: dict[int, list[str]] = {}

@@ -25,6 +25,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import groupby
 
+import numpy as np
+
 from . import km2, numerology
 from .graded_algebra import (
     E,
@@ -849,31 +851,55 @@ def _sweep(
 
 
 def _fold(a: Counter, b: Counter, p: int, n: int, variance: str, limit: int) -> Counter:
-    """Kunneth product over P[v] of two tower collections.
+    """Kunneth product over P[v] of two tower collections, cut at degree limit.
 
-    free (x) free is free; free (x) order-r is order-r at the degree sum;
-    order-a (x) order-b contributes order-min twice, at the degree sum and
-    shifted by the degree step of the larger order (downward in cohomology,
-    upward in homology) for the Tor term of the product complex.
+    Keys are (degree >= 0, order), order INF for a free tower. free (x) free
+    is free; free (x) order-r is order-r at the degree sum; order-a (x)
+    order-b contributes order-min twice, at the degree sum and shifted by the
+    degree step of the larger order (downward in cohomology, upward in
+    homology) for the Tor term of the product complex. A term counts only if
+    the degree sum is at most limit, and the Tor term only if its shifted
+    degree also lies in [0, limit].
+
+    Computed as a convolution grouped by order: the operand with more keys
+    becomes one dense int64 row per order, and each key of the other adds a
+    shifted, scaled slice of every row into the row of the smaller order.
     """
-    out: Counter = Counter()
+    if 2 * sum(a.values()) * sum(b.values()) >= 2**63:
+        raise WindowError("Kunneth fold counts overflow int64; use a smaller window")
+    big, small = (a, b) if len(a) >= len(b) else (b, a)
+    width = limit + 1
+    rows: dict = {}
+    for (g, o), c in big.items():
+        if g <= limit:
+            if o not in rows:
+                rows[o] = np.zeros(width, dtype=np.int64)
+            rows[o][g] += c
+    out: dict = {}
     sign = -1 if variance == "cohomology" else 1
-    for (g1, o1), c1 in a.items():
-        for (g2, o2), c2 in b.items():
-            g = g1 + g2
-            if g > limit:
+    for (g2, o2), c2 in small.items():
+        if g2 > limit:
+            continue
+        for o1, row in rows.items():
+            om = min(o1, o2)
+            acc = out.get(om)
+            if acc is None:
+                acc = out[om] = np.zeros(width, dtype=np.int64)
+            acc[g2:] += c2 * row[: width - g2]
+            if o1 == INF or o2 == INF:
                 continue
-            c = c1 * c2
-            if o1 == INF and o2 == INF:
-                out[(g, INF)] += c
-            elif o1 == INF or o2 == INF:
-                out[(g, o1 if o2 == INF else o2)] += c
-            else:
-                out[(g, min(o1, o2))] += c
-                gt = g + sign * degree_step(max(o1, o2), p, n)
-                if 0 <= gt <= limit:
-                    out[(gt, min(o1, o2))] += c
-    return out
+            # Tor term at g1 + g2 + s, for g1 + g2 <= limit and 0 <= g1 + g2 + s <= limit
+            s = sign * degree_step(max(o1, o2), p, n)
+            g1_lo = max(0, -g2 - s)
+            g1_hi = min(limit - g2, limit - g2 - s)
+            if g1_lo <= g1_hi:
+                acc[g1_lo + g2 + s : g1_hi + g2 + s + 1] += c2 * row[g1_lo : g1_hi + 1]
+    folded: Counter = Counter()
+    for o, acc in out.items():
+        degrees = np.flatnonzero(acc)
+        for g, c in zip(degrees.tolist(), acc[degrees].tolist()):
+            folded[(g, o)] = c
+    return folded
 
 
 def run_bruteforce(

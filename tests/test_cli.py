@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line interface."""
 
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
-from morava_k2 import answer, cli
+from morava_k2 import answer, cli, km2, ss_engine
 from morava_k2.cli import main
 
 
@@ -119,6 +121,91 @@ def test_internal_assertion_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal consistency failure: planted invariant failure" in captured.err
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(ValueError, 3), (km2.WindowError, 2), (cli.ConfigError, 2)],
+)
+def test_exit_code_follows_error_kind(capsys, monkeypatch, exc, code):
+    """Only configuration and window errors mean bad input (2); any other
+    ValueError raised inside the package is an internal failure (3)."""
+
+    def broken(*args, **kwargs):
+        raise exc("planted")
+
+    monkeypatch.setattr(cli.answer, "closed_form", broken)
+    assert main(["compute", "--p", "3", "--n", "1", "--max-degree", "40"]) == code
+    err = capsys.readouterr().err
+    prefix = "internal consistency failure" if code == 3 else "error"
+    assert err == f"{prefix}: planted\n"
+
+
+VERIFY_31 = ["verify", "--p", "3", "--n", "1", "--max-degree", "40"]
+
+
+def _count_brute_runs(monkeypatch, tamper=lambda page: page):
+    calls = []
+    real = ss_engine.run_bruteforce
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return tamper(real(*args, **kwargs))
+
+    monkeypatch.setattr(ss_engine, "run_bruteforce", counted)
+    return calls
+
+
+def test_verify_builds_each_brute_page_once(capsys, monkeypatch):
+    assert main(VERIFY_31) == 0
+    want = capsys.readouterr().out
+    calls = _count_brute_runs(monkeypatch)
+    assert main(VERIFY_31) == 0
+    assert capsys.readouterr().out == want
+    assert len(calls) == 2  # one per variance, shared by oracle, pairing and uct
+    calls.clear()
+    assert main(VERIFY_31 + ["--v-cap", "40"]) == 0
+    assert capsys.readouterr().out.count("PASS\t") == 8
+    assert len(calls) == 3  # the oracle's capped page is its own
+
+
+def test_shared_brute_page_keeps_pairing_and_uct_honest(capsys, monkeypatch):
+    """A wrong homology tower order on the shared page fails both suites."""
+
+    def bump_first_homology_tower(page):
+        if page.variance != "homology":
+            return page
+        torsion = list(page.torsion)
+        i = next(k for k, t in enumerate(torsion) if t.order != ss_engine.INF)
+        torsion[i] = dataclasses.replace(torsion[i], order=torsion[i].order + 1)
+        return dataclasses.replace(page, torsion=tuple(torsion))
+
+    calls = _count_brute_runs(monkeypatch, bump_first_homology_tower)
+    assert main(VERIFY_31) == 1
+    out = capsys.readouterr().out
+    assert "PASS\toracle" in out
+    assert "FAIL\tpairing" in out and "FAIL\tuct" in out
+    assert len(calls) == 2
+
+
+def test_verify_v_cap_below_visible_stage_exits_2(capsys):
+    assert main(VERIFY_31 + ["--v-cap", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "oracle" not in captured.out
+    assert captured.err.startswith("error: v_cap=1 truncates")
+
+
+def test_fold_overflow_exits_2(capsys, monkeypatch):
+    real = ss_engine._fold
+
+    def huge(a, b, *args):
+        return real(a, Counter({k: c << 62 for k, c in b.items()}), *args)
+
+    monkeypatch.setattr(ss_engine, "_fold", huge)
+    assert main(VERIFY_31 + ["--suite", "oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflow" in captured.err
 
 
 def test_composite_p_rejected(capsys):

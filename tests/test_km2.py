@@ -227,14 +227,6 @@ def test_factored_memo_is_shared_and_immutable(monkeypatch):
     assert (h.trivial, h.free_rank) == want
 
 
-def test_direct_mode_parallel_matches(monkeypatch):
-    serial = km2.qn_homology(3, 1, max_degree=30, mode="direct")
-    monkeypatch.setenv("MORAVA_THREADS", "2")
-    par = km2.qn_homology(3, 1, max_degree=30, mode="direct")
-    assert serial.trivial == par.trivial
-    assert serial.trivial_reps == par.trivial_reps
-
-
 def test_w_element_degrees_and_names():
     _, ws = km2.w_elements(3, 1, 400)
     assert [(w.name, w.degree) for w in ws[:6]] == [

@@ -6,6 +6,7 @@ routes (tensor rewriting and monomial sweep) agreeing before freezing.
 
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,6 +268,67 @@ def test_homology_window_sees_distant_sources():
     assert hinf.free_by_degree().get(54, 0) == 0
     grouped = ss.run_bruteforce(3, 1, "homology", 60)
     assert grouped.torsion_by_degree()[(54, 22)] == 1
+
+
+def _pairwise_fold(a, b, p, n, variance, limit):
+    """The Kunneth fold written pair by pair, as the reference for ss._fold."""
+    out = Counter()
+    sign = -1 if variance == "cohomology" else 1
+    for (g1, o1), c1 in a.items():
+        for (g2, o2), c2 in b.items():
+            g = g1 + g2
+            if g > limit:
+                continue
+            c = c1 * c2
+            if o1 == math.inf and o2 == math.inf:
+                out[(g, math.inf)] += c
+            elif o1 == math.inf or o2 == math.inf:
+                out[(g, o1 if o2 == math.inf else o2)] += c
+            else:
+                out[(g, min(o1, o2))] += c
+                gt = g + sign * ss.degree_step(max(o1, o2), p, n)
+                if 0 <= gt <= limit:
+                    out[(gt, min(o1, o2))] += c
+    return out
+
+
+# degree steps 3..13 at (2, 1) land Tor terms both inside and outside [0, limit];
+# at (3, 2) every step (17 and up) pushes most of them out
+_towers = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=0, max_value=45),
+        st.one_of(st.integers(min_value=1, max_value=6), st.just(math.inf)),
+    ),
+    st.integers(min_value=1, max_value=1000),
+    max_size=25,
+).map(Counter)
+
+
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]),
+    st.sampled_from(["cohomology", "homology"]),
+    st.integers(min_value=0, max_value=40),
+    _towers,
+    _towers,
+)
+@settings(deadline=None, max_examples=300)
+def test_fold_matches_pairwise_reference(pn, variance, limit, a, b):
+    p, n = pn
+    want = _pairwise_fold(a, b, p, n, variance, limit)
+    for x, y in ((a, b), (b, a)):
+        got = ss._fold(x, y, p, n, variance, limit)
+        assert got == want
+        assert set(got) == set(want)
+        for (g, order), c in got.items():
+            assert type(g) is int and type(c) is int
+            assert order == math.inf or type(order) is int
+
+
+def test_fold_refuses_int64_overflow():
+    ok = ss._fold(Counter({(0, math.inf): 2**40}), Counter({(0, 3): 2**21}), 3, 1, "cohomology", 9)
+    assert ok == Counter({(0, 3): 2**61})
+    with pytest.raises(km2.WindowError, match="overflow"):
+        ss._fold(Counter({(0, math.inf): 2**40}), Counter({(0, 3): 2**22}), 3, 1, "cohomology", 9)
 
 
 def test_v_cap_truncation_error():
