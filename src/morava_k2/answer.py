@@ -18,53 +18,27 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import km2, numerology, ss_engine
-from .graded_algebra import (
-    E,
-    E_BAR,
-    Factor,
-    GAMMA,
-    GAMMA_TRUNC,
-    Generator,
-    P,
-    PoincareSeries,
-    TP,
-    TP_BAR,
-    TensorExpression,
-)
+from .graded_algebra import E, E_BAR, P, TP_BAR, Factor, PoincareSeries, TensorExpression
 from .km2 import WindowError
-from .ss_engine import INF, Page, TowerSummand, _norm_window, v_degree
-
-_ID_V = 1
-_ID_Y = 100
-_ID_W = 1000
-_ID_Z = 5000
-_ID_PROD = 9000  # the p = 2 product sources y_j w_{n+j}
-
-
-def _gv(p: int, n: int, variance: str) -> Generator:
-    return Generator(_ID_V, "v", v_degree(p, n, variance))
-
-
-def _gy(j: int, p: int, star: str) -> Generator:
-    return Generator(_ID_Y + j, f"y_{j}{star}", numerology.degree_y(j, p))
-
-
-def _gw(index2: int, p: int, n: int, star: str) -> Generator:
-    return Generator(_ID_W + index2, km2.w_name(index2) + star, numerology.degree_w(index2, p, n))
-
-
-def _gz(i: int, p: int, star: str) -> Generator:
-    return Generator(_ID_Z + i, f"z_{i}{star}", numerology.degree_z(i, p))
-
-
-def _poly(gen: Generator, variance: str) -> Factor:
-    return Factor(P if variance == "cohomology" else GAMMA, gen)
-
-
-def _trunc(gen: Generator, height: int, variance: str) -> Factor | None:
-    if height < 2:
-        return None
-    return Factor(TP if variance == "cohomology" else GAMMA_TRUNC, gen, height)
+from .ss_engine import (
+    INF,
+    Page,
+    TowerSummand,
+    _gen_v,
+    _gen_w,
+    _gen_y,
+    _gen_z,
+    _half_source,
+    _head_factors,
+    _norm_window,
+    _poly_factor,
+    _star,
+    _tower_powers,
+    _trunc_factor,
+    _without_v,
+    _z_tail,
+    v_degree,
+)
 
 
 @dataclass(frozen=True)
@@ -108,78 +82,49 @@ class AnswerModule:
                 raise ValueError(f"family ({f.kind}, {f.j}) must have order {want}, got {f.order}")
 
 
-def _head_factors(p: int, n: int, variance: str, star: str) -> list[Factor]:
-    out = []
-    for i in range(1, n):
-        f = _trunc(_gz(n - i, p, star), p**i, variance)
-        if f is not None:
-            out.append(f)
-    return out
-
-
-def _z_tail(p: int, n: int, start: int, hi: int, variance: str, star: str) -> list[Factor]:
-    out = []
-    i = start
-    while numerology.degree_z(i, p) <= hi:
-        f = _trunc(_gz(i, p, star), p**n, variance)
-        if f is not None:
-            out.append(f)
-        i += 1
-    return out
-
-
 def _families(p: int, n: int, variance: str, hi: int) -> list[TorsionFamily]:
-    star = "" if variance == "cohomology" else "*"
-    head = _head_factors(p, n, variance, star)
+    star = _star(variance)
+    head = _head_factors(p, n, variance)
     out: list[TorsionFamily] = []
 
     j = 1
     while numerology.degree_y(j, p) <= hi:
         order = numerology.r(j, p, n)
-        factors = [_poly(_gy(j + 1, p, star), variance)]
+        y = _gen_y(j, p, star)
+        factors = [_poly_factor(_gen_y(j + 1, p, star), variance)]
         if variance == "cohomology":
-            t = _trunc(_gy(j, p, star), p - 1, variance)
+            t = _trunc_factor(y, p - 1, variance)
             if t is not None:
                 factors.append(t)
-            factors.append(Factor(E_BAR, _gw(2 * (n + j), p, n, star)))
-            base = numerology.degree_w(2 * (n + j), p, n)
+            w = _gen_w(2 * (n + j), p, n, star)
+            factors.append(Factor(E_BAR, w))
+            base = w.degree
         else:
-            factors.append(Factor(TP_BAR, _gy(j, p, star), p))
-            base = numerology.degree_y(j, p)
+            factors.append(Factor(TP_BAR, y, p))
+            base = y.degree
         for i in range(1, n + 1):
-            factors.append(Factor(E, _gw(2 * (n + j + i), p, n, star)))
-        factors += _z_tail(p, n, n + j + 1, hi, variance, star)
+            factors.append(Factor(E, _gen_w(2 * (n + j + i), p, n, star)))
+        factors += _z_tail(p, n, n + j + 1, hi, variance)
         out.append(TorsionFamily(j, "y", order, base, TensorExpression(tuple(factors + head))))
         j += 1
 
     j = 0 if p != 2 else 1
-    while True:
-        if p == 2 and numerology.p2_special_range(j, p, n):
-            src_deg = numerology.degree_y(j, p) + numerology.degree_w(2 * (n + j), p, n)
-            src = Generator(
-                _ID_PROD + j,
-                f"y_{j} {km2.w_name(2 * (n + j))}{star}",
-                src_deg,
-            )
-        else:
-            src = _gw(2 * (n + j) + 1, p, n, star)
-            src_deg = src.degree
-        if src_deg > hi:
-            break
+    while (src := _half_source(j, p, n, star)).degree <= hi:
         order = numerology.rprime(j, p, n)
-        factors = [_poly(_gy(j + 1, p, star), variance)]
+        z = _gen_z(n + j + 1, p, star)
+        factors = [_poly_factor(_gen_y(j + 1, p, star), variance)]
         if variance == "cohomology":
-            factors.append(Factor(TP_BAR, _gz(n + j + 1, p, star), p**n))
-            base = numerology.degree_z(n + j + 1, p)
+            factors.append(Factor(TP_BAR, z, p**n))
+            base = z.degree
         else:
             factors.append(Factor(E_BAR, src))
-            t = _trunc(_gz(n + j + 1, p, star), p**n - 1, variance)
+            t = _trunc_factor(z, p**n - 1, variance)
             if t is not None:
                 factors.append(t)
-            base = src_deg
+            base = src.degree
         for i in range(1, n + 1):
-            factors.append(Factor(E, _gw(2 * (n + j + i), p, n, star)))
-        factors += _z_tail(p, n, n + j + 2, hi, variance, star)
+            factors.append(Factor(E, _gen_w(2 * (n + j + i), p, n, star)))
+        factors += _z_tail(p, n, n + j + 2, hi, variance)
         out.append(TorsionFamily(j, "half", order, base, TensorExpression(tuple(factors + head))))
         j += 1
 
@@ -196,9 +141,8 @@ def closed_form(p: int, n: int, variance: str = "cohomology", window=None) -> An
     """
     km2.build(p, n, variance)  # validates p prime, n >= 1, variance spelling
     lo, hi = _norm_window(n, window)
-    star = "" if variance == "cohomology" else "*"
-    head = [f for f in _head_factors(p, n, variance, star) if f.gen.degree <= hi]
-    free = TensorExpression((Factor(P, _gv(p, n, variance)), *head))
+    head = [f for f in _head_factors(p, n, variance) if f.gen.degree <= hi]
+    free = TensorExpression((Factor(P, _gen_v(p, n, variance)), *head))
     return AnswerModule(
         p=p,
         n=n,
@@ -277,17 +221,10 @@ def poincare_answer(a: AnswerModule, window=None) -> AnswerSeries:
     rows: dict[int, Counter] = {}
 
     def tower(g: int, count: int, order) -> None:
-        e = 0
-        while order == INF or e < order:
-            d = g + e * dv
-            if (dv < 0 and d < lo) or (dv > 0 and d > hi):
-                break
-            if lo <= d <= hi:
-                rows.setdefault(e, Counter())[d] += count
-            e += 1
+        for e in _tower_powers(g, order, dv, lo, hi):
+            rows.setdefault(e, Counter())[g + e * dv] += count
 
-    rest = TensorExpression(tuple(f for f in a.free_part.factors if f.gen.name != "v"))
-    series = rest.poincare(0, a.window[1])
+    series = _without_v(a.free_part).poincare(0, a.window[1])
     for d in range(series.lo, series.hi + 1):
         if series.dim(d):
             tower(d, series.dim(d), INF)
@@ -337,8 +274,7 @@ def bockstein_check(a: AnswerModule, max_degree: int | None = None) -> tuple[boo
 
     cok: Counter = Counter()
     kerv: Counter = Counter()
-    rest = TensorExpression(tuple(f for f in a.free_part.factors if f.gen.name != "v"))
-    series = rest.poincare(0, hi)
+    series = _without_v(a.free_part).poincare(0, hi)
     for d in range(series.lo, series.hi + 1):
         cok[d] += series.dim(d)
     # the Z_p classes die under v and miss its image; cohomology kernels

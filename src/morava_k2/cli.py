@@ -14,18 +14,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from . import answer, km2, numerology, ss_engine
-from .graded_algebra import (
-    E,
-    E_BAR,
-    Factor,
-    GAMMA,
-    GAMMA_TRUNC,
-    Generator,
-    P,
-    TP,
-    TP_BAR,
-    TensorExpression,
-)
+from .graded_algebra import E, E_BAR, GAMMA, GAMMA_TRUNC, P, TP, TP_BAR, Factor, TensorExpression
 
 
 class ConfigError(ValueError):
@@ -136,43 +125,29 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 _PLAIN_KINDS = {"P": P, "E": E, "Ebar": E_BAR, "Gamma": GAMMA}
 _SIZED_KINDS = {"TP": TP, "TPbar": TP_BAR, "Gamma": GAMMA_TRUNC}
 
-_ID_V = 1
-_ID_Y = 100
-_ID_W = 1000
-_ID_Z = 5000
-_ID_PROD = 9000
-
 
 def _factor_dict(f: Factor) -> dict:
     kind = f.label().split("[", 1)[0]
     return {"factor_kind": kind, "generator": f.gen.name, "degree": f.gen.degree}
 
 
-def _resolve_generator(name: str, degree: int) -> Generator:
-    base = name[:-1] if name.endswith("*") else name
-    if base == "v":
-        gid = _ID_V
-    elif " " in base:
-        gid = _ID_PROD + int(base.split(" ")[0].split("_")[1])
-    elif base.startswith("y_"):
-        gid = _ID_Y + int(base[2:])
-    elif base.startswith("z_"):
-        gid = _ID_Z + int(base[2:])
-    elif base.startswith("w_"):
-        body = base[2:]
-        gid = _ID_W + (int(body[:-2]) if body.endswith("/2") else 2 * int(body))
+def _parse_factor(entry: dict, p: int, n: int, variance: str) -> Factor:
+    """One factor entry of the JSON form, its generator resolved through the
+    ss_engine registry for (p, n, variance)."""
+    kind, name = entry["factor_kind"], entry["generator"]
+    prefix, _, height = kind.rpartition("_")
+    if height.isdigit() and int(height) >= 2 and prefix in _SIZED_KINDS:
+        factor_kind, size = _SIZED_KINDS[prefix], int(height)
+    elif kind in _PLAIN_KINDS:
+        factor_kind, size = _PLAIN_KINDS[kind], None
     else:
-        raise ConfigError(f"unrecognized generator name {name!r}")
-    return Generator(gid, name, degree)
-
-
-def _parse_factor(entry: dict) -> Factor:
-    kind = entry["factor_kind"]
-    gen = _resolve_generator(entry["generator"], entry["degree"])
-    if "_" in kind:
-        prefix, height = kind.rsplit("_", 1)
-        return Factor(_SIZED_KINDS[prefix], gen, int(height))
-    return Factor(_PLAIN_KINDS[kind], gen)
+        raise ConfigError(f"unknown factor_kind {kind!r} in {entry}")
+    gen = ss_engine._generator_named(name, p, n, variance)
+    if gen is None:
+        raise ConfigError(f"no {variance} generator is named {name!r} at p={p}, n={n}: {entry}")
+    if gen.degree != entry["degree"]:
+        raise ConfigError(f"{name} has degree {gen.degree}, not {entry['degree']}: {entry}")
+    return Factor(factor_kind, gen, size)
 
 
 def serialize_answer(a: answer.AnswerModule, series: answer.AnswerSeries) -> dict:
@@ -224,6 +199,10 @@ def _family_identity(p: int, n: int, variance: str, order: int, base: int) -> tu
 def parse_answer(data: dict) -> answer.AnswerModule:
     """Rebuild an AnswerModule from its JSON form."""
     p, n, variance = data["p"], data["n"], data["variance"]
+
+    def factors(entries: list) -> TensorExpression:
+        return TensorExpression(tuple(_parse_factor(x, p, n, variance) for x in entries))
+
     families = []
     for entry in data["torsion"]:
         j, kind = _family_identity(
@@ -235,7 +214,7 @@ def parse_answer(data: dict) -> answer.AnswerModule:
                 kind,
                 entry["order"],
                 entry["generator_degree"],
-                TensorExpression(tuple(_parse_factor(x) for x in entry["cofactor"])),
+                factors(entry["cofactor"]),
             )
         )
     return answer.AnswerModule(
@@ -243,7 +222,7 @@ def parse_answer(data: dict) -> answer.AnswerModule:
         n=n,
         variance=variance,
         window=tuple(data["window"]),
-        free_part=TensorExpression(tuple(_parse_factor(x) for x in data["free"])),
+        free_part=factors(data["free"]),
         torsion_families=tuple(families),
         zp_family=tuple((e["degree"], e["count"]) for e in data["zp_family"]),
         localized=data["localized"],
@@ -288,13 +267,15 @@ def cmd_compute(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _brute_page(cfg: RunConfig, pages: dict, variance: str, v_cap: int | None = None):
-    """The brute-force page of cfg in this variance, built at most once per
-    (variance, v_cap) and shared through pages by the suites of one run."""
-    key = (variance, v_cap)
-    if key not in pages:
-        pages[key] = ss_engine.run_bruteforce(cfg.p, cfg.n, variance, cfg.hi, v_cap=v_cap)
-    return pages[key]
+def _brute_page(cfg: RunConfig, pages: dict, variance: str):
+    """The brute-force page of cfg in this variance, built at most once with
+    cfg.v_cap and shared through pages by the suites of one run (v_cap only
+    validates the window; it changes no tower)."""
+    if variance not in pages:
+        pages[variance] = ss_engine.run_bruteforce(
+            cfg.p, cfg.n, variance, cfg.hi, v_cap=cfg.v_cap
+        )
+    return pages[variance]
 
 
 def _run_suite(name: str, cfg: RunConfig, pages: dict):
@@ -315,10 +296,7 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
         )
     if name == "e2":
         page = ss_engine.e2_closed_form(p, n, variance, hi)
-        rest = TensorExpression(
-            tuple(f for f in page.v_free.factors if f.gen.name != "v")
-        )
-        series = rest.poincare(0, hi)
+        series = ss_engine._without_v(page.v_free).poincare(0, hi)
         trivial = km2.qn_homology(p, n, variance, hi).trivial_series()
         bad = [d for d in range(hi + 1) if series.dim(d) != trivial.dim(d)]
         return not bad, (
@@ -331,7 +309,7 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
             ss_engine.e2_closed_form(p, n, variance, hi),
             ss_engine.window_schedule(p, n, hi, variance),
         )
-        return ss_engine.oracle_match(closed, _brute_page(cfg, pages, variance, cfg.v_cap))
+        return ss_engine.oracle_match(closed, _brute_page(cfg, pages, variance))
     if name == "pairing":
         rep = ss_engine.pairing_check(
             _brute_page(cfg, pages, "cohomology"), _brute_page(cfg, pages, "homology")

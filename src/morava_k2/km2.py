@@ -888,9 +888,15 @@ class QnHomologyReport:
 
 def total_dims(pres: Presentation, hi: int) -> list[int]:
     """Per-degree dimensions of the full (co)homology of K(Z_p, 2)."""
+    return _prefix_sum_series(pres.generators(hi), hi)
+
+
+def _prefix_sum_series(gens, hi: int) -> list[int]:
+    """Per-degree dimensions on [0, hi] of the free graded-commutative
+    algebra on gens (polynomial and exterior generators)."""
     dims = [0] * (hi + 1)
     dims[0] = 1
-    for g in pres.generators(hi):
+    for g in gens:
         if g.exp_kind == "P":
             # multiply by 1/(1 - t^deg): running prefix sums with stride
             for d in range(g.degree, hi + 1):
@@ -1116,16 +1122,7 @@ def qn_square_check(
 
     for comp in components(pres, max_degree + 2 * dq):
         ctx = DerivationContext(pres, max_degree + 2 * dq, gens=comp, missing_as_zero=True)
-        count = [0] * (max_degree + 1)
-        count[0] = 1
-        for g in comp:
-            if g.exp_kind == "P":
-                for d in range(g.degree, max_degree + 1):
-                    count[d] += count[d - g.degree]
-            else:
-                for d in range(max_degree, g.degree - 1, -1):
-                    count[d] += count[d - g.degree]
-        if sum(count) <= component_budget:
+        if sum(_prefix_sum_series(comp, max_degree)) <= component_budget:
             for bucket in window_bases(comp, max_degree):
                 for m in bucket:
                     run(ctx, m)

@@ -68,6 +68,120 @@ def _norm_window(n: int, window) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# the generator registry: ids, names and degrees of v, y_j, w, z_i and the
+# p = 2 products y_j w_{n+j}, each homology dual starred, and the factors
+# built from them.  Every E2 page, rewrite, schedule and answer module takes
+# its generators from here.
+
+_ID_V = 1
+_ID_Y = 100
+_ID_W = 1000
+_ID_Z = 5000
+_ID_PROD = 9000  # the p = 2 product sources y_j w_{n+j}
+
+
+def _star(variance: str) -> str:
+    return "" if variance == "cohomology" else "*"
+
+
+def _gen_v(p: int, n: int, variance: str) -> Generator:
+    return Generator(_ID_V, "v", v_degree(p, n, variance))
+
+
+def _gen_y(j: int, p: int, star: str) -> Generator:
+    return Generator(_ID_Y + j, f"y_{j}{star}", numerology.degree_y(j, p))
+
+
+def _gen_w(index2: int, p: int, n: int, star: str) -> Generator:
+    return Generator(_ID_W + index2, km2.w_name(index2) + star, numerology.degree_w(index2, p, n))
+
+
+def _gen_z(i: int, p: int, star: str) -> Generator:
+    return Generator(_ID_Z + i, f"z_{i}{star}", numerology.degree_z(i, p))
+
+
+def _half_source(j: int, p: int, n: int, star: str) -> Generator:
+    """The cohomology source of the differential hitting z_{n+j+1}: the
+    product y_j w_{n+j} in the p = 2 special range, otherwise w_{n+j+1/2}."""
+    if numerology.p2_special_range(j, p, n):
+        w = _gen_w(2 * (n + j), p, n, "")
+        return Generator(
+            _ID_PROD + j, f"y_{j} {w.name}{star}", numerology.degree_y(j, p) + w.degree
+        )
+    return _gen_w(2 * (n + j) + 1, p, n, star)
+
+
+def _generator_named(name: str, p: int, n: int, variance: str) -> Generator | None:
+    """The registry generator called name in (p, n, variance), or None.
+
+    Only the index is read off the name: the generator is rebuilt by the
+    builders above and must carry the same name back, so a star that does
+    not match the variance, a product outside the p = 2 special range or a
+    non-canonical spelling resolves to nothing.
+    """
+    if name == "v":
+        return _gen_v(p, n, variance)
+    star = _star(variance)
+    head, _, tail = name.removesuffix("*").partition(" ")
+    letter, _, index = head.partition("_")
+    half = index.endswith("/2")
+    index = index.removesuffix("/2")
+    if not index.isdigit():
+        return None
+    k = int(index)
+    if letter == "w" and (k if half else 2 * k) >= 2 * n:
+        gen = _gen_w(k if half else 2 * k, p, n, star)
+    elif k < 1:
+        return None
+    elif letter == "y":
+        gen = _half_source(k, p, n, star) if tail else _gen_y(k, p, star)
+    elif letter == "z":
+        gen = _gen_z(k, p, star)
+    else:
+        return None
+    return gen if gen.name == name else None
+
+
+def _without_v(expr: TensorExpression) -> TensorExpression:
+    """expr with its P[v] factor dropped: the generators of the v-towers."""
+    return TensorExpression(tuple(f for f in expr.factors if f.gen.name != "v"))
+
+
+def _poly_factor(gen: Generator, variance: str) -> Factor:
+    return Factor(P, gen) if variance == "cohomology" else Factor(GAMMA, gen)
+
+
+def _trunc_factor(gen: Generator, height: int, variance: str) -> Factor | None:
+    if height < 2:  # a height-1 truncation is the unit factor
+        return None
+    kind = TP if variance == "cohomology" else GAMMA_TRUNC
+    return Factor(kind, gen, height)
+
+
+def _head_factors(p: int, n: int, variance: str) -> list[Factor]:
+    """The first-line factors TP_{p^i}[z_{n-i}], 1 <= i < n, that no
+    differential touches."""
+    out = []
+    for i in range(1, n):
+        f = _trunc_factor(_gen_z(n - i, p, _star(variance)), p**i, variance)
+        if f is not None:
+            out.append(f)
+    return out
+
+
+def _z_tail(p: int, n: int, start: int, hi: int, variance: str) -> list[Factor]:
+    """TP_{p^n}[z_i] for i = start, start + 1, ... while |z_i| <= hi."""
+    out = []
+    i = start
+    while numerology.degree_z(i, p) <= hi:
+        f = _trunc_factor(_gen_z(i, p, _star(variance)), p**n, variance)
+        if f is not None:
+            out.append(f)
+        i += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the differential schedule
 
 
@@ -102,37 +216,28 @@ def schedule(p: int, n: int, j_max: int, variance: str = "cohomology") -> list[D
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
     km2.build(p, n, variance)  # validates p prime, n >= 1, variance spelling
-    star = "" if variance == "cohomology" else "*"
+    star = _star(variance)
     entries: list[Differential] = []
 
-    for j in range(1, j_max + 1):
-        st = numerology.r(j, p, n)
+    def add(stage: int, family: str, j: int, source: Generator, target: Generator) -> None:
+        # source and target as in cohomology; homology swaps the roles
+        if variance == "homology":
+            source, target = target, source
         paired = numerology.p2_special_range(j, p, n)
-        yname = f"y_{j}{star}"
-        wname = km2.w_name(2 * (n + j)) + star
-        dy = numerology.degree_y(j, p)
-        dw = numerology.degree_w(2 * (n + j), p, n)
-        if variance == "cohomology":
-            entries.append(Differential(st, yname, wname, dy, dw, variance, "y", j, paired))
-        else:
-            entries.append(Differential(st, wname, yname, dw, dy, variance, "y", j, paired))
+        entries.append(
+            Differential(
+                stage, source.name, target.name, source.degree, target.degree,
+                variance, family, j, paired,
+            )
+        )
 
+    for j in range(1, j_max + 1):
+        add(numerology.r(j, p, n), "y", j, _gen_y(j, p, star), _gen_w(2 * (n + j), p, n, star))
     for j in range(0 if p != 2 else 1, j_max + 1):
-        st = numerology.rprime(j, p, n)
-        paired = numerology.p2_special_range(j, p, n)
-        zname = f"z_{n + j + 1}{star}"
-        dz = numerology.degree_z(n + j + 1, p)
-        if p == 2 and paired:
-            # the doubled rule: the second source is the product y_j w_{n+j}
-            sname = f"y_{j} {km2.w_name(2 * (n + j))}{star}"
-            ds = numerology.degree_y(j, p) + numerology.degree_w(2 * (n + j), p, n)
-        else:
-            sname = km2.w_name(2 * (n + j) + 1) + star
-            ds = numerology.degree_w(2 * (n + j) + 1, p, n)
-        if variance == "cohomology":
-            entries.append(Differential(st, sname, zname, ds, dz, variance, "half", j, paired))
-        else:
-            entries.append(Differential(st, zname, sname, dz, ds, variance, "half", j, paired))
+        add(
+            numerology.rprime(j, p, n), "half", j,
+            _half_source(j, p, n, star), _gen_z(n + j + 1, p, star),
+        )
 
     for e in entries:
         lo_d, hi_d = e.source_degree, e.target_degree
@@ -173,6 +278,20 @@ class TowerSummand:
     count: int = 1
 
 
+def _tower_powers(g: int, order, dv: int, lo: int, hi: int) -> range:
+    """The v-powers e < order whose class g + e*dv, in a P[v]-tower on a
+    degree-g generator with |v| = dv, lies in [lo, hi]; order is a positive
+    int or INF for a free tower."""
+    s = abs(dv)
+    if dv < 0:
+        first, last = -((hi - g) // s), (g - lo) // s
+    else:
+        first, last = -((g - lo) // s), (hi - g) // s
+    if order != INF:
+        last = min(last, order - 1)
+    return range(max(first, 0), last + 1)
+
+
 @dataclass(frozen=True)
 class Page:
     p: int
@@ -191,10 +310,7 @@ class Page:
         lo, hi = self.window
         out: Counter = Counter()
         if self.v_free is not None:
-            rest = TensorExpression(
-                tuple(f for f in self.v_free.factors if f.gen.name != "v")
-            )
-            series = rest.poincare(lo, hi)
+            series = _without_v(self.v_free).poincare(lo, hi)
             for d in range(lo, hi + 1):
                 if series.dim(d):
                     out[d] += series.dim(d)
@@ -218,21 +334,11 @@ class Page:
         lo, hi = self.window
         dv = v_degree(self.p, self.n, self.variance)
         out: Counter = Counter()
-
-        def tower(g: int, count: int, order) -> None:
-            e = 0
-            while order == INF or e < order:
-                d = g + e * dv
-                if (dv < 0 and d < lo) or (dv > 0 and d > hi):
-                    break
-                if lo <= d <= hi:
-                    out[(d, e)] += count
-                e += 1
-
-        for g, c in self.free_by_degree().items():
-            tower(g, c, INF)
-        for (g, order), c in self.torsion_by_degree().items():
-            tower(g, c, order)
+        towers = [(g, INF, c) for g, c in self.free_by_degree().items()]
+        towers += [(g, order, c) for (g, order), c in self.torsion_by_degree().items()]
+        for g, order, c in towers:
+            for e in _tower_powers(g, order, dv, lo, hi):
+                out[(g + e * dv, e)] += c
         for d, c in self.zp_family:
             if lo <= d <= hi:
                 out[(d, 0)] += c
@@ -244,42 +350,6 @@ class Page:
         for (d, _s), c in self.chart_dims().items():
             dims[d - lo] += c
         return PoincareSeries(lo, hi, tuple(dims))
-
-
-# ---------------------------------------------------------------------------
-# generator and factor builders
-
-_ID_V = 1
-_ID_Y = 100
-_ID_W = 1000
-_ID_Z = 5000
-
-
-def _gen_v(p: int, n: int, variance: str) -> Generator:
-    return Generator(_ID_V, "v", v_degree(p, n, variance))
-
-
-def _gen_y(j: int, p: int, star: str) -> Generator:
-    return Generator(_ID_Y + j, f"y_{j}{star}", numerology.degree_y(j, p))
-
-
-def _gen_w(index2: int, p: int, n: int, star: str) -> Generator:
-    return Generator(_ID_W + index2, km2.w_name(index2) + star, numerology.degree_w(index2, p, n))
-
-
-def _gen_z(i: int, p: int, star: str) -> Generator:
-    return Generator(_ID_Z + i, f"z_{i}{star}", numerology.degree_z(i, p))
-
-
-def _poly_factor(gen: Generator, variance: str) -> Factor:
-    return Factor(P, gen) if variance == "cohomology" else Factor(GAMMA, gen)
-
-
-def _trunc_factor(gen: Generator, height: int, variance: str) -> Factor | None:
-    if height < 2:  # a height-1 truncation is the unit factor
-        return None
-    kind = TP if variance == "cohomology" else GAMMA_TRUNC
-    return Factor(kind, gen, height)
 
 
 def zp_family_counts(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int, int], ...]:
@@ -309,12 +379,8 @@ class _PageState:
     def __init__(self, p: int, n: int, variance: str, window: tuple[int, int]):
         self.p, self.n, self.variance = p, n, variance
         self.window = window
-        self.star = "" if variance == "cohomology" else "*"
-        self.head = []
-        for i in range(1, n):
-            f = _trunc_factor(_gen_z(n - i, p, self.star), p**i, variance)
-            if f is not None:
-                self.head.append(f)
+        self.star = _star(variance)
+        self.head = _head_factors(p, n, variance)
         self.jy = 1
         if p == 2:
             self.half: int | None = None
@@ -342,13 +408,7 @@ class _PageState:
             f = _trunc_factor(_gen_w(2 * m, p, n, self.star), 2 ** (n + 1), self.variance)
             if f is not None:
                 out.append(f)
-        i = self.zlo
-        while numerology.degree_z(i, p) <= self.window[1]:
-            f = _trunc_factor(_gen_z(i, p, self.star), p**n, self.variance)
-            if f is not None:
-                out.append(f)
-            i += 1
-        return out
+        return out + _z_tail(p, n, self.zlo, self.window[1], self.variance)
 
     def snapshot(self, zp: tuple[tuple[int, int], ...]) -> Page:
         hi = self.window[1]
@@ -564,11 +624,7 @@ def _stage_relevance(p: int, n: int, j: int) -> list[tuple[int, int]]:
     if j >= 1:
         out.append((numerology.r(j, p, n), numerology.degree_y(j, p)))
     if j >= 1 or p != 2:
-        if p == 2 and numerology.p2_special_range(j, p, n):
-            src = numerology.degree_y(j, p) + numerology.degree_w(2 * (n + j), p, n)
-        else:
-            src = numerology.degree_w(2 * (n + j) + 1, p, n)
-        out.append((numerology.rprime(j, p, n), src))
+        out.append((numerology.rprime(j, p, n), _half_source(j, p, n, "").degree))
     return out
 
 

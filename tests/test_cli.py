@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line interface."""
 
 import dataclasses
+import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -29,15 +31,59 @@ def test_compute_json_schema_key_order(capsys):
     assert first_torsion["generator_degree"] == 20
 
 
-def test_compute_json_round_trips(capsys):
-    for variance in ("cohomology", "homology"):
-        assert main([
-            "compute", "--p", "2", "--n", "2", "--variance", variance,
-            "--max-degree", "80", "--format", "json",
-        ]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        rebuilt = cli.parse_answer(doc)
-        assert rebuilt == answer.closed_form(2, 2, variance, (0, 80))
+# sha256 of the stdout of `compute --format json` per (p, n, variance, max
+# degree, localize).  These bytes are the published answer: a change to any
+# of them must be deliberate and come with new digests.
+COMPUTE_JSON_SHA256 = {
+    (3, 1, "cohomology", 60, False):
+        "c3e426e50736d984b5dd3ef0e887d6b6f821a01da87ec6a559558491d7f0fbfa",
+    (3, 1, "homology", 60, False):
+        "9bb96dbed3b85e39ae548c4e9cf4ae8f453ba044bd66870301301b811fa3029c",
+    (2, 1, "cohomology", 60, False):
+        "6ed7d7d344eab3d990453a8fa2fe0a57613f46a03f5bf4e3398b3081aaf62c38",
+    (2, 1, "homology", 60, False):
+        "0eb938d983c3bcd8a5d54d5c7a4995a0bb39da57c523227b475ff0f32e94301d",
+    (2, 2, "cohomology", 80, False):
+        "bdab4aa48c9558e5173fd55d2facfdac5527f1eedd5fd248839ccb3711a81b07",
+    (2, 2, "homology", 80, False):
+        "1136c34c45d8ffaa5faec42372686f44fed3b4180e1c4b09903ef50baa293bc8",
+    (3, 2, "cohomology", 60, False):
+        "b01768dbba986f7bad1cb521ad65f8c90f8eafaf3c6f8f7f7a534046d30e99cc",
+    (5, 1, "homology", 100, False):
+        "f1e6583672bd25dfe75e436c4eeec9d71e4d56fa0a594268a6ac50573a9314a9",
+    (2, 3, "cohomology", 40, False):
+        "c9763fa6c7f63d34b5629a0a764fa6fc4c639be434a68f02fe1d1b293d529a02",
+    (2, 1, "cohomology", 60, True):
+        "75148a805f85c76ab208ec7c73e052be98683709d8567c5b4ad1588eace0fac2",
+}
+
+
+def _job_id(job) -> str:
+    return "-".join(map(str, job[:4])) + ("-localize" if job[4] else "")
+
+
+def _compute_json(capsys, job) -> str:
+    p, n, variance, hi, localize = job
+    argv = [
+        "compute", "--p", str(p), "--n", str(n), "--variance", variance,
+        "--max-degree", str(hi), "--format", "json",
+    ]
+    assert main(argv + ["--localize"] * localize) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("job", COMPUTE_JSON_SHA256, ids=_job_id)
+def test_compute_json_bytes_match_parent(capsys, job):
+    out = _compute_json(capsys, job).encode()
+    assert hashlib.sha256(out).hexdigest() == COMPUTE_JSON_SHA256[job]
+
+
+@pytest.mark.parametrize("job", COMPUTE_JSON_SHA256, ids=_job_id)
+def test_compute_json_round_trips(capsys, job):
+    p, n, variance, hi, localize = job
+    rebuilt = cli.parse_answer(json.loads(_compute_json(capsys, job)))
+    want = answer.closed_form(p, n, variance, (0, hi))
+    assert rebuilt == (answer.localize(want) if localize else want)
 
 
 @pytest.mark.parametrize("localize", [False, True])
@@ -166,7 +212,8 @@ def test_verify_builds_each_brute_page_once(capsys, monkeypatch):
     calls.clear()
     assert main(VERIFY_31 + ["--v-cap", "40"]) == 0
     assert capsys.readouterr().out.count("PASS\t") == 8
-    assert len(calls) == 3  # the oracle's capped page is its own
+    assert len(calls) == 2  # the cap changes no tower, so every suite shares it
+    assert all(kwargs["v_cap"] == 40 for _args, kwargs in calls)
 
 
 def test_shared_brute_page_keeps_pairing_and_uct_honest(capsys, monkeypatch):
@@ -189,10 +236,12 @@ def test_shared_brute_page_keeps_pairing_and_uct_honest(capsys, monkeypatch):
 
 
 def test_verify_v_cap_below_visible_stage_exits_2(capsys):
-    assert main(VERIFY_31 + ["--v-cap", "1"]) == 2
-    captured = capsys.readouterr()
-    assert "oracle" not in captured.out
-    assert captured.err.startswith("error: v_cap=1 truncates")
+    # every suite that reads a brute page refuses the cap, not only oracle
+    for suite in ("all", "pairing"):
+        assert main(VERIFY_31 + ["--suite", suite, "--v-cap", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "oracle" not in captured.out and "pairing" not in captured.out
+        assert captured.err.startswith("error: v_cap=1 truncates")
 
 
 def test_fold_overflow_exits_2(capsys, monkeypatch):
@@ -294,7 +343,20 @@ def test_answer_path_runs_no_linear_algebra(capsys, monkeypatch, argv):
 
 def test_parse_answer_rejects_unknown_generator():
     a = answer.closed_form(3, 1, window=30)
-    doc = json.loads(json.dumps(cli.serialize_answer(a, answer.poincare_answer(a))))
-    doc["free"][0]["generator"] = "q_1"
-    with pytest.raises(ValueError):
-        cli.parse_answer(doc)
+    text = json.dumps(cli.serialize_answer(a, answer.poincare_answer(a)))
+    # (where, key, value, words of the message): an unknown name, an unknown
+    # factor kind, a degree other than the name's (|v| = -4 at (3, 1)) and a
+    # homology name inside a cohomology module
+    edits = [
+        ("free", "generator", "q_1", "'q_1'"),
+        ("free", "factor_kind", "Q", "'Q'"),
+        ("free", "degree", 4, "v has degree -4, not 4"),
+        ("torsion", "generator", "y_1*", "'y_1*'"),
+    ]
+    for where, key, value, words in edits:
+        doc = json.loads(text)
+        entry = doc["free"][0] if where == "free" else doc["torsion"][0]["cofactor"][0]
+        entry[key] = value
+        with pytest.raises(cli.ConfigError, match=re.escape(words)) as info:
+            cli.parse_answer(doc)
+        assert str(entry) in str(info.value)
