@@ -4,7 +4,8 @@ closed_form writes the final k(n)^*- resp. k(n)_*-module down directly as a
 free part, a list of v-torsion families and the filtration-0 Z_p family,
 without running the spectral sequence.  to_page converts the result so the
 ss_engine comparators can check it against an actual run.  poincare_answer,
-localize and bockstein_check read dimensions off the module description.
+localize, bockstein_check and localization_check read dimensions off the
+module description.
 
 The p = 2 homology answer is not written down independently anywhere; it is
 produced here by transporting the p = 2 cohomology module: free summands keep
@@ -337,3 +338,52 @@ def bockstein_check(a: AnswerModule, max_degree: int | None = None) -> tuple[boo
             f"gives {predicted}"
         )
     return True, f"coker/ker counts match dim H^d for all d in [0, {hi}]{note}"
+
+
+def localization_check(a: AnswerModule) -> tuple[bool, str]:
+    """The v-localized module against the Ravenel-Wilson count.
+
+    Inverting v leaves P[v] on the tensor product over i = 1..n-1 of the
+    truncated factors of height p^(n-i) on z_i (their duals in homology), of
+    total rank p^C(n,2).  The expected series is built here from numerology
+    degrees alone and compared degree by degree with poincare_answer of the
+    localized module: its v^0 row against the generators, its total against
+    their v-towers.  No factor label is read.
+    """
+    p, n, hi = a.p, a.n, a.window[1]
+    base = [1] + [0] * hi
+    top = 0
+    for i in range(1, n):
+        d, h = numerology.degree_z(i, p), p ** (n - i)
+        top += (h - 1) * d
+        # times (1 - t^(hd)) / (1 - t^d) = 1 + t^d + ... + t^((h-1)d)
+        for e in range(hi, h * d - 1, -1):
+            base[e] -= base[e - h * d]
+        for e in range(d, hi + 1):
+            base[e] += base[e - d]
+    step = 2 * (p**n - 1)
+    total = list(base)
+    if a.variance == "homology":
+        for e in range(step, hi + 1):
+            total[e] += total[e - step]
+    else:
+        for e in range(hi - step, -1, -1):
+            total[e] += total[e + step]
+
+    series = poincare_answer(localize(a), (0, hi))
+    rank, want_rank = sum(series.power(0).dims), p ** (n * (n - 1) // 2)
+    if top <= hi and rank != want_rank:
+        return False, f"localized rank {rank}, expected p^C(n,2) = {want_rank}"
+    for name, got, want in (("generators", series.power(0), base), ("towers", series.total, total)):
+        bad = next((d for d in range(hi + 1) if got.dim(d) != want[d]), None)
+        if bad is not None:
+            return False, (
+                f"localized {name} have dimension {got.dim(bad)} in degree {bad}, "
+                f"expected {want[bad]}"
+            )
+    if top > hi:
+        return True, (
+            f"inverting v leaves the expected series on [0, {hi}], with {rank} of "
+            f"the p^C(n,2) = {want_rank} generators in the window"
+        )
+    return True, f"inverting v leaves rank p^C(n,2) = {rank} over P[v]"

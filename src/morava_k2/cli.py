@@ -99,6 +99,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     lo = pick(args.lo, "min_degree", 0)
     if lo > hi:
         raise ConfigError("min-degree exceeds max-degree")
+    if lo and args.command != "compute":
+        raise ConfigError(f"min-degree is a compute option; {args.command} starts at degree 0")
     if hi < 2:
         raise ConfigError("max-degree must be at least 2")
     v_cap = pick(args.v_cap, "v_cap", None)
@@ -152,7 +154,7 @@ def _parse_factor(entry: dict, p: int, n: int, variance: str) -> Factor:
 
 def serialize_answer(a: answer.AnswerModule, series: answer.AnswerSeries) -> dict:
     """The JSON form of a, with series = poincare_answer(a, window) supplying
-    the poincare entries on that window and each family's count."""
+    the window, the poincare entries on it and each family's count."""
     torsion = [
         {
             "order": f.order,
@@ -167,7 +169,7 @@ def serialize_answer(a: answer.AnswerModule, series: answer.AnswerSeries) -> dic
         "p": a.p,
         "n": a.n,
         "variance": a.variance,
-        "window": list(a.window),
+        "window": [total.lo, total.hi],
         "free": [_factor_dict(x) for x in a.free_part.factors],
         "torsion": torsion,
         "zp_family": [{"degree": d, "count": c} for d, c in a.zp_family],
@@ -197,8 +199,26 @@ def _family_identity(p: int, n: int, variance: str, order: int, base: int) -> tu
 
 
 def parse_answer(data: dict) -> answer.AnswerModule:
-    """Rebuild an AnswerModule from its JSON form."""
+    """Rebuild an AnswerModule from its JSON form.
+
+    The document's window is the range its poincare entries cover; the
+    module itself is computed on [0, window top].  The entries must agree
+    with poincare_answer of the rebuilt module, degree by degree and family
+    by family.
+    """
     p, n, variance = data["p"], data["n"], data["variance"]
+    if variance not in ("cohomology", "homology"):
+        raise ConfigError(f"variance must be cohomology or homology, not {variance!r}")
+    lo, hi = data["window"]
+    poincare = data["poincare"]
+    # before anything is recomputed, so that a huge stated window costs nothing
+    if len(poincare) != hi - lo + 1 or any(
+        e["degree"] != d for d, e in zip(range(lo, hi + 1), poincare)
+    ):
+        raise ConfigError(f"poincare entries do not cover the window [{lo}, {hi}] exactly")
+    bad_zp = next((e for e in data["zp_family"] if e["count"] < 1), None)
+    if bad_zp is not None:
+        raise ConfigError(f"Z_p family counts must be positive: {bad_zp}")
 
     def factors(entries: list) -> TensorExpression:
         return TensorExpression(tuple(_parse_factor(x, p, n, variance) for x in entries))
@@ -217,16 +237,30 @@ def parse_answer(data: dict) -> answer.AnswerModule:
                 factors(entry["cofactor"]),
             )
         )
-    return answer.AnswerModule(
+    a = answer.AnswerModule(
         p=p,
         n=n,
         variance=variance,
-        window=tuple(data["window"]),
+        window=(0, hi),
         free_part=factors(data["free"]),
         torsion_families=tuple(families),
         zp_family=tuple((e["degree"], e["count"]) for e in data["zp_family"]),
         localized=data["localized"],
     )
+    series = answer.poincare_answer(a, (lo, hi))
+    bad = next((e for e in poincare if e["dim"] != series.total.dim(e["degree"])), None)
+    if bad is not None:
+        raise ConfigError(
+            f"poincare entry {bad} disagrees with the module, which has dimension "
+            f"{series.total.dim(bad['degree'])} there"
+        )
+    for entry, count in zip(data["torsion"], series.family_counts):
+        if entry["count_in_window"] != count:
+            raise ConfigError(
+                f"count_in_window {entry['count_in_window']} disagrees with the module, "
+                f"which has {count} generators in the family of order {entry['order']}"
+            )
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +273,7 @@ def cmd_compute(cfg: RunConfig, out) -> int:
         a = answer.localize(a)
     series = answer.poincare_answer(a, (cfg.lo, cfg.hi))
     chart = answer.to_page(a).chart_series()
-    if any(series.total.dim(d) != chart.dim(d) for d in range(0, cfg.hi + 1)):
+    if any(series.total.dim(d) != chart.dim(d) for d in range(max(cfg.lo, 0), cfg.hi + 1)):
         print("internal consistency failure: series readers disagree", file=sys.stderr)
         return 3
     if cfg.fmt == "json":
@@ -262,7 +296,7 @@ def cmd_compute(cfg: RunConfig, out) -> int:
                 f"{f.expression.label()}",
                 file=out,
             )
-        zp_total = sum(c for _d, c in a.zp_family)
+        zp_total = sum(c for d, c in a.zp_family if d >= cfg.lo)
         print(f"Z_p family: {zp_total} classes in window", file=out)
     return 0
 
@@ -322,21 +356,7 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
     if name == "bockstein":
         return answer.bockstein_check(answer.closed_form(p, n, variance, (0, hi)))
     if name == "localization":
-        loc = answer.localize(answer.closed_form(p, n, variance, (0, hi)))
-        label = loc.free_part.label()
-        if n == 1:
-            if label != "P[v]":
-                return False, f"localized module is {label}, expected P[v]"
-            if variance == "cohomology":
-                series = answer.poincare_answer(loc, (1, hi)).total
-                bad = [d for d in range(1, hi + 1) if series.dim(d)]
-                if bad:
-                    return False, f"localized class survives in degree {bad[0]}"
-            return True, "inverting v leaves P[v] alone"
-        want = f"TP_{p}[z_1]" if variance == "cohomology" else f"Gamma_{p}[z_1*]"
-        if want not in label:
-            return False, f"localized module {label} misses {want}"
-        return True, f"inverting v leaves {label}"
+        return answer.localization_check(answer.closed_form(p, n, variance, (0, hi)))
     raise ConfigError(f"unknown suite {name!r}")
 
 

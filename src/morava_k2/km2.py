@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graded_algebra import PoincareSeries
 
 
@@ -34,6 +32,7 @@ class WindowError(ValueError):
 
 def rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p; returns (matrix copy, pivot columns)."""
+    import numpy as np
     a = np.array(a, dtype=np.int64) % p
     rows, cols = a.shape
     piv: list[int] = []
@@ -65,6 +64,7 @@ def rank_modp(a: np.ndarray, p: int) -> int:
 
 def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
     """Columns form a basis of ker(a) over F_p."""
+    import numpy as np
     rows, cols = a.shape
     if cols == 0:
         return np.zeros((0, 0), dtype=np.int64)
@@ -80,6 +80,7 @@ def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
 
 def solve_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Solve a @ x = b (columns of b) given that a has independent columns."""
+    import numpy as np
     rows, cols = a.shape
     if b.ndim == 1:
         b = b.reshape(-1, 1)
@@ -359,6 +360,7 @@ def qn_matrix(pres: Presentation, d: int, max_degree: int) -> np.ndarray:
     Cohomology maps degree d to d + (2p^n - 1); homology is the transpose
     going down.  The window must contain both endpoint degrees.
     """
+    import numpy as np
     dq = pres.qn_degree
     if pres.variance == "cohomology":
         if not 0 <= d <= d + dq <= max_degree:
@@ -380,6 +382,7 @@ def _qn_block(
     src: list[tuple[int, ...]],
     tgt: list[tuple[int, ...]],
 ) -> np.ndarray:
+    import numpy as np
     pos = {m: i for i, m in enumerate(tgt)}
     a = np.zeros((len(tgt), len(src)), dtype=np.int64)
     for j, m in enumerate(src):
@@ -395,6 +398,7 @@ def _qn_block(
 def _direct_trivial(
     pres: Presentation, hi: int, with_reps: bool
 ) -> tuple[list[int], dict[int, list[str]] | None]:
+    import numpy as np
     dq = pres.qn_degree
     ctx = DerivationContext(pres, hi + dq)
     buckets = window_bases(ctx.gens, hi + dq)
@@ -430,6 +434,7 @@ def _choose_reps(
     dual: bool,
 ) -> list[str]:
     """Kernel-mod-image representatives, preferring single cycle monomials."""
+    import numpy as np
     p = ctx.p
     dim = len(basis)
     ker = nullspace_modp(out_block, p)
@@ -502,6 +507,7 @@ class ExplicitHomology:
     """
 
     def __init__(self, pres: Presentation, gens: list[PresGenerator], top: int):
+        import numpy as np
         self.pres = pres
         self.p = pres.p
         self.top = top
@@ -534,6 +540,7 @@ class ExplicitHomology:
 
     def reduce(self, d: int, vecs: np.ndarray) -> np.ndarray:
         """Coordinates of cycle vectors in the homology basis at degree d."""
+        import numpy as np
         h = self.dims[d]
         if vecs.shape[1] == 0 or self._reduce_basis[d].shape[1] == 0:
             if vecs.size and vecs.any():
@@ -548,6 +555,7 @@ class ExplicitHomology:
         Entry d maps H(d) -> H(d + deg(mono)); defined for d <= valid_to.
         No Koszul bookkeeping: at odd primes the monomial must be even.
         """
+        import numpy as np
         if self.p != 2:
             for nm, e in mono.items():
                 if self.ctx.gens[self.ctx.index[nm]].degree % 2 and e % 2:
@@ -632,6 +640,7 @@ def _cone_level(prev: _Level, du: int, op_key: tuple[str, int] | None, p: int) -
     Valid degrees shrink by the operator degree, since kernels at the top
     of the window would need image data beyond it.
     """
+    import numpy as np
     if op_key is None:
         dm = 0
         mats = None
@@ -721,6 +730,7 @@ class _ConeData:
 
     def coker_project(self, e: int, vecs: np.ndarray) -> np.ndarray:
         """Coordinates of prev-homology vectors in the cokernel basis at e."""
+        import numpy as np
         rows = self.proj_rows[e]
         v = vecs % self.p
         for row in rows:
@@ -730,6 +740,7 @@ class _ConeData:
 
     def propagate(self, prev_level: _Level, key: tuple[str, int], new_level: _Level) -> tuple[int, list[np.ndarray]]:
         """Express a pending prev-level operator on the new level's basis."""
+        import numpy as np
         deg, mats = prev_level.ops[key]
         valid = min(self.window - deg, len(mats) - 1)
         out = []
@@ -764,6 +775,7 @@ class _ConeData:
         Even powers shift the block index; the odd unit step is only valid
         when the cone differential was zero (then every u^a x is a cycle).
         """
+        import numpy as np
         deg = exp * self.du
         half, odd = divmod(exp, 2)
         if odd and not self.zero_op:

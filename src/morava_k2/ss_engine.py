@@ -25,8 +25,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import groupby
 
-import numpy as np
-
 from . import km2, numerology
 from .graded_algebra import (
     E,
@@ -921,6 +919,7 @@ def _fold(a: Counter, b: Counter, p: int, n: int, variance: str, limit: int) -> 
     becomes one dense int64 row per order, and each key of the other adds a
     shifted, scaled slice of every row into the row of the smaller order.
     """
+    import numpy as np
     if 2 * sum(a.values()) * sum(b.values()) >= 2**63:
         raise WindowError("Kunneth fold counts overflow int64; use a smaller window")
     big, small = (a, b) if len(a) >= len(b) else (b, a)

@@ -145,30 +145,13 @@ def test_criterion_6_bockstein_bookkeeping():
 def test_criterion_7_localization():
     bad = []
     for p, n in ALL_PAIRS:
-        w = WINDOW[n]
-        q2 = 2 * (p**n - 1)
         for variance in VARIANCES:
-            loc = answer.localize(_module(p, n, variance))
-            label = loc.free_part.label()
-            if n == 1:
-                want = "P[v]"
-            elif variance == "cohomology":
-                want = f"P[v] @ TP_{p}[z_1]"
-            else:
-                want = f"P[v] @ Gamma_{p}[z_1*]"
-            if label != want:
-                bad.append((p, n, variance, label))
-                continue
-            if n == 1:
-                series = answer.poincare_answer(loc).total
-                for d in range(1, w + 1):
-                    tower = 1 if (variance == "homology" and d % q2 == 0) else 0
-                    if series.dim(d) != tower:
-                        bad.append((p, n, variance, d))
-                        break
+            ok, msg = answer.localization_check(_module(p, n, variance))
+            if not ok:
+                bad.append((p, n, variance, msg))
     _verdict(
         7, "localization", not bad,
-        "only the first-line factors survive" if not bad else f"first: {bad[0]}",
+        "inverting v leaves rank p^C(n,2) over P[v]" if not bad else f"first: {bad[0]}",
     )
 
 

@@ -163,6 +163,55 @@ def test_localize():
     assert sum(s32.dim(d) for d in range(21)) == 4
 
 
+@pytest.mark.parametrize("variance", ["cohomology", "homology"])
+@pytest.mark.parametrize("p, n, top", [(2, 1, 80), (3, 2, 90), (2, 3, 60), (3, 3, 120)])
+def test_localization_check_passes(p, n, top, variance):
+    ok, msg = answer.localization_check(answer.closed_form(p, n, variance, top))
+    assert ok, (p, n, variance, msg)
+    assert f"rank p^C(n,2) = {p ** (n * (n - 1) // 2)} over P[v]" in msg
+
+
+def _replant_heights(a, heights):
+    """a with the height of each free factor named in heights replaced."""
+    free = tuple(
+        dataclasses.replace(f, height=heights.get(f.gen.name, f.height))
+        for f in a.free_part.factors
+    )
+    return dataclasses.replace(a, free_part=ss.TensorExpression(free))
+
+
+@pytest.mark.parametrize("variance", ["cohomology", "homology"])
+def test_localization_check_sees_a_wrong_truncation_height(variance):
+    """At (2, 3) the localized module is P[v] on TP_4[z_1] and TP_2[z_2]:
+    a height off by a factor of p fails the rank, and heights swapped between
+    z_1 and z_2 keep rank 8 but fail the series degree by degree."""
+    star = "*" if variance == "homology" else ""
+    a = answer.closed_form(2, 3, variance, 60)
+    ok, msg = answer.localization_check(_replant_heights(a, {f"z_1{star}": 2}))
+    assert not ok
+    assert msg == "localized rank 4, expected p^C(n,2) = 8"
+    swapped = _replant_heights(a, {f"z_1{star}": 2, f"z_2{star}": 4})
+    ok, msg = answer.localization_check(swapped)
+    assert not ok
+    assert msg.startswith("localized generators have dimension 0 in degree 12"), msg
+    # below the top generator (degree 28) the rank is not visible, the series is
+    ok, msg = answer.localization_check(
+        _replant_heights(answer.closed_form(2, 3, variance, 20), {f"z_1{star}": 2})
+    )
+    assert not ok
+    assert msg.startswith("localized generators have dimension 0 in degree 12"), msg
+
+
+def test_localization_check_sees_towers_running_the_wrong_way(monkeypatch):
+    """The v^0 row can match while the towers do not: with |v| = -16 in
+    homology, the tower on z_1^2 (degree 16) runs down onto the unit."""
+    real = ss.v_degree
+    monkeypatch.setattr(answer, "v_degree", lambda p, n, variance: -real(p, n, variance))
+    ok, msg = answer.localization_check(answer.closed_form(3, 2, "homology", 90))
+    assert not ok
+    assert msg == "localized towers have dimension 2 in degree 0, expected 1"
+
+
 def test_bockstein_all_pairs():
     for p, n, top in [(2, 1, 80), (3, 1, 80), (5, 1, 80), (2, 2, 90), (3, 2, 90)]:
         for variance in ("cohomology", "homology"):

@@ -3,8 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,35 @@ def test_compute_negative_min_degree_shows_v_tower(capsys):
     doc = json.loads(capsys.readouterr().out)
     dims = {e["degree"]: e["dim"] for e in doc["poincare"]}
     assert [dims[d] for d in range(-8, 1)] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+
+def test_compute_positive_min_degree(capsys):
+    argv = ["compute", "--p", "3", "--n", "1", "--max-degree", "60", "--format", "json"]
+    assert main(argv + ["--min-degree", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["window"] == [4, 60]
+    assert [e["degree"] for e in doc["poincare"]] == list(range(4, 61))
+    assert main(argv) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert doc["poincare"] == full["poincare"][4:]
+    assert cli.parse_answer(doc) == cli.parse_answer(full)
+    assert main(argv[:-2] + ["--min-degree", "40"]) == 0
+    zp = sum(e["count"] for e in full["zp_family"] if e["degree"] >= 40)
+    assert capsys.readouterr().out.endswith(f"Z_p family: {zp} classes in window\n")
+
+
+@pytest.mark.parametrize("command", ["table", "verify"])
+def test_min_degree_is_compute_only(capsys, command):
+    assert main([command, "--p", "3", "--n", "1", "--min-degree", "4", "--max-degree", "60"]) == 2
+    assert "min-degree is a compute option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variance", ["cohomology", "homology"])
+def test_verify_height_three(capsys, variance):
+    assert main(["verify", "--p", "2", "--n", "3", "--max-degree", "60", "--variance", variance]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS\t") == 8
+    assert "PASS\tlocalization\tinverting v leaves rank p^C(n,2) = 8 over P[v]" in out
 
 
 def test_verify_single_suite(capsys):
@@ -341,7 +374,67 @@ def test_answer_path_runs_no_linear_algebra(capsys, monkeypatch, argv):
     assert captured.out == want
 
 
-def test_parse_answer_rejects_unknown_generator():
+SRC = Path(__file__).resolve().parents[1] / "src"
+# runs the CLI on argv[2:]; argv[1] == "block" first makes `import numpy`
+# raise, and the last stderr line says whether numpy was loaded
+_CLI_SCRIPT = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from morava_k2.cli import main
+code = main(sys.argv[2:])
+print("numpy loaded:", sys.modules.get("numpy") is not None, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+def _cli_subprocess(argv, block_numpy):
+    return _python("-c", _CLI_SCRIPT, "block" if block_numpy else "allow", *argv)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    done = _python("-c", "import sys, morava_k2.cli; print('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == b"False\n"
+
+
+_NUMPY_FREE_JOBS = [
+    ["compute", "--p", str(p), "--n", str(n), "--variance", variance,
+     "--max-degree", str(hi), "--format", "json"]
+    for p, n, hi in [(3, 1, 60), (2, 2, 80), (3, 2, 60)]
+    for variance in ("cohomology", "homology")
+] + [
+    ["table", "--p", "3", "--n", "1", "--max-degree", "60"],
+    ["table", "--p", "2", "--n", "2", "--max-degree", "120"],
+]
+
+
+@pytest.mark.parametrize("argv", _NUMPY_FREE_JOBS, ids=" ".join)
+def test_answer_path_runs_without_numpy(capsys, argv):
+    """compute and table print the same bytes when numpy cannot be imported."""
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    done = _cli_subprocess(argv, block_numpy=True)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stderr == b"numpy loaded: False\n"
+    assert done.stdout == want
+
+
+def test_verify_still_imports_numpy():
+    done = _cli_subprocess(
+        ["verify", "--suite", "e2", "--p", "3", "--n", "1", "--max-degree", "40"], block_numpy=False
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.startswith(b"PASS\te2\t")
+    assert done.stderr == b"numpy loaded: True\n"
+
+
+def test_parse_answer_rejects_unknown_generator(monkeypatch):
     a = answer.closed_form(3, 1, window=30)
     text = json.dumps(cli.serialize_answer(a, answer.poincare_answer(a)))
     # (where, key, value, words of the message): an unknown name, an unknown
@@ -360,3 +453,31 @@ def test_parse_answer_rejects_unknown_generator():
         with pytest.raises(cli.ConfigError, match=re.escape(words)) as info:
             cli.parse_answer(doc)
         assert str(entry) in str(info.value)
+    # the module around the entries: a variance that is neither, a window the
+    # poincare entries do not cover, a Z_p count that is not positive, and an
+    # edited dimension or family count
+    module_edits = [
+        (lambda doc: doc.update(variance="sideways"),
+         "variance must be cohomology or homology, not 'sideways'"),
+        (lambda doc: doc.update(window=[0, 31]), "poincare entries do not cover the window [0, 31]"),
+        (lambda doc: doc["zp_family"][0].update(count=-3), "Z_p family counts must be positive"),
+        (lambda doc: doc["poincare"][12].update(dim=2),
+         "poincare entry {'degree': 12, 'dim': 2} disagrees with the module"),
+        (lambda doc: doc["torsion"][0].update(count_in_window=3),
+         "count_in_window 3 disagrees with the module"),
+    ]
+    for edit, words in module_edits:
+        doc = json.loads(text)
+        edit(doc)
+        with pytest.raises(cli.ConfigError, match=re.escape(words)):
+            cli.parse_answer(doc)
+    # a huge stated window is refused before any series is recomputed
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("series recomputed for a window the entries do not cover")
+
+    monkeypatch.setattr(answer, "poincare_answer", forbidden)
+    doc = json.loads(text)
+    doc["window"] = [0, 10**9]
+    with pytest.raises(cli.ConfigError, match=re.escape("[0, 1000000000]")):
+        cli.parse_answer(doc)
