@@ -212,6 +212,8 @@ def parse_answer(data: dict) -> answer.AnswerModule:
     lo, hi = data["window"]
     poincare = data["poincare"]
     # before anything is recomputed, so that a huge stated window costs nothing
+    if lo > hi:
+        raise ConfigError(f"window [{lo}, {hi}] is empty")
     if len(poincare) != hi - lo + 1 or any(
         e["degree"] != d for d, e in zip(range(lo, hi + 1), poincare)
     ):

@@ -28,69 +28,210 @@ class WindowError(ValueError):
 
 # ---------------------------------------------------------------------------
 # linear algebra over F_p
+#
+# A Matrix is a list of rows.  At p = 2 a row is a Python int used as a bit
+# vector, bit j holding column j, so one XOR adds a whole row; at odd p a row
+# is a list of residues.  Every routine below works by row operations.
 
 
-def rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p; returns (matrix copy, pivot columns)."""
-    import numpy as np
-    a = np.array(a, dtype=np.int64) % p
-    rows, cols = a.shape
+class Matrix:
+    """A matrix over F_p: shape (rows, cols) and the list of its rows."""
+
+    __slots__ = ("rows", "shape", "p")
+
+    def __init__(self, rows: list, cols: int, p: int):
+        self.rows = rows
+        self.shape = (len(rows), cols)
+        self.p = p
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int, p: int) -> Matrix:
+        if p == 2:
+            return cls([0] * rows, cols, p)
+        return cls([[0] * cols for _ in range(rows)], cols, p)
+
+    @classmethod
+    def identity(cls, n: int, p: int) -> Matrix:
+        if p == 2:
+            return cls([1 << i for i in range(n)], n, p)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], n, p)
+
+    def column(self, j: int) -> list[int]:
+        if self.p == 2:
+            return [(r >> j) & 1 for r in self.rows]
+        return [r[j] for r in self.rows]
+
+    @property
+    def T(self) -> Matrix:
+        rows, cols = self.shape
+        if self.p != 2:
+            return Matrix([[r[j] for r in self.rows] for j in range(cols)], rows, self.p)
+        out = [0] * cols
+        for i, r in enumerate(self.rows):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                out[low.bit_length() - 1] |= bit
+                r ^= low
+        return Matrix(out, rows, 2)
+
+    def take(self, cols: list[int]) -> Matrix:
+        """The given columns, in that order."""
+        if self.p != 2:
+            return Matrix([[r[c] for c in cols] for r in self.rows], len(cols), self.p)
+        slot = {1 << c: 1 << k for k, c in enumerate(cols)}
+        out = []
+        for r in self.rows:
+            x = 0
+            while r:
+                low = r & -r
+                x |= slot.get(low, 0)
+                r ^= low
+            out.append(x)
+        return Matrix(out, len(cols), 2)
+
+
+def hstack(blocks: list[Matrix]) -> Matrix:
+    """The columns of the blocks side by side."""
+    p = blocks[0].p
+    nrows = blocks[0].shape[0]
+    if any(b.shape[0] != nrows for b in blocks):
+        raise ValueError("hstack blocks differ in row count")
+    cols = sum(b.shape[1] for b in blocks)
+    if p != 2:
+        return Matrix([sum(rs, []) for rs in zip(*(b.rows for b in blocks))], cols, p)
+    rows = list(blocks[0].rows)
+    off = blocks[0].shape[1]
+    for b in blocks[1:]:
+        rows = [x | y << off for x, y in zip(rows, b.rows)]
+        off += b.shape[1]
+    return Matrix(rows, cols, 2)
+
+
+def _matmul2(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b over F_2: each row of a selects the rows of b it XORs."""
+    brows = b.rows
+    out = []
+    for x in a.rows:
+        acc = 0
+        while x:
+            low = x & -x
+            acc ^= brows[low.bit_length() - 1]
+            x ^= low
+        out.append(acc)
+    return Matrix(out, b.shape[1], 2)
+
+
+def _rref2(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Nonzero RREF rows and pivot columns over F_2.
+
+    Each row is reduced against a basis keyed by lowest set bit, so a sparse
+    row touches only the pivots it meets; the basis is then back-substituted
+    from the highest pivot down.
+    """
+    basis: dict[int, int] = {}
+    for x in rows:
+        while x:
+            low = x & -x
+            y = basis.get(low)
+            if y is None:
+                basis[low] = x
+                break
+            x ^= y
+    pivmask = sum(basis)
+    done: dict[int, int] = {}
+    for low in sorted(basis, reverse=True):
+        x = basis[low]
+        m = (x & pivmask) ^ low
+        while m:
+            b = m & -m
+            x ^= done[b]
+            m ^= b
+        done[low] = x
+    order = sorted(done)
+    return [done[b] for b in order], [b.bit_length() - 1 for b in order]
+
+
+def _rref_odd(rows: list[list[int]], cols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Nonzero RREF rows and pivot columns over F_p, p odd, by Gauss-Jordan."""
+    a = [[x % p for x in r] for r in rows]
     piv: list[int] = []
     r = 0
     for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        hits = np.nonzero(a[:, c])[0]
-        for j in hits:
-            if j != r:
-                a[j] = (a[j] - a[j, c] * a[r]) % p
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        row = a[r] = [x * inv % p for x in a[r]]
+        for j, other in enumerate(a):
+            f = other[c]
+            if f and j != r:
+                a[j] = [(x - f * y) % p for x, y in zip(other, row)]
         piv.append(c)
         r += 1
-    return a, piv
+        if r == len(a):
+            break
+    return a[:r], piv
 
 
-def rank_modp(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
+def rref_modp(a: Matrix, p: int) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form over F_p; returns (new matrix, pivot columns)."""
+    if a.p != p:
+        raise ValueError(f"matrix over F_{a.p} reduced over F_{p}")
+    rows, cols = a.shape
+    if p == 2:
+        red, piv = _rref2(a.rows)
+        return Matrix(red + [0] * (rows - len(red)), cols, p), piv
+    red, piv = _rref_odd(a.rows, cols, p)
+    return Matrix(red + [[0] * cols for _ in range(rows - len(red))], cols, p), piv
+
+
+def rank_modp(a: Matrix, p: int) -> int:
+    if a.shape[0] == 0 or a.shape[1] == 0:
         return 0
     return len(rref_modp(a, p)[1])
 
 
-def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
-    """Columns form a basis of ker(a) over F_p."""
-    import numpy as np
+def nullspace_modp(a: Matrix, p: int) -> Matrix:
+    """Columns form a basis of ker(a) over F_p, one per free column."""
     rows, cols = a.shape
     if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
+        return Matrix.zeros(0, 0, p)
     r, piv = rref_modp(a, p)
-    free = [c for c in range(cols) if c not in piv]
-    out = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, c in enumerate(free):
-        out[c, k] = 1
+    pivots = set(piv)
+    free = [c for c in range(cols) if c not in pivots]
+    out = Matrix.zeros(cols, len(free), p)
+    if p == 2:
+        # a pivot row holds its pivot bit and free bits only
+        for k, c in enumerate(free):
+            out.rows[c] = 1 << k
+        slot = {1 << c: 1 << k for k, c in enumerate(free)}
         for i, pc in enumerate(piv):
-            out[pc, k] = (-int(r[i, c])) % p
+            m = r.rows[i] ^ (1 << pc)
+            x = 0
+            while m:
+                low = m & -m
+                x |= slot[low]
+                m ^= low
+            out.rows[pc] = x
+        return out
+    for k, c in enumerate(free):
+        out.rows[c][k] = 1
+        for i, pc in enumerate(piv):
+            out.rows[pc][k] = -r.rows[i][c] % p
     return out
 
 
-def solve_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Solve a @ x = b (columns of b) given that a has independent columns."""
-    import numpy as np
-    rows, cols = a.shape
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-    aug = np.concatenate([a, b], axis=1) % p
-    r, piv = rref_modp(aug, p)
-    x = np.zeros((cols, b.shape[1]), dtype=np.int64)
+def solve_modp(a: Matrix, b: Matrix, p: int) -> Matrix:
+    """One solution x of a @ x = b (columns of b); free variables are 0."""
+    cols = a.shape[1]
+    r, piv = rref_modp(hstack([a, b]), p)
+    x = Matrix.zeros(cols, b.shape[1], p)
     for i, pc in enumerate(piv):
         if pc >= cols:
             raise ValueError("inconsistent linear system")
-        x[pc] = r[i, cols:]
+        x.rows[pc] = r.rows[i] >> cols if p == 2 else r.rows[i][cols:]
     return x
 
 
@@ -354,13 +495,12 @@ def window_bases(gens: list[PresGenerator], hi: int) -> list[list[tuple[int, ...
     return buckets
 
 
-def qn_matrix(pres: Presentation, d: int, max_degree: int) -> np.ndarray:
+def qn_matrix(pres: Presentation, d: int, max_degree: int) -> Matrix:
     """Matrix of Q_n out of degree d over the full monomial basis.
 
     Cohomology maps degree d to d + (2p^n - 1); homology is the transpose
     going down.  The window must contain both endpoint degrees.
     """
-    import numpy as np
     dq = pres.qn_degree
     if pres.variance == "cohomology":
         if not 0 <= d <= d + dq <= max_degree:
@@ -373,21 +513,26 @@ def qn_matrix(pres: Presentation, d: int, max_degree: int) -> np.ndarray:
     ctx = DerivationContext(pres, max_degree)
     buckets = window_bases(ctx.gens, max_degree)
     if d < dq:
-        return np.zeros((0, len(buckets[d])), dtype=np.int64)
-    return _qn_block(ctx, buckets[d - dq], buckets[d]).T % pres.p
+        return Matrix.zeros(0, len(buckets[d]), pres.p)
+    return _qn_block(ctx, buckets[d - dq], buckets[d]).T
 
 
 def _qn_block(
     ctx: DerivationContext,
     src: list[tuple[int, ...]],
     tgt: list[tuple[int, ...]],
-) -> np.ndarray:
-    import numpy as np
+) -> Matrix:
     pos = {m: i for i, m in enumerate(tgt)}
-    a = np.zeros((len(tgt), len(src)), dtype=np.int64)
+    a = Matrix.zeros(len(tgt), len(src), ctx.p)
+    rows = a.rows
     for j, m in enumerate(src):
-        for t, c in ctx.qn_monomial(m).items():
-            a[pos[t], j] = c
+        if ctx.p == 2:
+            bit = 1 << j
+            for t in ctx.qn_monomial(m):
+                rows[pos[t]] |= bit
+        else:
+            for t, c in ctx.qn_monomial(m).items():
+                rows[pos[t]][j] = c
     return a
 
 
@@ -398,7 +543,6 @@ def _qn_block(
 def _direct_trivial(
     pres: Presentation, hi: int, with_reps: bool
 ) -> tuple[list[int], dict[int, list[str]] | None]:
-    import numpy as np
     dq = pres.qn_degree
     ctx = DerivationContext(pres, hi + dq)
     buckets = window_bases(ctx.gens, hi + dq)
@@ -417,10 +561,10 @@ def _direct_trivial(
         out_block = _qn_block(ctx, buckets[d], buckets[d + dq])
         in_block = (
             _qn_block(ctx, buckets[d - dq], buckets[d]) if d >= dq
-            else np.zeros((len(buckets[d]), 0), dtype=np.int64)
+            else Matrix.zeros(len(buckets[d]), 0, ctx.p)
         )
         if transpose:
-            out_block, in_block = in_block.T % pres.p, out_block.T % pres.p
+            out_block, in_block = in_block.T, out_block.T
         reps[d] = _choose_reps(ctx, buckets[d], out_block, in_block, triv[d], transpose)
     return triv, reps
 
@@ -428,38 +572,24 @@ def _direct_trivial(
 def _choose_reps(
     ctx: DerivationContext,
     basis: list[tuple[int, ...]],
-    out_block: np.ndarray,
-    in_block: np.ndarray,
+    out_block: Matrix,
+    in_block: Matrix,
     count: int,
     dual: bool,
 ) -> list[str]:
     """Kernel-mod-image representatives, preferring single cycle monomials."""
-    import numpy as np
     p = ctx.p
     dim = len(basis)
     ker = nullspace_modp(out_block, p)
-    units = []
-    for i in range(dim):
-        if not out_block[:, i].any():
-            e = np.zeros((dim, 1), dtype=np.int64)
-            e[i, 0] = 1
-            units.append(e)
-    cand = np.concatenate([in_block] + units + [ker], axis=1)
+    units = [i for i in range(dim) if not any(out_block.column(i))]
+    cand = hstack([in_block, Matrix.identity(dim, p).take(units), ker])
     _, piv = rref_modp(cand, p)
     chosen = [c for c in piv if c >= in_block.shape[1]]
     if len(chosen) != count:
         raise AssertionError("representative count disagrees with the dimension count")
     labels = []
-    n_units = len(units)
     for c in chosen:
-        k = c - in_block.shape[1]
-        if k < n_units:
-            vec = units[k][:, 0]
-        else:
-            vec = ker[:, k - n_units]
-        terms = [
-            (ctx.render(basis[i]), int(vec[i])) for i in np.nonzero(vec)[0]
-        ]
+        terms = [(ctx.render(basis[i]), x) for i, x in enumerate(cand.column(c)) if x]
         s = " + ".join(t if c2 == 1 else f"{c2}*{t}" for t, c2 in terms)
         labels.append(f"({s})*" if dual else s)
     return labels
@@ -501,82 +631,81 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
 class ExplicitHomology:
     """Q_n-homology of the sub-algebra on a generator subset, with operators.
 
-    Keeps per-degree representative vectors so that multiplication by a
-    fixed cycle monomial can be expressed as a matrix on homology; that is
-    what the p = 2 adjunction chain consumes.
+    The core of the p = 2 adjunction chain, on bitset rows.  Ranks give the
+    dimension in every degree; representative vectors, from which
+    multiplication by a fixed cycle monomial is expressed as a matrix on
+    homology, are built only in the degrees that have homology or that such
+    a product lands in.
     """
 
     def __init__(self, pres: Presentation, gens: list[PresGenerator], top: int):
-        import numpy as np
+        if pres.p != 2:
+            raise AssertionError("explicit homology is the p = 2 core")
         self.pres = pres
-        self.p = pres.p
         self.top = top
         dq = pres.qn_degree
         self.ctx = DerivationContext(pres, top + dq, gens=gens)
         self.buckets = window_bases(gens, top + dq)
-        self.mats: list[np.ndarray] = []
-        for d in range(top + 1):
-            self.mats.append(_qn_block(self.ctx, self.buckets[d], self.buckets[d + dq]))
-        self.dims: list[int] = []
-        self.reps: list[np.ndarray] = []
-        self._reduce_basis: list[np.ndarray] = []
-        for d in range(top + 1):
-            dim = len(self.buckets[d])
-            ker = nullspace_modp(self.mats[d], self.p)
-            im = (
-                self.mats[d - dq] if d >= dq else np.zeros((dim, 0), dtype=np.int64)
-            )
-            cand = np.concatenate([im, ker], axis=1)
-            _, piv = rref_modp(cand, self.p)
-            rep_cols = [c - im.shape[1] for c in piv if c >= im.shape[1]]
-            reps = ker[:, rep_cols] if rep_cols else np.zeros((dim, 0), dtype=np.int64)
-            im_basis_cols = [c for c in piv if c < im.shape[1]]
-            im_basis = im[:, im_basis_cols] if im_basis_cols else np.zeros(
-                (dim, 0), dtype=np.int64
-            )
-            self.dims.append(reps.shape[1])
-            self.reps.append(reps)
-            self._reduce_basis.append(np.concatenate([reps, im_basis], axis=1))
+        self.mats = [_qn_block(self.ctx, self.buckets[d], self.buckets[d + dq]) for d in range(top + 1)]
+        ranks = [rank_modp(m, 2) for m in self.mats]
+        self.dims = [
+            len(self.buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0)
+            for d in range(top + 1)
+        ]
+        self._bases: dict[int, tuple[Matrix, Matrix]] = {}
 
-    def reduce(self, d: int, vecs: np.ndarray) -> np.ndarray:
+    def _basis(self, d: int) -> tuple[Matrix, Matrix]:
+        """(representatives, [representatives | image basis]) at degree d.
+
+        The representatives are the kernel vectors that extend the image of
+        the incoming Q_n, taken greedily in nullspace order.
+        """
+        if d not in self._bases:
+            dq = self.pres.qn_degree
+            ker = nullspace_modp(self.mats[d], 2)
+            im = self.mats[d - dq] if d >= dq else Matrix.zeros(len(self.buckets[d]), 0, 2)
+            _, piv = rref_modp(hstack([im, ker]), 2)
+            k0 = im.shape[1]
+            reps = ker.take([c - k0 for c in piv if c >= k0])
+            if reps.shape[1] != self.dims[d]:
+                raise AssertionError(f"representatives disagree with the rank count at degree {d}")
+            self._bases[d] = reps, hstack([reps, im.take([c for c in piv if c < k0])])
+        return self._bases[d]
+
+    def reduce(self, d: int, vecs: Matrix) -> Matrix:
         """Coordinates of cycle vectors in the homology basis at degree d."""
-        import numpy as np
         h = self.dims[d]
-        if vecs.shape[1] == 0 or self._reduce_basis[d].shape[1] == 0:
-            if vecs.size and vecs.any():
+        if vecs.shape[1] == 0:
+            return Matrix.zeros(h, 0, 2)
+        basis = self._basis(d)[1]
+        if basis.shape[1] == 0:
+            if any(vecs.rows):
                 raise AssertionError("nonzero cycle in a degree with no cycles")
-            return np.zeros((h, vecs.shape[1]), dtype=np.int64)
-        x = solve_modp(self._reduce_basis[d], vecs, self.p)
-        return x[:h]
+            return Matrix.zeros(h, vecs.shape[1], 2)
+        return Matrix(solve_modp(basis, vecs, 2).rows[:h], vecs.shape[1], 2)
 
-    def mult_matrices(self, mono: dict[str, int], valid_to: int) -> list[np.ndarray]:
+    def mult_matrices(self, mono: dict[str, int], valid_to: int) -> list[Matrix]:
         """Matrices of multiplication by the cycle monomial on homology.
 
         Entry d maps H(d) -> H(d + deg(mono)); defined for d <= valid_to.
-        No Koszul bookkeeping: at odd primes the monomial must be even.
         """
-        import numpy as np
-        if self.p != 2:
-            for nm, e in mono.items():
-                if self.ctx.gens[self.ctx.index[nm]].degree % 2 and e % 2:
-                    raise AssertionError("odd multiplier needs sign bookkeeping")
         deg = sum(self.ctx.gens[self.ctx.index[nm]].degree * e for nm, e in mono.items())
         shift = [0] * len(self.ctx.gens)
         for nm, e in mono.items():
             shift[self.ctx.index[nm]] += e
         out = []
         for d in range(valid_to + 1):
-            src = self.reps[d]
-            tgt_basis = self.buckets[d + deg]
-            pos = {m: i for i, m in enumerate(tgt_basis)}
-            img = np.zeros((len(tgt_basis), src.shape[1]), dtype=np.int64)
-            for j in range(src.shape[1]):
-                for i in np.nonzero(src[:, j])[0]:
-                    m = self.buckets[d][i]
-                    ne = tuple(a + b for a, b in zip(m, shift))
-                    key = pos.get(ne)
+            if not self.dims[d]:
+                out.append(Matrix.zeros(self.dims[d + deg], 0, 2))
+                continue
+            src = self._basis(d)[0]
+            pos = {m: i for i, m in enumerate(self.buckets[d + deg])}
+            img = Matrix.zeros(len(pos), src.shape[1], 2)
+            for m, row in zip(self.buckets[d], src.rows):
+                if row:
+                    key = pos.get(tuple(a + b for a, b in zip(m, shift)))
                     if key is not None:
-                        img[key, j] = (img[key, j] + src[i, j]) % self.p
+                        img.rows[key] ^= row
             out.append(self.reduce(d + deg, img))
         return out
 
@@ -609,7 +738,7 @@ class _Level:
     def __init__(self, dims: list[int], window: int):
         self.dims = dims
         self.window = window
-        self.ops: dict[tuple[str, int], tuple[int, list[np.ndarray]]] = {}
+        self.ops: dict[tuple[str, int], tuple[int, list[Matrix]]] = {}
 
 
 def _core_level(
@@ -633,14 +762,13 @@ def _core_level(
     return level
 
 
-def _cone_level(prev: _Level, du: int, op_key: tuple[str, int] | None, p: int) -> tuple["_ConeData", _Level]:
-    """Adjoin a polynomial generator u of degree du with Q_n(u) = m.
+def _cone_level(prev: _Level, du: int, op_key: tuple[str, int] | None) -> tuple["_ConeData", _Level]:
+    """Adjoin a polynomial generator u of degree du with Q_n(u) = m (p = 2).
 
     op_key indexes multiplication by m among prev.ops (None means m = 0).
     Valid degrees shrink by the operator degree, since kernels at the top
     of the window would need image data beyond it.
     """
-    import numpy as np
     if op_key is None:
         dm = 0
         mats = None
@@ -648,53 +776,43 @@ def _cone_level(prev: _Level, du: int, op_key: tuple[str, int] | None, p: int) -
     else:
         dm, mats = prev.ops[op_key]
         window = min(prev.window - dm, len(mats) - 1)
-    ker: list[np.ndarray] = []
+    ker: list[Matrix] = []
     nonpiv: list[list[int]] = []
-    proj_rows: list[np.ndarray] = []
+    proj_rows: list[Matrix] = []
     for e in range(window + 1):
         dim = prev.dims[e]
         if mats is None:
-            ker.append(np.eye(dim, dtype=np.int64))
+            ker.append(Matrix.identity(dim, 2))
             nonpiv.append(list(range(dim)))
-            proj_rows.append(np.zeros((0, dim), dtype=np.int64))
+            proj_rows.append(Matrix.zeros(0, dim, 2))
             continue
-        ker.append(nullspace_modp(mats[e], p))
+        ker.append(nullspace_modp(mats[e], 2))
         if e >= dm:
-            r, piv = rref_modp(mats[e - dm].T, p)
-            rows = r[: len(piv)]
-            nonpiv.append([c for c in range(dim) if c not in piv])
-            proj_rows.append(rows)
+            r, piv = rref_modp(mats[e - dm].T, 2)
+            pivots = set(piv)
+            nonpiv.append([c for c in range(dim) if c not in pivots])
+            proj_rows.append(Matrix(r.rows[: len(piv)], dim, 2))
         else:
             nonpiv.append(list(range(dim)))
-            proj_rows.append(np.zeros((0, dim), dtype=np.int64))
-    data = _ConeData(du, window, ker, nonpiv, proj_rows, p, mats is None)
-    dims = []
-    for d in range(window + 1):
-        total = 0
-        i = 0
-        while True:
-            e_c = d - 2 * i * du
-            if e_c < 0:
-                break
-            total += len(nonpiv[e_c])
-            e_k = d - (2 * i + 1) * du
-            if e_k >= 0:
-                total += ker[e_k].shape[1]
-            i += 1
-        dims.append(total)
+            proj_rows.append(Matrix.zeros(0, dim, 2))
+    data = _ConeData(du, window, ker, nonpiv, proj_rows, mats is None)
+    # dim(d) sums coker(d - 2i du) + ker(d - (2i + 1) du) over i >= 0: a
+    # running sum with stride 2 du
+    dims = [len(nonpiv[e]) + (ker[e - du].shape[1] if e >= du else 0) for e in range(window + 1)]
+    for d in range(2 * du, window + 1):
+        dims[d] += dims[d - 2 * du]
     return data, _Level(dims, window)
 
 
 class _ConeData:
     """Layout and transition data of one adjunction stage."""
 
-    def __init__(self, du, window, ker, nonpiv, proj_rows, p, zero_op):
+    def __init__(self, du, window, ker, nonpiv, proj_rows, zero_op):
         self.du = du
         self.window = window
         self.ker = ker
         self.nonpiv = nonpiv
         self.proj_rows = proj_rows
-        self.p = p
         self.zero_op = zero_op
         self._layout: dict[int, list[tuple[int, str, int, int, int]]] = {}
 
@@ -728,54 +846,49 @@ class _ConeData:
                 return off, size
         return None
 
-    def coker_project(self, e: int, vecs: np.ndarray) -> np.ndarray:
+    def coker_project(self, e: int, vecs: Matrix) -> Matrix:
         """Coordinates of prev-homology vectors in the cokernel basis at e."""
-        import numpy as np
-        rows = self.proj_rows[e]
-        v = vecs % self.p
-        for row in rows:
-            lead = int(np.nonzero(row)[0][0])
-            v = (v - np.outer(row, v[lead])) % self.p
-        return v[self.nonpiv[e]]
+        v = list(vecs.rows)
+        for row in self.proj_rows[e].rows:
+            lead = v[(row & -row).bit_length() - 1]
+            if lead:
+                while row:
+                    low = row & -row
+                    v[low.bit_length() - 1] ^= lead
+                    row ^= low
+        return Matrix([v[c] for c in self.nonpiv[e]], vecs.shape[1], 2)
 
-    def propagate(self, prev_level: _Level, key: tuple[str, int], new_level: _Level) -> tuple[int, list[np.ndarray]]:
+    def propagate(self, prev_level: _Level, key: tuple[str, int], new_level: _Level) -> tuple[int, list[Matrix]]:
         """Express a pending prev-level operator on the new level's basis."""
-        import numpy as np
         deg, mats = prev_level.ops[key]
         valid = min(self.window - deg, len(mats) - 1)
         out = []
         for d in range(valid + 1):
-            a = np.zeros((new_level.dims[d + deg], new_level.dims[d]), dtype=np.int64)
+            a = Matrix.zeros(new_level.dims[d + deg], new_level.dims[d], 2)
             for i, tag, e, off, size in self.layout(d):
                 tgt = self.block_offset(d + deg, i, tag)
                 if tgt is None:
                     continue
                 toff, tsize = tgt
                 if tag == "c":
-                    lift = np.zeros((mats[e].shape[1], size), dtype=np.int64)
-                    for j, c in enumerate(self.nonpiv[e]):
-                        lift[c, j] = 1
-                    img = mats[e] @ lift % self.p
-                    coords = self.coker_project(e + deg, img)
+                    coords = self.coker_project(e + deg, mats[e].take(self.nonpiv[e]))
                 else:
-                    img = mats[e] @ self.ker[e] % self.p
+                    img = _matmul2(mats[e], self.ker[e])
                     kb = self.ker[e + deg]
-                    coords = (
-                        solve_modp(kb, img, self.p)
-                        if kb.shape[1]
-                        else np.zeros((0, size), dtype=np.int64)
-                    )
-                a[toff : toff + tsize, off : off + size] = coords
+                    coords = solve_modp(kb, img, 2) if kb.shape[1] else Matrix.zeros(0, size, 2)
+                if coords.shape != (tsize, size):
+                    raise AssertionError(f"block of shape {coords.shape} placed in a {tsize} x {size} slot")
+                for k, x in enumerate(coords.rows):
+                    a.rows[toff + k] |= x << off
             out.append(a)
         return deg, out
 
-    def materialize_power(self, exp: int, new_level: _Level) -> tuple[int, list[np.ndarray]]:
+    def materialize_power(self, exp: int, new_level: _Level) -> tuple[int, list[Matrix]]:
         """Multiplication by u^exp on this level (u the adjoined generator).
 
         Even powers shift the block index; the odd unit step is only valid
         when the cone differential was zero (then every u^a x is a cycle).
         """
-        import numpy as np
         deg = exp * self.du
         half, odd = divmod(exp, 2)
         if odd and not self.zero_op:
@@ -783,7 +896,7 @@ class _ConeData:
         valid = self.window - deg
         out = []
         for d in range(valid + 1):
-            a = np.zeros((new_level.dims[d + deg], new_level.dims[d]), dtype=np.int64)
+            a = Matrix.zeros(new_level.dims[d + deg], new_level.dims[d], 2)
             for i, tag, e, off, size in self.layout(d):
                 if not odd:
                     tgt = self.block_offset(d + deg, i + half, tag)
@@ -797,9 +910,8 @@ class _ConeData:
                 if tgt is None:
                     continue
                 toff, tsize = tgt
-                m = min(size, tsize)
-                for j in range(m):
-                    a[toff + j, off + j] = 1
+                for j in range(min(size, tsize)):
+                    a.rows[toff + j] |= 1 << (off + j)
             out.append(a)
         return deg, out
 
@@ -846,7 +958,7 @@ def _p2_component_dims(pres: Presentation, comp: list[PresGenerator], hi: int) -
     core_tokens = [t for _g, t in steps if t is not None and t[0] in core_names]
     level = _core_level(pres, core, window, core_tokens)
     for idx, (g, token) in enumerate(steps):
-        data, new_level = _cone_level(level, g.degree, token, 2)
+        data, new_level = _cone_level(level, g.degree, token)
         # carry the operators still needed by later steps
         for _g2, t2 in steps[idx + 1 :]:
             if t2 is None or t2 in new_level.ops:

@@ -20,6 +20,8 @@ brute route off the F_p ranks of ``km2.qn_homology`` (``zp_family_counts``).
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -915,46 +917,72 @@ def _fold(a: Counter, b: Counter, p: int, n: int, variance: str, limit: int) -> 
     the degree sum is at most limit, and the Tor term only if its shifted
     degree also lies in [0, limit].
 
-    Computed as a convolution grouped by order: the operand with more keys
-    becomes one dense int64 row per order, and each key of the other adds a
-    shifted, scaled slice of every row into the row of the smaller order.
+    Computed as an exact convolution by Kronecker substitution: each
+    operand becomes one int per order whose slot g, `width` bytes wide (a
+    power of two, so that slots of up to 8 bytes convert through `array`),
+    holds the count at degree g.  An output slot holds at most
+    2 * sum(a) * sum(b), and an input slot at most its own sum, so no slot
+    carries into the next.  Each pair of orders costs one big-int product,
+    masked to [0, limit]; the Tor term is that product shifted by the
+    degree step and masked again.
     """
-    import numpy as np
-    if 2 * sum(a.values()) * sum(b.values()) >= 2**63:
-        raise WindowError("Kunneth fold counts overflow int64; use a smaller window")
+    sa, sb = sum(a.values()), sum(b.values())
+    width = 1 << ((max(2 * sa * sb, sa, sb).bit_length() + 7) // 8 - 1).bit_length()
+    bits = 8 * width
+    mask = (1 << bits * (limit + 1)) - 1
+
+    def pack(side: Counter) -> dict:
+        slots: dict = {}
+        for (g, o), c in side.items():
+            if g <= limit:
+                if o not in slots:
+                    slots[o] = [0] * (limit + 1)
+                slots[o][g] = c
+        return {o: _join_slots(v, width) for o, v in slots.items()}
+
     big, small = (a, b) if len(a) >= len(b) else (b, a)
-    width = limit + 1
-    rows: dict = {}
-    for (g, o), c in big.items():
-        if g <= limit:
-            if o not in rows:
-                rows[o] = np.zeros(width, dtype=np.int64)
-            rows[o][g] += c
+    rows = pack(big)
     out: dict = {}
     sign = -1 if variance == "cohomology" else 1
-    for (g2, o2), c2 in small.items():
-        if g2 > limit:
-            continue
-        for o1, row in rows.items():
+    for o2, x2 in pack(small).items():
+        for o1, x1 in rows.items():
             om = min(o1, o2)
-            acc = out.get(om)
-            if acc is None:
-                acc = out[om] = np.zeros(width, dtype=np.int64)
-            acc[g2:] += c2 * row[: width - g2]
-            if o1 == INF or o2 == INF:
-                continue
-            # Tor term at g1 + g2 + s, for g1 + g2 <= limit and 0 <= g1 + g2 + s <= limit
-            s = sign * degree_step(max(o1, o2), p, n)
-            g1_lo = max(0, -g2 - s)
-            g1_hi = min(limit - g2, limit - g2 - s)
-            if g1_lo <= g1_hi:
-                acc[g1_lo + g2 + s : g1_hi + g2 + s + 1] += c2 * row[g1_lo : g1_hi + 1]
+            prod = x1 * x2 & mask
+            acc = out.get(om, 0) + prod
+            if o1 != INF and o2 != INF:
+                # Tor term at g1 + g2 + s, for g1 + g2 <= limit and 0 <= g1 + g2 + s <= limit
+                s = sign * degree_step(max(o1, o2), p, n)
+                acc += (prod << bits * s if s >= 0 else prod >> -bits * s) & mask
+            out[om] = acc
     folded: Counter = Counter()
     for o, acc in out.items():
-        degrees = np.flatnonzero(acc)
-        for g, c in zip(degrees.tolist(), acc[degrees].tolist()):
-            folded[(g, o)] = c
+        for g, c in enumerate(_split_slots(acc, width, limit + 1)):
+            if c:
+                folded[(g, o)] = c
     return folded
+
+
+# array typecodes by item size, for slots of 1, 2, 4 and 8 bytes
+_SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _join_slots(values: list[int], width: int) -> int:
+    """The int whose width-byte slots, lowest first, hold values."""
+    code = _SLOT_CODES.get(width)
+    if code:
+        data = array(code, values).tobytes()
+    else:
+        data = b"".join(v.to_bytes(width, sys.byteorder) for v in values)
+    return int.from_bytes(data, sys.byteorder)
+
+
+def _split_slots(x: int, width: int, count: int):
+    """The first count width-byte slots of x, lowest first."""
+    data = x.to_bytes(width * count, sys.byteorder)
+    code = _SLOT_CODES.get(width)
+    if code:
+        return memoryview(data).cast(code)
+    return [int.from_bytes(data[i : i + width], sys.byteorder) for i in range(0, len(data), width)]
 
 
 def run_bruteforce(

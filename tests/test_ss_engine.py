@@ -385,11 +385,15 @@ def test_fold_matches_pairwise_reference(pn, variance, limit, a, b):
             assert order == math.inf or type(order) is int
 
 
-def test_fold_refuses_int64_overflow():
-    ok = ss._fold(Counter({(0, math.inf): 2**40}), Counter({(0, 3): 2**21}), 3, 1, "cohomology", 9)
-    assert ok == Counter({(0, 3): 2**61})
-    with pytest.raises(km2.WindowError, match="overflow"):
-        ss._fold(Counter({(0, math.inf): 2**40}), Counter({(0, 3): 2**22}), 3, 1, "cohomology", 9)
+def test_fold_is_exact_past_64_bits():
+    """Counts whose products pass 2**64 fold to exactly the pairwise sums."""
+    a = Counter({(0, math.inf): 2**70 + 1, (3, 2): 3**50, (5, 4): 2**64 - 1})
+    b = Counter({(0, 3): 2**66 + 5, (2, math.inf): 7**30, (4, 1): 2**63})
+    for p, n, variance, limit in ((3, 1, "cohomology", 9), (2, 1, "homology", 12)):
+        want = _pairwise_fold(a, b, p, n, variance, limit)
+        assert max(want.values()) > 2**128
+        assert ss._fold(a, b, p, n, variance, limit) == want
+        assert ss._fold(b, a, p, n, variance, limit) == want
 
 
 def test_v_cap_truncation_error():
