@@ -16,10 +16,10 @@ of its differential's source, and the Z_2 family moves down by 2^{n+1} - 1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import km2, numerology, ss_engine
-from .graded_algebra import E, E_BAR, P, TP_BAR, Factor, PoincareSeries, TensorExpression
+from .graded_algebra import E, E_BAR, P, TP_BAR, Factor, PoincareSeries, TensorExpression, replace
 from .km2 import WindowError
 from .ss_engine import (
     INF,
@@ -42,8 +42,7 @@ from .ss_engine import (
 )
 
 
-@dataclass(frozen=True)
-class TorsionFamily:
+class TorsionFamily(NamedTuple):
     """One v-torsion summand family TP_order[v] (x) expression.
 
     kind "y" families are indexed by the differential on y_j (order r(j)),
@@ -61,8 +60,7 @@ class TorsionFamily:
     expression: TensorExpression
 
 
-@dataclass(frozen=True)
-class AnswerModule:
+class _AnswerModuleFields(NamedTuple):
     p: int
     n: int
     variance: str
@@ -72,7 +70,12 @@ class AnswerModule:
     zp_family: tuple[tuple[int, int], ...]
     localized: bool = False
 
-    def __post_init__(self):
+
+class AnswerModule(_AnswerModuleFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for f in self.torsion_families:
             want = (
                 numerology.r(f.j, self.p, self.n)
@@ -81,6 +84,7 @@ class AnswerModule:
             )
             if f.order != want:
                 raise ValueError(f"family ({f.kind}, {f.j}) must have order {want}, got {f.order}")
+        return self
 
 
 def _families(p: int, n: int, variance: str, hi: int) -> list[TorsionFamily]:
@@ -185,8 +189,7 @@ def to_page(a: AnswerModule) -> Page:
     )
 
 
-@dataclass(frozen=True)
-class AnswerSeries:
+class AnswerSeries(NamedTuple):
     """total and by_v_power on the requested window; family_counts holds each
     torsion family's generator count on [0, window top] of the module."""
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from . import answer, km2, numerology, ss_engine
 from .graded_algebra import E, E_BAR, GAMMA, GAMMA_TRUNC, P, TP, TP_BAR, Factor, TensorExpression
@@ -21,8 +21,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     p: int
     n: int
@@ -35,6 +34,8 @@ class RunConfig:
     suite: str
     localize: bool
 
+
+_JSON_TYPE = {int: "integer", str: "string", bool: "boolean"}
 
 _SUITES = (
     "numerology",
@@ -81,18 +82,26 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
 
-    def pick(flag, key, default):
+    def pick(flag, key, default, kind=int):
         if flag is not None:
             return flag
-        return data.get(key, default)
+        if key not in data:
+            return default
+        value = data[key]
+        # bool is an int subclass, so True must not pass for an int
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ConfigError(
+                f"config key {key!r} must be a JSON {_JSON_TYPE[kind]}, not {json.dumps(value)}"
+            )
+        return value
 
     p = pick(args.p, "p", 3)
     n = pick(args.n, "n", 1)
-    if not isinstance(p, int) or not km2._is_prime(p):
+    if not km2._is_prime(p):
         raise ConfigError("p must be prime")
-    if not isinstance(n, int) or n < 1:
+    if n < 1:
         raise ConfigError("n must be a positive integer")
-    variance = pick(args.variance, "variance", "cohomology")
+    variance = pick(args.variance, "variance", "cohomology", str)
     if variance not in ("cohomology", "homology"):
         raise ConfigError("variance must be cohomology or homology")
     hi = pick(args.hi, "max_degree", km2.default_window(n))
@@ -109,13 +118,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     j_max = pick(args.j_max, "j_max", n + 3)
     if j_max < n + 2:
         raise ConfigError("j-max must be at least n + 2")
-    fmt = pick(args.fmt, "format", "text")
+    fmt = pick(args.fmt, "format", "text", str)
     if fmt not in ("json", "tsv", "text"):
         raise ConfigError("format must be json, tsv or text")
-    suite = pick(args.suite, "suite", "all")
+    suite = pick(args.suite, "suite", "all", str)
     if suite not in _SUITES + ("all",):
         raise ConfigError(f"unknown suite {suite!r}")
-    localize = bool(pick(args.localize, "localize", False))
+    localize = pick(args.localize, "localize", False, bool)
     return RunConfig(
         args.command, p, n, variance, lo, hi, v_cap, j_max, fmt, suite, localize
     )

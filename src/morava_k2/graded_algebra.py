@@ -10,9 +10,9 @@ factors; bases and series are enumerated per degree inside a window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from operator import sub
+from typing import NamedTuple
 
 P = "P"
 E = "E"
@@ -26,21 +26,37 @@ _KINDS = {P, E, E_BAR, TP, TP_BAR, GAMMA, GAMMA_TRUNC}
 _NEED_HEIGHT = {TP, TP_BAR, GAMMA_TRUNC}
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
-    """A named generator of nonzero degree; id gives the canonical sort order."""
+def replace(record, **changes):
+    """A copy of a record with some fields changed, built through its class so
+    that the constructor checks run again (namedtuple's _replace skips them)."""
+    return type(record)(**{**record._asdict(), **changes})
 
+
+class _GeneratorFields(NamedTuple):
     id: int
     name: str
     degree: int
 
-    def __post_init__(self) -> None:
+
+class Generator(_GeneratorFields):
+    """A named generator of nonzero degree; id gives the canonical sort order."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.degree == 0:
             raise ValueError(f"generator {self.name} has degree 0")
+        return self
 
 
-@dataclass(frozen=True)
-class Factor:
+class _FactorFields(NamedTuple):
+    kind: str
+    gen: Generator
+    height: int | None = None
+
+
+class Factor(_FactorFields):
     """One tensor factor: a generator with an exponent-range kind.
 
     kind P allows any exponent >= 0, E only 0..1, TP(height h) 0..h-1, with
@@ -49,11 +65,10 @@ class Factor:
     its height-h truncation gamma_0..gamma_{h-1}.
     """
 
-    kind: str
-    gen: Generator
-    height: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.kind in _NEED_HEIGHT:
@@ -61,6 +76,7 @@ class Factor:
                 raise ValueError(f"{self.kind} factor needs height >= 2")
         elif self.height is not None:
             raise ValueError(f"{self.kind} factor takes no height")
+        return self
 
     def exponent_range(self, limit: int) -> range:
         lo = 1 if self.kind in (E_BAR, TP_BAR) else 0
@@ -88,8 +104,7 @@ class Factor:
         return f"Gamma_{self.height}[{self.gen.name}]"
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """Exponent vector over a TensorExpression's factors, with its degree."""
 
     exponents: tuple[int, ...]
@@ -101,17 +116,22 @@ class Monomial:
         )
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
-    """Per-degree dimensions over a closed window [lo, hi]."""
-
+class _PoincareSeriesFields(NamedTuple):
     lo: int
     hi: int
     dims: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class PoincareSeries(_PoincareSeriesFields):
+    """Per-degree dimensions over a closed window [lo, hi]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.dims) != self.hi - self.lo + 1:
             raise ValueError("dims length does not match window")
+        return self
 
     def dim(self, d: int) -> int:
         if d < self.lo or d > self.hi:
@@ -171,8 +191,7 @@ def _exponent_limit(f: Factor, lo: int, hi: int) -> int:
     return max(bound // d, 0) if bound < 0 else 0
 
 
-@dataclass(frozen=True)
-class TensorExpression:
+class TensorExpression(NamedTuple):
     factors: tuple[Factor, ...]
 
     def tensor(self, other: "TensorExpression") -> "TensorExpression":

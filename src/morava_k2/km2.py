@@ -17,7 +17,7 @@ multiplication operators are carried along through each stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graded_algebra import PoincareSeries
 
@@ -239,8 +239,7 @@ def solve_modp(a: Matrix, b: Matrix, p: int) -> Matrix:
 # presentation
 
 
-@dataclass(frozen=True)
-class PresGenerator:
+class PresGenerator(NamedTuple):
     name: str
     degree: int
     exp_kind: str  # "P" unbounded exponent, "E" exponent at most 1
@@ -259,8 +258,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """Generators and Q_n images for H*K(Z_p, 2) (or its homology dual).
 
     The homology variant has the same per-degree dimensions (graded dual)
@@ -977,8 +975,7 @@ def _p2_component_dims(pres: Presentation, comp: list[PresGenerator], hi: int) -
 # reports
 
 
-@dataclass
-class QnHomologyReport:
+class QnHomologyReport(NamedTuple):
     """Trivial/free split of H* as a module over E[Q_n].
 
     total, trivial and free_rank are per-degree lists on [0, max_degree];
@@ -1103,8 +1100,7 @@ def qn_homology(
 # the w-elements
 
 
-@dataclass(frozen=True)
-class WElement:
+class WElement(NamedTuple):
     index2: int  # doubled index: 2(n+j) or 2(n+j)+1
     name: str
     degree: int

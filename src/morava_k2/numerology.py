@@ -9,7 +9,7 @@ on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _check_pn(p: int, n: int) -> None:
@@ -25,8 +25,7 @@ def q(k: int, p: int, n: int) -> int:
     return (b**k - 1) // (b - 1)
 
 
-@dataclass(frozen=True)
-class IndexSplit:
+class IndexSplit(NamedTuple):
     """j = i + k*(n+1) with 0 <= i < n+1."""
 
     j: int
@@ -114,8 +113,7 @@ def divisibility_check(source_degree: int, target_degree: int, p: int, n: int) -
     return gap // step
 
 
-@dataclass(frozen=True)
-class IdentityFailure:
+class IdentityFailure(NamedTuple):
     identity: str
     j: int
     detail: str

@@ -24,8 +24,8 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from . import km2, numerology
 from .graded_algebra import (
@@ -185,8 +185,7 @@ def _z_tail(p: int, n: int, start: int, hi: int, variance: str) -> list[Factor]:
 # the differential schedule
 
 
-@dataclass(frozen=True)
-class Differential:
+class Differential(NamedTuple):
     """One scheduled differential d(source) = v^stage * target.
 
     family "y" entries follow the d^{r(j)}(y_j) = v^{r(j)} w_{n+j} pattern and
@@ -263,8 +262,7 @@ def schedule(p: int, n: int, j_max: int, variance: str = "cohomology") -> list[D
 # pages
 
 
-@dataclass(frozen=True)
-class TowerSummand:
+class TowerSummand(NamedTuple):
     """A P[v]-tower over a generator: order-r torsion (v^r kills it) or free.
 
     generator_expression is a TensorExpression for closed-form families, a
@@ -292,8 +290,7 @@ def _tower_powers(g: int, order, dv: int, lo: int, hi: int) -> range:
     return range(max(first, 0), last + 1)
 
 
-@dataclass(frozen=True)
-class Page:
+class Page(NamedTuple):
     p: int
     n: int
     variance: str
@@ -600,8 +597,7 @@ def run_closed_form(page: Page, sched: list[Differential]) -> Page:
 # window planning shared by both runs
 
 
-@dataclass(frozen=True)
-class _WindowPlan:
+class _WindowPlan(NamedTuple):
     top: int
     j_top: int  # widest family index whose action reaches into [0, top]
     j_ext: int  # widest family index used for lattice arcs
@@ -680,8 +676,7 @@ def window_schedule(p: int, n: int, top: int, variance: str = "cohomology") -> l
 # the brute-force lattice
 
 
-@dataclass(frozen=True)
-class _Coord:
+class _Coord(NamedTuple):
     tag: str  # "digit" | "w" | "half" | "z"
     index: int
     degree: int
@@ -1114,8 +1109,7 @@ def oracle_match(a: Page, b: Page) -> tuple[bool, str]:
     return True, f"runs agree on [0, {top}]"
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     ok: bool
     detail: str
 

@@ -1,10 +1,9 @@
 """Module answers: displayed summands, dimensions, localization, Bockstein."""
 
-import dataclasses
-
 import pytest
 
 from morava_k2 import answer, km2, ss_engine as ss
+from morava_k2.graded_algebra import replace
 
 
 def test_free_part_labels():
@@ -79,11 +78,59 @@ def test_family_source_in_window_rule():
     assert all(f.order != 59 for f in small.torsion_families)
 
 
-def test_order_invariant_enforced():
+def _tp_factor(a):
+    return next(f for f in a.torsion_families[0].expression.factors if f.height)
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (
+            lambda a: replace(a, torsion_families=(replace(a.torsion_families[0], order=5),)),
+            "order",
+        ),
+        (lambda a: replace(answer.poincare_answer(a).total, hi=61), "dims length"),
+        (lambda a: replace(a.free_part.factors[0], kind="Q"), "unknown factor kind"),
+        (lambda a: replace(_tp_factor(a), height=1), "needs height >= 2"),
+        (lambda a: replace(a.free_part.factors[0], height=3), "takes no height"),
+        (lambda a: replace(a.free_part.factors[0].gen, degree=0), "has degree 0"),
+    ],
+    ids=[
+        "AnswerModule-order",
+        "PoincareSeries-dims",
+        "Factor-kind",
+        "Factor-height",
+        "Factor-no-height",
+        "Generator-degree",
+    ],
+)
+def test_order_invariant_enforced(change, match):
+    """replace rebuilds a record through its constructor, so every
+    constructor check runs on the changed copy."""
     a = answer.closed_form(3, 1, window=60)
-    fam = a.torsion_families[0]
-    with pytest.raises(ValueError, match="order"):
-        dataclasses.replace(a, torsion_families=(dataclasses.replace(fam, order=5),))
+    with pytest.raises(ValueError, match=match):
+        change(a)
+
+
+def test_records_are_immutable():
+    a = answer.closed_form(3, 1, window=60)
+    f = a.torsion_families[0]
+    series = answer.poincare_answer(a).total
+    page = answer.to_page(a)
+    for record, field in [
+        (a, "localized"),
+        (f, "order"),
+        (f.expression, "factors"),
+        (f.expression.factors[0], "height"),
+        (f.expression.factors[0].gen, "degree"),
+        (series, "dims"),
+        (page, "torsion"),
+        (page.torsion[0], "count"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 def test_answer_matches_engine_run():
@@ -174,10 +221,10 @@ def test_localization_check_passes(p, n, top, variance):
 def _replant_heights(a, heights):
     """a with the height of each free factor named in heights replaced."""
     free = tuple(
-        dataclasses.replace(f, height=heights.get(f.gen.name, f.height))
+        replace(f, height=heights.get(f.gen.name, f.height))
         for f in a.free_part.factors
     )
-    return dataclasses.replace(a, free_part=ss.TensorExpression(free))
+    return replace(a, free_part=ss.TensorExpression(free))
 
 
 @pytest.mark.parametrize("variance", ["cohomology", "homology"])
@@ -222,10 +269,10 @@ def test_bockstein_all_pairs():
 
 def test_bockstein_sees_tampering():
     a = answer.closed_form(3, 1, window=60)
-    bad = dataclasses.replace(a, zp_family=a.zp_family[1:])
+    bad = replace(a, zp_family=a.zp_family[1:])
     ok, _ = answer.bockstein_check(bad)
     assert not ok
-    gutted = dataclasses.replace(a, torsion_families=a.torsion_families[1:])
+    gutted = replace(a, torsion_families=a.torsion_families[1:])
     ok, msg = answer.bockstein_check(gutted)
     assert not ok
 

@@ -1,19 +1,22 @@
 """End-to-end checks of the command-line interface."""
 
-import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from morava_k2 import answer, cli, km2, ss_engine
 from morava_k2.cli import main
+from morava_k2.graded_algebra import replace
 
 
 def test_compute_json_schema_key_order(capsys):
@@ -88,17 +91,34 @@ def test_compute_json_round_trips(capsys, job):
     rebuilt = cli.parse_answer(json.loads(_compute_json(capsys, job)))
     want = answer.closed_form(p, n, variance, (0, hi))
     assert rebuilt == (answer.localize(want) if localize else want)
+    # records compare as tuples; the repr also names every nested record class
+    assert repr(rebuilt) == repr(answer.localize(want) if localize else want)
 
 
 @pytest.mark.parametrize("localize", [False, True])
-def test_compute_json_round_trips_small_window(capsys, localize):
-    # at [0, 4] the module has no torsion and no Z_p class yet, which must
-    # not read back as a localized module
-    argv = ["compute", "--p", "3", "--n", "1", "--max-degree", "4", "--format", "json"]
-    assert main(argv + ["--localize"] * localize) == 0
-    rebuilt = cli.parse_answer(json.loads(capsys.readouterr().out))
-    want = answer.closed_form(3, 1, "cohomology", (0, 4))
+@settings(deadline=None, max_examples=100)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 3),
+    variance=st.sampled_from(["cohomology", "homology"]),
+    hi=st.integers(2, 80),
+)
+@example(p=3, n=1, variance="cohomology", hi=4)
+def test_compute_json_round_trips_small_window(localize, p, n, variance, hi):
+    """compute --format json reads back to the same module on small windows.
+    At (3, 1) on [0, 4] the module has no torsion and no Z_p class yet, which
+    must not read back as a localized module."""
+    argv = [
+        "compute", "--p", str(p), "--n", str(n), "--variance", variance,
+        "--max-degree", str(hi), "--format", "json",
+    ]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv + ["--localize"] * localize) == 0
+    rebuilt = cli.parse_answer(json.loads(out.getvalue()))
+    want = answer.closed_form(p, n, variance, (0, hi))
     assert rebuilt == (answer.localize(want) if localize else want)
+    assert repr(rebuilt) == repr(answer.localize(want) if localize else want)
 
 
 def test_compute_output_is_deterministic(capsys):
@@ -257,8 +277,8 @@ def test_shared_brute_page_keeps_pairing_and_uct_honest(capsys, monkeypatch):
             return page
         torsion = list(page.torsion)
         i = next(k for k, t in enumerate(torsion) if t.order != ss_engine.INF)
-        torsion[i] = dataclasses.replace(torsion[i], order=torsion[i].order + 1)
-        return dataclasses.replace(page, torsion=tuple(torsion))
+        torsion[i] = replace(torsion[i], order=torsion[i].order + 1)
+        return replace(page, torsion=tuple(torsion))
 
     calls = _count_brute_runs(monkeypatch, bump_first_homology_tower)
     assert main(VERIFY_31) == 1
@@ -291,6 +311,27 @@ def test_invalid_config_values(capsys, tmp_path):
     capsys.readouterr()
     with pytest.raises(SystemExit):
         main(["compute", "--format", "xml"])
+    capsys.readouterr()
+    # a value of the wrong JSON type names its key and exits 2, never 1
+    for key, value in [
+        ("max_degree", "400"),
+        ("max_degree", 40.5),
+        ("min_degree", True),
+        ("v_cap", "3"),
+        ("j_max", None),
+        ("localize", "no"),
+        ("localize", 1),
+        ("n", True),
+        ("p", 3.0),
+        ("variance", 1),
+        ("format", None),
+        ("suite", ["qn"]),
+    ]:
+        cfg.write_text(json.dumps({key: value}))
+        for command in ("compute", "verify"):
+            assert main([command, "--config", str(cfg)]) == 2, (command, key, value)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(key) in err, err
 
 
 def test_config_file_supplies_defaults_but_flags_win(capsys, tmp_path):
@@ -385,9 +426,13 @@ def _cli_subprocess(argv, block_numpy):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    done = _python("-c", "import sys, morava_k2.cli; print('numpy' in sys.modules)")
+    """Neither numpy nor dataclasses (about 40 ms of every CLI run) loads."""
+    done = _python(
+        "-c",
+        "import sys, morava_k2.cli; print('numpy' in sys.modules, 'dataclasses' in sys.modules)",
+    )
     assert done.returncode == 0, done.stderr.decode()
-    assert done.stdout == b"False\n"
+    assert done.stdout == b"False False\n"
 
 
 _NUMPY_FREE_JOBS = [
