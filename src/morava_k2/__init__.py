@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .graded_algebra import (
     Factor,
     Generator,
-    Monomial,
     PoincareSeries,
     TensorExpression,
 )

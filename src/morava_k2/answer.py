@@ -2,15 +2,15 @@
 
 closed_form writes the final k(n)^*- resp. k(n)_*-module down directly as a
 free part, a list of v-torsion families and the filtration-0 Z_p family,
-without running the spectral sequence.  to_page converts the result so the
-ss_engine comparators can check it against an actual run.  poincare_answer,
-localize, bockstein_check and localization_check read dimensions off the
-module description.
+without running the spectral sequence.  The families come from
+ss_engine._families, the same rule the closed-form rewrite adds its towers
+from.  to_page converts the result so the ss_engine comparators can check it
+against an actual run.  poincare_answer, localize, bockstein_check and
+localization_check read dimensions off the module description.
 
-The p = 2 homology answer is not written down independently anywhere; it is
-produced here by transporting the p = 2 cohomology module: free summands keep
-their degree, an order-r family moves down by 1 + 2r(2^n - 1) onto the dual
-of its differential's source, and the Z_2 family moves down by 2^{n+1} - 1.
+Both variances are written down directly at every p, p = 2 homology
+included, from the generator registry in ss_engine; in homology each
+family's towers start on the dual of its differential's source.
 """
 
 from __future__ import annotations
@@ -19,46 +19,20 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import km2, numerology, ss_engine
-from .graded_algebra import E, E_BAR, P, TP_BAR, Factor, PoincareSeries, TensorExpression, replace
+from .graded_algebra import PoincareSeries, TensorExpression, replace
 from .km2 import WindowError
 from .ss_engine import (
     INF,
     Page,
-    TowerSummand,
-    _gen_v,
-    _gen_w,
-    _gen_y,
-    _gen_z,
-    _half_source,
+    TorsionFamily,
     _head_factors,
     _norm_window,
-    _poly_factor,
-    _star,
+    _summands,
     _tower_powers,
-    _trunc_factor,
+    _v_free,
     _without_v,
-    _z_tail,
     v_degree,
 )
-
-
-class TorsionFamily(NamedTuple):
-    """One v-torsion summand family TP_order[v] (x) expression.
-
-    kind "y" families are indexed by the differential on y_j (order r(j)),
-    kind "half" families by the one hitting z_{n+j+1} (order r'(j)).  The
-    expression contains every non-v tensor cofactor, with its lowest basis
-    element in degree base_degree; families whose base lies above the window
-    still appear when their differential's source is inside it, carrying no
-    in-window generators.
-    """
-
-    j: int
-    kind: str
-    order: int
-    base_degree: int
-    expression: TensorExpression
-
 
 class _AnswerModuleFields(NamedTuple):
     p: int
@@ -87,56 +61,6 @@ class AnswerModule(_AnswerModuleFields):
         return self
 
 
-def _families(p: int, n: int, variance: str, hi: int) -> list[TorsionFamily]:
-    star = _star(variance)
-    head = _head_factors(p, n, variance)
-    out: list[TorsionFamily] = []
-
-    j = 1
-    while numerology.degree_y(j, p) <= hi:
-        order = numerology.r(j, p, n)
-        y = _gen_y(j, p, star)
-        factors = [_poly_factor(_gen_y(j + 1, p, star), variance)]
-        if variance == "cohomology":
-            t = _trunc_factor(y, p - 1, variance)
-            if t is not None:
-                factors.append(t)
-            w = _gen_w(2 * (n + j), p, n, star)
-            factors.append(Factor(E_BAR, w))
-            base = w.degree
-        else:
-            factors.append(Factor(TP_BAR, y, p))
-            base = y.degree
-        for i in range(1, n + 1):
-            factors.append(Factor(E, _gen_w(2 * (n + j + i), p, n, star)))
-        factors += _z_tail(p, n, n + j + 1, hi, variance)
-        out.append(TorsionFamily(j, "y", order, base, TensorExpression(tuple(factors + head))))
-        j += 1
-
-    j = 0 if p != 2 else 1
-    while (src := _half_source(j, p, n, star)).degree <= hi:
-        order = numerology.rprime(j, p, n)
-        z = _gen_z(n + j + 1, p, star)
-        factors = [_poly_factor(_gen_y(j + 1, p, star), variance)]
-        if variance == "cohomology":
-            factors.append(Factor(TP_BAR, z, p**n))
-            base = z.degree
-        else:
-            factors.append(Factor(E_BAR, src))
-            t = _trunc_factor(z, p**n - 1, variance)
-            if t is not None:
-                factors.append(t)
-            base = src.degree
-        for i in range(1, n + 1):
-            factors.append(Factor(E, _gen_w(2 * (n + j + i), p, n, star)))
-        factors += _z_tail(p, n, n + j + 2, hi, variance)
-        out.append(TorsionFamily(j, "half", order, base, TensorExpression(tuple(factors + head))))
-        j += 1
-
-    out.sort(key=lambda f: (f.order, 0 if f.kind == "y" else 1, f.j))
-    return out
-
-
 def closed_form(p: int, n: int, variance: str = "cohomology", window=None) -> AnswerModule:
     """The k(n) module of K(Z_p, 2) assembled from its displayed summands.
 
@@ -146,15 +70,13 @@ def closed_form(p: int, n: int, variance: str = "cohomology", window=None) -> An
     """
     km2.build(p, n, variance)  # validates p prime, n >= 1, variance spelling
     lo, hi = _norm_window(n, window)
-    head = [f for f in _head_factors(p, n, variance) if f.gen.degree <= hi]
-    free = TensorExpression((Factor(P, _gen_v(p, n, variance)), *head))
     return AnswerModule(
         p=p,
         n=n,
         variance=variance,
         window=(lo, hi),
-        free_part=free,
-        torsion_families=tuple(_families(p, n, variance, hi)),
+        free_part=_v_free(p, n, variance, _head_factors(p, n, variance), hi),
+        torsion_families=tuple(ss_engine._families(p, n, variance, hi)),
         zp_family=ss_engine.zp_family_closed(p, n, variance, hi),
     )
 
@@ -167,13 +89,9 @@ def localize(a: AnswerModule) -> AnswerModule:
 def to_page(a: AnswerModule) -> Page:
     """Expand the family description into a per-degree tower page so the
     ss_engine comparators (oracle_match, pairing_check, uct_matches) apply."""
-    hi = a.window[1]
     summands = []
     for f in a.torsion_families:
-        series = f.expression.poincare(0, hi)
-        for d in range(series.lo, series.hi + 1):
-            if series.dim(d):
-                summands.append(TowerSummand(f.expression, d, f.order, series.dim(d)))
+        summands += _summands(f.expression, f.order, a.window[1])
     stage = max((f.order for f in a.torsion_families), default=1) + 1
     return Page(
         p=a.p,

@@ -5,12 +5,12 @@ a tensor product of single-generator factors: polynomial, exterior, truncated
 polynomial, divided power, and the reduced (augmentation-complement) variants
 of the last two kinds used by torsion summands.  A factor constrains the
 exponent range of its generator; a TensorExpression is an ordered list of
-factors; bases and series are enumerated per degree inside a window.
+factors, and its Poincare series counts basis elements per degree inside a
+window.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from operator import sub
 from typing import NamedTuple
 
@@ -104,18 +104,6 @@ class Factor(_FactorFields):
         return f"Gamma_{self.height}[{self.gen.name}]"
 
 
-class Monomial(NamedTuple):
-    """Exponent vector over a TensorExpression's factors, with its degree."""
-
-    exponents: tuple[int, ...]
-    degree: int
-
-    def sort_key(self, expr: "TensorExpression") -> tuple:
-        return (self.degree,) + tuple(
-            (f.gen.id, e) for f, e in zip(expr.factors, self.exponents) if e
-        )
-
-
 class _PoincareSeriesFields(NamedTuple):
     lo: int
     hi: int
@@ -137,11 +125,6 @@ class PoincareSeries(_PoincareSeriesFields):
         if d < self.lo or d > self.hi:
             return 0
         return self.dims[d - self.lo]
-
-    def add(self, other: "PoincareSeries") -> "PoincareSeries":
-        lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
-        dims = [self.dim(d) + other.dim(d) for d in range(lo, hi + 1)]
-        return PoincareSeries(lo, hi, tuple(dims))
 
     def mul(self, other: "PoincareSeries") -> "PoincareSeries":
         """Product series, truncated to the window both factors can reach."""
@@ -221,85 +204,3 @@ class TensorExpression(NamedTuple):
             else:
                 dims = _times_exponent_range(dims[::-1], -d, exps)[::-1]
         return PoincareSeries(lo, hi, tuple(dims[lo - wlo : hi - wlo + 1]))
-
-    def enumerate_basis(self, lo: int, hi: int) -> list[Monomial]:
-        """All monomials with degree in [lo, hi], sorted canonically.
-
-        Only usable when every factor has degree of one sign or a bounded
-        exponent range; mixed-sign unbounded factors would make degree
-        windows infinite.
-        """
-        pos = [f for f in self.factors if f.gen.degree > 0]
-        neg = [f for f in self.factors if f.gen.degree < 0]
-        out: list[tuple[tuple[int, ...], int]] = []
-        order = pos + neg
-        index = {id(f): k for k, f in enumerate(order)}
-
-        def rec(k: int, exps: list[int], deg: int) -> None:
-            if k == len(order):
-                if lo <= deg <= hi:
-                    out.append((tuple(exps), deg))
-                return
-            f = order[k]
-            d = f.gen.degree
-            if d > 0:
-                cap = hi - deg
-                for e in f.exponent_range(max(cap // d, 0)):
-                    if deg + e * d > hi:
-                        break
-                    exps[k] = e
-                    rec(k + 1, exps, deg + e * d)
-                exps[k] = 0
-            else:
-                cap = deg - lo
-                for e in f.exponent_range(max(cap // (-d), 0)):
-                    if deg + e * d < lo:
-                        break
-                    exps[k] = e
-                    rec(k + 1, exps, deg + e * d)
-                exps[k] = 0
-
-        rec(0, [0] * len(order), 0)
-        # restore the expression's own factor order for the exponent tuples
-        back = [index[id(f)] for f in self.factors]
-        monos = [
-            Monomial(tuple(exps[b] for b in back), deg) for exps, deg in out
-        ]
-        monos.sort(key=lambda m: m.sort_key(self))
-        return monos
-
-
-def expand_divided_powers(expr: TensorExpression, lo: int, hi: int, p: int) -> TensorExpression:
-    """Replace each Gamma-kind factor by its truncated-polynomial expansion.
-
-    Gamma[x] = tensor of TP_p[gamma_{p^k}(x)] over k >= 0, and Gamma_h[x]
-    (h a power of p) keeps the k with p^k < h.  Expansion generators get
-    fresh ids above the existing ones.
-    """
-    ids = count(max((f.gen.id for f in expr.factors), default=0) + 1)
-    out: list[Factor] = []
-    for f in expr.factors:
-        if f.kind not in (GAMMA, GAMMA_TRUNC):
-            out.append(f)
-            continue
-        height = None if f.kind == GAMMA else f.height
-        if height is not None:
-            h = height
-            while h > 1:
-                if h % p:
-                    raise ValueError(
-                        f"Gamma_{height}[{f.gen.name}] needs a p-power height to expand at p={p}"
-                    )
-                h //= p
-        k = 0
-        while True:
-            step = p**k
-            if height is not None and step >= height:
-                break
-            deg = f.gen.degree * step
-            if abs(deg) > max(abs(lo), abs(hi)):
-                break
-            gen = Generator(next(ids), f"gamma_{step}({f.gen.name})", deg)
-            out.append(Factor(TP, gen, height=p))
-            k += 1
-    return TensorExpression(tuple(out))

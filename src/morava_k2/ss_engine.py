@@ -3,7 +3,9 @@
 The E2 page over E[Q_n] is run to E-infinity in two independent ways:
 
 * ``run_closed_form`` applies each scheduled differential as a tensor rewrite
-  of the page, accumulating named torsion families,
+  of the page's v-free factors; each stage adds the towers of the torsion
+  families (``_families``, the rule the answer module is built from) whose
+  order is that stage,
 * ``run_bruteforce`` replays the same schedule monomial by monomial over the
   E2 lattice and reads tower orders off a matching sweep.
 
@@ -181,6 +183,82 @@ def _z_tail(p: int, n: int, start: int, hi: int, variance: str) -> list[Factor]:
     return out
 
 
+def _v_free(p: int, n: int, variance: str, factors, hi: int) -> TensorExpression:
+    """P[v] tensored with those factors whose generator degree is at most hi."""
+    return TensorExpression(
+        (Factor(P, _gen_v(p, n, variance)), *(f for f in factors if f.gen.degree <= hi))
+    )
+
+
+class TorsionFamily(NamedTuple):
+    """One v-torsion summand family TP_order[v] (x) expression.
+
+    kind "y" families are indexed by the differential on y_j (order r(j)),
+    kind "half" families by the one hitting z_{n+j+1} (order r'(j)).  The
+    expression contains every non-v tensor cofactor, with its lowest basis
+    element in degree base_degree; families whose base lies above the window
+    still appear when their differential's source is inside it, carrying no
+    in-window generators.
+    """
+
+    j: int
+    kind: str
+    order: int
+    base_degree: int
+    expression: TensorExpression
+
+
+def _families(p: int, n: int, variance: str, hi: int) -> list[TorsionFamily]:
+    """The torsion families whose differential's source degree is at most hi,
+    sorted by order, y before half.  The answer module lists them and the
+    closed-form rewrite adds their towers stage by stage."""
+    star = _star(variance)
+    head = _head_factors(p, n, variance)
+    out: list[TorsionFamily] = []
+
+    def add(j: int, kind: str, order: int, base: int, factors: list[Factor], z0: int) -> None:
+        # then E[w_{n+j+i}] for i = 1..n, the z tail from z_{z0} and the head
+        factors += [Factor(E, _gen_w(2 * (n + j + i), p, n, star)) for i in range(1, n + 1)]
+        factors += _z_tail(p, n, z0, hi, variance) + head
+        out.append(TorsionFamily(j, kind, order, base, TensorExpression(tuple(factors))))
+
+    j = 1
+    while numerology.degree_y(j, p) <= hi:
+        y = _gen_y(j, p, star)
+        factors = [_poly_factor(_gen_y(j + 1, p, star), variance)]
+        if variance == "cohomology":
+            t = _trunc_factor(y, p - 1, variance)
+            if t is not None:
+                factors.append(t)
+            w = _gen_w(2 * (n + j), p, n, star)
+            factors.append(Factor(E_BAR, w))
+            base = w.degree
+        else:
+            factors.append(Factor(TP_BAR, y, p))
+            base = y.degree
+        add(j, "y", numerology.r(j, p, n), base, factors, n + j + 1)
+        j += 1
+
+    j = 0 if p != 2 else 1
+    while (src := _half_source(j, p, n, star)).degree <= hi:
+        z = _gen_z(n + j + 1, p, star)
+        factors = [_poly_factor(_gen_y(j + 1, p, star), variance)]
+        if variance == "cohomology":
+            factors.append(Factor(TP_BAR, z, p**n))
+            base = z.degree
+        else:
+            factors.append(Factor(E_BAR, src))
+            t = _trunc_factor(z, p**n - 1, variance)
+            if t is not None:
+                factors.append(t)
+            base = src.degree
+        add(j, "half", numerology.rprime(j, p, n), base, factors, n + j + 2)
+        j += 1
+
+    out.sort(key=lambda f: (f.order, 0 if f.kind == "y" else 1, f.j))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the differential schedule
 
@@ -276,6 +354,17 @@ class TowerSummand(NamedTuple):
     count: int = 1
 
 
+def _summands(expr: TensorExpression, order, hi: int) -> list[TowerSummand]:
+    """One order-`order` tower per basis element of expr in [0, hi], collapsed
+    per degree."""
+    series = expr.poincare(0, hi)
+    return [
+        TowerSummand(expr, d, order, series.dim(d))
+        for d in range(series.lo, series.hi + 1)
+        if series.dim(d)
+    ]
+
+
 def _tower_powers(g: int, order, dv: int, lo: int, hi: int) -> range:
     """The v-powers e < order whose class g + e*dv, in a P[v]-tower on a
     degree-g generator with |v| = dv, lies in [lo, hi]; order is a positive
@@ -323,9 +412,6 @@ class Page(NamedTuple):
                 out[(t.generator_degree, t.order)] += t.count
         return out
 
-    def zp_by_degree(self) -> dict[int, int]:
-        return dict(self.zp_family)
-
     def chart_dims(self) -> Counter:
         """Dimension of each (degree, filtration) spot inside the window."""
         lo, hi = self.window
@@ -371,9 +457,14 @@ def zp_family_counts(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int,
 
 
 class _PageState:
-    """Mutable factor bookkeeping for the closed-form run."""
+    """The v-free factor list of the closed-form run, rewritten stage by stage.
 
-    def __init__(self, p: int, n: int, variance: str, window: tuple[int, int]):
+    Each stage checks that the page carries its source and target factors,
+    moves them on, and appends the towers of the torsion families whose
+    order is that stage; the families themselves come from _families.
+    """
+
+    def __init__(self, p: int, n: int, variance: str, window: tuple[int, int], families=()):
         self.p, self.n, self.variance = p, n, variance
         self.window = window
         self.star = _star(variance)
@@ -389,7 +480,8 @@ class _PageState:
             self.wlist = list(range(n + 1, 2 * n + 1))
             self.tpw = []
             self.zlo = n + 1
-        self.families: list[TowerSummand] = []
+        self.families = families
+        self.torsion: list[TowerSummand] = []
         self.history: list[str] = []
         self.stage = 2
 
@@ -408,30 +500,18 @@ class _PageState:
         return out + _z_tail(p, n, self.zlo, self.window[1], self.variance)
 
     def snapshot(self, zp: tuple[tuple[int, int], ...]) -> Page:
-        hi = self.window[1]
-        factors = [Factor(P, _gen_v(self.p, self.n, self.variance))]
-        factors += [f for f in self._base_factors() if f.gen.degree <= hi]
         return Page(
             p=self.p,
             n=self.n,
             variance=self.variance,
             stage=self.stage,
             window=self.window,
-            v_free=TensorExpression(tuple(factors)),
-            torsion=tuple(self.families),
+            v_free=_v_free(self.p, self.n, self.variance, self._base_factors(), self.window[1]),
+            torsion=tuple(self.torsion),
             zp_family=zp,
             names_nominal=self.stage > 2,
             history=tuple(self.history),
         )
-
-    def _emit(self, order: int, created: list[Factor], skip_name: str, note: str) -> None:
-        spect = [f for f in self._base_factors() if f.gen.name != skip_name]
-        expr = TensorExpression(tuple(created + spect))
-        series = expr.poincare(0, self.window[1])
-        for d in range(series.lo, series.hi + 1):
-            if series.dim(d):
-                self.families.append(TowerSummand(expr, d, order, series.dim(d)))
-        self.history.append(note)
 
     def apply_stage(self, group: list[Differential]) -> None:
         st = group[0].stage
@@ -440,45 +520,36 @@ class _PageState:
         if any(e.paired for e in group):
             if len(group) != 2 or {e.family for e in group} != {"y", "half"}:
                 raise RuntimeError("a p = 2 paired stage needs exactly its two entries")
-            self._apply_p2_paired(group[0].index, st)
+            note = self._apply_p2_paired(group[0].index, st)
         else:
             if len(group) != 1:
                 raise RuntimeError(f"unrelated differentials share stage {st}")
             e = group[0]
             if e.family == "y":
-                self._apply_y(e.index, st)
+                note = self._apply_y(e.index, st)
             else:
-                self._apply_half(e.index, st)
+                note = self._apply_half(e.index, st)
+        for f in self.families:
+            if f.order == st:
+                self.torsion += _summands(f.expression, st, self.window[1])
+        self.history.append(note)
         self.stage = st + 1
 
-    def _apply_y(self, j: int, st: int) -> None:
+    def _apply_y(self, j: int, st: int) -> str:
         """d(y_j) = v^r w_{n+j} on P[y_j] (x) E[w_{n+j}]: free survivors are
         P[y_{j+1}] (x) E[y_j^{p-1} w_{n+j}], the latter renamed w_{n+j+1/2}."""
-        p, n = self.p, self.n
+        n = self.n
         if self.jy != j or (n + j) not in self.wlist or self.half is not None:
             raise RuntimeError(f"page does not carry P[y_{j}] (x) E[{km2.w_name(2 * (n + j))}]")
         self.jy = j + 1
         self.wlist.remove(n + j)
         self.half = 2 * (n + j) + 1
-        created: list[Factor] = []
-        if self.variance == "cohomology":
-            f = _trunc_factor(_gen_y(j, p, self.star), p - 1, "cohomology")
-            if f is not None:
-                created.append(f)
-            created.append(Factor(E_BAR, _gen_w(2 * (n + j), p, n, self.star)))
-        else:
-            created.append(Factor(TP_BAR, _gen_y(j, p, self.star), p))
-        self._emit(
-            st,
-            created,
-            km2.w_name(self.half) + self.star,
-            f"stage {st}: d(y_{j}) = v^{st} {km2.w_name(2 * (n + j))}",
-        )
+        return f"stage {st}: d(y_{j}) = v^{st} {km2.w_name(2 * (n + j))}"
 
-    def _apply_half(self, j: int, st: int) -> None:
+    def _apply_half(self, j: int, st: int) -> str:
         """d(w_{n+j+1/2}) = v^r z_{n+j+1} on E[w] (x) TP_{p^n}[z]: the free
         survivor w z^{p^n - 1} is renamed w_{2n+j+1}."""
-        p, n = self.p, self.n
+        n = self.n
         if self.half != 2 * (n + j) + 1 or self.zlo != n + j + 1:
             raise RuntimeError(
                 f"page does not carry E[{km2.w_name(2 * (n + j) + 1)}] (x) TP[z_{n + j + 1}]"
@@ -487,43 +558,20 @@ class _PageState:
         self.half = None
         self.zlo = n + j + 2
         self.wlist.append(2 * n + j + 1)
-        created = []
-        if self.variance == "cohomology":
-            created.append(Factor(TP_BAR, _gen_z(n + j + 1, p, self.star), p**n))
-        else:
-            created.append(Factor(E_BAR, _gen_w(half_index2, p, n, self.star)))
-            f = _trunc_factor(_gen_z(n + j + 1, p, self.star), p**n - 1, "homology")
-            if f is not None:
-                created.append(f)
-        self._emit(
-            st,
-            created,
-            km2.w_name(2 * (2 * n + j + 1)) + self.star,
-            f"stage {st}: d({km2.w_name(half_index2)}) = v^{st} z_{n + j + 1}",
-        )
+        return f"stage {st}: d({km2.w_name(half_index2)}) = v^{st} z_{n + j + 1}"
 
-    def _apply_p2_paired(self, j: int, st: int) -> None:
+    def _apply_p2_paired(self, j: int, st: int) -> str:
         """The p = 2 doubled rule at stage 2^j: d(y_j w^c) = v^r w^{c+1} inside
         P[y_j] (x) TP_{2^{n+1}}[w_{n+j}]; survivors P[y_{j+1}] (x) E[y_j w^{2^{n+1}-1}]."""
-        p, n = self.p, self.n
+        n = self.n
         if self.jy != j or (n + j) not in self.tpw:
             raise RuntimeError(f"page does not carry P[y_{j}] (x) TP[{km2.w_name(2 * (n + j))}]")
         self.jy = j + 1
         self.tpw.remove(n + j)
         self.wlist.append(2 * n + j + 1)
-        created = []
-        if self.variance == "cohomology":
-            created.append(Factor(TP_BAR, _gen_w(2 * (n + j), p, n, self.star), 2 ** (n + 1)))
-        else:
-            created.append(Factor(TP_BAR, _gen_y(j, p, self.star), 2))
-            f = _trunc_factor(_gen_w(2 * (n + j), p, n, self.star), 2 ** (n + 1) - 1, "homology")
-            if f is not None:
-                created.append(f)
-        self._emit(
-            st,
-            created,
-            km2.w_name(2 * (2 * n + j + 1)) + self.star,
-            f"stage {st}: d(y_{j}) = v^{st} w_{n + j} and d(y_{j} w_{n + j}) = v^{st} z_{n + j + 1}",
+        return (
+            f"stage {st}: d(y_{j}) = v^{st} w_{n + j} and "
+            f"d(y_{j} w_{n + j}) = v^{st} z_{n + j + 1}"
         )
 
 
@@ -570,10 +618,12 @@ def e2_closed_form(p: int, n: int, variance: str = "cohomology", window=None) ->
 
 def closed_form_pages(page: Page, sched: list[Differential]) -> Iterator[Page]:
     """The E2 page again, then the page after each scheduled stage in turn,
-    from one tensor rewrite of the E2 page."""
+    from one tensor rewrite of the E2 page; each stage adds the towers of
+    the _families entries of its order."""
     if page.stage != 2 or page.torsion:
         raise RuntimeError("run_closed_form starts from an E2 page")
-    state = _PageState(page.p, page.n, page.variance, page.window)
+    families = tuple(_families(page.p, page.n, page.variance, page.window[1]))
+    state = _PageState(page.p, page.n, page.variance, page.window, families)
     e2 = state.snapshot(page.zp_family)
     if e2.v_free.label() != page.v_free.label():
         raise RuntimeError("page was not produced by e2_closed_form")
@@ -1075,23 +1125,30 @@ def run_bruteforce(
 # comparisons
 
 
+def _clip(counter, top: int, key_deg=lambda d: d) -> Counter:
+    """The nonzero entries of counter whose degree, key_deg(key), is at most top."""
+    return Counter({k: v for k, v in counter.items() if key_deg(k) <= top and v})
+
+
+def _first_difference(a, b):
+    """The least key on which the mappings a and b disagree."""
+    return min(set(a) ^ set(b) | {k for k in a if a[k] != b.get(k)})
+
+
 def oracle_match(a: Page, b: Page) -> tuple[bool, str]:
     """Degree-for-degree comparison of two runs on their common window."""
     if (a.p, a.n, a.variance) != (b.p, b.n, b.variance):
         return False, "pages disagree on (p, n, variance)"
     top = min(a.window[1], b.window[1])
 
-    def clip(counter, key_deg) -> Counter:
-        return Counter({k: v for k, v in counter.items() if key_deg(k) <= top and v})
-
-    fa, fb = clip(a.free_by_degree(), lambda d: d), clip(b.free_by_degree(), lambda d: d)
+    fa, fb = _clip(a.free_by_degree(), top), _clip(b.free_by_degree(), top)
     if fa != fb:
-        d = min(set(fa) ^ set(fb) | {d for d in fa if fa[d] != fb.get(d)})
+        d = _first_difference(fa, fb)
         return False, f"free ranks differ at degree {d}: {fa.get(d, 0)} vs {fb.get(d, 0)}"
-    ta = clip(a.torsion_by_degree(), lambda k: k[0])
-    tb = clip(b.torsion_by_degree(), lambda k: k[0])
+    ta = _clip(a.torsion_by_degree(), top, lambda k: k[0])
+    tb = _clip(b.torsion_by_degree(), top, lambda k: k[0])
     if ta != tb:
-        k = min(set(ta) ^ set(tb) | {k for k in ta if ta[k] != tb.get(k)})
+        k = _first_difference(ta, tb)
         return False, (
             f"torsion differs at degree {k[0]} order {k[1]}: "
             f"{ta.get(k, 0)} vs {tb.get(k, 0)}"
@@ -1099,12 +1156,12 @@ def oracle_match(a: Page, b: Page) -> tuple[bool, str]:
     za = {d: c for d, c in a.zp_family if d <= top}
     zb = {d: c for d, c in b.zp_family if d <= top}
     if za != zb:
-        d = min(set(za) ^ set(zb) | {d for d in za if za[d] != zb.get(d)})
+        d = _first_difference(za, zb)
         return False, f"Z_p families differ at degree {d}: {za.get(d, 0)} vs {zb.get(d, 0)}"
-    ca = Counter({k: v for k, v in a.chart_dims().items() if k[0] <= top and v})
-    cb = Counter({k: v for k, v in b.chart_dims().items() if k[0] <= top and v})
+    ca = _clip(a.chart_dims(), top, lambda k: k[0])
+    cb = _clip(b.chart_dims(), top, lambda k: k[0])
     if ca != cb:
-        k = min(set(ca) ^ set(cb) | {k for k in ca if ca[k] != cb.get(k)})
+        k = _first_difference(ca, cb)
         return False, f"chart dimensions differ at (degree, filtration) = {k}"
     return True, f"runs agree on [0, {top}]"
 
@@ -1148,16 +1205,15 @@ def pairing_check(coh: Page, hom: Page) -> PairingReport:
         ca = Counter({d: c for (d, o), c in ct.items() if o == r and d <= top})
         hb = Counter({d + shift: c for (d, o), c in ht.items() if o == r and d + shift <= top})
         if ca != hb:
-            d = min(set(ca) ^ set(hb) | {d for d in ca if ca[d] != hb.get(d)})
+            d = _first_difference(ca, hb)
             return PairingReport(
                 False,
                 f"order-{r} towers: cohomology degree {d} has {ca.get(d, 0)}, "
                 f"homology predicts {hb.get(d, 0)}",
             )
-    cf = Counter({d: c for d, c in coh.free_by_degree().items() if d <= top})
-    hf = Counter({d: c for d, c in hom.free_by_degree().items() if d <= top})
+    cf, hf = _clip(coh.free_by_degree(), top), _clip(hom.free_by_degree(), top)
     if cf != hf:
-        d = min(set(cf) ^ set(hf) | {d for d in cf if cf[d] != hf.get(d)})
+        d = _first_difference(cf, hf)
         return PairingReport(False, f"free parts differ at degree {d}")
     dq = 2 * p**n - 1
     cz = {d: c for d, c in coh.zp_family if d <= top}
@@ -1191,16 +1247,12 @@ def uct_matches(hom: Page, coh: Page) -> tuple[bool, str]:
     """Transported homology must equal the directly computed cohomology."""
     moved = uct_transport(hom)
     top = min(coh.window[1], hom.window[1])
-
-    def clip(counter, key_deg) -> Counter:
-        return Counter({k: v for k, v in counter.items() if key_deg(k) <= top and v})
-
-    if clip(coh.free_by_degree(), lambda d: d) != clip(moved["free"], lambda d: d):
+    if _clip(coh.free_by_degree(), top) != _clip(moved["free"], top):
         return False, "free parts disagree after transport"
-    want = clip(coh.torsion_by_degree(), lambda k: k[0])
-    got = clip(moved["torsion"], lambda k: k[0])
+    want = _clip(coh.torsion_by_degree(), top, lambda k: k[0])
+    got = _clip(moved["torsion"], top, lambda k: k[0])
     if want != got:
-        k = min(set(want) ^ set(got) | {k for k in want if want[k] != got.get(k)})
+        k = _first_difference(want, got)
         return False, f"torsion disagrees after transport at (degree, order) = {k}"
     if {d: c for d, c in coh.zp_family if d <= top} != {
         d: c for d, c in moved["zp"].items() if d <= top

@@ -1,9 +1,11 @@
 """Module answers: displayed summands, dimensions, localization, Bockstein."""
 
+import re
+
 import pytest
 
 from morava_k2 import answer, km2, ss_engine as ss
-from morava_k2.graded_algebra import replace
+from morava_k2.graded_algebra import E, TensorExpression, replace
 
 
 def test_free_part_labels():
@@ -134,15 +136,46 @@ def test_records_are_immutable():
 
 
 def test_answer_matches_engine_run():
+    """The answer module against the brute-force sweep, which shares no
+    family rule with it (the closed-form rewrite takes its families from
+    the same ss_engine._families as closed_form)."""
     for p, n, top in [(2, 1, 60), (3, 1, 60), (5, 1, 100), (2, 2, 100), (3, 2, 100)]:
         for variance in ("cohomology", "homology"):
             page = answer.to_page(answer.closed_form(p, n, variance, top))
-            engine = ss.run_closed_form(
-                ss.e2_closed_form(p, n, variance, top),
-                ss.window_schedule(p, n, top, variance),
-            )
-            ok, msg = ss.oracle_match(page, engine)
+            ok, msg = ss.oracle_match(page, ss.run_bruteforce(p, n, variance, top))
             assert ok, (p, n, variance, msg)
+
+
+def _drop_first_exterior_of_first_y_family(real):
+    def planted(p, n, variance, hi):
+        out = real(p, n, variance, hi)
+        k = next(i for i, f in enumerate(out) if f.kind == "y")
+        factors = out[k].expression.factors
+        e = next(i for i, f in enumerate(factors) if f.kind == E)
+        out[k] = replace(out[k], expression=TensorExpression(factors[:e] + factors[e + 1 :]))
+        return out
+
+    return planted
+
+
+@pytest.mark.parametrize("variance", ["cohomology", "homology"])
+@pytest.mark.parametrize("p, n, top", [(2, 1, 60), (2, 2, 100)])
+def test_checks_see_a_planted_family_defect(monkeypatch, p, n, top, variance):
+    """One family rule feeds both closed-route readers, so a defect planted
+    in it must be caught by the checks that do not read it: the brute sweep
+    through oracle_match and the Bockstein count against dim H^d."""
+    monkeypatch.setattr(
+        ss, "_families", _drop_first_exterior_of_first_y_family(ss._families)
+    )
+    a = answer.closed_form(p, n, variance, top)
+    page = ss.run_closed_form(
+        ss.e2_closed_form(p, n, variance, top), ss.window_schedule(p, n, top, variance)
+    )
+    assert ss.oracle_match(answer.to_page(a), page)[0]  # the planted rule reaches both
+    ok, msg = ss.oracle_match(answer.to_page(a), ss.run_bruteforce(p, n, variance, top))
+    assert not ok and re.search(r"degree \d+|\(degree, filtration\) = \(\d+", msg), msg
+    ok, msg = answer.bockstein_check(a)
+    assert not ok and re.search(r"degree \d+", msg), msg
 
 
 def test_pairing_and_uct_through_answers():

@@ -425,6 +425,16 @@ def _cli_subprocess(argv, block_numpy):
     return _python("-c", _CLI_SCRIPT, "block" if block_numpy else "allow", *argv)
 
 
+def test_demos_run():
+    """Each demo script runs to exit 0, so its imports and its `assert ok`
+    checks hold on every tier-1 run."""
+    demos = sorted((SRC.parent / "demos").glob("*.py"))
+    assert demos
+    for demo in demos:
+        done = _python(str(demo))
+        assert done.returncode == 0, (demo.name, done.stderr.decode())
+
+
 def test_cli_import_leaves_numpy_unloaded():
     """Neither numpy nor dataclasses (about 40 ms of every CLI run) loads."""
     done = _python(

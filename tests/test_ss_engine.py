@@ -232,12 +232,12 @@ def test_closed_form_31_families():
 
     after2 = ss.run_closed_form(e2, [e for e in sched if e.stage <= 2])
     labels2 = {t.generator_expression.label() for t in after2.torsion}
-    assert labels2 == {"TPbar_3[z_2] @ P[y_1] @ E[w_2] @ TP_3[z_3]"}
+    assert labels2 == {"P[y_1] @ TPbar_3[z_2] @ E[w_2] @ TP_3[z_3]"}
     assert {t.order for t in after2.torsion} == {2}
 
     after3 = ss.run_closed_form(e2, [e for e in sched if e.stage <= 3])
     labels3 = {t.generator_expression.label() for t in after3.torsion}
-    assert labels3 == labels2 | {"TP_2[y_1] @ Ebar[w_2] @ P[y_2] @ E[w_3] @ TP_3[z_3]"}
+    assert labels3 == labels2 | {"P[y_2] @ TP_2[y_1] @ Ebar[w_2] @ E[w_3] @ TP_3[z_3]"}
     assert {t.order for t in after3.torsion} == {2, 3}
 
 
