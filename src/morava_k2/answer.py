@@ -180,9 +180,9 @@ def bockstein_check(a: AnswerModule, max_degree: int | None = None) -> tuple[boo
 
     The cofiber sequence of multiplication by v gives, for every degree d,
     dim H^d(K_2) = dim coker(v)_d + dim ker(v)_{d'} with d' offset from d by
-    2p^n - 1: upward in cohomology, downward in homology.  The orientation is
-    confirmed on degrees 0..2p^n before the full window is asserted, so a
-    global off-by-one cannot slip through.
+    2p^n - 1: upward in cohomology, downward in homology.  Only that derived
+    orientation is tried, so a module of the wrong variance fails at its
+    first bad degree instead of passing under the opposite one.
     """
     if a.localized:
         raise ValueError("bockstein_check needs the torsion the localized module drops")
@@ -231,34 +231,16 @@ def bockstein_check(a: AnswerModule, max_degree: int | None = None) -> tuple[boo
 
     h_dims = km2.total_dims(km2.build(p, n, a.variance), hi)
 
-    def mismatch(offset: int, lim: int) -> int | None:
-        for d in range(lim + 1):
-            e = d + offset
-            predicted = cok[d] + (kerv[e] if e >= 0 else 0)
-            if predicted != h_dims[d]:
-                return d
-        return None
-
-    derived = dq if coh else -dq
-    small = min(hi, 2 * p**n)
-    offset = derived
-    note = ""
-    if mismatch(derived, small) is not None:
-        if mismatch(-derived, small) is None:
-            offset = -derived
-            note = " (orientation flipped by the self-test)"
-        else:
-            d = mismatch(derived, small)
-            return False, f"no orientation fits: first failure at degree {d}"
-    bad = mismatch(offset, hi)
-    if bad is not None:
-        e = bad + offset
-        predicted = cok[bad] + (kerv[e] if e >= 0 else 0)
-        return False, (
-            f"degree {bad}: H has dimension {h_dims[bad]} but coker(v) + ker(v) "
-            f"gives {predicted}"
-        )
-    return True, f"coker/ker counts match dim H^d for all d in [0, {hi}]{note}"
+    offset = dq if coh else -dq
+    for d in range(hi + 1):
+        e = d + offset
+        predicted = cok[d] + (kerv[e] if e >= 0 else 0)
+        if predicted != h_dims[d]:
+            return False, (
+                f"degree {d}: H has dimension {h_dims[d]} but coker(v) + ker(v) "
+                f"gives {predicted}"
+            )
+    return True, f"coker/ker counts match dim H^d for all d in [0, {hi}]"
 
 
 def localization_check(a: AnswerModule) -> tuple[bool, str]:

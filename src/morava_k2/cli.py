@@ -390,8 +390,10 @@ def _render_grid(page, out) -> None:
     chart = page.chart_dims()
     lo, hi = page.window
     if hi - lo > 90:
-        dims = page.chart_series()
-        row = " ".join(str(dims.dim(d)) for d in range(lo, hi + 1))
+        dims = [0] * (hi - lo + 1)
+        for (d, _s), c in chart.items():
+            dims[d - lo] += c
+        row = " ".join(map(str, dims))
         print(f"window too wide for a grid; dims by degree: {row}", file=out)
         return
     if not chart:

@@ -8,15 +8,18 @@ the tabulated map on generators extended as a derivation with Koszul signs.
 Q_n-homology is computed two independent ways: a direct per-degree
 kernel/image computation on the full monomial basis (small windows), and a
 factored route that splits the algebra into the tensor components coupled by
-Q_n and handles each separately (large windows).  At p = 2 the components are
-infinite polynomial chains, processed by repeatedly adjoining one generator
-at a time: adjoining u with Q_n(u) = m turns homology into cokernel and
-kernel blocks of multiplication by m on the previous stage, and the needed
-multiplication operators are carried along through each stage.
+Q_n and handles each separately (large windows).  One ExplicitHomology turns
+Q_n blocks into homology for both: the full basis in direct mode, each
+component at odd p, and the core of each component at p = 2.  There the
+components are infinite polynomial chains, processed by repeatedly adjoining
+one generator at a time: adjoining u with Q_n(u) = m turns homology into
+cokernel and kernel blocks of multiplication by m on the previous stage, and
+the needed multiplication operators are carried along through each stage.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .graded_algebra import PoincareSeries
@@ -535,65 +538,6 @@ def _qn_block(
 
 
 # ---------------------------------------------------------------------------
-# direct-mode homology
-
-
-def _direct_trivial(
-    pres: Presentation, hi: int, with_reps: bool
-) -> tuple[list[int], dict[int, list[str]] | None]:
-    dq = pres.qn_degree
-    ctx = DerivationContext(pres, hi + dq)
-    buckets = window_bases(ctx.gens, hi + dq)
-    ranks = [rank_modp(_qn_block(ctx, buckets[d], buckets[d + dq]), ctx.p) for d in range(hi + 1)]
-    triv = [
-        len(buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0) for d in range(hi + 1)
-    ]
-    if not with_reps:
-        return triv, None
-    reps: dict[int, list[str]] = {}
-    transpose = pres.variance == "homology"
-    for d in range(hi + 1):
-        if triv[d] == 0:
-            reps[d] = []
-            continue
-        out_block = _qn_block(ctx, buckets[d], buckets[d + dq])
-        in_block = (
-            _qn_block(ctx, buckets[d - dq], buckets[d]) if d >= dq
-            else Matrix.zeros(len(buckets[d]), 0, ctx.p)
-        )
-        if transpose:
-            out_block, in_block = in_block.T, out_block.T
-        reps[d] = _choose_reps(ctx, buckets[d], out_block, in_block, triv[d], transpose)
-    return triv, reps
-
-
-def _choose_reps(
-    ctx: DerivationContext,
-    basis: list[tuple[int, ...]],
-    out_block: Matrix,
-    in_block: Matrix,
-    count: int,
-    dual: bool,
-) -> list[str]:
-    """Kernel-mod-image representatives, preferring single cycle monomials."""
-    p = ctx.p
-    dim = len(basis)
-    ker = nullspace_modp(out_block, p)
-    units = [i for i in range(dim) if not any(out_block.column(i))]
-    cand = hstack([in_block, Matrix.identity(dim, p).take(units), ker])
-    _, piv = rref_modp(cand, p)
-    chosen = [c for c in piv if c >= in_block.shape[1]]
-    if len(chosen) != count:
-        raise AssertionError("representative count disagrees with the dimension count")
-    labels = []
-    for c in chosen:
-        terms = [(ctx.render(basis[i]), x) for i, x in enumerate(cand.column(c)) if x]
-        s = " + ".join(t if c2 == 1 else f"{c2}*{t}" for t, c2 in terms)
-        labels.append(f"({s})*" if dual else s)
-    return labels
-
-
-# ---------------------------------------------------------------------------
 # factored-mode homology: tensor components coupled by Q_n
 
 
@@ -629,23 +573,20 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
 class ExplicitHomology:
     """Q_n-homology of the sub-algebra on a generator subset, with operators.
 
-    The core of the p = 2 adjunction chain, on bitset rows.  Ranks give the
-    dimension in every degree; representative vectors, from which
-    multiplication by a fixed cycle monomial is expressed as a matrix on
-    homology, are built only in the degrees that have homology or that such
-    a product lands in.
+    Serves direct mode (the full generator list), the odd-p components and
+    the core of each p = 2 adjunction chain, in either variance.  Ranks give
+    the dimension in every degree; representative vectors, and at p = 2 the
+    matrices of multiplication by a fixed cycle monomial on homology, are
+    built only in the degrees that ask for them.
     """
 
     def __init__(self, pres: Presentation, gens: list[PresGenerator], top: int):
-        if pres.p != 2:
-            raise AssertionError("explicit homology is the p = 2 core")
         self.pres = pres
-        self.top = top
         dq = pres.qn_degree
         self.ctx = DerivationContext(pres, top + dq, gens=gens)
         self.buckets = window_bases(gens, top + dq)
         self.mats = [_qn_block(self.ctx, self.buckets[d], self.buckets[d + dq]) for d in range(top + 1)]
-        ranks = [rank_modp(m, 2) for m in self.mats]
+        ranks = [rank_modp(m, pres.p) for m in self.mats]
         self.dims = [
             len(self.buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0)
             for d in range(top + 1)
@@ -655,23 +596,44 @@ class ExplicitHomology:
     def _basis(self, d: int) -> tuple[Matrix, Matrix]:
         """(representatives, [representatives | image basis]) at degree d.
 
-        The representatives are the kernel vectors that extend the image of
-        the incoming Q_n, taken greedily in nullspace order.
+        The representatives are the cycles that extend the image of the
+        incoming Q_n, taken greedily: single cycle monomials first, then the
+        kernel vectors in nullspace order.
         """
         if d not in self._bases:
-            dq = self.pres.qn_degree
-            ker = nullspace_modp(self.mats[d], 2)
-            im = self.mats[d - dq] if d >= dq else Matrix.zeros(len(self.buckets[d]), 0, 2)
-            _, piv = rref_modp(hstack([im, ker]), 2)
+            p, dq = self.pres.p, self.pres.qn_degree
+            dim = len(self.buckets[d])
+            out = self.mats[d]
+            im = self.mats[d - dq] if d >= dq else Matrix.zeros(dim, 0, p)
+            if self.pres.variance == "homology":
+                # homology runs Q_n downward: the blocks are the transposes
+                out, im = im.T, out.T
+            if p == 2:
+                used = functools.reduce(int.__or__, out.rows, 0)
+                units = [i for i in range(dim) if not used >> i & 1]
+            else:
+                units = [i for i in range(dim) if not any(out.column(i))]
+            cand = hstack([im, Matrix.identity(dim, p).take(units), nullspace_modp(out, p)])
+            _, piv = rref_modp(cand, p)
             k0 = im.shape[1]
-            reps = ker.take([c - k0 for c in piv if c >= k0])
+            reps = cand.take([c for c in piv if c >= k0])
             if reps.shape[1] != self.dims[d]:
                 raise AssertionError(f"representatives disagree with the rank count at degree {d}")
             self._bases[d] = reps, hstack([reps, im.take([c for c in piv if c < k0])])
         return self._bases[d]
 
+    def labels(self, d: int) -> list[str]:
+        """The representatives at degree d as sums of monomials, starred in homology."""
+        reps = self._basis(d)[0]
+        out = []
+        for k in range(reps.shape[1]):
+            terms = [(self.ctx.render(m), x) for m, x in zip(self.buckets[d], reps.column(k)) if x]
+            s = " + ".join(t if c == 1 else f"{c}*{t}" for t, c in terms)
+            out.append(f"({s})*" if self.pres.variance == "homology" else s)
+        return out
+
     def reduce(self, d: int, vecs: Matrix) -> Matrix:
-        """Coordinates of cycle vectors in the homology basis at degree d."""
+        """Coordinates of cycle vectors in the homology basis at degree d (p = 2)."""
         h = self.dims[d]
         if vecs.shape[1] == 0:
             return Matrix.zeros(h, 0, 2)
@@ -686,7 +648,10 @@ class ExplicitHomology:
         """Matrices of multiplication by the cycle monomial on homology.
 
         Entry d maps H(d) -> H(d + deg(mono)); defined for d <= valid_to.
+        Bitset rows, so p = 2 only: the adjunction chain is its one caller.
         """
+        if self.pres.p != 2:
+            raise AssertionError("multiplication operators are built at p = 2 only")
         deg = sum(self.ctx.gens[self.ctx.index[nm]].degree * e for nm, e in mono.items())
         shift = [0] * len(self.ctx.gens)
         for nm, e in mono.items():
@@ -706,19 +671,6 @@ class ExplicitHomology:
                         img.rows[key] ^= row
             out.append(self.reduce(d + deg, img))
         return out
-
-
-def _explicit_component_dims(pres: Presentation, comp: list[PresGenerator], top: int) -> list[int]:
-    dq = pres.qn_degree
-    ctx = DerivationContext(pres, top + dq, gens=comp)
-    buckets = window_bases(comp, top + dq)
-    dims = []
-    ranks: dict[int, int] = {}
-    for d in range(top + 1):
-        ranks[d] = rank_modp(_qn_block(ctx, buckets[d], buckets[d + dq]), pres.p)
-    for d in range(top + 1):
-        dims.append(len(buckets[d]) - ranks[d] - ranks.get(d - dq, 0))
-    return dims
 
 
 # ---- p = 2 adjunction chain ----
@@ -745,12 +697,6 @@ def _core_level(
     window: int,
     tokens: list[tuple[str, int]],
 ) -> _Level:
-    if not core:
-        dims = [1 if d == 0 else 0 for d in range(window + 1)]
-        level = _Level(dims, window)
-        if tokens:
-            raise AssertionError("no operators can be based on an empty core")
-        return level
     eh = ExplicitHomology(pres, core, window)
     level = _Level(list(eh.dims), window)
     for name, exp in tokens:
@@ -1053,7 +999,7 @@ def _factored_trivial(p: int, n: int, hi: int) -> tuple[int, ...]:
             else:
                 if len(comp) > 3:
                     raise AssertionError("odd-prime components have at most 3 generators")
-                cd = _explicit_component_dims(pres, comp, hi)
+                cd = ExplicitHomology(pres, comp, hi).dims
             terms = [(d2, c) for d2, c in enumerate(cd) if c]
             out = [0] * (hi + 1)
             for d1, a in enumerate(series):
@@ -1080,7 +1026,9 @@ def qn_homology(
         raise ValueError("max_degree must be at least 2")
     total = total_dims(pres, hi)
     if mode == "direct":
-        triv, reps = _direct_trivial(pres, hi, with_reps=True)
+        eh = ExplicitHomology(pres, pres.generators(hi + pres.qn_degree), hi)
+        triv = eh.dims
+        reps = {d: eh.labels(d) if triv[d] else [] for d in range(hi + 1)}
     elif mode == "factored":
         triv = list(_factored_trivial(p, n, hi))
         reps = None

@@ -1174,10 +1174,11 @@ class PairingReport(NamedTuple):
 def pairing_check(coh: Page, hom: Page) -> PairingReport:
     """The cohomology and homology runs determine each other.
 
-    Schedules match with source and target roles swapped; an order-r torsion
-    tower generated in homology degree d pairs with one generated in
-    cohomology degree d + 1 + 2r(p^n - 1); free parts pair degree for degree
-    and the Z_p family under the shift 2p^n - 1 of its order-1 step.
+    Schedules match with source and target roles swapped; the pages pair
+    as uct_matches transports them: an order-r torsion tower generated in
+    homology degree d pairs with one generated in cohomology degree
+    d + 1 + 2r(p^n - 1), free parts pair degree for degree and the Z_p
+    family under the shift 2p^n - 1 of its order-1 step.
     """
     if (coh.p, coh.n) != (hom.p, hom.n) or (coh.variance, hom.variance) != (
         "cohomology",
@@ -1197,29 +1198,10 @@ def pairing_check(coh: Page, hom: Page) -> PairingReport:
         bad = next(x for x, y in zip(direct, swapped) if x != y)
         return PairingReport(False, f"schedule triple {bad} has no mirror")
 
-    ct = coh.torsion_by_degree()
-    ht = hom.torsion_by_degree()
-    orders = {o for (_d, o) in ct} | {o for (_d, o) in ht}
-    for r in sorted(orders):
-        shift = degree_step(r, p, n)
-        ca = Counter({d: c for (d, o), c in ct.items() if o == r and d <= top})
-        hb = Counter({d + shift: c for (d, o), c in ht.items() if o == r and d + shift <= top})
-        if ca != hb:
-            d = _first_difference(ca, hb)
-            return PairingReport(
-                False,
-                f"order-{r} towers: cohomology degree {d} has {ca.get(d, 0)}, "
-                f"homology predicts {hb.get(d, 0)}",
-            )
-    cf, hf = _clip(coh.free_by_degree(), top), _clip(hom.free_by_degree(), top)
-    if cf != hf:
-        d = _first_difference(cf, hf)
-        return PairingReport(False, f"free parts differ at degree {d}")
-    dq = 2 * p**n - 1
-    cz = {d: c for d, c in coh.zp_family if d <= top}
-    hz = {d + dq: c for d, c in hom.zp_family if d + dq <= top}
-    if cz != hz:
-        return PairingReport(False, "Z_p families do not pair under the degree-(2p^n - 1) shift")
+    ok, msg = uct_matches(hom, coh)
+    if not ok:
+        return PairingReport(False, msg)
+    orders = {o for _d, o in coh.torsion_by_degree()} | {o for _d, o in hom.torsion_by_degree()}
     return PairingReport(True, f"pairing verified on [0, {top}] across {len(orders)} tower orders")
 
 

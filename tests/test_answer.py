@@ -310,6 +310,16 @@ def test_bockstein_sees_tampering():
     assert not ok
 
 
+def test_bockstein_keeps_the_derived_orientation():
+    """A homology module relabelled as cohomology fits [0, 2p^n] only with
+    the kernel offset reversed; the check tries no other orientation, so
+    the relabelled module fails at its first bad degree."""
+    a = replace(answer.closed_form(3, 1, "homology", 60), variance="cohomology")
+    ok, msg = answer.bockstein_check(a)
+    assert not ok
+    assert msg.startswith("degree 0: "), msg
+
+
 @pytest.mark.parametrize("variance", ["cohomology", "homology"])
 def test_bockstein_sees_a_planted_closed_route_rank(monkeypatch, variance):
     """One extra free rank at degree d0 on the closed side adds a Z_p at its

@@ -85,6 +85,43 @@ def test_compute_json_bytes_match_parent(capsys, job):
     assert hashlib.sha256(out).hexdigest() == COMPUTE_JSON_SHA256[job]
 
 
+# sha256 of the stdout of `verify` (every suite) and `table` per (command,
+# p, n, variance, max degree): the verdict lines and the charts, guarded the
+# same way as the compute bytes above.
+STDOUT_SHA256 = {
+    ("verify", 3, 1, "cohomology", 60):
+        "ddc59a42bcdcda781f1c7be8e4643adecdd8b0599888c8943f0a49382de7a139",
+    ("verify", 2, 1, "cohomology", 60):
+        "08e29f9cfe334a192ae8b14cf870338ad7b1cb28571d316f928bb19e054ba3d5",
+    ("verify", 2, 2, "homology", 100):
+        "6762f5fc9056ab314550a0735c9f2aed2cb4d1c58dba111b278c01a13c83c366",
+    ("table", 3, 1, "cohomology", 40):
+        "227b3ace6816fa2b82114f6c5c261c263f9a9581549c4b226e4b86b6ee7b0d13",
+    ("table", 2, 2, "cohomology", 90):
+        "b9e769416c97299236d2e31cabb193c0d4755d43a6ec7e0949d6ef201acf8760",
+}
+
+
+@pytest.mark.parametrize("job", STDOUT_SHA256, ids=lambda job: "-".join(map(str, job)))
+def test_verify_and_table_stdout_bytes(capsys, job):
+    command, p, n, variance, hi = job
+    argv = [command, "--p", str(p), "--n", str(n), "--variance", variance, "--max-degree", str(hi)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == STDOUT_SHA256[job]
+
+
+def test_table_computes_each_chart_once(capsys, monkeypatch):
+    """A window wider than 90 degrees prints the dims row from the chart the
+    render already holds: one chart_dims call per rendered page."""
+    calls = []
+    real = ss_engine.Page.chart_dims
+    monkeypatch.setattr(ss_engine.Page, "chart_dims", lambda page: calls.append(1) or real(page))
+    assert main(["table", "--p", "3", "--n", "1", "--max-degree", "200"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("window too wide for a grid") == len(calls) > 1
+
+
 @pytest.mark.parametrize("job", COMPUTE_JSON_SHA256, ids=_job_id)
 def test_compute_json_round_trips(capsys, job):
     p, n, variance, hi, localize = job

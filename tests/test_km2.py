@@ -189,6 +189,51 @@ def test_factored_matches_direct():
         assert fact.check_invariant()
 
 
+@pytest.mark.parametrize("variance", ["cohomology", "homology"])
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (5, 1)])
+def test_representatives_are_cycles_independent_of_the_image(p, n, variance):
+    """At every degree up to 40 the chosen representatives are killed by the
+    outgoing Q_n, stay independent modulo the incoming image, and number
+    dims[d].  The blocks come from qn_matrix and the ranks from the
+    schoolbook reduction, not from ExplicitHomology."""
+    pres = km2.build(p, n, variance)
+    top = 40
+    wide = top + pres.qn_degree
+    eh = km2.ExplicitHomology(pres, pres.generators(wide), top)
+    for d in range(top + 1):
+        reps = _entries(eh._basis(d)[0])
+        k, dim = eh.dims[d], len(reps)
+        assert all(len(row) == k for row in reps), d
+        out = _entries(km2.qn_matrix(pres, d, wide))
+        assert _matmul(out, reps, dim, k, p) == [[0] * k] * len(out), d
+        # the incoming Q_n starts one Q_n-degree below (cohomology) or above
+        src = d - pres.qn_degree if variance == "cohomology" else d + pres.qn_degree
+        image = km2.qn_matrix(pres, src, wide) if src >= 0 else km2.Matrix.zeros(dim, 0, p)
+        cols = image.shape[1]
+        rank_im = len(_schoolbook_rref(_entries(image), cols, p)[1])
+        both = [a + b for a, b in zip(_entries(image), reps)]
+        assert len(_schoolbook_rref(both, cols + k, p)[1]) == rank_im + k, d
+
+
+@pytest.mark.parametrize("p, n, d", [(2, 1, 9), (3, 1, 19)])
+def test_representative_count_sees_a_dropped_kernel_vector(monkeypatch, p, n, d):
+    """A nullspace that loses its first kernel vector leaves too few cycles
+    at degree d, and the representatives must disagree with the ranks."""
+    real = km2.nullspace_modp
+
+    def short(a, p_):
+        ker = real(a, p_)
+        return ker.take(list(range(1, ker.shape[1])))
+
+    monkeypatch.setattr(km2, "nullspace_modp", short)
+    pres = km2.build(p, n)
+    eh = km2.ExplicitHomology(pres, pres.generators(40 + pres.qn_degree), 40)
+    for e in range(d):
+        eh._basis(e)
+    with pytest.raises(AssertionError, match=f"representatives disagree with the rank count at degree {d}$"):
+        eh._basis(d)
+
+
 def test_trivial_prefix_frozen():
     f21 = km2.qn_homology(2, 1, max_degree=19, mode="factored")
     assert f21.trivial == [1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 2, 1, 0]
