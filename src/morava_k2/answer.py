@@ -102,8 +102,6 @@ def to_page(a: AnswerModule) -> Page:
         v_free=a.free_part,
         torsion=tuple(summands),
         zp_family=a.zp_family,
-        names_nominal=True,
-        history=("closed-form module answer",),
     )
 
 

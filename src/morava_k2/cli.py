@@ -1,20 +1,26 @@
 """Command-line front end: compute module answers, verify, print charts.
 
+Each command takes only the options it reads (see _COMMAND_OPTIONS), as
+flags or as the keys of a --config JSON file; any other flag or key is refused.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
-(ConfigError, WindowError), 3 internal consistency failure (any other
-ValueError, RuntimeError or AssertionError from inside the package).
+(an unknown flag or config key, ConfigError, WindowError), 3 internal
+consistency failure (any other ValueError, RuntimeError or AssertionError
+from inside the package), 141 (128 + SIGPIPE) stdout closed by its reader
+before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import groupby
 from typing import NamedTuple
 
 from . import answer, km2, numerology, ss_engine
-from .graded_algebra import E, E_BAR, GAMMA, GAMMA_TRUNC, P, TP, TP_BAR, Factor, TensorExpression
+from .graded_algebra import GAMMA, GAMMA_TRUNC, Factor, TensorExpression
 
 
 class ConfigError(ValueError):
@@ -28,7 +34,6 @@ class RunConfig(NamedTuple):
     variance: str
     lo: int
     hi: int
-    v_cap: int | None
     j_max: int
     fmt: str
     suite: str
@@ -48,6 +53,27 @@ _SUITES = (
     "localization",
 )
 
+# Each option as argparse reads it; the flag is --key with - for _, and the
+# config file key is key itself.
+_OPTIONS = {
+    "p": dict(type=int),
+    "n": dict(type=int),
+    "variance": dict(choices=("cohomology", "homology")),
+    "min_degree": dict(type=int),
+    "max_degree": dict(type=int),
+    "format": dict(choices=("json", "tsv", "text")),
+    "localize": dict(action="store_true", default=None),
+    "suite": dict(choices=_SUITES + ("all",)),
+    "j_max": dict(type=int),
+}
+
+# The options each command reads, and no others.
+_COMMAND_OPTIONS = {
+    "compute": ("p", "n", "variance", "min_degree", "max_degree", "format", "localize"),
+    "verify": ("p", "n", "variance", "max_degree", "suite", "j_max"),
+    "table": ("p", "n", "variance", "max_degree"),
+}
+
 
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -55,23 +81,16 @@ def _parser() -> argparse.ArgumentParser:
         description="Connective Morava K-theory of K(Z_p, 2).",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name in ("compute", "verify", "table"):
+    for name, keys in _COMMAND_OPTIONS.items():
         cmd = sub.add_parser(name)
-        cmd.add_argument("--p", type=int)
-        cmd.add_argument("--n", type=int)
-        cmd.add_argument("--variance", choices=("cohomology", "homology"))
-        cmd.add_argument("--min-degree", type=int, dest="lo")
-        cmd.add_argument("--max-degree", type=int, dest="hi")
-        cmd.add_argument("--v-cap", type=int, dest="v_cap")
-        cmd.add_argument("--j-max", type=int, dest="j_max")
-        cmd.add_argument("--format", choices=("json", "tsv", "text"), dest="fmt")
-        cmd.add_argument("--suite", choices=_SUITES + ("all",))
-        cmd.add_argument("--localize", action="store_true", default=None)
+        for key in keys:
+            cmd.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
         cmd.add_argument("--config", help="JSON file with the same keys; flags win")
     return top
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    keys = _COMMAND_OPTIONS[args.command]
     data = {}
     if args.config:
         try:
@@ -81,8 +100,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = next((key for key in data if key not in keys), None)
+        if unknown is not None:
+            raise ConfigError(f"config key {unknown!r} is not a {args.command} option")
 
-    def pick(flag, key, default, kind=int):
+    def pick(key, default, kind=int):
+        flag = getattr(args, key, None)
         if flag is not None:
             return flag
         if key not in data:
@@ -95,46 +118,36 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             )
         return value
 
-    p = pick(args.p, "p", 3)
-    n = pick(args.n, "n", 1)
+    p = pick("p", 3)
+    n = pick("n", 1)
     if not km2._is_prime(p):
         raise ConfigError("p must be prime")
     if n < 1:
         raise ConfigError("n must be a positive integer")
-    variance = pick(args.variance, "variance", "cohomology", str)
+    variance = pick("variance", "cohomology", str)
     if variance not in ("cohomology", "homology"):
         raise ConfigError("variance must be cohomology or homology")
-    hi = pick(args.hi, "max_degree", km2.default_window(n))
-    lo = pick(args.lo, "min_degree", 0)
+    hi = pick("max_degree", km2.default_window(n))
+    lo = pick("min_degree", 0)
     if lo > hi:
         raise ConfigError("min-degree exceeds max-degree")
-    if lo and args.command != "compute":
-        raise ConfigError(f"min-degree is a compute option; {args.command} starts at degree 0")
     if hi < 2:
         raise ConfigError("max-degree must be at least 2")
-    v_cap = pick(args.v_cap, "v_cap", None)
-    if v_cap is not None and v_cap < 1:
-        raise ConfigError("v-cap must be positive")
-    j_max = pick(args.j_max, "j_max", n + 3)
+    j_max = pick("j_max", n + 3)
     if j_max < n + 2:
         raise ConfigError("j-max must be at least n + 2")
-    fmt = pick(args.fmt, "format", "text", str)
+    fmt = pick("format", "text", str)
     if fmt not in ("json", "tsv", "text"):
         raise ConfigError("format must be json, tsv or text")
-    suite = pick(args.suite, "suite", "all", str)
+    suite = pick("suite", "all", str)
     if suite not in _SUITES + ("all",):
         raise ConfigError(f"unknown suite {suite!r}")
-    localize = pick(args.localize, "localize", False, bool)
-    return RunConfig(
-        args.command, p, n, variance, lo, hi, v_cap, j_max, fmt, suite, localize
-    )
+    localize = pick("localize", False, bool)
+    return RunConfig(args.command, p, n, variance, lo, hi, j_max, fmt, suite, localize)
 
 
 # ---------------------------------------------------------------------------
 # answer serialization
-
-_PLAIN_KINDS = {"P": P, "E": E, "Ebar": E_BAR, "Gamma": GAMMA}
-_SIZED_KINDS = {"TP": TP, "TPbar": TP_BAR, "Gamma": GAMMA_TRUNC}
 
 
 def _factor_dict(f: Factor) -> dict:
@@ -144,21 +157,25 @@ def _factor_dict(f: Factor) -> dict:
 
 def _parse_factor(entry: dict, p: int, n: int, variance: str) -> Factor:
     """One factor entry of the JSON form, its generator resolved through the
-    ss_engine registry for (p, n, variance)."""
+    ss_engine registry for (p, n, variance).  The kind must be spelled as
+    Factor.label spells it."""
     kind, name = entry["factor_kind"], entry["generator"]
-    prefix, _, height = kind.rpartition("_")
-    if height.isdigit() and int(height) >= 2 and prefix in _SIZED_KINDS:
-        factor_kind, size = _SIZED_KINDS[prefix], int(height)
-    elif kind in _PLAIN_KINDS:
-        factor_kind, size = _PLAIN_KINDS[kind], None
-    else:
-        raise ConfigError(f"unknown factor_kind {kind!r} in {entry}")
     gen = ss_engine._generator_named(name, p, n, variance)
     if gen is None:
         raise ConfigError(f"no {variance} generator is named {name!r} at p={p}, n={n}: {entry}")
     if gen.degree != entry["degree"]:
         raise ConfigError(f"{name} has degree {gen.degree}, not {entry['degree']}: {entry}")
-    return Factor(factor_kind, gen, size)
+    base, _, height = kind.partition("_")
+    try:
+        if height:
+            f = Factor(GAMMA_TRUNC if base == GAMMA else base, gen, int(height))
+        else:
+            f = Factor(base, gen)
+    except ValueError as exc:
+        raise ConfigError(f"bad factor_kind {kind!r} in {entry}: {exc}")
+    if f.label() != f"{kind}[{name}]":
+        raise ConfigError(f"factor_kind {kind!r} is not canonical (label {f.label()!r}): {entry}")
+    return f
 
 
 def serialize_answer(a: answer.AnswerModule, series: answer.AnswerSeries) -> dict:
@@ -313,13 +330,10 @@ def cmd_compute(cfg: RunConfig, out) -> int:
 
 
 def _brute_page(cfg: RunConfig, pages: dict, variance: str):
-    """The brute-force page of cfg in this variance, built at most once with
-    cfg.v_cap and shared through pages by the suites of one run (v_cap only
-    validates the window; it changes no tower)."""
+    """The brute-force page of cfg in this variance, built at most once and
+    shared through pages by the suites of one run."""
     if variance not in pages:
-        pages[variance] = ss_engine.run_bruteforce(
-            cfg.p, cfg.n, variance, cfg.hi, v_cap=cfg.v_cap
-        )
+        pages[variance] = ss_engine.run_bruteforce(cfg.p, cfg.n, variance, cfg.hi)
     return pages[variance]
 
 
@@ -453,18 +467,22 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    command = {"compute": cmd_compute, "verify": cmd_verify, "table": cmd_table}[cfg.command]
     try:
-        if cfg.command == "compute":
-            return cmd_compute(cfg, sys.stdout)
-        if cfg.command == "verify":
-            return cmd_verify(cfg, sys.stdout)
-        return cmd_table(cfg, sys.stdout)
+        code = command(cfg, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): point stdout at devnull
+        # so that the interpreter's final flush has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigError, km2.WindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, AssertionError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
+    return code
 
 
 def run() -> None:

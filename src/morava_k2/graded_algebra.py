@@ -89,19 +89,11 @@ class Factor(_FactorFields):
         return range(lo, min(hi, limit) + 1)
 
     def label(self) -> str:
-        if self.kind == P:
-            return f"P[{self.gen.name}]"
-        if self.kind == E:
-            return f"E[{self.gen.name}]"
-        if self.kind == E_BAR:
-            return f"Ebar[{self.gen.name}]"
-        if self.kind == TP:
-            return f"TP_{self.height}[{self.gen.name}]"
-        if self.kind == TP_BAR:
-            return f"TPbar_{self.height}[{self.gen.name}]"
-        if self.kind == GAMMA:
-            return f"Gamma[{self.gen.name}]"
-        return f"Gamma_{self.height}[{self.gen.name}]"
+        """kind[name], or kind_height[name] for a truncated kind, with
+        GammaTrunc written Gamma."""
+        kind = GAMMA if self.kind == GAMMA_TRUNC else self.kind
+        height = "" if self.height is None else f"_{self.height}"
+        return f"{kind}{height}[{self.gen.name}]"
 
 
 class _PoincareSeriesFields(NamedTuple):
@@ -137,16 +129,6 @@ class PoincareSeries(_PoincareSeriesFields):
                         dims[i + j] += a * b
         return PoincareSeries(lo, hi, tuple(dims))
 
-    def restrict(self, lo: int, hi: int) -> "PoincareSeries":
-        return PoincareSeries(lo, hi, tuple(self.dim(d) for d in range(lo, hi + 1)))
-
-
-def series_one(lo: int, hi: int) -> PoincareSeries:
-    dims = [0] * (hi - lo + 1)
-    if lo <= 0 <= hi:
-        dims[-lo] = 1
-    return PoincareSeries(lo, hi, tuple(dims))
-
 
 def _times_exponent_range(dims: list[int], d: int, exps: range) -> list[int]:
     """dims times sum_{e in exps} t^{e d} for d > 0, cut to the same window.
@@ -176,9 +158,6 @@ def _exponent_limit(f: Factor, lo: int, hi: int) -> int:
 
 class TensorExpression(NamedTuple):
     factors: tuple[Factor, ...]
-
-    def tensor(self, other: "TensorExpression") -> "TensorExpression":
-        return TensorExpression(self.factors + other.factors)
 
     def label(self) -> str:
         if not self.factors:

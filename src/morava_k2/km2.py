@@ -474,48 +474,33 @@ class DerivationContext:
         return " ".join(parts) if parts else "1"
 
 
-def window_bases(gens: list[PresGenerator], hi: int) -> list[list[tuple[int, ...]]]:
-    """Monomial bases for every degree 0..hi, in deterministic order."""
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(hi + 1)]
-    exps = [0] * len(gens)
+def each_monomial(degrees: list[int], caps: list[int], hi: int, emit) -> None:
+    """Call emit(exps, degree) once for every exponent vector with
+    exps[k] <= caps[k] and degree = sum of exps[k] * degrees[k] <= hi, all
+    degrees positive.  Depth first: the first generator is outermost and
+    every exponent runs upwards."""
+    exps = [0] * len(degrees)
+    last = len(degrees)
 
     def rec(k: int, deg: int) -> None:
-        if k == len(gens):
-            buckets[deg].append(tuple(exps))
+        if k == last:
+            emit(tuple(exps), deg)
             return
-        g = gens[k]
-        cap = (hi - deg) // g.degree
-        if g.exp_kind == "E":
-            cap = min(cap, 1)
-        for e in range(cap + 1):
+        step = degrees[k]
+        for e in range(min(caps[k], (hi - deg) // step) + 1):
             exps[k] = e
-            rec(k + 1, deg + e * g.degree)
+            rec(k + 1, deg + e * step)
         exps[k] = 0
 
     rec(0, 0)
+
+
+def window_bases(gens: list[PresGenerator], hi: int) -> list[list[tuple[int, ...]]]:
+    """Monomial bases for every degree 0..hi, in deterministic order."""
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(hi + 1)]
+    caps = [1 if g.exp_kind == "E" else hi for g in gens]
+    each_monomial([g.degree for g in gens], caps, hi, lambda m, d: buckets[d].append(m))
     return buckets
-
-
-def qn_matrix(pres: Presentation, d: int, max_degree: int) -> Matrix:
-    """Matrix of Q_n out of degree d over the full monomial basis.
-
-    Cohomology maps degree d to d + (2p^n - 1); homology is the transpose
-    going down.  The window must contain both endpoint degrees.
-    """
-    dq = pres.qn_degree
-    if pres.variance == "cohomology":
-        if not 0 <= d <= d + dq <= max_degree:
-            raise WindowError(f"degrees {d} and {d + dq} must both lie in [0, {max_degree}]")
-        ctx = DerivationContext(pres, max_degree)
-        buckets = window_bases(ctx.gens, max_degree)
-        return _qn_block(ctx, buckets[d], buckets[d + dq])
-    if not 0 <= d <= max_degree:
-        raise WindowError(f"degree {d} must lie in [0, {max_degree}]")
-    ctx = DerivationContext(pres, max_degree)
-    buckets = window_bases(ctx.gens, max_degree)
-    if d < dq:
-        return Matrix.zeros(0, len(buckets[d]), pres.p)
-    return _qn_block(ctx, buckets[d - dq], buckets[d]).T
 
 
 def _qn_block(
@@ -939,16 +924,6 @@ class QnHomologyReport(NamedTuple):
     free_rank: list[int]
     trivial_reps: dict[int, list[str]] | None
 
-    def check_invariant(self) -> bool:
-        dq = 2 * self.p**self.n - 1
-        for d in range(self.max_degree + 1):
-            lower = self.free_rank[d - dq] if d >= dq else 0
-            if self.total[d] != self.trivial[d] + self.free_rank[d] + lower:
-                return False
-            if self.free_rank[d] < 0 or self.trivial[d] < 0:
-                return False
-        return True
-
     def trivial_series(self) -> PoincareSeries:
         return PoincareSeries(0, self.max_degree, tuple(self.trivial))
 
@@ -1195,21 +1170,12 @@ def qn_square_check(
                 for m in bucket:
                     run(ctx, m)
         else:
-            caps = [min(2 * p - 1, max_degree // g.degree) for g in comp]
-            exps = [0] * len(comp)
-
-            def sweep(k: int, deg: int) -> None:
-                if k == len(comp):
-                    run(ctx, tuple(exps))
-                    return
-                for e in range(caps[k] + 1):
-                    if deg + e * comp[k].degree > max_degree:
-                        break
-                    exps[k] = e
-                    sweep(k + 1, deg + e * comp[k].degree)
-                exps[k] = 0
-
-            sweep(0, 0)
+            each_monomial(
+                [g.degree for g in comp],
+                [2 * p - 1] * len(comp),
+                max_degree,
+                lambda m, _d: run(ctx, m),
+            )
             for _ in range(10 * mixed_samples):
                 run(ctx, _random_monomial(rng, ctx, list(comp), max_degree))
     ctx = DerivationContext(pres, max_degree + 2 * dq, missing_as_zero=True)

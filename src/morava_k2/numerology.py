@@ -76,12 +76,6 @@ def degree_z(i: int, p: int) -> int:
     return 2 * (p**i + 1)
 
 
-def degree_u(i: int, p: int) -> int:
-    if i < 0:
-        raise ValueError("u indices start at 0")
-    return 2 * p**i + 1
-
-
 def degree_w(index2: int, p: int, n: int) -> int:
     """Degree of w indexed by index2/2; index2 is twice the written index.
 

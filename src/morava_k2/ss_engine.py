@@ -388,8 +388,6 @@ class Page(NamedTuple):
     v_free: TensorExpression | None
     torsion: tuple[TowerSummand, ...]
     zp_family: tuple[tuple[int, int], ...]
-    names_nominal: bool = False
-    history: tuple[str, ...] = ()
 
     def free_by_degree(self) -> Counter:
         """Generator degrees of the v-free part, inside the window."""
@@ -482,7 +480,6 @@ class _PageState:
             self.zlo = n + 1
         self.families = families
         self.torsion: list[TowerSummand] = []
-        self.history: list[str] = []
         self.stage = 2
 
     def _base_factors(self) -> list[Factor]:
@@ -509,8 +506,6 @@ class _PageState:
             v_free=_v_free(self.p, self.n, self.variance, self._base_factors(), self.window[1]),
             torsion=tuple(self.torsion),
             zp_family=zp,
-            names_nominal=self.stage > 2,
-            history=tuple(self.history),
         )
 
     def apply_stage(self, group: list[Differential]) -> None:
@@ -520,22 +515,21 @@ class _PageState:
         if any(e.paired for e in group):
             if len(group) != 2 or {e.family for e in group} != {"y", "half"}:
                 raise RuntimeError("a p = 2 paired stage needs exactly its two entries")
-            note = self._apply_p2_paired(group[0].index, st)
+            self._apply_p2_paired(group[0].index)
         else:
             if len(group) != 1:
                 raise RuntimeError(f"unrelated differentials share stage {st}")
             e = group[0]
             if e.family == "y":
-                note = self._apply_y(e.index, st)
+                self._apply_y(e.index)
             else:
-                note = self._apply_half(e.index, st)
+                self._apply_half(e.index)
         for f in self.families:
             if f.order == st:
                 self.torsion += _summands(f.expression, st, self.window[1])
-        self.history.append(note)
         self.stage = st + 1
 
-    def _apply_y(self, j: int, st: int) -> str:
+    def _apply_y(self, j: int) -> None:
         """d(y_j) = v^r w_{n+j} on P[y_j] (x) E[w_{n+j}]: free survivors are
         P[y_{j+1}] (x) E[y_j^{p-1} w_{n+j}], the latter renamed w_{n+j+1/2}."""
         n = self.n
@@ -544,9 +538,8 @@ class _PageState:
         self.jy = j + 1
         self.wlist.remove(n + j)
         self.half = 2 * (n + j) + 1
-        return f"stage {st}: d(y_{j}) = v^{st} {km2.w_name(2 * (n + j))}"
 
-    def _apply_half(self, j: int, st: int) -> str:
+    def _apply_half(self, j: int) -> None:
         """d(w_{n+j+1/2}) = v^r z_{n+j+1} on E[w] (x) TP_{p^n}[z]: the free
         survivor w z^{p^n - 1} is renamed w_{2n+j+1}."""
         n = self.n
@@ -554,13 +547,11 @@ class _PageState:
             raise RuntimeError(
                 f"page does not carry E[{km2.w_name(2 * (n + j) + 1)}] (x) TP[z_{n + j + 1}]"
             )
-        half_index2 = self.half
         self.half = None
         self.zlo = n + j + 2
         self.wlist.append(2 * n + j + 1)
-        return f"stage {st}: d({km2.w_name(half_index2)}) = v^{st} z_{n + j + 1}"
 
-    def _apply_p2_paired(self, j: int, st: int) -> str:
+    def _apply_p2_paired(self, j: int) -> None:
         """The p = 2 doubled rule at stage 2^j: d(y_j w^c) = v^r w^{c+1} inside
         P[y_j] (x) TP_{2^{n+1}}[w_{n+j}]; survivors P[y_{j+1}] (x) E[y_j w^{2^{n+1}-1}]."""
         n = self.n
@@ -569,10 +560,6 @@ class _PageState:
         self.jy = j + 1
         self.tpw.remove(n + j)
         self.wlist.append(2 * n + j + 1)
-        return (
-            f"stage {st}: d(y_{j}) = v^{st} w_{n + j} and "
-            f"d(y_{j} w_{n + j}) = v^{st} z_{n + j + 1}"
-        )
 
 
 def zp_family_closed(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int, int], ...]:
@@ -823,27 +810,11 @@ class _Lattice:
     def __init__(self, p: int, n: int, coords: list[_Coord], limit: int):
         self.p, self.n = p, n
         self.coords = coords
-        self.limit = limit
         self.pos = {(c.tag, c.index): k for k, c in enumerate(coords)}
         self.monomials: dict[tuple, int] = {}
-        self._enumerate()
-
-    def _enumerate(self) -> None:
-        exps = [0] * len(self.coords)
-
-        def rec(k: int, deg: int) -> None:
-            if k == len(self.coords):
-                self.monomials[tuple(exps)] = deg
-                return
-            c = self.coords[k]
-            e = 0
-            while e <= c.cap and deg + e * c.degree <= self.limit:
-                exps[k] = e
-                rec(k + 1, deg + e * c.degree)
-                e += 1
-            exps[k] = 0
-
-        rec(0, 0)
+        km2.each_monomial(
+            [c.degree for c in coords], [c.cap for c in coords], limit, self.monomials.__setitem__
+        )
 
     def _shift(self, mono: tuple, delta: list[tuple[int, int]]) -> tuple | None:
         exps = list(mono)
@@ -1035,7 +1006,6 @@ def run_bruteforce(
     n: int,
     variance: str = "cohomology",
     window=None,
-    v_cap: int | None = None,
     mode: str = "grouped",
 ) -> Page:
     """E-infinity by monomial bookkeeping over the E2 lattice.
@@ -1043,19 +1013,16 @@ def run_bruteforce(
     grouped mode runs one lattice per residue class of the family index
     modulo n+1 (no differential couples distinct classes) and combines the
     per-class towers over P[v]; full mode runs the whole lattice at once
-    and is only meant for small windows.
+    and is only meant for small windows.  The schedule runs to the widest
+    stage that reaches the window, so no v-power bound is needed.  The
+    page holds only towers (v_free is None) and the Z_p family read off
+    the F_p ranks of km2.qn_homology.
     """
     if mode not in ("grouped", "full"):
         raise ValueError("mode must be 'grouped' or 'full'")
     lo, top = _norm_window(n, window)
     km2.build(p, n, variance)
     plan = _plan(p, n, top, variance)
-    if v_cap is None:
-        v_cap = plan.max_stage + 2
-    if v_cap < plan.max_stage:
-        raise WindowError(
-            f"v_cap={v_cap} truncates stage-{plan.max_stage} torsion visible in [0, {top}]"
-        )
     sched = schedule(p, n, plan.j_ext, variance)
     summands: list[TowerSummand] = []
     if mode == "full":
@@ -1116,8 +1083,6 @@ def run_bruteforce(
         v_free=None,
         torsion=tuple(summands),
         zp_family=zp_family_counts(p, n, variance, top),
-        names_nominal=True,
-        history=(f"{mode} sweep, enumeration limit {plan.enum_limit}, v_cap {v_cap}",),
     )
 
 

@@ -216,8 +216,10 @@ def test_compute_positive_min_degree(capsys):
 
 @pytest.mark.parametrize("command", ["table", "verify"])
 def test_min_degree_is_compute_only(capsys, command):
-    assert main([command, "--p", "3", "--n", "1", "--min-degree", "4", "--max-degree", "60"]) == 2
-    assert "min-degree is a compute option" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main([command, "--p", "3", "--n", "1", "--min-degree", "4", "--max-degree", "60"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --min-degree 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("variance", ["cohomology", "homology"])
@@ -299,11 +301,6 @@ def test_verify_builds_each_brute_page_once(capsys, monkeypatch):
     assert main(VERIFY_31) == 0
     assert capsys.readouterr().out == want
     assert len(calls) == 2  # one per variance, shared by oracle, pairing and uct
-    calls.clear()
-    assert main(VERIFY_31 + ["--v-cap", "40"]) == 0
-    assert capsys.readouterr().out.count("PASS\t") == 8
-    assert len(calls) == 2  # the cap changes no tower, so every suite shares it
-    assert all(kwargs["v_cap"] == 40 for _args, kwargs in calls)
 
 
 def test_shared_brute_page_keeps_pairing_and_uct_honest(capsys, monkeypatch):
@@ -325,15 +322,6 @@ def test_shared_brute_page_keeps_pairing_and_uct_honest(capsys, monkeypatch):
     assert len(calls) == 2
 
 
-def test_verify_v_cap_below_visible_stage_exits_2(capsys):
-    # every suite that reads a brute page refuses the cap, not only oracle
-    for suite in ("all", "pairing"):
-        assert main(VERIFY_31 + ["--suite", suite, "--v-cap", "1"]) == 2
-        captured = capsys.readouterr()
-        assert "oracle" not in captured.out and "pairing" not in captured.out
-        assert captured.err.startswith("error: v_cap=1 truncates")
-
-
 def test_composite_p_rejected(capsys):
     assert main(["verify", "--p", "4", "--n", "1"]) == 2
     assert "p must be prime" in capsys.readouterr().err
@@ -349,12 +337,12 @@ def test_invalid_config_values(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["compute", "--format", "xml"])
     capsys.readouterr()
-    # a value of the wrong JSON type names its key and exits 2, never 1
+    # a value of the wrong JSON type names its key and exits 2, never 1, in
+    # each command that reads the key
     for key, value in [
         ("max_degree", "400"),
         ("max_degree", 40.5),
         ("min_degree", True),
-        ("v_cap", "3"),
         ("j_max", None),
         ("localize", "no"),
         ("localize", 1),
@@ -365,10 +353,47 @@ def test_invalid_config_values(capsys, tmp_path):
         ("suite", ["qn"]),
     ]:
         cfg.write_text(json.dumps({key: value}))
-        for command in ("compute", "verify"):
+        commands = [c for c, keys in cli._COMMAND_OPTIONS.items() if key in keys]
+        for command in commands:
             assert main([command, "--config", str(cfg)]) == 2, (command, key, value)
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and repr(key) in err, err
+            assert err.startswith(f"error: config key {key!r} must be a JSON "), err
+
+
+# A flag that its command does not read is refused (exit 2) and named, never
+# accepted and dropped.
+_IGNORED_FLAGS = [
+    (["compute", "--max-degree", "40"], ["--v-cap", "1"]),
+    (["compute", "--max-degree", "40"], ["--suite", "qn"]),
+    (["compute", "--max-degree", "40"], ["--j-max", "9"]),
+    (["table", "--max-degree", "40"], ["--format", "json"]),
+    (["table", "--max-degree", "40"], ["--localize"]),
+    (["verify", "--max-degree", "40", "--suite", "numerology"], ["--format", "tsv"]),
+    (["verify", "--max-degree", "40", "--suite", "numerology"], ["--localize"]),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _IGNORED_FLAGS, ids=lambda x: " ".join(x))
+def test_flag_a_command_ignores_exits_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main(argv + flag)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "table"])
+@pytest.mark.parametrize("key", ["max_degre", "v_cap"])
+def test_config_key_a_command_ignores_exits_2(capsys, tmp_path, command, key):
+    """A key the command does not read is refused and named: dropped, a
+    misspelt key would leave the run on its default window."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: 40}))
+    assert main([command, "--config", str(cfg), "--max-degree", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config key {key!r} is not a {command} option\n"
 
 
 def test_config_file_supplies_defaults_but_flags_win(capsys, tmp_path):
@@ -462,6 +487,25 @@ def _cli_subprocess(argv, block_numpy):
     return _python("-c", _CLI_SCRIPT, "block" if block_numpy else "allow", *argv)
 
 
+def test_closed_stdout_exits_141_without_traceback():
+    """A reader that closes stdout before the output is written (as
+    `compute ... | head -1` can) gets exit 141, 128 + SIGPIPE, and an empty
+    stderr: no traceback and no "Exception ignored" line."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "morava_k2.cli", "compute", "--p", "3", "--n", "1",
+             "--max-degree", "60", "--format", "tsv"],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 141
+
+
 def test_demos_run():
     """Each demo script runs to exit 0, so its imports and its `assert ok`
     checks hold on every tier-1 run."""
@@ -524,6 +568,22 @@ def test_verify_runs_without_numpy(capsys, argv):
     assert done.returncode == 0, done.stderr.decode()
     assert done.stderr == b"numpy loaded: False\n"
     assert done.stdout == want
+
+
+def test_parse_answer_requires_canonical_factor_kinds():
+    """A factor_kind must be spelled as Factor.label spells it; "TPbar_03"
+    once parsed as TPbar_3."""
+    a = answer.closed_form(3, 1, window=30)
+    text = json.dumps(cli.serialize_answer(a, answer.poincare_answer(a)))
+    for kind in ("TPbar_03", "TPbar_+3", "TPbar_3 ", "GammaTrunc_3", "TPbar_1", "TPbar", "E_2"):
+        doc = json.loads(text)
+        entry = next(
+            x for f in doc["torsion"] for x in f["cofactor"] if x["factor_kind"] == "TPbar_3"
+        )
+        entry["factor_kind"] = kind
+        with pytest.raises(cli.ConfigError, match=re.escape(repr(kind))) as info:
+            cli.parse_answer(doc)
+        assert str(entry) in str(info.value)
 
 
 def test_parse_answer_rejects_unknown_generator(monkeypatch):

@@ -14,8 +14,9 @@ from morava_k2.graded_algebra import (
     TP_BAR,
     TensorExpression,
     _exponent_limit,
-    series_one,
 )
+
+from helpers import restrict, series_one, tensor
 
 
 def test_generator_rejects_degree_zero():
@@ -80,7 +81,7 @@ def test_divided_power_two_routes():
 def test_series_window_arithmetic():
     a = PoincareSeries(0, 2, (1, 1, 0))
     b = PoincareSeries(0, 2, (1, 0, 1))
-    assert a.mul(b).restrict(0, 4).dims == (1, 1, 1, 1, 0)
+    assert restrict(a.mul(b), 0, 4).dims == (1, 1, 1, 1, 0)
     assert series_one(-2, 2).dim(0) == 1
 
 
@@ -107,8 +108,8 @@ def test_poincare_multiplicative(a, b):
             for f in b.factors
         )
     )
-    lhs = a.tensor(b2).poincare(0, 24)
-    rhs = a.poincare(0, 24).mul(b2.poincare(0, 24)).restrict(0, 24)
+    lhs = tensor(a, b2).poincare(0, 24)
+    rhs = restrict(a.poincare(0, 24).mul(b2.poincare(0, 24)), 0, 24)
     assert lhs.dims == rhs.dims
 
 
@@ -121,8 +122,8 @@ def _schoolbook_poincare(expr: TensorExpression, lo: int, hi: int) -> PoincareSe
         for e in f.exponent_range(_exponent_limit(f, wlo, whi)):
             if wlo <= e * f.gen.degree <= whi:
                 dims[e * f.gen.degree - wlo] += 1
-        out = out.mul(PoincareSeries(wlo, whi, tuple(dims))).restrict(wlo, whi)
-    return out.restrict(lo, hi)
+        out = restrict(out.mul(PoincareSeries(wlo, whi, tuple(dims))), wlo, whi)
+    return restrict(out, lo, hi)
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import pytest
 
+from morava_k2 import km2
 from morava_k2.numerology import (
-    degree_u,
     degree_w,
     degree_y,
     degree_z,
@@ -12,6 +12,8 @@ from morava_k2.numerology import (
     rprime,
     split,
 )
+
+from helpers import degree_u
 
 PAIRS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
 
@@ -64,6 +66,10 @@ def test_degrees():
     assert degree_z(1, 3) == 8
     assert degree_z(2, 3) == 20
     assert degree_u(1, 3) == 7
+    # the presentation's u_i sit in degree 2p^i + 1
+    for p in (2, 3, 5):
+        us = [g for g in km2.build(p, 1).generators(200) if g.name.startswith("u_")]
+        assert [g.degree for g in us] == [degree_u(i, p) for i in range(len(us))]
     # (3,1) w-degrees by doubled index: w_1, w_3/2, w_2, w_5/2, w_3
     assert [degree_w(k, 3, 1) for k in range(2, 7)] == [7, 11, 19, 31, 51]
     # (2,1): w_1=u_1, w_2, w_3 and the half-index steps
