@@ -401,15 +401,14 @@ def cmd_verify(cfg: RunConfig, out) -> int:
 
 
 def _render_grid(page, out) -> None:
-    chart = page.chart_dims()
+    """The page's (degree, filtration) grid, or for a window wider than 90
+    degrees one row of dimensions by degree, read from chart_series."""
     lo, hi = page.window
     if hi - lo > 90:
-        dims = [0] * (hi - lo + 1)
-        for (d, _s), c in chart.items():
-            dims[d - lo] += c
-        row = " ".join(map(str, dims))
+        row = " ".join(map(str, page.chart_series().dims))
         print(f"window too wide for a grid; dims by degree: {row}", file=out)
         return
+    chart = page.chart_dims()
     if not chart:
         print("(empty grid)", file=out)
         return

@@ -20,6 +20,7 @@ the needed multiplication operators are carried along through each stage.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .graded_algebra import PoincareSeries
@@ -111,18 +112,27 @@ def hstack(blocks: list[Matrix]) -> Matrix:
     return Matrix(rows, cols, 2)
 
 
-def _matmul2(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b over F_2: each row of a selects the rows of b it XORs."""
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b over F_p: each row of a combines the rows of b it selects."""
     brows = b.rows
     out = []
+    if a.p == 2:
+        for x in a.rows:
+            acc = 0
+            while x:
+                low = x & -x
+                acc ^= brows[low.bit_length() - 1]
+                x ^= low
+            out.append(acc)
+        return Matrix(out, b.shape[1], 2)
+    p, cols = a.p, b.shape[1]
     for x in a.rows:
-        acc = 0
-        while x:
-            low = x & -x
-            acc ^= brows[low.bit_length() - 1]
-            x ^= low
+        acc = [0] * cols
+        for k, c in enumerate(x):
+            if c:
+                acc = [(u + c * v) % p for u, v in zip(acc, brows[k])]
         out.append(acc)
-    return Matrix(out, b.shape[1], 2)
+    return Matrix(out, cols, p)
 
 
 def _rref2(rows: list[int]) -> tuple[list[int], list[int]]:
@@ -478,21 +488,31 @@ def each_monomial(degrees: list[int], caps: list[int], hi: int, emit) -> None:
     """Call emit(exps, degree) once for every exponent vector with
     exps[k] <= caps[k] and degree = sum of exps[k] * degrees[k] <= hi, all
     degrees positive.  Depth first: the first generator is outermost and
-    every exponent runs upwards."""
+    every exponent runs upwards.  A vector whose remaining generators no
+    longer fit is emitted in the loop that reaches it, not one level down."""
+    if hi < 0:
+        return
     exps = [0] * len(degrees)
-    last = len(degrees)
+    # floor[k]: no generator from k on fits into less room than this
+    floor = [hi + 1] * (len(degrees) + 1)
+    for k in range(len(degrees) - 1, -1, -1):
+        floor[k] = min(degrees[k], floor[k + 1])
 
     def rec(k: int, deg: int) -> None:
-        if k == last:
-            emit(tuple(exps), deg)
-            return
-        step = degrees[k]
+        step, rest = degrees[k], floor[k + 1]
         for e in range(min(caps[k], (hi - deg) // step) + 1):
             exps[k] = e
-            rec(k + 1, deg + e * step)
+            d = deg + e * step
+            if hi - d < rest:
+                emit(tuple(exps), d)
+            else:
+                rec(k + 1, d)
         exps[k] = 0
 
-    rec(0, 0)
+    if hi < floor[0]:
+        emit(tuple(exps), 0)
+    else:
+        rec(0, 0)
 
 
 def window_bases(gens: list[PresGenerator], hi: int) -> list[list[tuple[int, ...]]]:
@@ -802,7 +822,7 @@ class _ConeData:
                 if tag == "c":
                     coords = self.coker_project(e + deg, mats[e].take(self.nonpiv[e]))
                 else:
-                    img = _matmul2(mats[e], self.ker[e])
+                    img = _matmul(mats[e], self.ker[e])
                     kb = self.ker[e + deg]
                     coords = solve_modp(kb, img, 2) if kb.shape[1] else Matrix.zeros(0, size, 2)
                 if coords.shape != (tsize, size):
@@ -1128,6 +1148,33 @@ def _random_monomial(rng, ctx: DerivationContext, gens: list[PresGenerator], roo
     return tuple(exps)
 
 
+def _square_failures(ctx: DerivationContext, buckets, hi: int) -> Iterator[tuple[int, ...]]:
+    """The monomials of degree <= hi on which Q_n∘Q_n is nonzero, in bucket
+    order, read off the products of consecutive Q_n blocks.
+
+    Blocks are built one source degree at a time and only the next dq of
+    them are held; a degree whose first block is zero needs no product.
+    """
+    dq = ctx.pres.qn_degree
+    ahead: dict[int, Matrix] = {}
+    for d in range(hi + 1):
+        src = buckets[d]
+        if not src:
+            continue
+        first = ahead.pop(d, None) or _qn_block(ctx, src, buckets[d + dq])
+        if not any(first.rows):
+            continue
+        second = _qn_block(ctx, buckets[d + dq], buckets[d + 2 * dq])
+        if d + dq <= hi:
+            ahead[d + dq] = second
+        square = _matmul(second, first)
+        if ctx.p == 2:
+            bad = functools.reduce(int.__or__, square.rows, 0)
+            yield from (m for j, m in enumerate(src) if bad >> j & 1)
+        else:
+            yield from (m for j, m in enumerate(src) if any(r[j] for r in square.rows))
+
+
 def qn_square_check(
     p: int,
     n: int,
@@ -1139,14 +1186,18 @@ def qn_square_check(
     """Check Q_n(Q_n(m)) = 0 through the implemented derivation.
 
     Per Q_n-coupled tensor component, every monomial up to max_degree is
-    swept when the count fits component_budget.  One p=2 component grows to
-    tens of millions of monomials; there the sweep covers all monomials with
-    every exponent <= 2p-1 (the Leibniz coefficients read exponents only
-    mod p, and exterior caps only read presence, so these exhaust every
-    cancellation class) plus seeded full-range samples.  Products across
-    components satisfy the identity once each factor does (the cross terms
-    of a derivation square cancel), but random mixed monomials are pushed
-    through the code path as well.  Returns (monomials checked, failures).
+    swept when the count fits component_budget: degree by degree, the
+    product of the Q_n block out of d + dq with the block out of d (the
+    blocks ExplicitHomology ranks) must vanish, and each nonzero column is
+    a failing monomial.  One p=2 component grows to tens of millions of
+    monomials; there the sweep covers all monomials with every exponent
+    <= 2p-1 (the Leibniz coefficients read exponents only mod p, and
+    exterior caps only read presence, so these exhaust every cancellation
+    class) plus seeded full-range samples, one monomial at a time.
+    Products across components satisfy the identity once each factor does
+    (the cross terms of a derivation square cancel), but random mixed
+    monomials are pushed through the code path as well.  Returns (monomials
+    checked, failures).
     """
     import random
 
@@ -1165,10 +1216,11 @@ def qn_square_check(
 
     for comp in components(pres, max_degree + 2 * dq):
         ctx = DerivationContext(pres, max_degree + 2 * dq, gens=comp, missing_as_zero=True)
-        if sum(_prefix_sum_series(comp, max_degree)) <= component_budget:
-            for bucket in window_bases(comp, max_degree):
-                for m in bucket:
-                    run(ctx, m)
+        count = sum(_prefix_sum_series(comp, max_degree))
+        if count <= component_budget:
+            buckets = window_bases(comp, max_degree + 2 * dq)
+            failures += _square_failures(ctx, buckets, max_degree)
+            checked += count
         else:
             each_monomial(
                 [g.degree for g in comp],

@@ -410,14 +410,19 @@ class Page(NamedTuple):
                 out[(t.generator_degree, t.order)] += t.count
         return out
 
+    def _towers(self) -> list[tuple[int, object, int]]:
+        """(generator degree, order, count) of every P[v]-tower on the page."""
+        towers = [(g, INF, c) for g, c in self.free_by_degree().items()]
+        return towers + [
+            (t.generator_degree, t.order, t.count) for t in self.torsion if t.order != INF
+        ]
+
     def chart_dims(self) -> Counter:
         """Dimension of each (degree, filtration) spot inside the window."""
         lo, hi = self.window
         dv = v_degree(self.p, self.n, self.variance)
         out: Counter = Counter()
-        towers = [(g, INF, c) for g, c in self.free_by_degree().items()]
-        towers += [(g, order, c) for (g, order), c in self.torsion_by_degree().items()]
-        for g, order, c in towers:
+        for g, order, c in self._towers():
             for e in _tower_powers(g, order, dv, lo, hi):
                 out[(g + e * dv, e)] += c
         for d, c in self.zp_family:
@@ -426,11 +431,27 @@ class Page(NamedTuple):
         return out
 
     def chart_series(self) -> PoincareSeries:
+        """Dimension of each degree inside the window: chart_dims summed over
+        the filtrations, without visiting a spot.  A tower's classes in the
+        window are one run with stride |v|, entered as +c at its lowest
+        degree and -c one stride past its highest; a prefix sum with that
+        stride then counts each degree once per run that covers it."""
         lo, hi = self.window
-        dims = [0] * (hi - lo + 1)
-        for (d, _s), c in self.chart_dims().items():
-            dims[d - lo] += c
-        return PoincareSeries(lo, hi, tuple(dims))
+        dv = v_degree(self.p, self.n, self.variance)
+        s = abs(dv)
+        dims = [0] * (hi - lo + 1 + s)
+        for g, order, c in self._towers():
+            powers = _tower_powers(g, order, dv, lo, hi)
+            if powers:
+                low, high = (powers[0], powers[-1]) if dv > 0 else (powers[-1], powers[0])
+                dims[g + low * dv - lo] += c
+                dims[g + high * dv - lo + s] -= c
+        for i in range(s, len(dims)):
+            dims[i] += dims[i - s]
+        for d, c in self.zp_family:
+            if lo <= d <= hi:
+                dims[d - lo] += c
+        return PoincareSeries(lo, hi, tuple(dims[: hi - lo + 1]))
 
 
 def zp_family_counts(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int, int], ...]:

@@ -1,7 +1,10 @@
 """Reference code that only the tests read: series arithmetic for the
 schoolbook Poincare fold, the Q_n matrix on the full monomial basis, the
-E[Q_n] split invariant of a report, and the degree of u_i.
+E[Q_n] split invariant of a report, the degree of u_i, and the Q_n-square
+sweep one monomial at a time.
 """
+
+import random
 
 from morava_k2 import km2
 from morava_k2.graded_algebra import PoincareSeries, TensorExpression
@@ -57,3 +60,49 @@ def check_invariant(rep: km2.QnHomologyReport) -> bool:
         if rep.free_rank[d] < 0 or rep.trivial[d] < 0:
             return False
     return True
+
+
+def qn_square_reference(
+    p: int,
+    n: int,
+    max_degree: int,
+    mixed_samples: int = 2000,
+    component_budget: int = 1_000_000,
+    seed: int = 0,
+) -> tuple[int, list[tuple[int, ...]]]:
+    """km2.qn_square_check with every swept monomial pushed through the
+    derivation on its own: Q_n of the monomial, then Q_n of that polynomial
+    term by term.  Same monomials, same order, same (checked, failures)."""
+    pres = km2.build(p, n)
+    dq = pres.qn_degree
+    rng = random.Random(seed)
+    checked = 0
+    failures: list[tuple[int, ...]] = []
+
+    def run(ctx: km2.DerivationContext, m: tuple[int, ...]) -> None:
+        nonlocal checked
+        q1 = ctx.qn_monomial(m)
+        if q1 and ctx.qn_poly(q1):
+            failures.append(m)
+        checked += 1
+
+    for comp in km2.components(pres, max_degree + 2 * dq):
+        ctx = km2.DerivationContext(pres, max_degree + 2 * dq, gens=comp, missing_as_zero=True)
+        if sum(km2._prefix_sum_series(comp, max_degree)) <= component_budget:
+            for bucket in km2.window_bases(comp, max_degree):
+                for m in bucket:
+                    run(ctx, m)
+        else:
+            km2.each_monomial(
+                [g.degree for g in comp],
+                [2 * p - 1] * len(comp),
+                max_degree,
+                lambda m, _d: run(ctx, m),
+            )
+            for _ in range(10 * mixed_samples):
+                run(ctx, km2._random_monomial(rng, ctx, list(comp), max_degree))
+    ctx = km2.DerivationContext(pres, max_degree + 2 * dq, missing_as_zero=True)
+    full_gens = [g for g in ctx.gens if g.degree <= max_degree]
+    for _ in range(mixed_samples):
+        run(ctx, km2._random_monomial(rng, ctx, full_gens, max_degree))
+    return checked, failures

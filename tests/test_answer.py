@@ -3,6 +3,8 @@
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morava_k2 import answer, km2, ss_engine as ss
 from morava_k2.graded_algebra import E, TensorExpression, replace
@@ -193,15 +195,28 @@ def test_poincare_free_tower_negative_window():
     assert [s.dim(d) for d in range(-8, 1)] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
-def test_poincare_matches_chart_series():
-    for p, n, top in [(3, 1, 60), (2, 2, 90)]:
-        for variance in ("cohomology", "homology"):
-            a = answer.closed_form(p, n, variance, top)
-            total = answer.poincare_answer(a).total
-            chart = answer.to_page(a).chart_series()
-            assert [total.dim(d) for d in range(top + 1)] == [
-                chart.dim(d) for d in range(top + 1)
-            ], (p, n, variance)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 3),
+    variance=st.sampled_from(["cohomology", "homology"]),
+    top=st.integers(2, 150),
+    lo=st.integers(-30, 0),
+    localized=st.booleans(),
+)
+@example(p=3, n=1, variance="cohomology", top=60, lo=0, localized=False)
+@example(p=3, n=1, variance="homology", top=60, lo=0, localized=False)
+@example(p=2, n=2, variance="cohomology", top=90, lo=0, localized=False)
+@example(p=2, n=2, variance="homology", top=90, lo=0, localized=False)
+@settings(deadline=None, max_examples=60)
+def test_poincare_matches_chart_series(p, n, variance, top, lo, localized):
+    """The chart of the answer's page and poincare_answer count the same
+    classes in every degree, also below degree 0."""
+    a = answer.closed_form(p, n, variance, (0, top))
+    if localized:
+        a = answer.localize(a)
+    total = answer.poincare_answer(a, (lo, top)).total
+    chart = answer.to_page(a)._replace(window=(lo, top)).chart_series()
+    assert chart == total
 
 
 def test_poincare_by_v_power():

@@ -112,14 +112,24 @@ def test_verify_and_table_stdout_bytes(capsys, job):
 
 
 def test_table_computes_each_chart_once(capsys, monkeypatch):
-    """A window wider than 90 degrees prints the dims row from the chart the
-    render already holds: one chart_dims call per rendered page."""
-    calls = []
-    real = ss_engine.Page.chart_dims
-    monkeypatch.setattr(ss_engine.Page, "chart_dims", lambda page: calls.append(1) or real(page))
+    """A window wider than 90 degrees prints its dims row from one
+    chart_series call per rendered page and places no spot; a grid it
+    draws comes from one chart_dims call per page and no series."""
+    calls = Counter()
+    for name in ("chart_dims", "chart_series"):
+        real = getattr(ss_engine.Page, name)
+        monkeypatch.setattr(
+            ss_engine.Page, name, lambda page, real=real, name=name: calls.update([name]) or real(page)
+        )
     assert main(["table", "--p", "3", "--n", "1", "--max-degree", "200"]) == 0
     out = capsys.readouterr().out
-    assert out.count("window too wide for a grid") == len(calls) > 1
+    assert out.count("window too wide for a grid") == calls["chart_series"] > 1
+    assert calls["chart_dims"] == 0
+    calls.clear()
+    assert main(["table", "--p", "3", "--n", "1", "--max-degree", "60"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("left to right") + out.count("(empty grid)") == calls["chart_dims"] > 1
+    assert calls["chart_series"] == 0
 
 
 @pytest.mark.parametrize("job", COMPUTE_JSON_SHA256, ids=_job_id)

@@ -5,14 +5,16 @@ per-degree kernel/image computation and the tensor-component factorization)
 agreeing before freezing.
 """
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morava_k2 import km2
 from morava_k2.graded_algebra import E, Factor, Generator, P, TensorExpression
 
-from helpers import check_invariant, qn_matrix
+from helpers import check_invariant, qn_matrix, qn_square_reference
 
 
 def count_nonzero(m):
@@ -153,6 +155,59 @@ def test_qn_square_zero_small_windows():
         checked, failures = km2.qn_square_check(p, n, 60, mixed_samples=200)
         assert failures == []
         assert checked > 100
+
+
+SQUARE_WINDOWS = [(2, 1, 60), (3, 1, 60), (2, 2, 60), (3, 2, 80), (5, 1, 80)]
+
+
+def _drop_first_term_at_cube(monkeypatch):
+    """Plant a derivation defect: on a monomial whose first exponent is 3,
+    Q_n loses its first Leibniz term.  Every surviving term keeps its
+    degree, so only Q_n∘Q_n can see it."""
+    real = km2.DerivationContext.qn_monomial
+
+    def planted(self, exps):
+        out = real(self, exps)
+        if exps and exps[0] == 3 and out:
+            del out[next(iter(out))]
+        return out
+
+    monkeypatch.setattr(km2.DerivationContext, "qn_monomial", planted)
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
+@pytest.mark.parametrize("p, n, hi", SQUARE_WINDOWS)
+def test_square_check_matches_per_monomial_sweep(monkeypatch, p, n, hi, planted):
+    """The block products report exactly what pushing each monomial through
+    the derivation twice reports: the count, and every failure in order."""
+    if planted:
+        _drop_first_term_at_cube(monkeypatch)
+    checked, failures = km2.qn_square_check(p, n, hi)
+    assert (checked, failures) == qn_square_reference(p, n, hi)
+    assert bool(failures) == planted
+
+
+@given(
+    gens=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 4)), max_size=5),
+    hi=st.integers(-3, 30),
+)
+@example(gens=[], hi=0)
+@example(gens=[(4, 1), (2, 1)], hi=1)
+@settings(deadline=None, max_examples=300)
+def test_each_monomial_is_the_capped_product_in_order(gens, hi):
+    """Every exponent vector under the caps with degree <= hi, emitted in
+    lexicographic order, first generator outermost (_Lattice arc order and
+    the bucket order of window_bases read this order)."""
+    degrees = [d for d, _ in gens]
+    caps = [c for _, c in gens]
+    got = []
+    km2.each_monomial(degrees, caps, hi, lambda m, d: got.append((m, d)))
+    want = []
+    for exps in itertools.product(*(range(c + 1) for c in caps)):
+        deg = sum(e * d for e, d in zip(exps, degrees))
+        if deg <= hi:
+            want.append((exps, deg))
+    assert got == want
 
 
 def test_trivial_homology_31_reference_degrees():

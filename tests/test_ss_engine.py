@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morava_k2 import km2, numerology, ss_engine as ss
+from morava_k2 import answer, km2, numerology, ss_engine as ss
 from morava_k2.graded_algebra import TensorExpression, replace
 
 
@@ -486,6 +486,43 @@ def test_chart_dims_places_towers():
     )
     hchart = hom.chart_dims()
     assert hchart[(0, 0)] == 1 and hchart[(4, 1)] == 1 and hchart[(40, 10)] == 1
+
+
+def _charted_pages(p, n, variance, top):
+    """Every kind of page the chart readers see: each closed-form stage, the
+    brute E-infinity, and the answer module's page, plain and localized."""
+    e2 = ss.e2_closed_form(p, n, variance, top)
+    yield from ss.closed_form_pages(e2, ss.window_schedule(p, n, top, variance))
+    yield ss.run_bruteforce(p, n, variance, top)
+    a = answer.closed_form(p, n, variance, (0, top))
+    yield answer.to_page(a)
+    yield answer.to_page(answer.localize(a))
+
+
+def _spots_by_degree(page):
+    lo, hi = page.window
+    dims = [0] * (hi - lo + 1)
+    for (d, _s), c in page.chart_dims().items():
+        dims[d - lo] += c
+    return dims
+
+
+@given(
+    pn=st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]),
+    variance=st.sampled_from(["cohomology", "homology"]),
+    top=st.integers(2, 120),
+    lo=st.integers(-40, 80),
+    width=st.integers(0, 160),
+)
+@settings(deadline=None, max_examples=40)
+def test_chart_series_sums_chart_dims(pn, variance, top, lo, width):
+    """The strided runs of chart_series count what chart_dims places, degree
+    by degree, on the page's own window and on a shifted one (towers then
+    run off either end, also below degree 0)."""
+    for page in _charted_pages(*pn, variance, top):
+        for window in (page.window, (lo, lo + width)):
+            moved = page._replace(window=window)
+            assert list(moved.chart_series().dims) == _spots_by_degree(moved), (page.stage, window)
 
 
 def test_window_validation():
