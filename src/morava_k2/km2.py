@@ -345,12 +345,25 @@ def build(p: int, n: int, variance: str = "cohomology") -> Presentation:
 # the derivation on monomials
 
 
+class _LeibnizTerm(NamedTuple):
+    """The Leibniz term of one generator k with a Q_n image x_t^texp."""
+
+    k: int
+    tpos: int  # target slot, -1 when the target lies outside the context
+    texp: int
+    exterior: bool  # the target is exterior: the term dies once it is present
+    before: tuple[int, ...]  # odd slots before k: the Koszul sign
+    between: tuple[int, ...]  # odd slots strictly between k and an odd target
+
+
 class DerivationContext:
     """Q_n on exponent tuples over a fixed ordered generator list.
 
     Monomials are written in list order; a Leibniz term that inserts an odd
     generator picks up, besides the (-1)^(prefix degree) of the Koszul rule,
     the reordering sign for moving the inserted factor to its canonical slot.
+    The terms are tabulated once per context; leibniz_terms is the one
+    place the derivation is applied.
     """
 
     def __init__(
@@ -365,68 +378,66 @@ class DerivationContext:
         self.max_degree = max_degree
         self.gens = list(gens) if gens is not None else pres.generators(max_degree)
         self.index = {g.name: k for k, g in enumerate(self.gens)}
-        self.images: list[tuple[int, int] | None] = []
-        for g in self.gens:
+        # the odd slots, which carry the signs; at p = 2 every sign is +
+        odd = [k for k, g in enumerate(self.gens) if g.degree % 2 == 1 and self.p != 2]
+        self.terms: list[_LeibnizTerm] = []
+        for k, g in enumerate(self.gens):
             img = pres.qn_on_generator(g.name)
             if img is None:
-                self.images.append(None)
-            else:
-                tname, texp = img
-                if tname in self.index:
-                    self.images.append((self.index[tname], texp))
-                elif missing_as_zero:
+                continue
+            tname, texp = img
+            tpos = self.index.get(tname, -1)
+            if tpos < 0:
+                if missing_as_zero:
                     # sources whose image needs the absent generator all sit
                     # above the degrees the caller reads, so drop the image
-                    self.images.append(None)
-                else:
-                    # target generator outside this context; flagged lazily
-                    self.images.append((-1, texp))
+                    continue
+                # target generator outside this context: flagged when a
+                # monomial reaches the term
+                self.terms.append(_LeibnizTerm(k, -1, texp, False, (), ()))
+                continue
+            between: tuple[int, ...] = ()
+            if tpos in odd:
+                if tpos < k:
+                    raise AssertionError("odd image inserted leftward")
+                between = tuple(t for t in odd if k < t < tpos)
+            before = tuple(t for t in odd if t < k)
+            exterior = self.gens[tpos].exp_kind == "E"
+            self.terms.append(_LeibnizTerm(k, tpos, texp, exterior, before, between))
 
     def degree(self, exps: tuple[int, ...]) -> int:
         return sum(e * g.degree for e, g in zip(exps, self.gens))
 
-    def qn_monomial(self, exps: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    def leibniz_terms(self, bucket: list[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...], int]]:
+        """Yield (column, target, coefficient) for every nonzero Leibniz
+        term of Q_n on the monomials of bucket, one generator at a time.
+
+        Two generators of one monomial never reach the same target, so the
+        terms of a column need no summing.
+        """
         p = self.p
-        out: dict[tuple[int, ...], int] = {}
-        prefix = 0
-        for k, g in enumerate(self.gens):
-            e = exps[k]
-            if e:
-                img = self.images[k]
-                if img is not None:
-                    c = e % p
-                    if c and p != 2 and prefix % 2 == 1:
-                        c = p - c
-                    if c:
-                        tpos, texp = img
-                        if tpos < 0:
-                            raise WindowError(
-                                f"image of {g.name} needs a generator beyond degree "
-                                f"{self.max_degree}"
-                            )
-                        ne = list(exps)
-                        ne[k] -= 1
-                        ne[tpos] += texp
-                        tg = self.gens[tpos]
-                        if not (tg.exp_kind == "E" and ne[tpos] > 1):
-                            if p != 2 and tg.degree % 2 == 1:
-                                if tpos < k:
-                                    raise AssertionError("odd image inserted leftward")
-                                s = sum(
-                                    1
-                                    for t in range(k + 1, tpos)
-                                    if ne[t] and self.gens[t].degree % 2 == 1
-                                )
-                                if s % 2:
-                                    c = p - c
-                            key = tuple(ne)
-                            v = (out.get(key, 0) + c) % p
-                            if v:
-                                out[key] = v
-                            else:
-                                out.pop(key, None)
-                prefix += e * g.degree
-        return out
+        for k, tpos, texp, exterior, before, between in self.terms:
+            if tpos < 0:
+                if any(m[k] % p for m in bucket):
+                    raise WindowError(
+                        f"image of {self.gens[k].name} needs a generator beyond degree "
+                        f"{self.max_degree}"
+                    )
+                continue
+            for j, m in enumerate(bucket):
+                c = m[k] % p
+                if not c or exterior and m[tpos] + texp > 1:
+                    continue
+                if p != 2 and (sum(m[t] for t in before) + sum(1 for t in between if m[t])) % 2:
+                    c = p - c
+                t = list(m)
+                t[k] -= 1
+                t[tpos] += texp
+                yield j, tuple(t), c
+
+    def qn_monomial(self, exps: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """Q_n of one monomial as {target: coefficient}: the one-column case."""
+        return {t: c for _j, t, c in self.leibniz_terms([exps])}
 
     def qn_poly(self, poly: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
         out: dict[tuple[int, ...], int] = {}
@@ -531,14 +542,12 @@ def _qn_block(
     pos = {m: i for i, m in enumerate(tgt)}
     a = Matrix.zeros(len(tgt), len(src), ctx.p)
     rows = a.rows
-    for j, m in enumerate(src):
-        if ctx.p == 2:
-            bit = 1 << j
-            for t in ctx.qn_monomial(m):
-                rows[pos[t]] |= bit
-        else:
-            for t, c in ctx.qn_monomial(m).items():
-                rows[pos[t]][j] = c
+    if ctx.p == 2:
+        for j, t, _c in ctx.leibniz_terms(src):
+            rows[pos[t]] |= 1 << j
+    else:
+        for j, t, c in ctx.leibniz_terms(src):
+            rows[pos[t]][j] = c
     return a
 
 
@@ -744,25 +753,25 @@ def _cone_level(prev: _Level, du: int, op_key: tuple[str, int] | None) -> tuple[
         else:
             nonpiv.append(list(range(dim)))
             proj_rows.append(Matrix.zeros(0, dim, 2))
-    data = _ConeData(du, window, ker, nonpiv, proj_rows, mats is None)
     # dim(d) sums coker(d - 2i du) + ker(d - (2i + 1) du) over i >= 0: a
     # running sum with stride 2 du
     dims = [len(nonpiv[e]) + (ker[e - du].shape[1] if e >= du else 0) for e in range(window + 1)]
     for d in range(2 * du, window + 1):
         dims[d] += dims[d - 2 * du]
-    return data, _Level(dims, window)
+    return _ConeData(du, window, ker, nonpiv, proj_rows, mats is None, dims), _Level(dims, window)
 
 
 class _ConeData:
     """Layout and transition data of one adjunction stage."""
 
-    def __init__(self, du, window, ker, nonpiv, proj_rows, zero_op):
+    def __init__(self, du, window, ker, nonpiv, proj_rows, zero_op, dims):
         self.du = du
         self.window = window
         self.ker = ker
         self.nonpiv = nonpiv
         self.proj_rows = proj_rows
         self.zero_op = zero_op
+        self.dims = dims  # the new level's dims
         self._layout: dict[int, list[tuple[int, str, int, int, int]]] = {}
 
     def layout(self, d: int) -> list[tuple[int, str, int, int, int]]:
@@ -790,10 +799,21 @@ class _ConeData:
         return self._layout[d]
 
     def block_offset(self, d: int, i: int, tag: str) -> tuple[int, int] | None:
-        for bi, btag, _e, off, size in self.layout(d):
-            if bi == i and btag == tag:
-                return off, size
-        return None
+        """(offset, size) of block (i, tag) at degree d, None where it is
+        empty.  The blocks before (i, "c") are the whole basis at d less
+        the basis at d - 2i du, and (i, "k") follows (i, "c")."""
+        e = d - 2 * i * self.du
+        if e < 0:
+            return None
+        off = self.dims[d] - self.dims[e]
+        if tag == "c":
+            size = len(self.nonpiv[e])
+        else:
+            if e < self.du:
+                return None
+            off += len(self.nonpiv[e])
+            size = self.ker[e - self.du].shape[1]
+        return (off, size) if size else None
 
     def coker_project(self, e: int, vecs: Matrix) -> Matrix:
         """Coordinates of prev-homology vectors in the cokernel basis at e."""

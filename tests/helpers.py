@@ -1,7 +1,7 @@
 """Reference code that only the tests read: series arithmetic for the
 schoolbook Poincare fold, the Q_n matrix on the full monomial basis, the
-E[Q_n] split invariant of a report, the degree of u_i, and the Q_n-square
-sweep one monomial at a time.
+E[Q_n] split invariant of a report, the degree of u_i, the derivation one
+monomial at a time, and the Q_n-square sweep one monomial at a time.
 """
 
 import random
@@ -47,6 +47,68 @@ def qn_matrix(pres: km2.Presentation, d: int, max_degree: int) -> km2.Matrix:
     if d < dq:
         return km2.Matrix.zeros(0, len(buckets[d]), pres.p)
     return km2._qn_block(ctx, buckets[d - dq], buckets[d]).T
+
+
+def qn_monomial_reference(
+    ctx: km2.DerivationContext, exps: tuple[int, ...], missing_as_zero: bool = False
+) -> dict[tuple[int, ...], int]:
+    """Q_n of one monomial, read off the presentation generator by generator
+    with no term table: the Koszul sign from the degree of the prefix, the
+    reordering sign from the odd factors the inserted one moves past.
+    missing_as_zero must be the flag the context was built with."""
+    p = ctx.p
+    out: dict[tuple[int, ...], int] = {}
+    prefix = 0
+    for k, g in enumerate(ctx.gens):
+        e = exps[k]
+        img = ctx.pres.qn_on_generator(g.name)
+        if e and img is not None and (img[0] in ctx.index or not missing_as_zero):
+            c = e % p
+            if c and p != 2 and prefix % 2 == 1:
+                c = p - c
+            if c:
+                tname, texp = img
+                if tname not in ctx.index:
+                    raise km2.WindowError(f"image of {g.name} needs {tname}")
+                tpos = ctx.index[tname]
+                ne = list(exps)
+                ne[k] -= 1
+                ne[tpos] += texp
+                tg = ctx.gens[tpos]
+                if not (tg.exp_kind == "E" and ne[tpos] > 1):
+                    if p != 2 and tg.degree % 2 == 1:
+                        assert tpos > k, "odd image inserted leftward"
+                        s = sum(
+                            1 for t in range(k + 1, tpos) if ne[t] and ctx.gens[t].degree % 2 == 1
+                        )
+                        if s % 2:
+                            c = p - c
+                    key = tuple(ne)
+                    v = (out.get(key, 0) + c) % p
+                    if v:
+                        out[key] = v
+                    else:
+                        out.pop(key, None)
+        prefix += e * g.degree
+    return out
+
+
+def qn_block_reference(
+    ctx: km2.DerivationContext,
+    src: list[tuple[int, ...]],
+    tgt: list[tuple[int, ...]],
+    missing_as_zero: bool = False,
+) -> km2.Matrix:
+    """The Q_n block from src to tgt, one column per qn_monomial_reference."""
+    pos = {m: i for i, m in enumerate(tgt)}
+    a = km2.Matrix.zeros(len(tgt), len(src), ctx.p)
+    for j, m in enumerate(src):
+        for t, c in qn_monomial_reference(ctx, m, missing_as_zero).items():
+            if ctx.p == 2:
+                a.rows[pos[t]] |= 1 << j
+            else:
+                a.rows[pos[t]][j] = c
+    return a
 
 
 def check_invariant(rep: km2.QnHomologyReport) -> bool:

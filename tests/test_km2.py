@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from morava_k2 import km2
 from morava_k2.graded_algebra import E, Factor, Generator, P, TensorExpression
 
-from helpers import check_invariant, qn_matrix, qn_square_reference
+from helpers import (
+    check_invariant,
+    qn_block_reference,
+    qn_matrix,
+    qn_monomial_reference,
+    qn_square_reference,
+)
 
 
 def count_nonzero(m):
@@ -148,6 +154,34 @@ def test_derivation_window_error_when_image_gen_missing():
     exps = tuple(1 if g.name == "i2" else 0 for g in ctx.gens)
     with pytest.raises(km2.WindowError):
         ctx.qn_monomial(exps)
+    # a block raises it too, before any target is looked up
+    with pytest.raises(km2.WindowError):
+        km2._qn_block(ctx, [exps], [])
+
+
+@given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 3), hi=st.integers(2, 80))
+@example(p=3, n=1, hi=80)
+@example(p=5, n=3, hi=80)
+@settings(deadline=None, max_examples=30)
+def test_leibniz_kernel_matches_per_monomial_reference(p, n, hi):
+    """_qn_block and qn_monomial, both read off the one term table, agree
+    with the derivation applied one monomial at a time: on every component
+    as the square check builds it (missing targets dropped), for every
+    source degree the check reads, and on the direct-mode generator list
+    for the degrees direct mode reads."""
+    pres = km2.build(p, n)
+    dq = pres.qn_degree
+    cases = [(comp, hi + 2 * dq, True) for comp in km2.components(pres, hi + 2 * dq)]
+    cases.append((pres.generators(hi + dq), hi + dq, False))
+    for gens, top, missing in cases:
+        ctx = km2.DerivationContext(pres, top, gens=gens, missing_as_zero=missing)
+        buckets = km2.window_bases(gens, top)
+        for d in range(top - dq + 1):
+            got = km2._qn_block(ctx, buckets[d], buckets[d + dq])
+            want = qn_block_reference(ctx, buckets[d], buckets[d + dq], missing)
+            assert (got.shape, got.rows) == (want.shape, want.rows)
+            for m in buckets[d]:
+                assert ctx.qn_monomial(m) == qn_monomial_reference(ctx, m, missing)
 
 
 def test_qn_square_zero_small_windows():
@@ -158,21 +192,28 @@ def test_qn_square_zero_small_windows():
 
 
 SQUARE_WINDOWS = [(2, 1, 60), (3, 1, 60), (2, 2, 60), (3, 2, 80), (5, 1, 80)]
+# failures the planted defect below leaves on each window
+PLANTED_FAILURES = {(2, 1, 60): 4, (3, 1, 60): 40, (2, 2, 60): 18, (3, 2, 80): 60, (5, 1, 80): 30}
 
 
 def _drop_first_term_at_cube(monkeypatch):
-    """Plant a derivation defect: on a monomial whose first exponent is 3,
-    Q_n loses its first Leibniz term.  Every surviving term keeps its
-    degree, so only Q_n∘Q_n can see it."""
-    real = km2.DerivationContext.qn_monomial
+    """Plant a derivation defect in the one Leibniz kernel: on a monomial
+    whose first exponent is 3, Q_n loses the term of its lowest generator.
+    Every surviving term keeps its degree, so only Q_n∘Q_n can see it."""
+    real = km2.DerivationContext.leibniz_terms
 
-    def planted(self, exps):
-        out = real(self, exps)
-        if exps and exps[0] == 3 and out:
-            del out[next(iter(out))]
+    def planted(self, bucket):
+        out = []
+        hit = set()
+        for j, t, c in real(self, bucket):
+            m = bucket[j]
+            if m and m[0] == 3 and j not in hit:
+                hit.add(j)
+                continue
+            out.append((j, t, c))
         return out
 
-    monkeypatch.setattr(km2.DerivationContext, "qn_monomial", planted)
+    monkeypatch.setattr(km2.DerivationContext, "leibniz_terms", planted)
 
 
 @pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
@@ -184,7 +225,7 @@ def test_square_check_matches_per_monomial_sweep(monkeypatch, p, n, hi, planted)
         _drop_first_term_at_cube(monkeypatch)
     checked, failures = km2.qn_square_check(p, n, hi)
     assert (checked, failures) == qn_square_reference(p, n, hi)
-    assert bool(failures) == planted
+    assert len(failures) == (PLANTED_FAILURES[p, n, hi] if planted else 0)
 
 
 @given(
@@ -238,6 +279,32 @@ def test_factored_matches_direct():
         assert direct.trivial == fact.trivial, (p, n)
         assert direct.free_rank == fact.free_rank, (p, n)
         assert check_invariant(fact)
+
+
+@pytest.mark.parametrize("n, hi", [(1, 300), (2, 200), (3, 120)])
+def test_cone_block_offsets_match_the_layout_scan(monkeypatch, n, hi):
+    """block_offset, read off the level's running dims, is the block that a
+    scan of the degree's layout finds, and None where the scan finds none,
+    for every degree, block index and tag of every p = 2 chain."""
+    stages = []
+    real = km2._cone_level
+
+    def recording(*args):
+        data, level = real(*args)
+        stages.append(data)
+        return data, level
+
+    monkeypatch.setattr(km2, "_cone_level", recording)
+    pres = km2.build(2, n)
+    for comp in km2.components(pres, hi + pres.qn_degree):
+        km2._p2_component_dims(pres, comp, hi)
+    assert stages
+    for data in stages:
+        for d in range(data.window + 1):
+            scan = {(i, tag): (off, size) for i, tag, _e, off, size in data.layout(d)}
+            for i in range(d // (2 * data.du) + 2):
+                for tag in ("c", "k"):
+                    assert data.block_offset(d, i, tag) == scan.get((i, tag)), (d, i, tag)
 
 
 @pytest.mark.parametrize("variance", ["cohomology", "homology"])
