@@ -125,14 +125,11 @@ def poincare_answer(a: AnswerModule, window=None) -> AnswerSeries:
     """Per-degree F_p dimensions of the module, total and per v-power.
 
     A TP_r[v] tower on a degree-d generator counts r classes at d, d + |v|,
-    ..., d + (r-1)|v|; the window may reach into negative degrees, where only
-    the v-free part lives in cohomology.
+    ..., d + (r-1)|v|.  The window is a (lo, hi) pair, the module's own by
+    default; it may reach into negative degrees, where only the v-free part
+    lives in cohomology.
     """
-    if window is None:
-        window = a.window
-    if isinstance(window, int):
-        window = (min(0, window), max(0, window))
-    lo, hi = window
+    lo, hi = a.window if window is None else window
     if lo > hi:
         raise WindowError(f"empty window [{lo}, {hi}]")
     if hi > a.window[1]:
@@ -173,7 +170,7 @@ def poincare_answer(a: AnswerModule, window=None) -> AnswerSeries:
     )
 
 
-def bockstein_check(a: AnswerModule, max_degree: int | None = None) -> tuple[bool, str]:
+def bockstein_check(a: AnswerModule) -> tuple[bool, str]:
     """Mod-p cohomology dimensions from the module, degree by degree.
 
     The cofiber sequence of multiplication by v gives, for every degree d,
@@ -185,9 +182,7 @@ def bockstein_check(a: AnswerModule, max_degree: int | None = None) -> tuple[boo
     if a.localized:
         raise ValueError("bockstein_check needs the torsion the localized module drops")
     p, n = a.p, a.n
-    hi = a.window[1] if max_degree is None else max_degree
-    if hi > a.window[1]:
-        raise WindowError(f"max_degree {hi} exceeds the computed range {a.window[1]}")
+    hi = a.window[1]
     q2 = 2 * (p**n - 1)
     dq = q2 + 1
     coh = a.variance == "cohomology"

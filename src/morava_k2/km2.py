@@ -1,20 +1,20 @@
 """H*K(Z_p, 2) with the Milnor primitive Q_n, and its Q_n-homology.
 
-The presentation is polynomial-tensor-exterior on ι₂ (written i2), the even
-classes z_i and the odd classes u_i at odd primes; at p = 2 everything is
-polynomial on i2 and the u_i, with u_i² playing the role of z_{i+1}.  Q_n is
-the tabulated map on generators extended as a derivation with Koszul signs.
+The presentation is one formula at every prime: ι₂ (written i2) and the even
+classes z_i are polynomial, the odd classes u_i exterior.  At p = 2 the u_i
+are polynomial in H*K(Z_2, 2); there z_{i+1} stands for u_i² and the product
+keeps the one relation u_i · u_i = z_{i+1}.  Since Q_n(u_i²) = 0, F_2[u_i] is
+E[u_i] ⊗ F_2[z_{i+1}] as a Q_n-complex, so the monomials u^ε z^k are a basis
+and Q_n is the same table on generators as at odd p, extended as a
+derivation with Koszul signs.  The only Leibniz term that meets the relation
+is Q_n(i2) = u_n landing on a u_n already present: it carries into z_{n+1}.
 
 Q_n-homology is computed two independent ways: a direct per-degree
 kernel/image computation on the full monomial basis (small windows), and a
 factored route that splits the algebra into the tensor components coupled by
-Q_n and handles each separately (large windows).  One ExplicitHomology turns
-Q_n blocks into homology for both: the full basis in direct mode, each
-component at odd p, and the core of each component at p = 2.  There the
-components are infinite polynomial chains, processed by repeatedly adjoining
-one generator at a time: adjoining u with Q_n(u) = m turns homology into
-cokernel and kernel blocks of multiplication by m on the previous stage, and
-the needed multiplication operators are carried along through each stage.
+Q_n, the carry joining z_{n+1} to i2 and u_n, and handles each separately
+(large windows).  Every component has at most four generators, and one
+ExplicitHomology turns Q_n blocks into homology for both routes.
 """
 
 from __future__ import annotations
@@ -236,18 +236,6 @@ def nullspace_modp(a: Matrix, p: int) -> Matrix:
     return out
 
 
-def solve_modp(a: Matrix, b: Matrix, p: int) -> Matrix:
-    """One solution x of a @ x = b (columns of b); free variables are 0."""
-    cols = a.shape[1]
-    r, piv = rref_modp(hstack([a, b]), p)
-    x = Matrix.zeros(cols, b.shape[1], p)
-    for i, pc in enumerate(piv):
-        if pc >= cols:
-            raise ValueError("inconsistent linear system")
-        x.rows[pc] = r.rows[i] >> cols if p == 2 else r.rows[i][cols:]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # presentation
 
@@ -291,20 +279,14 @@ class Presentation(NamedTuple):
     def generators(self, max_degree: int) -> list[PresGenerator]:
         p = self.p
         gens = [PresGenerator("i2", 2, "P", "i2", 0)]
-        if p == 2:
-            i = 0
-            while 2 * 2**i + 1 <= max_degree:
-                gens.append(PresGenerator(f"u_{i}", 2 * 2**i + 1, "P", "u", i))
-                i += 1
-        else:
-            i = 1
-            while 2 * (p**i + 1) <= max_degree:
-                gens.append(PresGenerator(f"z_{i}", 2 * (p**i + 1), "P", "z", i))
-                i += 1
-            i = 0
-            while 2 * p**i + 1 <= max_degree:
-                gens.append(PresGenerator(f"u_{i}", 2 * p**i + 1, "E", "u", i))
-                i += 1
+        i = 1
+        while 2 * (p**i + 1) <= max_degree:
+            gens.append(PresGenerator(f"z_{i}", 2 * (p**i + 1), "P", "z", i))
+            i += 1
+        i = 0
+        while 2 * p**i + 1 <= max_degree:
+            gens.append(PresGenerator(f"u_{i}", 2 * p**i + 1, "E", "u", i))
+            i += 1
         return gens
 
     def qn_on_generator(self, name: str) -> tuple[str, int] | None:
@@ -318,12 +300,6 @@ class Presentation(NamedTuple):
             return None
         if family != "u":
             raise ValueError(f"unknown generator {name!r}")
-        if p == 2:
-            if i < n:
-                return (f"u_{n - i - 1}", 2 ** (i + 1))
-            if i == n:
-                return None
-            return (f"u_{i - n - 1}", 2 ** (n + 1))
         if i < n:
             return (f"z_{n - i}", p**i)
         if i == n:
@@ -351,7 +327,7 @@ class _LeibnizTerm(NamedTuple):
     k: int
     tpos: int  # target slot, -1 when the target lies outside the context
     texp: int
-    exterior: bool  # the target is exterior: the term dies once it is present
+    exterior: bool  # the target is exterior: once present, the term dies or carries
     before: tuple[int, ...]  # odd slots before k: the Koszul sign
     between: tuple[int, ...]  # odd slots strictly between k and an odd target
 
@@ -363,7 +339,11 @@ class DerivationContext:
     generator picks up, besides the (-1)^(prefix degree) of the Koszul rule,
     the reordering sign for moving the inserted factor to its canonical slot.
     The terms are tabulated once per context; leibniz_terms is the one
-    place the derivation is applied.
+    place the derivation is applied.  square holds the one relation that
+    differs between the primes: at p = 2 it maps the slot of u_i to that of
+    z_{i+1} = u_i · u_i (-1 when z_{i+1} lies outside the context), and at
+    odd p it is empty, so an exterior square is 0.  leibniz_terms and
+    mul_poly both read it.
     """
 
     def __init__(
@@ -378,6 +358,12 @@ class DerivationContext:
         self.max_degree = max_degree
         self.gens = list(gens) if gens is not None else pres.generators(max_degree)
         self.index = {g.name: k for k, g in enumerate(self.gens)}
+        self.missing_as_zero = missing_as_zero
+        self.square = {
+            k: self.index.get(f"z_{g.index + 1}", -1)
+            for k, g in enumerate(self.gens)
+            if self.p == 2 and g.family == "u"
+        }
         # the odd slots, which carry the signs; at p = 2 every sign is +
         odd = [k for k, g in enumerate(self.gens) if g.degree % 2 == 1 and self.p != 2]
         self.terms: list[_LeibnizTerm] = []
@@ -408,12 +394,23 @@ class DerivationContext:
     def degree(self, exps: tuple[int, ...]) -> int:
         return sum(e * g.degree for e, g in zip(exps, self.gens))
 
+    def _square_slot(self, k: int) -> int:
+        """The slot of u · u for the exterior generator in slot k: -1 where
+        the square is 0 (odd p) or, with missing_as_zero, lies outside."""
+        s = self.square.get(k, -1)
+        if s < 0 and k in self.square and not self.missing_as_zero:
+            raise WindowError(
+                f"square of {self.gens[k].name} needs a generator beyond degree {self.max_degree}"
+            )
+        return s
+
     def leibniz_terms(self, bucket: list[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...], int]]:
         """Yield (column, target, coefficient) for every nonzero Leibniz
         term of Q_n on the monomials of bucket, one generator at a time.
 
         Two generators of one monomial never reach the same target, so the
-        terms of a column need no summing.
+        terms of a column need no summing.  A term whose exterior target is
+        already present dies, or at p = 2 carries into its square.
         """
         p = self.p
         for k, tpos, texp, exterior, before, between in self.terms:
@@ -426,13 +423,22 @@ class DerivationContext:
                 continue
             for j, m in enumerate(bucket):
                 c = m[k] % p
-                if not c or exterior and m[tpos] + texp > 1:
+                if not c:
                     continue
+                carry = -1
+                if exterior and m[tpos] + texp > 1:
+                    carry = self._square_slot(tpos)
+                    if carry < 0:
+                        continue
                 if p != 2 and (sum(m[t] for t in before) + sum(1 for t in between if m[t])) % 2:
                     c = p - c
                 t = list(m)
                 t[k] -= 1
-                t[tpos] += texp
+                if carry < 0:
+                    t[tpos] += texp
+                else:
+                    t[tpos] += texp - 2
+                    t[carry] += 1
                 yield j, tuple(t), c
 
     def qn_monomial(self, exps: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -440,14 +446,15 @@ class DerivationContext:
         return {t: c for _j, t, c in self.leibniz_terms([exps])}
 
     def qn_poly(self, poly: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+        """Q_n of a polynomial: its monomials go through the kernel as one bucket."""
+        mons = list(poly)
         out: dict[tuple[int, ...], int] = {}
-        for exps, coeff in poly.items():
-            for m, c in self.qn_monomial(exps).items():
-                v = (out.get(m, 0) + coeff * c) % self.p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
+        for j, m, c in self.leibniz_terms(mons):
+            v = (out.get(m, 0) + poly[mons[j]] * c) % self.p
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
         return out
 
     def mul_poly(
@@ -458,7 +465,6 @@ class DerivationContext:
         out: dict[tuple[int, ...], int] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                dead = False
                 sign = 1
                 if p != 2:
                     # merge sign: odd factors of the left monomial hop over
@@ -468,13 +474,16 @@ class DerivationContext:
                             for t in odd_pos:
                                 if t < s and eb[t]:
                                     sign = -sign
-                ne = []
-                for k, g in enumerate(self.gens):
-                    tot = ea[k] + eb[k]
-                    if g.exp_kind == "E" and tot > 1:
-                        dead = True
-                        break
-                    ne.append(tot)
+                ne = [x + y for x, y in zip(ea, eb)]
+                dead = False
+                for k in odd_pos:
+                    if ne[k] > 1:
+                        s = self._square_slot(k)
+                        if s < 0:
+                            dead = True
+                            break
+                        ne[k] -= 2
+                        ne[s] += 1
                 if dead:
                     continue
                 key = tuple(ne)
@@ -560,9 +569,11 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
 
     Callers computing homology on [0, hi] must pass hi + (2p^n - 1) so that
     every Q_n-target of an in-window monomial has its generator present.
+    A generator is coupled to its Q_n target and, where that target is
+    exterior with a square (p = 2), to the square as well.
     """
-    gens = pres.generators(max_degree)
-    index = {g.name: i for i, g in enumerate(gens)}
+    ctx = DerivationContext(pres, max_degree, missing_as_zero=True)
+    gens = ctx.gens
     parent = list(range(len(gens)))
 
     def find(x: int) -> int:
@@ -574,10 +585,10 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
     def union(x: int, y: int) -> None:
         parent[find(x)] = find(y)
 
-    for i, g in enumerate(gens):
-        img = pres.qn_on_generator(g.name)
-        if img is not None and img[0] in index:
-            union(i, index[img[0]])
+    for t in ctx.terms:
+        union(t.k, t.tpos)
+        if t.exterior and ctx.square.get(t.tpos, -1) >= 0:
+            union(t.k, ctx.square[t.tpos])
     groups: dict[int, list[PresGenerator]] = {}
     for i, g in enumerate(gens):
         groups.setdefault(find(i), []).append(g)
@@ -587,11 +598,10 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
 class ExplicitHomology:
     """Q_n-homology of the sub-algebra on a generator subset, with operators.
 
-    Serves direct mode (the full generator list), the odd-p components and
-    the core of each p = 2 adjunction chain, in either variance.  Ranks give
-    the dimension in every degree; representative vectors, and at p = 2 the
-    matrices of multiplication by a fixed cycle monomial on homology, are
-    built only in the degrees that ask for them.
+    Serves direct mode (the full generator list) and every component of
+    the factored route, in either variance.  Ranks give the dimension in
+    every degree; representative vectors are built only in the degrees that
+    ask for them.
     """
 
     def __init__(self, pres: Presentation, gens: list[PresGenerator], top: int):
@@ -605,7 +615,6 @@ class ExplicitHomology:
             len(self.buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0)
             for d in range(top + 1)
         ]
-        self._bases: dict[int, tuple[Matrix, Matrix]] = {}
 
     def _basis(self, d: int) -> tuple[Matrix, Matrix]:
         """(representatives, [representatives | image basis]) at degree d.
@@ -614,27 +623,25 @@ class ExplicitHomology:
         incoming Q_n, taken greedily: single cycle monomials first, then the
         kernel vectors in nullspace order.
         """
-        if d not in self._bases:
-            p, dq = self.pres.p, self.pres.qn_degree
-            dim = len(self.buckets[d])
-            out = self.mats[d]
-            im = self.mats[d - dq] if d >= dq else Matrix.zeros(dim, 0, p)
-            if self.pres.variance == "homology":
-                # homology runs Q_n downward: the blocks are the transposes
-                out, im = im.T, out.T
-            if p == 2:
-                used = functools.reduce(int.__or__, out.rows, 0)
-                units = [i for i in range(dim) if not used >> i & 1]
-            else:
-                units = [i for i in range(dim) if not any(out.column(i))]
-            cand = hstack([im, Matrix.identity(dim, p).take(units), nullspace_modp(out, p)])
-            _, piv = rref_modp(cand, p)
-            k0 = im.shape[1]
-            reps = cand.take([c for c in piv if c >= k0])
-            if reps.shape[1] != self.dims[d]:
-                raise AssertionError(f"representatives disagree with the rank count at degree {d}")
-            self._bases[d] = reps, hstack([reps, im.take([c for c in piv if c < k0])])
-        return self._bases[d]
+        p, dq = self.pres.p, self.pres.qn_degree
+        dim = len(self.buckets[d])
+        out = self.mats[d]
+        im = self.mats[d - dq] if d >= dq else Matrix.zeros(dim, 0, p)
+        if self.pres.variance == "homology":
+            # homology runs Q_n downward: the blocks are the transposes
+            out, im = im.T, out.T
+        if p == 2:
+            used = functools.reduce(int.__or__, out.rows, 0)
+            units = [i for i in range(dim) if not used >> i & 1]
+        else:
+            units = [i for i in range(dim) if not any(out.column(i))]
+        cand = hstack([im, Matrix.identity(dim, p).take(units), nullspace_modp(out, p)])
+        _, piv = rref_modp(cand, p)
+        k0 = im.shape[1]
+        reps = cand.take([c for c in piv if c >= k0])
+        if reps.shape[1] != self.dims[d]:
+            raise AssertionError(f"representatives disagree with the rank count at degree {d}")
+        return reps, hstack([reps, im.take([c for c in piv if c < k0])])
 
     def labels(self, d: int) -> list[str]:
         """The representatives at degree d as sums of monomials, starred in homology."""
@@ -645,301 +652,6 @@ class ExplicitHomology:
             s = " + ".join(t if c == 1 else f"{c}*{t}" for t, c in terms)
             out.append(f"({s})*" if self.pres.variance == "homology" else s)
         return out
-
-    def reduce(self, d: int, vecs: Matrix) -> Matrix:
-        """Coordinates of cycle vectors in the homology basis at degree d (p = 2)."""
-        h = self.dims[d]
-        if vecs.shape[1] == 0:
-            return Matrix.zeros(h, 0, 2)
-        basis = self._basis(d)[1]
-        if basis.shape[1] == 0:
-            if any(vecs.rows):
-                raise AssertionError("nonzero cycle in a degree with no cycles")
-            return Matrix.zeros(h, vecs.shape[1], 2)
-        return Matrix(solve_modp(basis, vecs, 2).rows[:h], vecs.shape[1], 2)
-
-    def mult_matrices(self, mono: dict[str, int], valid_to: int) -> list[Matrix]:
-        """Matrices of multiplication by the cycle monomial on homology.
-
-        Entry d maps H(d) -> H(d + deg(mono)); defined for d <= valid_to.
-        Bitset rows, so p = 2 only: the adjunction chain is its one caller.
-        """
-        if self.pres.p != 2:
-            raise AssertionError("multiplication operators are built at p = 2 only")
-        deg = sum(self.ctx.gens[self.ctx.index[nm]].degree * e for nm, e in mono.items())
-        shift = [0] * len(self.ctx.gens)
-        for nm, e in mono.items():
-            shift[self.ctx.index[nm]] += e
-        out = []
-        for d in range(valid_to + 1):
-            if not self.dims[d]:
-                out.append(Matrix.zeros(self.dims[d + deg], 0, 2))
-                continue
-            src = self._basis(d)[0]
-            pos = {m: i for i, m in enumerate(self.buckets[d + deg])}
-            img = Matrix.zeros(len(pos), src.shape[1], 2)
-            for m, row in zip(self.buckets[d], src.rows):
-                if row:
-                    key = pos.get(tuple(a + b for a, b in zip(m, shift)))
-                    if key is not None:
-                        img.rows[key] ^= row
-            out.append(self.reduce(d + deg, img))
-        return out
-
-
-# ---- p = 2 adjunction chain ----
-
-
-class _Level:
-    """Homology of a partial component, with pending multiplication operators.
-
-    basis entries at degree d are blocks (i, tag, e): the class of
-    u^(2i) x (tag "c", x a cokernel representative at degree e) or
-    u^(2i+1) x (tag "k", x a kernel vector), for the most recently adjoined
-    generator u.  ops maps a token (name, exponent) to per-degree matrices.
-    """
-
-    def __init__(self, dims: list[int], window: int):
-        self.dims = dims
-        self.window = window
-        self.ops: dict[tuple[str, int], tuple[int, list[Matrix]]] = {}
-
-
-def _core_level(
-    pres: Presentation,
-    core: list[PresGenerator],
-    window: int,
-    tokens: list[tuple[str, int]],
-) -> _Level:
-    eh = ExplicitHomology(pres, core, window)
-    level = _Level(list(eh.dims), window)
-    for name, exp in tokens:
-        gen = next(g for g in core if g.name == name)
-        deg = gen.degree * exp
-        level.ops[(name, exp)] = (deg, eh.mult_matrices({name: exp}, window - deg))
-    return level
-
-
-def _cone_level(prev: _Level, du: int, op_key: tuple[str, int] | None) -> tuple["_ConeData", _Level]:
-    """Adjoin a polynomial generator u of degree du with Q_n(u) = m (p = 2).
-
-    op_key indexes multiplication by m among prev.ops (None means m = 0).
-    Valid degrees shrink by the operator degree, since kernels at the top
-    of the window would need image data beyond it.
-    """
-    if op_key is None:
-        dm = 0
-        mats = None
-        window = prev.window
-    else:
-        dm, mats = prev.ops[op_key]
-        window = min(prev.window - dm, len(mats) - 1)
-    ker: list[Matrix] = []
-    nonpiv: list[list[int]] = []
-    proj_rows: list[Matrix] = []
-    for e in range(window + 1):
-        dim = prev.dims[e]
-        if mats is None:
-            ker.append(Matrix.identity(dim, 2))
-            nonpiv.append(list(range(dim)))
-            proj_rows.append(Matrix.zeros(0, dim, 2))
-            continue
-        ker.append(nullspace_modp(mats[e], 2))
-        if e >= dm:
-            r, piv = rref_modp(mats[e - dm].T, 2)
-            pivots = set(piv)
-            nonpiv.append([c for c in range(dim) if c not in pivots])
-            proj_rows.append(Matrix(r.rows[: len(piv)], dim, 2))
-        else:
-            nonpiv.append(list(range(dim)))
-            proj_rows.append(Matrix.zeros(0, dim, 2))
-    # dim(d) sums coker(d - 2i du) + ker(d - (2i + 1) du) over i >= 0: a
-    # running sum with stride 2 du
-    dims = [len(nonpiv[e]) + (ker[e - du].shape[1] if e >= du else 0) for e in range(window + 1)]
-    for d in range(2 * du, window + 1):
-        dims[d] += dims[d - 2 * du]
-    return _ConeData(du, window, ker, nonpiv, proj_rows, mats is None, dims), _Level(dims, window)
-
-
-class _ConeData:
-    """Layout and transition data of one adjunction stage."""
-
-    def __init__(self, du, window, ker, nonpiv, proj_rows, zero_op, dims):
-        self.du = du
-        self.window = window
-        self.ker = ker
-        self.nonpiv = nonpiv
-        self.proj_rows = proj_rows
-        self.zero_op = zero_op
-        self.dims = dims  # the new level's dims
-        self._layout: dict[int, list[tuple[int, str, int, int, int]]] = {}
-
-    def layout(self, d: int) -> list[tuple[int, str, int, int, int]]:
-        """Blocks (i, tag, e, offset, size) of the level basis at degree d."""
-        if d not in self._layout:
-            blocks = []
-            off = 0
-            i = 0
-            while True:
-                e_c = d - 2 * i * self.du
-                if e_c < 0:
-                    break
-                size = len(self.nonpiv[e_c])
-                if size:
-                    blocks.append((i, "c", e_c, off, size))
-                off += size
-                e_k = d - (2 * i + 1) * self.du
-                if e_k >= 0:
-                    size = self.ker[e_k].shape[1]
-                    if size:
-                        blocks.append((i, "k", e_k, off, size))
-                    off += size
-                i += 1
-            self._layout[d] = blocks
-        return self._layout[d]
-
-    def block_offset(self, d: int, i: int, tag: str) -> tuple[int, int] | None:
-        """(offset, size) of block (i, tag) at degree d, None where it is
-        empty.  The blocks before (i, "c") are the whole basis at d less
-        the basis at d - 2i du, and (i, "k") follows (i, "c")."""
-        e = d - 2 * i * self.du
-        if e < 0:
-            return None
-        off = self.dims[d] - self.dims[e]
-        if tag == "c":
-            size = len(self.nonpiv[e])
-        else:
-            if e < self.du:
-                return None
-            off += len(self.nonpiv[e])
-            size = self.ker[e - self.du].shape[1]
-        return (off, size) if size else None
-
-    def coker_project(self, e: int, vecs: Matrix) -> Matrix:
-        """Coordinates of prev-homology vectors in the cokernel basis at e."""
-        v = list(vecs.rows)
-        for row in self.proj_rows[e].rows:
-            lead = v[(row & -row).bit_length() - 1]
-            if lead:
-                while row:
-                    low = row & -row
-                    v[low.bit_length() - 1] ^= lead
-                    row ^= low
-        return Matrix([v[c] for c in self.nonpiv[e]], vecs.shape[1], 2)
-
-    def propagate(self, prev_level: _Level, key: tuple[str, int], new_level: _Level) -> tuple[int, list[Matrix]]:
-        """Express a pending prev-level operator on the new level's basis."""
-        deg, mats = prev_level.ops[key]
-        valid = min(self.window - deg, len(mats) - 1)
-        out = []
-        for d in range(valid + 1):
-            a = Matrix.zeros(new_level.dims[d + deg], new_level.dims[d], 2)
-            for i, tag, e, off, size in self.layout(d):
-                tgt = self.block_offset(d + deg, i, tag)
-                if tgt is None:
-                    continue
-                toff, tsize = tgt
-                if tag == "c":
-                    coords = self.coker_project(e + deg, mats[e].take(self.nonpiv[e]))
-                else:
-                    img = _matmul(mats[e], self.ker[e])
-                    kb = self.ker[e + deg]
-                    coords = solve_modp(kb, img, 2) if kb.shape[1] else Matrix.zeros(0, size, 2)
-                if coords.shape != (tsize, size):
-                    raise AssertionError(f"block of shape {coords.shape} placed in a {tsize} x {size} slot")
-                for k, x in enumerate(coords.rows):
-                    a.rows[toff + k] |= x << off
-            out.append(a)
-        return deg, out
-
-    def materialize_power(self, exp: int, new_level: _Level) -> tuple[int, list[Matrix]]:
-        """Multiplication by u^exp on this level (u the adjoined generator).
-
-        Even powers shift the block index; the odd unit step is only valid
-        when the cone differential was zero (then every u^a x is a cycle).
-        """
-        deg = exp * self.du
-        half, odd = divmod(exp, 2)
-        if odd and not self.zero_op:
-            raise AssertionError("odd power of a cone generator with nonzero differential")
-        valid = self.window - deg
-        out = []
-        for d in range(valid + 1):
-            a = Matrix.zeros(new_level.dims[d + deg], new_level.dims[d], 2)
-            for i, tag, e, off, size in self.layout(d):
-                if not odd:
-                    tgt = self.block_offset(d + deg, i + half, tag)
-                else:
-                    # with zero differential, coker and ker bases are both
-                    # the identity, so the unit step swaps the tag directly
-                    if tag == "c":
-                        tgt = self.block_offset(d + deg, i + half, "k")
-                    else:
-                        tgt = self.block_offset(d + deg, i + half + 1, "c")
-                if tgt is None:
-                    continue
-                toff, tsize = tgt
-                for j in range(min(size, tsize)):
-                    a.rows[toff + j] |= 1 << (off + j)
-            out.append(a)
-        return deg, out
-
-
-def _p2_component_dims(pres: Presentation, comp: list[PresGenerator], hi: int) -> list[int]:
-    if pres.p != 2:
-        raise AssertionError("adjunction chain is the p = 2 route")
-    names = {g.name for g in comp}
-    deg_of = {g.name: g.degree for g in comp}
-    img: dict[str, tuple[str, int] | None] = {}
-    for g in comp:
-        im = pres.qn_on_generator(g.name)
-        # a target beyond the generator horizon only matters above hi
-        img[g.name] = im if im is not None and im[0] in names else None
-    # generators on a Q_n-cycle (mutual or self coupling) form the core
-    core_names: set[str] = set()
-    for g in comp:
-        seen: list[str] = []
-        cur: str | None = g.name
-        while cur is not None and cur not in seen:
-            seen.append(cur)
-            nxt = img.get(cur)
-            cur = nxt[0] if nxt else None
-        if cur is not None:
-            core_names.update(seen[seen.index(cur) :])
-    core = sorted((g for g in comp if g.name in core_names), key=lambda g: g.degree)
-    placed = set(core_names)
-    order: list[PresGenerator] = []
-    pool = sorted((g for g in comp if g.name not in core_names), key=lambda g: g.degree)
-    while pool:
-        for k, g in enumerate(pool):
-            base = img[g.name][0] if img[g.name] else None
-            if base is None or base in placed:
-                order.append(pool.pop(k))
-                placed.add(g.name)
-                break
-        else:
-            raise AssertionError("adjunction order blocked")
-    steps: list[tuple[PresGenerator, tuple[str, int] | None]] = [
-        (g, img[g.name]) for g in order
-    ]
-    budget = sum(deg_of[t[0]] * t[1] for _g, t in steps if t is not None)
-    window = hi + budget
-    core_tokens = [t for _g, t in steps if t is not None and t[0] in core_names]
-    level = _core_level(pres, core, window, core_tokens)
-    for idx, (g, token) in enumerate(steps):
-        data, new_level = _cone_level(level, g.degree, token)
-        # carry the operators still needed by later steps
-        for _g2, t2 in steps[idx + 1 :]:
-            if t2 is None or t2 in new_level.ops:
-                continue
-            if t2[0] == g.name:
-                new_level.ops[t2] = data.materialize_power(t2[1], new_level)
-            elif t2 in level.ops:
-                new_level.ops[t2] = data.propagate(level, t2, new_level)
-        level = new_level
-    if level.window < hi:
-        raise WindowError("adjunction chain ran out of degree window")
-    return level.dims[: hi + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -1009,12 +721,9 @@ def _factored_trivial(p: int, n: int, hi: int) -> tuple[int, ...]:
         pres = build(p, n)
         series = [1] + [0] * hi
         for comp in components(pres, hi + pres.qn_degree):
-            if p == 2:
-                cd = _p2_component_dims(pres, comp, hi)
-            else:
-                if len(comp) > 3:
-                    raise AssertionError("odd-prime components have at most 3 generators")
-                cd = ExplicitHomology(pres, comp, hi).dims
+            if len(comp) > 4:
+                raise AssertionError("components have at most 4 generators")
+            cd = ExplicitHomology(pres, comp, hi).dims
             terms = [(d2, c) for d2, c in enumerate(cd) if c]
             out = [0] * (hi + 1)
             for d1, a in enumerate(series):
@@ -1093,14 +802,6 @@ class WFactory:
             exps[self.ctx.index[nm]] += e
         return {tuple(exps): coeff % self.pres.p}
 
-    def _z_power(self, i: int, k: int) -> dict[str, int]:
-        # at p = 2 the presentation has no z generators; z_i = u_{i-1}^2
-        if k == 0:
-            return {}
-        if self.pres.p == 2:
-            return {f"u_{i - 1}": 2 * k}
-        return {f"z_{i}": k}
-
     def w_poly(self, m: int) -> dict[tuple[int, ...], int]:
         """The cycle w_m (integer index), for m >= n."""
         p, n = self.pres.p, self.pres.n
@@ -1111,18 +812,18 @@ class WFactory:
             return self._mono({f"u_{n}": 1})
         if j <= n:
             first = self._mono({f"u_{n + j}": 1})
-            tail = {f"u_{n - j}": 1}
-            for nm, e in self._z_power(j, p**n - p ** (n - j)).items():
-                tail[nm] = tail.get(nm, 0) + e
+            tail = self._mono({f"u_{n - j}": 1, f"z_{j}": p**n - p ** (n - j)}, -1)
             # the sign makes the two Leibniz images cancel; at p = 2 it is +
-            return _poly_add(first, self._mono(tail, -1), p)
+            return _poly_add(first, tail, p)
         jj = j - (n + 1)
-        if p == 2 and jj == 0:
-            tail = {"i2": 1, f"u_{n}": 2 ** (n + 1) - 1}
-            return _poly_add(self._mono({f"u_{2 * n + 1}": 1}), self._mono(tail), p)
         y = self._mono({"i2": (p - 1) * p**jj})
-        zpart = self._mono(self._z_power(n + jj + 1, p**n - 1))
-        return self.ctx.mul_poly(self.ctx.mul_poly(y, self.w_poly(n + jj)), zpart)
+        zpart = self._mono({f"z_{n + jj + 1}": p**n - 1})
+        w = self.ctx.mul_poly(self.ctx.mul_poly(y, self.w_poly(n + jj)), zpart)
+        if p == 2 and jj == 0:
+            # Q_n(i2 u_n) = u_n u_n = z_{n+1}, so i2 u_n z_{n+1}^(2^n - 1) is
+            # no cycle at p = 2; u_{2n+1} cancels its image
+            w = _poly_add(self._mono({f"u_{2 * n + 1}": 1}), w, p)
+        return w
 
     def w_half_poly(self, m2: int) -> dict[tuple[int, ...], int]:
         """The cycle w_{m + 1/2} for odd doubled index m2 = 2m + 1."""
@@ -1195,65 +896,42 @@ def _square_failures(ctx: DerivationContext, buckets, hi: int) -> Iterator[tuple
             yield from (m for j, m in enumerate(src) if any(r[j] for r in square.rows))
 
 
+SQUARE_SEED = 0  # the seed of the mixed samples of qn_square_check
+
+
 def qn_square_check(
-    p: int,
-    n: int,
-    max_degree: int,
-    mixed_samples: int = 2000,
-    component_budget: int = 1_000_000,
-    seed: int = 0,
+    p: int, n: int, max_degree: int, mixed_samples: int = 2000
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Check Q_n(Q_n(m)) = 0 through the implemented derivation.
 
-    Per Q_n-coupled tensor component, every monomial up to max_degree is
-    swept when the count fits component_budget: degree by degree, the
-    product of the Q_n block out of d + dq with the block out of d (the
-    blocks ExplicitHomology ranks) must vanish, and each nonzero column is
-    a failing monomial.  One p=2 component grows to tens of millions of
-    monomials; there the sweep covers all monomials with every exponent
-    <= 2p-1 (the Leibniz coefficients read exponents only mod p, and
-    exterior caps only read presence, so these exhaust every cancellation
-    class) plus seeded full-range samples, one monomial at a time.
-    Products across components satisfy the identity once each factor does
-    (the cross terms of a derivation square cancel), but random mixed
-    monomials are pushed through the code path as well.  Returns (monomials
-    checked, failures).
+    Every Q_n-coupled tensor component is swept whole, every monomial up
+    to max_degree: degree by degree, the product of the Q_n block out of
+    d + dq with the block out of d (the blocks ExplicitHomology ranks) must
+    vanish, and each nonzero column is a failing monomial.  Products across
+    components satisfy the identity once each factor does (the cross terms
+    of a derivation square cancel), but seeded random mixed monomials are
+    pushed through the code path as well, one at a time.  Returns
+    (monomials checked, failures).
     """
     import random
 
     pres = build(p, n)
     dq = pres.qn_degree
-    rng = random.Random(seed)
     checked = 0
     failures: list[tuple[int, ...]] = []
-
-    def run(ctx: DerivationContext, m: tuple[int, ...]) -> None:
-        nonlocal checked
+    for comp in components(pres, max_degree + 2 * dq):
+        ctx = DerivationContext(pres, max_degree + 2 * dq, gens=comp, missing_as_zero=True)
+        failures += _square_failures(ctx, window_bases(comp, max_degree + 2 * dq), max_degree)
+        checked += sum(_prefix_sum_series(comp, max_degree))
+    rng = random.Random(SQUARE_SEED)
+    ctx = DerivationContext(pres, max_degree + 2 * dq, missing_as_zero=True)
+    full_gens = [g for g in ctx.gens if g.degree <= max_degree]
+    for _ in range(mixed_samples):
+        m = _random_monomial(rng, ctx, full_gens, max_degree)
         q1 = ctx.qn_monomial(m)
         if q1 and ctx.qn_poly(q1):
             failures.append(m)
         checked += 1
-
-    for comp in components(pres, max_degree + 2 * dq):
-        ctx = DerivationContext(pres, max_degree + 2 * dq, gens=comp, missing_as_zero=True)
-        count = sum(_prefix_sum_series(comp, max_degree))
-        if count <= component_budget:
-            buckets = window_bases(comp, max_degree + 2 * dq)
-            failures += _square_failures(ctx, buckets, max_degree)
-            checked += count
-        else:
-            each_monomial(
-                [g.degree for g in comp],
-                [2 * p - 1] * len(comp),
-                max_degree,
-                lambda m, _d: run(ctx, m),
-            )
-            for _ in range(10 * mixed_samples):
-                run(ctx, _random_monomial(rng, ctx, list(comp), max_degree))
-    ctx = DerivationContext(pres, max_degree + 2 * dq, missing_as_zero=True)
-    full_gens = [g for g in ctx.gens if g.degree <= max_degree]
-    for _ in range(mixed_samples):
-        run(ctx, _random_monomial(rng, ctx, full_gens, max_degree))
     return checked, failures
 
 

@@ -656,10 +656,8 @@ def run_closed_form(page: Page, sched: list[Differential]) -> Page:
 
 
 class _WindowPlan(NamedTuple):
-    top: int
     j_top: int  # widest family index whose action reaches into [0, top]
     j_ext: int  # widest family index used for lattice arcs
-    delta_max: int  # largest degree step among in-window stages
     max_stage: int  # largest stage among in-window stages
     full_limit: int  # full-lattice enumeration bound
     fold_limit: int  # product cutoff during the Kunneth fold
@@ -719,9 +717,7 @@ def _plan(p: int, n: int, top: int, variance: str) -> _WindowPlan:
     j_ext = max(j_top, 1)
     while min(src for _st, src in _stage_relevance(p, n, j_ext + 1)) <= enum_limit:
         j_ext += 1
-    return _WindowPlan(
-        top, max(j_top, 1), j_ext, delta_max, max_stage, full_limit, fold_limit, enum_limit
-    )
+    return _WindowPlan(max(j_top, 1), j_ext, max_stage, full_limit, fold_limit, enum_limit)
 
 
 def window_schedule(p: int, n: int, top: int, variance: str = "cohomology") -> list[Differential]:

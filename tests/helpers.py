@@ -1,7 +1,8 @@
 """Reference code that only the tests read: series arithmetic for the
 schoolbook Poincare fold, the Q_n matrix on the full monomial basis, the
 E[Q_n] split invariant of a report, the degree of u_i, the derivation one
-monomial at a time, and the Q_n-square sweep one monomial at a time.
+monomial at a time (at p = 2 over polynomial u_i, through the basis
+bijection), and the Q_n-square sweep one monomial at a time.
 """
 
 import random
@@ -49,22 +50,103 @@ def qn_matrix(pres: km2.Presentation, d: int, max_degree: int) -> km2.Matrix:
     return km2._qn_block(ctx, buckets[d - dq], buckets[d]).T
 
 
+# ---- p = 2 over polynomial u_i
+#
+# H*K(Z_2, 2) is F_2[i2, u_0, u_1, ...] with every u_i polynomial.  A monomial
+# there is a dict {name: exponent}; the bijection u_i^(2k+e) <-> u_i^e z_{i+1}^k
+# carries it to the presentation's basis.
+
+
+def polynomial_basis_p2(hi: int) -> list[tuple[dict[str, int], int]]:
+    """(monomial, degree) for every monomial of degree <= hi over i2 and the
+    polynomial u_i of degree 2^(i+1) + 1."""
+    gens = [("i2", 2)]
+    while 2 ** len(gens) + 1 <= hi:
+        gens.append((f"u_{len(gens) - 1}", 2 ** len(gens) + 1))
+    out = [({}, 0)]
+    for name, deg in gens:
+        out = [
+            ({**mono, name: e} if e else mono, d + e * deg)
+            for mono, d in out
+            for e in range((hi - d) // deg + 1)
+        ]
+    return out
+
+
+def polynomial_qn_p2(n: int, mono: dict[str, int]) -> set[frozenset[tuple[str, int]]]:
+    """Q_n of one monomial over polynomial u_i, as the set of its terms mod 2:
+    Q_n(i2) = u_n, and Q_n(u_i) = u_{n-i-1}^(2^(i+1)) for i < n, 0 for i = n,
+    u_{i-n-1}^(2^(n+1)) for i > n, extended as a derivation."""
+    out: set[frozenset[tuple[str, int]]] = set()
+    for name, e in mono.items():
+        if e % 2 == 0:
+            continue
+        if name == "i2":
+            tname, texp = f"u_{n}", 1
+        else:
+            i = int(name[2:])
+            if i == n:
+                continue
+            tname, texp = (f"u_{n - i - 1}", 2 ** (i + 1)) if i < n else (f"u_{i - n - 1}", 2 ** (n + 1))
+        t = dict(mono)
+        t[name] -= 1
+        if not t[name]:
+            del t[name]
+        t[tname] = t.get(tname, 0) + texp
+        out ^= {frozenset(t.items())}
+    return out
+
+
+def to_polynomial_basis(ctx: km2.DerivationContext, exps: tuple[int, ...]) -> dict[str, int]:
+    """u_i^e z_{i+1}^k -> u_i^(2k+e)."""
+    out: dict[str, int] = {}
+    for e, g in zip(exps, ctx.gens):
+        if e:
+            name, x = (f"u_{g.index - 1}", 2 * e) if g.family == "z" else (g.name, e)
+            out[name] = out.get(name, 0) + x
+    return out
+
+
+def from_polynomial_basis(ctx: km2.DerivationContext, mono: dict[str, int]) -> tuple[int, ...]:
+    """u_i^(2k+e) -> u_i^e z_{i+1}^k; KeyError names a generator the
+    image needs and ctx lacks."""
+    exps = [0] * len(ctx.gens)
+    for name, e in mono.items():
+        if name != "i2":
+            e, k = e % 2, e // 2
+            if k:
+                exps[ctx.index[f"z_{int(name[2:]) + 1}"]] += k
+        if e:
+            exps[ctx.index[name]] += e
+    return tuple(exps)
+
+
 def qn_monomial_reference(
     ctx: km2.DerivationContext, exps: tuple[int, ...], missing_as_zero: bool = False
 ) -> dict[tuple[int, ...], int]:
     """Q_n of one monomial, read off the presentation generator by generator
     with no term table: the Koszul sign from the degree of the prefix, the
-    reordering sign from the odd factors the inserted one moves past.
-    missing_as_zero must be the flag the context was built with."""
+    reordering sign from the odd factors the inserted one moves past.  At
+    p = 2 the monomial goes to polynomial u_i and back instead, so no
+    carry into u_i^2 is involved.  missing_as_zero must be the flag the
+    context was built with."""
     p = ctx.p
     out: dict[tuple[int, ...], int] = {}
+    if p == 2:
+        for key in polynomial_qn_p2(ctx.pres.n, to_polynomial_basis(ctx, exps)):
+            try:
+                out[from_polynomial_basis(ctx, dict(key))] = 1
+            except KeyError as exc:
+                if not missing_as_zero:
+                    raise km2.WindowError(f"Q_n of {exps} needs {exc}") from None
+        return out
     prefix = 0
     for k, g in enumerate(ctx.gens):
         e = exps[k]
         img = ctx.pres.qn_on_generator(g.name)
         if e and img is not None and (img[0] in ctx.index or not missing_as_zero):
             c = e % p
-            if c and p != 2 and prefix % 2 == 1:
+            if c and prefix % 2 == 1:
                 c = p - c
             if c:
                 tname, texp = img
@@ -76,7 +158,7 @@ def qn_monomial_reference(
                 ne[tpos] += texp
                 tg = ctx.gens[tpos]
                 if not (tg.exp_kind == "E" and ne[tpos] > 1):
-                    if p != 2 and tg.degree % 2 == 1:
+                    if tg.degree % 2 == 1:
                         assert tpos > k, "odd image inserted leftward"
                         s = sum(
                             1 for t in range(k + 1, tpos) if ne[t] and ctx.gens[t].degree % 2 == 1
@@ -125,19 +207,13 @@ def check_invariant(rep: km2.QnHomologyReport) -> bool:
 
 
 def qn_square_reference(
-    p: int,
-    n: int,
-    max_degree: int,
-    mixed_samples: int = 2000,
-    component_budget: int = 1_000_000,
-    seed: int = 0,
+    p: int, n: int, max_degree: int, mixed_samples: int = 2000
 ) -> tuple[int, list[tuple[int, ...]]]:
     """km2.qn_square_check with every swept monomial pushed through the
-    derivation on its own: Q_n of the monomial, then Q_n of that polynomial
-    term by term.  Same monomials, same order, same (checked, failures)."""
+    derivation on its own: Q_n of the monomial, then Q_n of that polynomial.
+    Same monomials, same order, same (checked, failures)."""
     pres = km2.build(p, n)
     dq = pres.qn_degree
-    rng = random.Random(seed)
     checked = 0
     failures: list[tuple[int, ...]] = []
 
@@ -150,19 +226,10 @@ def qn_square_reference(
 
     for comp in km2.components(pres, max_degree + 2 * dq):
         ctx = km2.DerivationContext(pres, max_degree + 2 * dq, gens=comp, missing_as_zero=True)
-        if sum(km2._prefix_sum_series(comp, max_degree)) <= component_budget:
-            for bucket in km2.window_bases(comp, max_degree):
-                for m in bucket:
-                    run(ctx, m)
-        else:
-            km2.each_monomial(
-                [g.degree for g in comp],
-                [2 * p - 1] * len(comp),
-                max_degree,
-                lambda m, _d: run(ctx, m),
-            )
-            for _ in range(10 * mixed_samples):
-                run(ctx, km2._random_monomial(rng, ctx, list(comp), max_degree))
+        for bucket in km2.window_bases(comp, max_degree):
+            for m in bucket:
+                run(ctx, m)
+    rng = random.Random(km2.SQUARE_SEED)
     ctx = km2.DerivationContext(pres, max_degree + 2 * dq, missing_as_zero=True)
     full_gens = [g for g in ctx.gens if g.degree <= max_degree]
     for _ in range(mixed_samples):

@@ -376,5 +376,3 @@ def test_bockstein_input_errors():
     a = answer.closed_form(3, 1, window=60)
     with pytest.raises(ValueError):
         answer.bockstein_check(answer.localize(a))
-    with pytest.raises(km2.WindowError):
-        answer.bockstein_check(a, max_degree=100)

@@ -92,9 +92,9 @@ STDOUT_SHA256 = {
     ("verify", 3, 1, "cohomology", 60):
         "ddc59a42bcdcda781f1c7be8e4643adecdd8b0599888c8943f0a49382de7a139",
     ("verify", 2, 1, "cohomology", 60):
-        "08e29f9cfe334a192ae8b14cf870338ad7b1cb28571d316f928bb19e054ba3d5",
+        "cbe2e5f212b504a7db7173e6851d78649d301aef4553f181ee79eaf8d1786354",
     ("verify", 2, 2, "homology", 100):
-        "6762f5fc9056ab314550a0735c9f2aed2cb4d1c58dba111b278c01a13c83c366",
+        "c518beb51586e4946f50b249e0ccbd6feacb2bb65cebe390bc2c4ccce2391bd6",
     ("table", 3, 1, "cohomology", 40):
         "227b3ace6816fa2b82114f6c5c261c263f9a9581549c4b226e4b86b6ee7b0d13",
     ("table", 2, 2, "cohomology", 90):

@@ -16,6 +16,9 @@ from morava_k2.graded_algebra import E, Factor, Generator, P, TensorExpression
 
 from helpers import (
     check_invariant,
+    from_polynomial_basis,
+    polynomial_basis_p2,
+    polynomial_qn_p2,
     qn_block_reference,
     qn_matrix,
     qn_monomial_reference,
@@ -44,8 +47,12 @@ def test_generator_degrees_odd_p():
 
 
 def test_generator_degrees_p2():
-    # no z generators at p=2; u_i^2 plays the role of z_{i+1}
-    assert gen_degrees(2, 1, 20) == {"i2": 2, "u_0": 3, "u_1": 5, "u_2": 9, "u_3": 17}
+    # the odd-p formula at p = 2: z_{i+1} stands for u_i^2, in degree 2(2^(i+1) + 1)
+    assert gen_degrees(2, 1, 20) == {
+        "i2": 2, "z_1": 6, "z_2": 10, "z_3": 18, "u_0": 3, "u_1": 5, "u_2": 9, "u_3": 17,
+    }
+    pres = km2.build(2, 1)
+    assert all(g.exp_kind == ("E" if g.family == "u" else "P") for g in pres.generators(40))
 
 
 def test_build_rejects_bad_input():
@@ -72,12 +79,14 @@ def test_qn_on_generator_odd_p():
 
 
 def test_qn_on_generator_p2():
+    # u_0 -> u_1^2 = z_2, u_1 -> u_0^4 = z_1^2, u_5 -> u_2^8 = z_3^4
     pres = km2.build(2, 2)
     assert pres.qn_on_generator("i2") == ("u_2", 1)
-    assert pres.qn_on_generator("u_0") == ("u_1", 2)
-    assert pres.qn_on_generator("u_1") == ("u_0", 4)
+    assert pres.qn_on_generator("u_0") == ("z_2", 1)
+    assert pres.qn_on_generator("u_1") == ("z_1", 2)
     assert pres.qn_on_generator("u_2") is None
-    assert pres.qn_on_generator("u_5") == ("u_2", 8)
+    assert pres.qn_on_generator("u_5") == ("z_3", 4)
+    assert pres.qn_on_generator("z_3") is None
 
 
 def test_qn_matrix_single_generator_degrees():
@@ -159,6 +168,28 @@ def test_derivation_window_error_when_image_gen_missing():
         km2._qn_block(ctx, [exps], [])
 
 
+def test_p2_carry_needs_its_square_in_the_window():
+    """Q_1(i2 u_1) = u_1 u_1 = z_2 in degree 10, through the kernel and
+    through mul_poly; below that window the carry is a WindowError, or is
+    dropped in a context that reads missing targets as zero."""
+    pres = km2.build(2, 1)
+
+    def mono(ctx, **exps):
+        return tuple(exps.get(g.name, 0) for g in ctx.gens)
+
+    ctx = km2.DerivationContext(pres, 10)
+    assert ctx.qn_monomial(mono(ctx, i2=1, u_1=1)) == {mono(ctx, z_2=1): 1}
+    u1 = {mono(ctx, u_1=1): 1}
+    assert ctx.mul_poly(u1, u1) == {mono(ctx, z_2=1): 1}
+    short = km2.DerivationContext(pres, 8)
+    with pytest.raises(km2.WindowError):
+        short.qn_monomial(mono(short, i2=1, u_1=1))
+    with pytest.raises(km2.WindowError):
+        short.mul_poly({mono(short, u_1=1): 1}, {mono(short, u_1=1): 1})
+    dropped = km2.DerivationContext(pres, 8, missing_as_zero=True)
+    assert dropped.qn_monomial(mono(dropped, i2=1, u_1=1)) == {}
+
+
 @given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 3), hi=st.integers(2, 80))
 @example(p=3, n=1, hi=80)
 @example(p=5, n=3, hi=80)
@@ -184,6 +215,24 @@ def test_leibniz_kernel_matches_per_monomial_reference(p, n, hi):
                 assert ctx.qn_monomial(m) == qn_monomial_reference(ctx, m, missing)
 
 
+@pytest.mark.parametrize("n, hi", [(1, 80), (2, 120), (3, 120)])
+def test_p2_basis_rewrites_the_polynomial_basis(n, hi):
+    """u_i^(2k+e) -> u_i^e z_{i+1}^k maps the monomials of degree <= hi over
+    polynomial u_i one to one onto the presentation's basis, degree for
+    degree, and carries Q_n of each to qn_monomial of its image."""
+    pres = km2.build(2, n)
+    ctx = km2.DerivationContext(pres, hi + pres.qn_degree)
+    images = []
+    for mono, deg in polynomial_basis_p2(hi):
+        exps = from_polynomial_basis(ctx, mono)
+        assert ctx.degree(exps) == deg, mono
+        images.append(exps)
+        want = {from_polynomial_basis(ctx, dict(t)): 1 for t in polynomial_qn_p2(n, mono)}
+        assert ctx.qn_monomial(exps) == want, mono
+    basis = [m for bucket in km2.window_bases(ctx.gens, hi) for m in bucket]
+    assert sorted(images) == sorted(basis)
+
+
 def test_qn_square_zero_small_windows():
     for p, n in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]:
         checked, failures = km2.qn_square_check(p, n, 60, mixed_samples=200)
@@ -193,7 +242,7 @@ def test_qn_square_zero_small_windows():
 
 SQUARE_WINDOWS = [(2, 1, 60), (3, 1, 60), (2, 2, 60), (3, 2, 80), (5, 1, 80)]
 # failures the planted defect below leaves on each window
-PLANTED_FAILURES = {(2, 1, 60): 4, (3, 1, 60): 40, (2, 2, 60): 18, (3, 2, 80): 60, (5, 1, 80): 30}
+PLANTED_FAILURES = {(2, 1, 60): 3, (3, 1, 60): 40, (2, 2, 60): 3, (3, 2, 80): 60, (5, 1, 80): 30}
 
 
 def _drop_first_term_at_cube(monkeypatch):
@@ -279,32 +328,6 @@ def test_factored_matches_direct():
         assert direct.trivial == fact.trivial, (p, n)
         assert direct.free_rank == fact.free_rank, (p, n)
         assert check_invariant(fact)
-
-
-@pytest.mark.parametrize("n, hi", [(1, 300), (2, 200), (3, 120)])
-def test_cone_block_offsets_match_the_layout_scan(monkeypatch, n, hi):
-    """block_offset, read off the level's running dims, is the block that a
-    scan of the degree's layout finds, and None where the scan finds none,
-    for every degree, block index and tag of every p = 2 chain."""
-    stages = []
-    real = km2._cone_level
-
-    def recording(*args):
-        data, level = real(*args)
-        stages.append(data)
-        return data, level
-
-    monkeypatch.setattr(km2, "_cone_level", recording)
-    pres = km2.build(2, n)
-    for comp in km2.components(pres, hi + pres.qn_degree):
-        km2._p2_component_dims(pres, comp, hi)
-    assert stages
-    for data in stages:
-        for d in range(data.window + 1):
-            scan = {(i, tag): (off, size) for i, tag, _e, off, size in data.layout(d)}
-            for i in range(d // (2 * data.du) + 2):
-                for tag in ("c", "k"):
-                    assert data.block_offset(d, i, tag) == scan.get((i, tag)), (d, i, tag)
 
 
 @pytest.mark.parametrize("variance", ["cohomology", "homology"])
@@ -435,7 +458,7 @@ def test_half_w_cycles_and_the_p2_exception():
             out = factory.ctx.qn_poly(dict(w.poly))
             if w.index2 == 3:
                 (key,) = out
-                assert factory.ctx.render(key) == "u_1^2"
+                assert factory.ctx.render(key) == "z_2"
             else:
                 assert out == {}
 
@@ -517,9 +540,9 @@ def _matrices(draw):
     return p, rows, cols, grid(rows, cols)
 
 
-@given(_matrices(), st.data())
+@given(_matrices())
 @settings(deadline=None, max_examples=400)
-def test_fp_kernel_matches_schoolbook(mat, data):
+def test_fp_kernel_matches_schoolbook(mat):
     p, rows, cols, entries = mat
     a = _matrix(entries, cols, p)
     assert a.shape == (rows, cols)
@@ -536,19 +559,3 @@ def test_fp_kernel_matches_schoolbook(mat, data):
     assert _matmul(entries, _entries(null), cols, nullity, p) == [[0] * nullity] * rows
     assert len(_schoolbook_rref(_entries(null), nullity, p)[1]) == nullity
 
-    k = data.draw(st.integers(0, 3))
-    x = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k),
-                           min_size=cols, max_size=cols))
-    b = _matmul(entries, x, cols, k, p)
-    got = km2.solve_modp(a, _matrix(b, k, p), p)
-    assert got.shape == (cols, k)
-    assert _matmul(entries, _entries(got), cols, k, p) == b
-    # a right-hand side outside the column space has no solution
-    extra = data.draw(st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows))
-    aug = [row + [e] for row, e in zip(entries, extra)]
-    rhs = _matrix([[e] for e in extra], 1, p)
-    if len(_schoolbook_rref(aug, cols + 1, p)[1]) > len(want_piv):
-        with pytest.raises(ValueError, match="inconsistent"):
-            km2.solve_modp(a, rhs, p)
-    else:
-        assert _matmul(entries, _entries(km2.solve_modp(a, rhs, p)), cols, 1, p) == [[e] for e in extra]
