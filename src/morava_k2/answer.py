@@ -8,6 +8,14 @@ from.  to_page converts the result so the ss_engine comparators can check it
 against an actual run.  poincare_answer, localize, bockstein_check and
 localization_check read dimensions off the module description.
 
+poincare_answer sums whole families, never single classes: each family's
+generator series is one run, ended r|v| further on for a family of order
+r, and one prefix sum with stride |v| counts the classes of every tower.
+It shares the family series with Page.chart_series but none of the tower
+arithmetic (ss_engine._tower_powers), so cli's comparison of the two can
+catch a defect in either.  A single v-power row is built only when
+AnswerSeries.power asks for it.
+
 Both variances are written down directly at every p, p = 2 homology
 included, from the generator registry in ss_engine; in homology each
 family's towers start on the dual of its differential's source.
@@ -16,6 +24,8 @@ family's towers start on the dual of its differential's source.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
+from operator import add, sub
 from typing import NamedTuple
 
 from . import km2, numerology, ss_engine
@@ -28,7 +38,6 @@ from .ss_engine import (
     _head_factors,
     _norm_window,
     _summands,
-    _tower_powers,
     _v_free,
     _without_v,
     v_degree,
@@ -106,67 +115,90 @@ def to_page(a: AnswerModule) -> Page:
 
 
 class AnswerSeries(NamedTuple):
-    """total and by_v_power on the requested window; family_counts holds each
-    torsion family's generator count on [0, window top] of the module."""
+    """The module's dimensions on a window [lo, hi] (total's window).
+
+    family_counts holds each torsion family's generator count on [0, module
+    top].  towers holds (order, generator series on [0, module top]) for
+    each P[v]-tower family, the v-free part first with order INF; power(s)
+    reads the v^s row off them only when asked.
+    """
 
     total: PoincareSeries
-    by_v_power: tuple[tuple[int, PoincareSeries], ...]
     family_counts: tuple[int, ...]
+    towers: tuple[tuple[object, PoincareSeries], ...]
+    v_degree: int
+    zp_family: tuple[tuple[int, int], ...]
 
     def power(self, s: int) -> PoincareSeries:
-        for k, series in self.by_v_power:
-            if k == s:
-                return series
+        """The classes v^s x in the window, x a generator of a tower of order
+        above s, and at s = 0 the Z_p family."""
         lo, hi = self.total.lo, self.total.hi
-        return PoincareSeries(lo, hi, (0,) * (hi - lo + 1))
+        dims = [0] * (hi - lo + 1)
+        if s >= 0:
+            for order, gens in self.towers:
+                if s < order:
+                    _add_shifted(dims, lo, gens, s * self.v_degree, add)
+        if s == 0:
+            for d, c in self.zp_family:
+                if lo <= d <= hi:
+                    dims[d - lo] += c
+        return PoincareSeries(lo, hi, tuple(dims))
+
+
+def _add_shifted(dims: list[int], lo: int, series: PoincareSeries, shift: int, op) -> None:
+    """dims[d - lo] = op(dims[d - lo], series.dim(d - shift)) wherever dims
+    and the shifted series overlap, as one slice."""
+    a = max(lo, series.lo + shift)
+    b = min(lo + len(dims), series.hi + shift + 1)
+    if a < b:
+        run = series.dims[a - shift - series.lo : b - shift - series.lo]
+        dims[a - lo : b - lo] = map(op, dims[a - lo : b - lo], run)
 
 
 def poincare_answer(a: AnswerModule, window=None) -> AnswerSeries:
-    """Per-degree F_p dimensions of the module, total and per v-power.
+    """Per-degree F_p dimensions of the module on a window.
 
     A TP_r[v] tower on a degree-d generator counts r classes at d, d + |v|,
-    ..., d + (r-1)|v|.  The window is a (lo, hi) pair, the module's own by
-    default; it may reach into negative degrees, where only the v-free part
-    lives in cohomology.
+    ..., d + (r-1)|v|.  The towers are counted a family at a time: each
+    family's generator series enters as a run of +1 at its own degrees and,
+    for finite order r, of -1 at those degrees shifted by r|v|; one prefix
+    sum with stride |v| in the direction of v then counts every class.  The
+    window is a (lo, hi) pair, the module's own by default; it may reach
+    into negative degrees, where only the v-free part lives in cohomology.
     """
     lo, hi = a.window if window is None else window
     if lo > hi:
         raise WindowError(f"empty window [{lo}, {hi}]")
-    if hi > a.window[1]:
-        raise WindowError(f"window top {hi} exceeds the computed range {a.window[1]}")
+    top = a.window[1]
+    if hi > top:
+        raise WindowError(f"window top {hi} exceeds the computed range {top}")
     dv = v_degree(a.p, a.n, a.variance)
-    rows: dict[int, Counter] = {}
+    towers = [(INF, _without_v(a.free_part).poincare(0, top))]
+    towers += [(f.order, f.expression.poincare(0, top)) for f in a.torsion_families]
 
-    def tower(g: int, count: int, order) -> None:
-        for e in _tower_powers(g, order, dv, lo, hi):
-            rows.setdefault(e, Counter())[g + e * dv] += count
-
-    series = _without_v(a.free_part).poincare(0, a.window[1])
-    for d in range(series.lo, series.hi + 1):
-        if series.dim(d):
-            tower(d, series.dim(d), INF)
-    family_counts = []
-    for f in a.torsion_families:
-        fs = f.expression.poincare(0, a.window[1])
-        family_counts.append(sum(fs.dims))
-        for d in range(fs.lo, fs.hi + 1):
-            if fs.dim(d):
-                tower(d, fs.dim(d), f.order)
+    # runs on [base, top]: every generator lies in [0, top], and a run end
+    # that falls outside only touches degrees outside [lo, hi]
+    base = min(lo, 0)
+    runs = [0] * (top - base + 1)
+    for order, gens in towers:
+        _add_shifted(runs, base, gens, 0, add)
+        if order != INF:
+            _add_shifted(runs, base, gens, order * dv, sub)
+    s = abs(dv)
+    for r in range(s):
+        # each residue class mod |v| in the direction of v
+        strand = slice(r, None, s) if dv > 0 else slice(-1 - r, None, -s)
+        runs[strand] = accumulate(runs[strand])
+    total = runs[lo - base : hi - base + 1]
     for d, c in a.zp_family:
         if lo <= d <= hi:
-            rows.setdefault(0, Counter())[d] += c
-
-    width = hi - lo + 1
-    total = [0] * width
-    by_power = []
-    for s in sorted(rows):
-        dims = [0] * width
-        for d, c in rows[s].items():
-            dims[d - lo] += c
             total[d - lo] += c
-        by_power.append((s, PoincareSeries(lo, hi, tuple(dims))))
     return AnswerSeries(
-        PoincareSeries(lo, hi, tuple(total)), tuple(by_power), tuple(family_counts)
+        total=PoincareSeries(lo, hi, tuple(total)),
+        family_counts=tuple(sum(gens.dims) for _order, gens in towers[1:]),
+        towers=tuple(towers),
+        v_degree=dv,
+        zp_family=a.zp_family,
     )
 
 

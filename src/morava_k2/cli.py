@@ -199,7 +199,7 @@ def serialize_answer(a: answer.AnswerModule, series: answer.AnswerSeries) -> dic
         "free": [_factor_dict(x) for x in a.free_part.factors],
         "torsion": torsion,
         "zp_family": [{"degree": d, "count": c} for d, c in a.zp_family],
-        "poincare": [{"degree": d, "dim": total.dim(d)} for d in range(total.lo, total.hi + 1)],
+        "poincare": [{"degree": d, "dim": c} for d, c in enumerate(total.dims, total.lo)],
         "names_nominal": True,
         "localized": a.localized,
     }
@@ -301,7 +301,8 @@ def cmd_compute(cfg: RunConfig, out) -> int:
         a = answer.localize(a)
     series = answer.poincare_answer(a, (cfg.lo, cfg.hi))
     chart = answer.to_page(a).chart_series()
-    if any(series.total.dim(d) != chart.dim(d) for d in range(max(cfg.lo, 0), cfg.hi + 1)):
+    # the page's window starts at 0
+    if series.total.dims[max(-cfg.lo, 0) :] != chart.dims[max(cfg.lo, 0) :]:
         print("internal consistency failure: series readers disagree", file=sys.stderr)
         return 3
     if cfg.fmt == "json":

@@ -11,6 +11,7 @@ window.
 
 from __future__ import annotations
 
+import functools
 from operator import sub
 from typing import NamedTuple
 
@@ -164,6 +165,7 @@ class TensorExpression(NamedTuple):
             return "F_p"
         return " @ ".join(f.label() for f in self.factors)
 
+    @functools.lru_cache(maxsize=64)
     def poincare(self, lo: int, hi: int) -> PoincareSeries:
         """Per-degree dimensions on [lo, hi], one factor at a time.
 
@@ -171,6 +173,8 @@ class TensorExpression(NamedTuple):
         to it after every factor, so classes that leave the window never
         return through a factor of the opposite degree sign.  A negative
         degree is the mirror image of a positive one on the reversed list.
+        Results are kept per (expression, lo, hi): the answer's series, its
+        page and the chart read the same family series.
         """
         wlo, whi = min(lo, 0), max(hi, 0)
         dims = [0] * (whi - wlo + 1)

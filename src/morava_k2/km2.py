@@ -616,12 +616,10 @@ class ExplicitHomology:
             for d in range(top + 1)
         ]
 
-    def _basis(self, d: int) -> tuple[Matrix, Matrix]:
-        """(representatives, [representatives | image basis]) at degree d.
-
-        The representatives are the cycles that extend the image of the
-        incoming Q_n, taken greedily: single cycle monomials first, then the
-        kernel vectors in nullspace order.
+    def _basis(self, d: int) -> Matrix:
+        """The representatives at degree d: the cycles that extend the image
+        of the incoming Q_n, taken greedily, single cycle monomials first and
+        then the kernel vectors in nullspace order.
         """
         p, dq = self.pres.p, self.pres.qn_degree
         dim = len(self.buckets[d])
@@ -641,11 +639,11 @@ class ExplicitHomology:
         reps = cand.take([c for c in piv if c >= k0])
         if reps.shape[1] != self.dims[d]:
             raise AssertionError(f"representatives disagree with the rank count at degree {d}")
-        return reps, hstack([reps, im.take([c for c in piv if c < k0])])
+        return reps
 
     def labels(self, d: int) -> list[str]:
         """The representatives at degree d as sums of monomials, starred in homology."""
-        reps = self._basis(d)[0]
+        reps = self._basis(d)
         out = []
         for k in range(reps.shape[1]):
             terms = [(self.ctx.render(m), x) for m, x in zip(self.buckets[d], reps.column(k)) if x]

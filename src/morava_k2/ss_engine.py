@@ -359,9 +359,9 @@ def _summands(expr: TensorExpression, order, hi: int) -> list[TowerSummand]:
     per degree."""
     series = expr.poincare(0, hi)
     return [
-        TowerSummand(expr, d, order, series.dim(d))
-        for d in range(series.lo, series.hi + 1)
-        if series.dim(d)
+        TowerSummand(expr, d, order, c)
+        for d, c in enumerate(series.dims, series.lo)
+        if c
     ]
 
 

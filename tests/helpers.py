@@ -2,12 +2,14 @@
 schoolbook Poincare fold, the Q_n matrix on the full monomial basis, the
 E[Q_n] split invariant of a report, the degree of u_i, the derivation one
 monomial at a time (at p = 2 over polynomial u_i, through the basis
-bijection), and the Q_n-square sweep one monomial at a time.
+bijection), the Q_n-square sweep one monomial at a time, and the answer's
+Poincare series one tower class at a time.
 """
 
 import random
+from collections import Counter
 
-from morava_k2 import km2
+from morava_k2 import km2, ss_engine
 from morava_k2.graded_algebra import PoincareSeries, TensorExpression
 
 
@@ -235,3 +237,45 @@ def qn_square_reference(
     for _ in range(mixed_samples):
         run(ctx, km2._random_monomial(rng, ctx, full_gens, max_degree))
     return checked, failures
+
+
+# ---- the answer's series class by class
+
+
+def poincare_answer_reference(a, window=None):
+    """answer.poincare_answer one class at a time: every tower is walked
+    through ss_engine._tower_powers and each class lands in its v-power row.
+    Returns (total, rows, family_counts), rows[s] the v^s row for every s
+    with a class in the window."""
+    lo, hi = a.window if window is None else window
+    dv = ss_engine.v_degree(a.p, a.n, a.variance)
+    rows: dict[int, Counter] = {}
+
+    def tower(g: int, count: int, order) -> None:
+        for e in ss_engine._tower_powers(g, order, dv, lo, hi):
+            rows.setdefault(e, Counter())[g + e * dv] += count
+
+    series = ss_engine._without_v(a.free_part).poincare(0, a.window[1])
+    for d in range(series.lo, series.hi + 1):
+        if series.dim(d):
+            tower(d, series.dim(d), ss_engine.INF)
+    family_counts = []
+    for f in a.torsion_families:
+        fs = f.expression.poincare(0, a.window[1])
+        family_counts.append(sum(fs.dims))
+        for d in range(fs.lo, fs.hi + 1):
+            if fs.dim(d):
+                tower(d, fs.dim(d), f.order)
+    for d, c in a.zp_family:
+        if lo <= d <= hi:
+            rows.setdefault(0, Counter())[d] += c
+
+    total = [0] * (hi - lo + 1)
+    out = {}
+    for s, row in rows.items():
+        dims = [0] * (hi - lo + 1)
+        for d, c in row.items():
+            dims[d - lo] += c
+            total[d - lo] += c
+        out[s] = PoincareSeries(lo, hi, tuple(dims))
+    return PoincareSeries(lo, hi, tuple(total)), out, tuple(family_counts)

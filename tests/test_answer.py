@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morava_k2 import answer, km2, ss_engine as ss
-from morava_k2.graded_algebra import E, TensorExpression, replace
+from morava_k2.graded_algebra import E, PoincareSeries, TensorExpression, replace
+
+from helpers import poincare_answer_reference
 
 
 def test_free_part_labels():
@@ -217,6 +219,35 @@ def test_poincare_matches_chart_series(p, n, variance, top, lo, localized):
     total = answer.poincare_answer(a, (lo, top)).total
     chart = answer.to_page(a)._replace(window=(lo, top)).chart_series()
     assert chart == total
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 3),
+    variance=st.sampled_from(["cohomology", "homology"]),
+    top=st.integers(2, 150),
+    lo=st.integers(-30, 0),
+    localized=st.booleans(),
+)
+@example(p=3, n=1, variance="cohomology", top=60, lo=-8, localized=False)
+@example(p=2, n=2, variance="homology", top=90, lo=-3, localized=False)
+@settings(deadline=None, max_examples=60)
+def test_poincare_matches_class_by_class_reference(p, n, variance, top, lo, localized):
+    """The strided family sums count what walking every tower class by class
+    counts: the total, each family's generator count and every v-power row,
+    one power past the last row included."""
+    a = answer.closed_form(p, n, variance, (0, top))
+    if localized:
+        a = answer.localize(a)
+    lo = min(lo, top)
+    series = answer.poincare_answer(a, (lo, top))
+    total, rows, family_counts = poincare_answer_reference(a, (lo, top))
+    assert series.total == total
+    assert series.family_counts == family_counts
+    orders = [f.order for f in a.torsion_families]
+    zero = PoincareSeries(lo, top, (0,) * (top - lo + 1))
+    for s in range(max([*rows, *orders], default=0) + 2):
+        assert series.power(s) == rows.get(s, zero), s
 
 
 def test_poincare_by_v_power():

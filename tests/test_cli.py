@@ -85,6 +85,23 @@ def test_compute_json_bytes_match_parent(capsys, job):
     assert hashlib.sha256(out).hexdigest() == COMPUTE_JSON_SHA256[job]
 
 
+# The same guard per full argument list, at a benchmark width and on a
+# window that reaches below degree 0.
+WIDE_COMPUTE_JSON_SHA256 = {
+    "compute --p 3 --n 2 --max-degree 900 --variance homology --format json":
+        "133367990745aff4c111c362696c010dd6c5c443de2e9ac641b2b8dc69e421a4",
+    "compute --p 3 --n 1 --max-degree 120 --min-degree -8 --format json":
+        "dffc8356c95780440d4b2988ac3289fde31114eb7c625e21a9df39897b29f5ec",
+}
+
+
+@pytest.mark.parametrize("command", WIDE_COMPUTE_JSON_SHA256)
+def test_wide_compute_json_bytes_match_parent(capsys, command):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == WIDE_COMPUTE_JSON_SHA256[command]
+
+
 # sha256 of the stdout of `verify` (every suite) and `table` per (command,
 # p, n, variance, max degree): the verdict lines and the charts, guarded the
 # same way as the compute bytes above.
@@ -269,6 +286,27 @@ def test_internal_assertion_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal consistency failure: planted invariant failure" in captured.err
+
+
+def test_series_readers_see_a_planted_tower_defect(capsys, monkeypatch):
+    """With ss_engine._tower_powers keeping one class too many on every
+    torsion tower, wherever the package binds it, the chart of the answer's
+    page no longer counts what poincare_answer counts, and compute refuses
+    to print: the two readers share no tower arithmetic."""
+    real = ss_engine._tower_powers
+
+    def planted(g, order, dv, lo, hi):
+        return real(g, order + 1, dv, lo, hi)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "morava_k2" and vars(module).get("_tower_powers") is real:
+            monkeypatch.setattr(module, "_tower_powers", planted)
+    a = answer.closed_form(3, 1, "cohomology", (0, 600))
+    assert answer.poincare_answer(a).total != answer.to_page(a).chart_series()
+    assert main(["compute", "--p", "3", "--n", "1", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "series readers disagree" in captured.err
 
 
 @pytest.mark.parametrize(

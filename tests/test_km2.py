@@ -342,7 +342,7 @@ def test_representatives_are_cycles_independent_of_the_image(p, n, variance):
     wide = top + pres.qn_degree
     eh = km2.ExplicitHomology(pres, pres.generators(wide), top)
     for d in range(top + 1):
-        reps = _entries(eh._basis(d)[0])
+        reps = _entries(eh._basis(d))
         k, dim = eh.dims[d], len(reps)
         assert all(len(row) == k for row in reps), d
         out = _entries(qn_matrix(pres, d, wide))

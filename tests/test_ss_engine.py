@@ -145,8 +145,8 @@ def test_generator_named_rejects_names_outside_the_registry():
 )
 @settings(deadline=None, max_examples=300)
 def test_tower_powers_matches_the_walk(g, order, dv, lo, width):
-    """The closed-form exponent range against the cell-by-cell walk it
-    replaced in Page.chart_dims and answer.poincare_answer."""
+    """The closed-form exponent range that Page.chart_dims and
+    Page.chart_series read, against a cell-by-cell walk."""
     hi = lo + width
     walked = []
     e = 0
