@@ -9,12 +9,11 @@ and Q_n is the same table on generators as at odd p, extended as a
 derivation with Koszul signs.  The only Leibniz term that meets the relation
 is Q_n(i2) = u_n landing on a u_n already present: it carries into z_{n+1}.
 
-Q_n-homology is computed two independent ways: a direct per-degree
-kernel/image computation on the full monomial basis (small windows), and a
-factored route that splits the algebra into the tensor components coupled by
-Q_n, the carry joining z_{n+1} to i2 and u_n, and handles each separately
-(large windows).  Every component has at most four generators, and one
-ExplicitHomology turns Q_n blocks into homology for both routes.
+Q_n-homology splits the algebra into the tensor components coupled by Q_n,
+the carry joining z_{n+1} to i2 and u_n, ranks each component's Q_n blocks
+with one ExplicitHomology, and multiplies the component series.  Every
+component has at most four generators.  The rank of the whole basis at once,
+which needs no split, is a reference that only the tests run.
 """
 
 from __future__ import annotations
@@ -53,63 +52,6 @@ class Matrix:
         if p == 2:
             return cls([0] * rows, cols, p)
         return cls([[0] * cols for _ in range(rows)], cols, p)
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> Matrix:
-        if p == 2:
-            return cls([1 << i for i in range(n)], n, p)
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], n, p)
-
-    def column(self, j: int) -> list[int]:
-        if self.p == 2:
-            return [(r >> j) & 1 for r in self.rows]
-        return [r[j] for r in self.rows]
-
-    @property
-    def T(self) -> Matrix:
-        rows, cols = self.shape
-        if self.p != 2:
-            return Matrix([[r[j] for r in self.rows] for j in range(cols)], rows, self.p)
-        out = [0] * cols
-        for i, r in enumerate(self.rows):
-            bit = 1 << i
-            while r:
-                low = r & -r
-                out[low.bit_length() - 1] |= bit
-                r ^= low
-        return Matrix(out, rows, 2)
-
-    def take(self, cols: list[int]) -> Matrix:
-        """The given columns, in that order."""
-        if self.p != 2:
-            return Matrix([[r[c] for c in cols] for r in self.rows], len(cols), self.p)
-        slot = {1 << c: 1 << k for k, c in enumerate(cols)}
-        out = []
-        for r in self.rows:
-            x = 0
-            while r:
-                low = r & -r
-                x |= slot.get(low, 0)
-                r ^= low
-            out.append(x)
-        return Matrix(out, len(cols), 2)
-
-
-def hstack(blocks: list[Matrix]) -> Matrix:
-    """The columns of the blocks side by side."""
-    p = blocks[0].p
-    nrows = blocks[0].shape[0]
-    if any(b.shape[0] != nrows for b in blocks):
-        raise ValueError("hstack blocks differ in row count")
-    cols = sum(b.shape[1] for b in blocks)
-    if p != 2:
-        return Matrix([sum(rs, []) for rs in zip(*(b.rows for b in blocks))], cols, p)
-    rows = list(blocks[0].rows)
-    off = blocks[0].shape[1]
-    for b in blocks[1:]:
-        rows = [x | y << off for x, y in zip(rows, b.rows)]
-        off += b.shape[1]
-    return Matrix(rows, cols, 2)
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -207,7 +149,10 @@ def rank_modp(a: Matrix, p: int) -> int:
 
 
 def nullspace_modp(a: Matrix, p: int) -> Matrix:
-    """Columns form a basis of ker(a) over F_p, one per free column."""
+    """Columns form a basis of ker(a) over F_p, one per free column.
+
+    No route in the package calls it; perfbench/tracer.py wraps it by name.
+    """
     rows, cols = a.shape
     if cols == 0:
         return Matrix.zeros(0, 0, p)
@@ -264,8 +209,8 @@ class Presentation(NamedTuple):
 
     The homology variant has the same per-degree dimensions (graded dual)
     and its Q_n matrices are the transposes of the cohomology ones, so the
-    generator list is shared; only the variance tag and the direction of
-    the matrices differ downstream.
+    generator list, the blocks and their ranks are shared; only the
+    variance tag differs.
     """
 
     p: int
@@ -561,7 +506,7 @@ def _qn_block(
 
 
 # ---------------------------------------------------------------------------
-# factored-mode homology: tensor components coupled by Q_n
+# homology: tensor components coupled by Q_n
 
 
 def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]:
@@ -596,60 +541,27 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
 
 
 class ExplicitHomology:
-    """Q_n-homology of the sub-algebra on a generator subset, with operators.
+    """Q_n-homology dimensions of the sub-algebra on a generator subset.
 
-    Serves direct mode (the full generator list) and every component of
-    the factored route, in either variance.  Ranks give the dimension in
-    every degree; representative vectors are built only in the degrees that
-    ask for them.
+    qn_homology builds one per component; on the full generator list it is
+    the whole-basis rank the tests compare against.  dims on [0, top] comes
+    from the ranks of the Q_n blocks, ranked one at a time.  The homology
+    blocks are the transposes of the cohomology ones, so the ranks, and
+    with them dims, serve either variance.
     """
 
     def __init__(self, pres: Presentation, gens: list[PresGenerator], top: int):
-        self.pres = pres
         dq = pres.qn_degree
-        self.ctx = DerivationContext(pres, top + dq, gens=gens)
-        self.buckets = window_bases(gens, top + dq)
-        self.mats = [_qn_block(self.ctx, self.buckets[d], self.buckets[d + dq]) for d in range(top + 1)]
-        ranks = [rank_modp(m, pres.p) for m in self.mats]
-        self.dims = [
-            len(self.buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0)
+        ctx = DerivationContext(pres, top + dq, gens=gens)
+        buckets = window_bases(gens, top + dq)
+        ranks = [
+            rank_modp(_qn_block(ctx, buckets[d], buckets[d + dq]), pres.p)
             for d in range(top + 1)
         ]
-
-    def _basis(self, d: int) -> Matrix:
-        """The representatives at degree d: the cycles that extend the image
-        of the incoming Q_n, taken greedily, single cycle monomials first and
-        then the kernel vectors in nullspace order.
-        """
-        p, dq = self.pres.p, self.pres.qn_degree
-        dim = len(self.buckets[d])
-        out = self.mats[d]
-        im = self.mats[d - dq] if d >= dq else Matrix.zeros(dim, 0, p)
-        if self.pres.variance == "homology":
-            # homology runs Q_n downward: the blocks are the transposes
-            out, im = im.T, out.T
-        if p == 2:
-            used = functools.reduce(int.__or__, out.rows, 0)
-            units = [i for i in range(dim) if not used >> i & 1]
-        else:
-            units = [i for i in range(dim) if not any(out.column(i))]
-        cand = hstack([im, Matrix.identity(dim, p).take(units), nullspace_modp(out, p)])
-        _, piv = rref_modp(cand, p)
-        k0 = im.shape[1]
-        reps = cand.take([c for c in piv if c >= k0])
-        if reps.shape[1] != self.dims[d]:
-            raise AssertionError(f"representatives disagree with the rank count at degree {d}")
-        return reps
-
-    def labels(self, d: int) -> list[str]:
-        """The representatives at degree d as sums of monomials, starred in homology."""
-        reps = self._basis(d)
-        out = []
-        for k in range(reps.shape[1]):
-            terms = [(self.ctx.render(m), x) for m, x in zip(self.buckets[d], reps.column(k)) if x]
-            s = " + ".join(t if c == 1 else f"{c}*{t}" for t, c in terms)
-            out.append(f"({s})*" if self.pres.variance == "homology" else s)
-        return out
+        self.dims = [
+            len(buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0)
+            for d in range(top + 1)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +580,9 @@ class QnHomologyReport(NamedTuple):
     n: int
     variance: str
     max_degree: int
-    mode: str
     total: list[int]
     trivial: list[int]
     free_rank: list[int]
-    trivial_reps: dict[int, list[str]] | None
 
     def trivial_series(self) -> PoincareSeries:
         return PoincareSeries(0, self.max_degree, tuple(self.trivial))
@@ -740,22 +650,13 @@ def qn_homology(
     n: int,
     variance: str = "cohomology",
     max_degree: int | None = None,
-    mode: str = "factored",
 ) -> QnHomologyReport:
     pres = build(p, n, variance)
     hi = default_window(n) if max_degree is None else max_degree
     if hi < 2:
         raise ValueError("max_degree must be at least 2")
     total = total_dims(pres, hi)
-    if mode == "direct":
-        eh = ExplicitHomology(pres, pres.generators(hi + pres.qn_degree), hi)
-        triv = eh.dims
-        reps = {d: eh.labels(d) if triv[d] else [] for d in range(hi + 1)}
-    elif mode == "factored":
-        triv = list(_factored_trivial(p, n, hi))
-        reps = None
-    else:
-        raise ValueError(f"mode must be direct or factored, got {mode!r}")
+    triv = list(_factored_trivial(p, n, hi))
     dq = pres.qn_degree
     free = [0] * (hi + 1)
     for d in range(hi + 1):
@@ -763,7 +664,7 @@ def qn_homology(
         free[d] = total[d] - triv[d] - lower
         if free[d] < 0:
             raise AssertionError(f"negative free rank at degree {d}")
-    return QnHomologyReport(p, n, variance, hi, mode, total, triv, free, reps)
+    return QnHomologyReport(p, n, variance, hi, total, triv, free)
 
 
 # ---------------------------------------------------------------------------

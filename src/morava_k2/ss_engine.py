@@ -43,7 +43,6 @@ from .graded_algebra import (
     PoincareSeries,
     TensorExpression,
 )
-from .km2 import WindowError
 
 INF = math.inf
 
@@ -343,9 +342,9 @@ def schedule(p: int, n: int, j_max: int, variance: str = "cohomology") -> list[D
 class TowerSummand(NamedTuple):
     """A P[v]-tower over a generator: order-r torsion (v^r kills it) or free.
 
-    generator_expression is a TensorExpression for closed-form families, a
-    rendered monomial for full brute-force runs, and None when a grouped run
-    has folded the labels away.  count collapses equal towers.
+    generator_expression is a TensorExpression for closed-form families and
+    None on a brute-force page, whose towers are counted per degree and
+    order, not named.  count collapses equal towers.
     """
 
     generator_expression: object
@@ -659,7 +658,6 @@ class _WindowPlan(NamedTuple):
     j_top: int  # widest family index whose action reaches into [0, top]
     j_ext: int  # widest family index used for lattice arcs
     max_stage: int  # largest stage among in-window stages
-    full_limit: int  # full-lattice enumeration bound
     fold_limit: int  # product cutoff during the Kunneth fold
     enum_limit: int  # per-class lattice enumeration bound
 
@@ -697,7 +695,6 @@ def _plan(p: int, n: int, top: int, variance: str) -> _WindowPlan:
         j += 1
     if variance == "cohomology":
         # a value at degree g only depends on arcs reaching up to g + delta_max
-        full_limit = top + delta_max
         fold_limit = top + (n + 1) * delta_max
         enum_limit = fold_limit + delta_max
     else:
@@ -711,13 +708,12 @@ def _plan(p: int, n: int, top: int, variance: str) -> _WindowPlan:
                 break
             span += sum(degree_step(st, p, n) for st in stages if st <= max_stage)
             j += 1
-        full_limit = top + span
         fold_limit = top  # Kunneth Tor terms shift upward in homology
         enum_limit = top + span
     j_ext = max(j_top, 1)
     while min(src for _st, src in _stage_relevance(p, n, j_ext + 1)) <= enum_limit:
         j_ext += 1
-    return _WindowPlan(max(j_top, 1), j_ext, max_stage, full_limit, fold_limit, enum_limit)
+    return _WindowPlan(max(j_top, 1), j_ext, max_stage, fold_limit, enum_limit)
 
 
 def window_schedule(p: int, n: int, top: int, variance: str = "cohomology") -> list[Differential]:
@@ -892,22 +888,6 @@ class _Lattice:
             out.append((mono, tgt, coeff))
         return out
 
-    def render(self, mono: tuple) -> str:
-        parts = []
-        for c, e in zip(self.coords, mono):
-            if not e:
-                continue
-            if c.tag == "digit":
-                name = f"y_{c.index}"
-            elif c.tag == "half":
-                name = km2.w_name(2 * self.n + 1)
-            elif c.tag == "w":
-                name = km2.w_name(2 * c.index)
-            else:
-                name = f"z_{c.index}"
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return " ".join(parts) if parts else "1"
-
 
 def _sweep(
     lattice: _Lattice, entries: list[Differential], variance: str
@@ -1023,74 +1003,49 @@ def run_bruteforce(
     n: int,
     variance: str = "cohomology",
     window=None,
-    mode: str = "grouped",
 ) -> Page:
     """E-infinity by monomial bookkeeping over the E2 lattice.
 
-    grouped mode runs one lattice per residue class of the family index
-    modulo n+1 (no differential couples distinct classes) and combines the
-    per-class towers over P[v]; full mode runs the whole lattice at once
-    and is only meant for small windows.  The schedule runs to the widest
-    stage that reaches the window, so no v-power bound is needed.  The
-    page holds only towers (v_free is None) and the Z_p family read off
-    the F_p ranks of km2.qn_homology.
+    One lattice runs per residue class of the family index modulo n+1 (no
+    differential couples distinct classes), and the per-class towers are
+    combined over P[v] by _fold.  The schedule runs to the widest stage
+    that reaches the window, so no v-power bound is needed.  The page holds
+    only towers, unnamed and counted per degree and order (v_free is None),
+    and the Z_p family read off the F_p ranks of km2.qn_homology.
     """
-    if mode not in ("grouped", "full"):
-        raise ValueError("mode must be 'grouped' or 'full'")
     lo, top = _norm_window(n, window)
     km2.build(p, n, variance)
     plan = _plan(p, n, top, variance)
     sched = schedule(p, n, plan.j_ext, variance)
-    summands: list[TowerSummand] = []
-    if mode == "full":
-        coords = _head_coords(p, n, plan.full_limit)
-        for cls in range(n + 1):
-            coords += _class_coords(p, n, cls, plan.full_limit)
-        lat = _Lattice(p, n, coords, plan.full_limit)
-        if len(lat.monomials) > 2_000_000:
-            raise WindowError("full mode window too large; use grouped mode")
-        fired, bound = _sweep(lat, sched, variance)
-        for mono, g in sorted(lat.monomials.items(), key=lambda kv: kv[1]):
-            if g > top:
+    folded: Counter = Counter({(0, INF): 1})
+    for cls in range(n + 1):
+        lat = _Lattice(p, n, _class_coords(p, n, cls, plan.enum_limit), plan.enum_limit)
+        fired, bound = _sweep(lat, [e for e in sched if e.index % (n + 1) == cls], variance)
+        part: Counter = Counter()
+        for mono, g in lat.monomials.items():
+            if g > plan.fold_limit:
                 continue
             f = fired.get(mono, 0)
             b = bound.get(mono, INF)
             if b <= f:
-                continue  # the whole tower cancels
+                continue
             if f != 0:
                 raise RuntimeError(
-                    f"tower over {lat.render(mono)} survives only above filtration {f}"
+                    f"class-{cls} tower over degree {g} survives only above filtration {f}"
                 )
-            summands.append(TowerSummand(lat.render(mono), g, INF if b == INF else int(b)))
-    else:
-        folded: Counter = Counter({(0, INF): 1})
-        for cls in range(n + 1):
-            lat = _Lattice(p, n, _class_coords(p, n, cls, plan.enum_limit), plan.enum_limit)
-            fired, bound = _sweep(lat, [e for e in sched if e.index % (n + 1) == cls], variance)
-            part: Counter = Counter()
-            for mono, g in lat.monomials.items():
-                if g > plan.fold_limit:
-                    continue
-                f = fired.get(mono, 0)
-                b = bound.get(mono, INF)
-                if b <= f:
-                    continue
-                if f != 0:
-                    raise RuntimeError(
-                        f"class-{cls} tower over degree {g} survives only above filtration {f}"
-                    )
-                part[(g, INF if b == INF else int(b))] += 1
-            folded = _fold(folded, part, p, n, variance, plan.fold_limit)
-        head = _Lattice(p, n, _head_coords(p, n, plan.fold_limit), plan.fold_limit)
-        head_towers: Counter = Counter()
-        for _mono, g in head.monomials.items():
-            head_towers[(g, INF)] += 1
-        folded = _fold(folded, head_towers, p, n, variance, plan.fold_limit)
-        for (g, order), c in sorted(
-            folded.items(), key=lambda kv: (kv[0][0], kv[0][1] == INF, kv[0][1])
-        ):
-            if g <= top and c:
-                summands.append(TowerSummand(None, g, order, c))
+            part[(g, INF if b == INF else int(b))] += 1
+        folded = _fold(folded, part, p, n, variance, plan.fold_limit)
+    head = _Lattice(p, n, _head_coords(p, n, plan.fold_limit), plan.fold_limit)
+    head_towers: Counter = Counter()
+    for _mono, g in head.monomials.items():
+        head_towers[(g, INF)] += 1
+    folded = _fold(folded, head_towers, p, n, variance, plan.fold_limit)
+    summands: list[TowerSummand] = []
+    for (g, order), c in sorted(
+        folded.items(), key=lambda kv: (kv[0][0], kv[0][1] == INF, kv[0][1])
+    ):
+        if g <= top and c:
+            summands.append(TowerSummand(None, g, order, c))
     return Page(
         p=p,
         n=n,

@@ -1,9 +1,11 @@
 """Reference code that only the tests read: series arithmetic for the
 schoolbook Poincare fold, the Q_n matrix on the full monomial basis, the
-E[Q_n] split invariant of a report, the degree of u_i, the derivation one
-monomial at a time (at p = 2 over polynomial u_i, through the basis
-bijection), the Q_n-square sweep one monomial at a time, and the answer's
-Poincare series one tower class at a time.
+trivial Q_n-homology ranked on the whole basis at once, the E[Q_n] split
+invariant of a report, the degree of u_i, the derivation one monomial at a
+time (at p = 2 over polynomial u_i, through the basis bijection), the
+Q_n-square sweep one monomial at a time, the brute-force sweep over the
+whole E2 lattice at once, and the answer's Poincare series one tower class
+at a time.
 """
 
 import random
@@ -49,7 +51,23 @@ def qn_matrix(pres: km2.Presentation, d: int, max_degree: int) -> km2.Matrix:
         return km2._qn_block(ctx, buckets[d], buckets[d + dq])
     if d < dq:
         return km2.Matrix.zeros(0, len(buckets[d]), pres.p)
-    return km2._qn_block(ctx, buckets[d - dq], buckets[d]).T
+    return transpose(km2._qn_block(ctx, buckets[d - dq], buckets[d]))
+
+
+def transpose(m: km2.Matrix) -> km2.Matrix:
+    rows, cols = m.shape
+    if m.p != 2:
+        return km2.Matrix([[r[j] for r in m.rows] for j in range(cols)], rows, m.p)
+    return km2.Matrix(
+        [sum((r >> j & 1) << i for i, r in enumerate(m.rows)) for j in range(cols)], rows, 2
+    )
+
+
+def whole_basis_trivial(p: int, n: int, hi: int) -> list[int]:
+    """Trivial Q_n-homology dimensions on [0, hi] from the Q_n blocks of the
+    whole monomial basis, with no split into components."""
+    pres = km2.build(p, n)
+    return km2.ExplicitHomology(pres, pres.generators(hi + pres.qn_degree), hi).dims
 
 
 # ---- p = 2 over polynomial u_i
@@ -237,6 +255,69 @@ def qn_square_reference(
     for _ in range(mixed_samples):
         run(ctx, km2._random_monomial(rng, ctx, full_gens, max_degree))
     return checked, failures
+
+
+# ---- the brute-force sweep over the whole E2 lattice
+
+
+def lattice_name(lat: ss_engine._Lattice, mono: tuple) -> str:
+    """A lattice monomial in the E2 generator names: y_j, w, z_i."""
+    parts = []
+    for c, e in zip(lat.coords, mono):
+        if not e:
+            continue
+        if c.tag == "digit":
+            name = f"y_{c.index}"
+        elif c.tag == "half":
+            name = km2.w_name(2 * lat.n + 1)
+        elif c.tag == "w":
+            name = km2.w_name(2 * c.index)
+        else:
+            name = f"z_{c.index}"
+        parts.append(name if e == 1 else f"{name}^{e}")
+    return " ".join(parts) if parts else "1"
+
+
+def bruteforce_full_reference(p: int, n: int, variance: str, top: int) -> ss_engine.Page:
+    """ss_engine.run_bruteforce on [0, top] with one lattice over every
+    residue class and the head at once, so no _fold; each tower is named by
+    its lattice monomial.
+
+    The lattice is cut where a value in [0, top] stops depending on arcs:
+    at top + enum_limit - fold_limit, which is top plus the largest degree
+    step in cohomology and top plus the stacked downward steps in homology.
+    """
+    plan = ss_engine._plan(p, n, top, variance)
+    limit = top + plan.enum_limit - plan.fold_limit
+    coords = ss_engine._head_coords(p, n, limit)
+    for cls in range(n + 1):
+        coords += ss_engine._class_coords(p, n, cls, limit)
+    lat = ss_engine._Lattice(p, n, coords, limit)
+    fired, bound = ss_engine._sweep(lat, ss_engine.schedule(p, n, plan.j_ext, variance), variance)
+    summands = []
+    for mono, g in sorted(lat.monomials.items(), key=lambda kv: kv[1]):
+        if g > top:
+            continue
+        f = fired.get(mono, 0)
+        b = bound.get(mono, ss_engine.INF)
+        if b <= f:
+            continue  # the whole tower cancels
+        if f != 0:
+            raise RuntimeError(
+                f"tower over {lattice_name(lat, mono)} survives only above filtration {f}"
+            )
+        order = ss_engine.INF if b == ss_engine.INF else int(b)
+        summands.append(ss_engine.TowerSummand(lattice_name(lat, mono), g, order))
+    return ss_engine.Page(
+        p=p,
+        n=n,
+        variance=variance,
+        stage=plan.max_stage + 1 if plan.max_stage else 2,
+        window=(0, top),
+        v_free=None,
+        torsion=tuple(summands),
+        zp_family=ss_engine.zp_family_counts(p, n, variance, top),
+    )
 
 
 # ---- the answer's series class by class

@@ -504,7 +504,7 @@ def test_answer_path_runs_no_linear_algebra(capsys, monkeypatch, argv):
     def forbidden(*args, **kwargs):
         raise AssertionError("F_p linear algebra on the answer path")
 
-    for name in ("qn_homology", "rref_modp", "nullspace_modp"):
+    for name in ("qn_homology", "rref_modp", "nullspace_modp", "rank_modp", "_qn_block"):
         monkeypatch.setattr(cli.km2, name, forbidden)
     assert main(argv) == 0
     captured = capsys.readouterr()

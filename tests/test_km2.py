@@ -1,8 +1,8 @@
 """Presentation, Q_n derivation and Q_n-homology checks.
 
-Frozen dimension prefixes come from two independent in-repo routes (the
-per-degree kernel/image computation and the tensor-component factorization)
-agreeing before freezing.
+Frozen dimension prefixes come from two in-repo routes (the rank of the
+whole monomial basis, helpers.whole_basis_trivial, and the tensor-component
+factorization) agreeing before freezing.
 """
 
 import itertools
@@ -23,6 +23,7 @@ from helpers import (
     qn_matrix,
     qn_monomial_reference,
     qn_square_reference,
+    whole_basis_trivial,
 )
 
 
@@ -198,8 +199,8 @@ def test_leibniz_kernel_matches_per_monomial_reference(p, n, hi):
     """_qn_block and qn_monomial, both read off the one term table, agree
     with the derivation applied one monomial at a time: on every component
     as the square check builds it (missing targets dropped), for every
-    source degree the check reads, and on the direct-mode generator list
-    for the degrees direct mode reads."""
+    source degree the check reads, and on the whole generator list for the
+    degrees the whole-basis reference reads."""
     pres = km2.build(p, n)
     dq = pres.qn_degree
     cases = [(comp, hi + 2 * dq, True) for comp in km2.components(pres, hi + 2 * dq)]
@@ -302,85 +303,57 @@ def test_each_monomial_is_the_capped_product_in_order(gens, hi):
 
 def test_trivial_homology_31_reference_degrees():
     """The first trivial classes at (3,1) are 1, y_1, y_1 w-half, y_1^2."""
-    rep = km2.qn_homology(3, 1, max_degree=20, mode="direct")
+    rep = km2.qn_homology(3, 1, max_degree=20)
     assert [rep.trivial[d] for d in (0, 6, 11, 12)] == [1, 1, 1, 1]
     assert sum(rep.trivial[:13]) == 4
-    assert rep.trivial_reps[0] == ["1"]
-    assert rep.trivial_reps[6] == ["i2^3"]
-    assert rep.trivial_reps[11] == ["i2^2 u_1"]
-    assert rep.trivial_reps[12] == ["i2^6"]
     assert rep.free_rank[2] == 1
     assert check_invariant(rep)
 
 
 def test_homology_variance_same_dims_starred_reps():
-    c = km2.qn_homology(3, 1, max_degree=20, mode="direct")
-    h = km2.qn_homology(3, 1, "homology", max_degree=20, mode="direct")
+    c = km2.qn_homology(3, 1, max_degree=20)
+    h = km2.qn_homology(3, 1, "homology", max_degree=20)
     assert c.trivial == h.trivial
     assert c.free_rank == h.free_rank
-    assert h.trivial_reps[6] == ["(i2^3)*"]
 
 
-def test_factored_matches_direct():
+def _assert_factored_matches_whole_basis():
     for p, n in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]:
-        direct = km2.qn_homology(p, n, max_degree=55, mode="direct")
-        fact = km2.qn_homology(p, n, max_degree=55, mode="factored")
-        assert direct.trivial == fact.trivial, (p, n)
-        assert direct.free_rank == fact.free_rank, (p, n)
+        fact = km2.qn_homology(p, n, max_degree=55)
+        assert fact.trivial == whole_basis_trivial(p, n, 55), (p, n)
         assert check_invariant(fact)
 
 
-@pytest.mark.parametrize("variance", ["cohomology", "homology"])
-@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (5, 1)])
-def test_representatives_are_cycles_independent_of_the_image(p, n, variance):
-    """At every degree up to 40 the chosen representatives are killed by the
-    outgoing Q_n, stay independent modulo the incoming image, and number
-    dims[d].  The blocks come from qn_matrix and the ranks from the
-    schoolbook reduction, not from ExplicitHomology."""
-    pres = km2.build(p, n, variance)
-    top = 40
-    wide = top + pres.qn_degree
-    eh = km2.ExplicitHomology(pres, pres.generators(wide), top)
-    for d in range(top + 1):
-        reps = _entries(eh._basis(d))
-        k, dim = eh.dims[d], len(reps)
-        assert all(len(row) == k for row in reps), d
-        out = _entries(qn_matrix(pres, d, wide))
-        assert _matmul(out, reps, dim, k, p) == [[0] * k] * len(out), d
-        # the incoming Q_n starts one Q_n-degree below (cohomology) or above
-        src = d - pres.qn_degree if variance == "cohomology" else d + pres.qn_degree
-        image = qn_matrix(pres, src, wide) if src >= 0 else km2.Matrix.zeros(dim, 0, p)
-        cols = image.shape[1]
-        rank_im = len(_schoolbook_rref(_entries(image), cols, p)[1])
-        both = [a + b for a, b in zip(_entries(image), reps)]
-        assert len(_schoolbook_rref(both, cols + k, p)[1]) == rank_im + k, d
+def test_factored_matches_whole_basis():
+    """The component split and the product of the component series agree
+    with one rank of the whole monomial basis.  Both sides read the same
+    DerivationContext, so a wrong derivation (a Q_n image, a sign, the
+    p = 2 carry) moves both alike and this test cannot see it; the
+    per-monomial and p = 2 polynomial references check the derivation."""
+    _assert_factored_matches_whole_basis()
 
 
-@pytest.mark.parametrize("p, n, d", [(2, 1, 9), (3, 1, 19)])
-def test_representative_count_sees_a_dropped_kernel_vector(monkeypatch, p, n, d):
-    """A nullspace that loses its first kernel vector leaves too few cycles
-    at degree d, and the representatives must disagree with the ranks."""
-    real = km2.nullspace_modp
+def test_factored_matches_whole_basis_sees_a_lost_generator(monkeypatch):
+    """A split that loses u_0, which lies below the window, must fail the
+    comparison with the whole basis."""
+    real = km2.components
 
-    def short(a, p_):
-        ker = real(a, p_)
-        return ker.take(list(range(1, ker.shape[1])))
+    def lossy(pres, max_degree):
+        comps = [[g for g in c if g.name != "u_0"] for c in real(pres, max_degree)]
+        return [c for c in comps if c]
 
-    monkeypatch.setattr(km2, "nullspace_modp", short)
-    pres = km2.build(p, n)
-    eh = km2.ExplicitHomology(pres, pres.generators(40 + pres.qn_degree), 40)
-    for e in range(d):
-        eh._basis(e)
-    with pytest.raises(AssertionError, match=f"representatives disagree with the rank count at degree {d}$"):
-        eh._basis(d)
+    monkeypatch.setattr(km2, "components", lossy)
+    monkeypatch.setattr(km2, "_FACTORED_TRIVIAL", {})
+    with pytest.raises(AssertionError, match=r"^\(2, 1\)"):
+        _assert_factored_matches_whole_basis()
 
 
 def test_trivial_prefix_frozen():
-    f21 = km2.qn_homology(2, 1, max_degree=19, mode="factored")
+    f21 = km2.qn_homology(2, 1, max_degree=19)
     assert f21.trivial == [1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 2, 1, 0]
-    f22 = km2.qn_homology(2, 2, max_degree=19, mode="factored")
+    f22 = km2.qn_homology(2, 2, max_degree=19)
     assert f22.trivial == [1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 0]
-    f32 = km2.qn_homology(3, 2, max_degree=19, mode="factored")
+    f32 = km2.qn_homology(3, 2, max_degree=19)
     assert f32.trivial == [1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0]
 
 
@@ -400,7 +373,7 @@ def test_default_window():
 
 
 def test_report_invariant_is_checked():
-    rep = km2.qn_homology(5, 1, max_degree=40, mode="factored")
+    rep = km2.qn_homology(5, 1, max_degree=40)
     assert check_invariant(rep)
     rep.free_rank[3] += 1
     assert not check_invariant(rep)

@@ -8,10 +8,12 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morava_k2 import answer, km2, numerology, ss_engine as ss
 from morava_k2.graded_algebra import TensorExpression, replace
+
+from helpers import bruteforce_full_reference
 
 
 def test_degree_step():
@@ -286,7 +288,7 @@ def test_closed_form_preconditions():
 
 
 def test_bruteforce_full_names_generators():
-    full = ss.run_bruteforce(3, 1, window=60, mode="full")
+    full = bruteforce_full_reference(3, 1, "cohomology", 60)
     named = {
         (t.generator_degree, t.order): t.generator_expression
         for t in full.torsion
@@ -310,12 +312,22 @@ def test_routes_agree_small_windows():
             assert ok, (p, n, variance, msg)
 
 
-def test_full_mode_agrees_with_grouped():
-    for variance in ("cohomology", "homology"):
-        a = ss.run_bruteforce(3, 1, variance, 60, mode="full")
-        b = ss.run_bruteforce(3, 1, variance, 60)
-        ok, msg = ss.oracle_match(a, b)
-        assert ok, (variance, msg)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 2),
+    variance=st.sampled_from(["cohomology", "homology"]),
+    top=st.integers(8, 50),
+)
+@example(p=3, n=1, variance="cohomology", top=60)
+@example(p=3, n=1, variance="homology", top=60)
+@settings(deadline=None, max_examples=40)
+def test_grouped_matches_full_lattice_reference(p, n, variance, top):
+    """run_bruteforce, one lattice per residue class joined by _fold, gives
+    the towers of one sweep over the whole lattice."""
+    ok, msg = ss.oracle_match(
+        ss.run_bruteforce(p, n, variance, top), bruteforce_full_reference(p, n, variance, top)
+    )
+    assert ok, msg
 
 
 def test_homology_window_sees_distant_sources():
@@ -396,7 +408,7 @@ def test_fold_is_exact_past_64_bits():
 
 def test_oracle_match_reports_mismatch():
     a = ss.run_bruteforce(3, 1, window=40)
-    b = ss.run_bruteforce(3, 1, window=40, mode="full")
+    b = bruteforce_full_reference(3, 1, "cohomology", 40)
     ok, msg = ss.oracle_match(a, b)
     assert ok and "[0, 40]" in msg
     ok, _ = ss.oracle_match(a, ss.run_bruteforce(3, 1, "homology", 40))
@@ -528,8 +540,6 @@ def test_chart_series_sums_chart_dims(pn, variance, top, lo, width):
 def test_window_validation():
     with pytest.raises(ValueError):
         ss.e2_closed_form(3, 1, window=(3, 60))
-    with pytest.raises(ValueError):
-        ss.run_bruteforce(3, 1, mode="sideways")
     assert ss.e2_closed_form(3, 1).window == (0, km2.default_window(1))
 
 
