@@ -4,10 +4,10 @@ Each command takes only the options it reads (see _COMMAND_OPTIONS), as
 flags or as the keys of a --config JSON file; any other flag or key is refused.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
-(an unknown flag or config key, ConfigError, WindowError), 3 internal
-consistency failure (any other ValueError, RuntimeError or AssertionError
-from inside the package), 141 (128 + SIGPIPE) stdout closed by its reader
-before the output was written.
+(an unknown flag or config key, ConfigError, WindowError, a verify run over
+_FOLD_WORK_CAP), 3 internal consistency failure (any other ValueError,
+RuntimeError or AssertionError from inside the package), 141 (128 + SIGPIPE)
+stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
@@ -386,8 +386,25 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
     raise ConfigError(f"unknown suite {name!r}")
 
 
+# The most predicted fold work (ss_engine.fold_work, summed over the
+# variances whose brute-force pages the chosen suites read) that verify
+# takes on; above it the run is refused before any lattice is built.  The
+# largest default window with n <= 3 predicts 6.1e5, at (p, n) = (2, 2).
+_FOLD_WORK_CAP = 10**6
+
+
 def cmd_verify(cfg: RunConfig, out) -> int:
     names = _SUITES if cfg.suite == "all" else (cfg.suite,)
+    variances = {cfg.variance} if "oracle" in names else set()
+    if {"pairing", "uct"} & set(names):
+        variances = {"cohomology", "homology"}
+    work = sum(ss_engine.fold_work(cfg.p, cfg.n, cfg.hi, v) for v in variances)
+    if work > _FOLD_WORK_CAP:
+        raise ConfigError(
+            f"the brute-force folds on [0, {cfg.hi}] would take {work} units of predicted "
+            f"work, over the limit of {_FOLD_WORK_CAP}; lower --max-degree or pick a suite "
+            "other than oracle, pairing and uct"
+        )
     first_failure = None
     pages: dict = {}
     for name in names:

@@ -658,7 +658,6 @@ class _WindowPlan(NamedTuple):
     j_top: int  # widest family index whose action reaches into [0, top]
     j_ext: int  # widest family index used for lattice arcs
     max_stage: int  # largest stage among in-window stages
-    fold_limit: int  # product cutoff during the Kunneth fold
     enum_limit: int  # per-class lattice enumeration bound
 
 
@@ -695,8 +694,7 @@ def _plan(p: int, n: int, top: int, variance: str) -> _WindowPlan:
         j += 1
     if variance == "cohomology":
         # a value at degree g only depends on arcs reaching up to g + delta_max
-        fold_limit = top + (n + 1) * delta_max
-        enum_limit = fold_limit + delta_max
+        enum_limit = top + (n + 2) * delta_max
     else:
         # downward arcs chain: a value can depend on strictly descending
         # stages stacked above it, so allow the sum of their degree steps
@@ -708,12 +706,31 @@ def _plan(p: int, n: int, top: int, variance: str) -> _WindowPlan:
                 break
             span += sum(degree_step(st, p, n) for st in stages if st <= max_stage)
             j += 1
-        fold_limit = top  # Kunneth Tor terms shift upward in homology
         enum_limit = top + span
     j_ext = max(j_top, 1)
     while min(src for _st, src in _stage_relevance(p, n, j_ext + 1)) <= enum_limit:
         j_ext += 1
-    return _WindowPlan(max(j_top, 1), j_ext, max_stage, fold_limit, enum_limit)
+    return _WindowPlan(max(j_top, 1), j_ext, max_stage, enum_limit)
+
+
+def fold_work(p: int, n: int, top: int, variance: str = "cohomology") -> int:
+    """The work of run_bruteforce's folds on [0, top], predicted from _plan
+    before any lattice is built: the sum over folds of (top + 1), the slots
+    of each key, times the order pairs multiplied.  A class part holds the
+    free order and the stages of its scheduled differentials that start in
+    [0, top]; the running product holds every order folded in so far."""
+    sched = schedule(p, n, _plan(p, n, top, variance).j_ext, variance)
+    running = {INF}
+    work = 0
+    for cls in range(n + 1):
+        orders = {INF} | {
+            e.stage
+            for e in sched
+            if e.index % (n + 1) == cls and min(e.source_degree, e.target_degree) <= top
+        }
+        work += (top + 1) * len(running) * len(orders)
+        running |= orders
+    return work + (top + 1) * len(running)
 
 
 def window_schedule(p: int, n: int, top: int, variance: str = "cohomology") -> list[Differential]:
@@ -928,7 +945,8 @@ def _fold(a: Counter, b: Counter, p: int, n: int, variance: str, limit: int) -> 
     degree step of the larger order (downward in cohomology, upward in
     homology) for the Tor term of the product complex. A term counts only if
     the degree sum is at most limit, and the Tor term only if its shifted
-    degree also lies in [0, limit].
+    degree also lies in [0, limit].  run_bruteforce folds both variances by
+    the homology rule, cohomology towers keyed by their source degree.
 
     Computed as an exact convolution by Kronecker substitution: each
     operand becomes one int per order whose slot g, `width` bytes wide (a
@@ -998,6 +1016,14 @@ def _split_slots(x: int, width: int, count: int):
     return [int.from_bytes(data[i : i + width], sys.byteorder) for i in range(0, len(data), width)]
 
 
+def _key_floor(order, p: int, n: int, variance: str) -> int:
+    """What run_bruteforce subtracts from a tower's degree to key it: the
+    degree step of its order for a cohomology torsion tower, else 0."""
+    if variance == "cohomology" and order != INF:
+        return degree_step(order, p, n)
+    return 0
+
+
 def run_bruteforce(
     p: int,
     n: int,
@@ -1012,6 +1038,24 @@ def run_bruteforce(
     that reaches the window, so no v-power bound is needed.  The page holds
     only towers, unnamed and counted per degree and order (v_free is None),
     and the Z_p family read off the F_p ranks of km2.qn_homology.
+
+    Every fold cuts at top, in both variances, and here is why that is
+    exact.  In homology Tor terms shift up, so no degree comes down.  In
+    cohomology a tower of order o at degree g is keyed by
+    h = g - degree_step(o) (_key_floor; a free tower by g): the degree of
+    the source whose differential bounded it, so h >= 0, which is checked
+    as each class part is read.  In these keys the product over P[v] is
+    the homology one.  Two torsion towers at h1 and h2 give order
+    min(o1, o2) at h1 + h2 (the Tor term, g1 + g2 shifted down by
+    degree_step(max(o1, o2))) and at h1 + h2 + degree_step(max(o1, o2))
+    (the product term); a free tower adds its degree.  So no key ever
+    comes down: a Tor shift of any size is paid for by the tower it uses
+    up, which sits that step above its own key, and a key above top never
+    reaches [0, top].  Arcs run to j_ext > j_top, so towers of order above
+    max_stage exist; but such a tower sits over a monomial divisible by
+    the source of its stage, which lies above top, so its key does too and
+    it is cut before any fold.  Hence no Tor shift that reaches the window
+    exceeds the degree step of max_stage.
     """
     lo, top = _norm_window(n, window)
     km2.build(p, n, variance)
@@ -1023,8 +1067,6 @@ def run_bruteforce(
         fired, bound = _sweep(lat, [e for e in sched if e.index % (n + 1) == cls], variance)
         part: Counter = Counter()
         for mono, g in lat.monomials.items():
-            if g > plan.fold_limit:
-                continue
             f = fired.get(mono, 0)
             b = bound.get(mono, INF)
             if b <= f:
@@ -1033,19 +1075,21 @@ def run_bruteforce(
                 raise RuntimeError(
                     f"class-{cls} tower over degree {g} survives only above filtration {f}"
                 )
-            part[(g, INF if b == INF else int(b))] += 1
-        folded = _fold(folded, part, p, n, variance, plan.fold_limit)
-    head = _Lattice(p, n, _head_coords(p, n, plan.fold_limit), plan.fold_limit)
+            order = INF if b == INF else int(b)
+            h = g - _key_floor(order, p, n, variance)
+            if h < 0:
+                raise RuntimeError(f"class-{cls} tower of order {order} sits below its source")
+            if h <= top:
+                part[(h, order)] += 1
+        folded = _fold(folded, part, p, n, "homology", top)
+    head = _Lattice(p, n, _head_coords(p, n, top), top)
     head_towers: Counter = Counter()
     for _mono, g in head.monomials.items():
         head_towers[(g, INF)] += 1
-    folded = _fold(folded, head_towers, p, n, variance, plan.fold_limit)
-    summands: list[TowerSummand] = []
-    for (g, order), c in sorted(
-        folded.items(), key=lambda kv: (kv[0][0], kv[0][1] == INF, kv[0][1])
-    ):
-        if g <= top and c:
-            summands.append(TowerSummand(None, g, order, c))
+    folded = _fold(folded, head_towers, p, n, "homology", top)
+    towers = sorted(
+        (h + _key_floor(order, p, n, variance), order, c) for (h, order), c in folded.items()
+    )
     return Page(
         p=p,
         n=n,
@@ -1053,7 +1097,7 @@ def run_bruteforce(
         stage=plan.max_stage + 1 if plan.max_stage else 2,
         window=(lo, top),
         v_free=None,
-        torsion=tuple(summands),
+        torsion=tuple(TowerSummand(None, g, o, c) for g, o, c in towers if g <= top and c),
         zp_family=zp_family_counts(p, n, variance, top),
     )
 

@@ -4,8 +4,8 @@ trivial Q_n-homology ranked on the whole basis at once, the E[Q_n] split
 invariant of a report, the degree of u_i, the derivation one monomial at a
 time (at p = 2 over polynomial u_i, through the basis bijection), the
 Q_n-square sweep one monomial at a time, the brute-force sweep over the
-whole E2 lattice at once, and the answer's Poincare series one tower class
-at a time.
+whole E2 lattice at once, the brute-force folds all cut at one limit, and
+the answer's Poincare series one tower class at a time.
 """
 
 import random
@@ -284,11 +284,14 @@ def bruteforce_full_reference(p: int, n: int, variance: str, top: int) -> ss_eng
     its lattice monomial.
 
     The lattice is cut where a value in [0, top] stops depending on arcs:
-    at top + enum_limit - fold_limit, which is top plus the largest degree
-    step in cohomology and top plus the stacked downward steps in homology.
+    at top plus the largest degree step in cohomology and at enum_limit,
+    top plus the stacked downward steps, in homology.
     """
     plan = ss_engine._plan(p, n, top, variance)
-    limit = top + plan.enum_limit - plan.fold_limit
+    if variance == "cohomology":
+        limit = top + ss_engine.degree_step(plan.max_stage, p, n)
+    else:
+        limit = plan.enum_limit
     coords = ss_engine._head_coords(p, n, limit)
     for cls in range(n + 1):
         coords += ss_engine._class_coords(p, n, cls, limit)
@@ -308,6 +311,50 @@ def bruteforce_full_reference(p: int, n: int, variance: str, top: int) -> ss_eng
             )
         order = ss_engine.INF if b == ss_engine.INF else int(b)
         summands.append(ss_engine.TowerSummand(lattice_name(lat, mono), g, order))
+    return ss_engine.Page(
+        p=p,
+        n=n,
+        variance=variance,
+        stage=plan.max_stage + 1 if plan.max_stage else 2,
+        window=(0, top),
+        v_free=None,
+        torsion=tuple(summands),
+        zp_family=ss_engine.zp_family_counts(p, n, variance, top),
+    )
+
+
+def bruteforce_single_limit_reference(p: int, n: int, variance: str, top: int) -> ss_engine.Page:
+    """ss_engine.run_bruteforce with every fold, and every class part, cut at
+    one limit: top + (n + 1) * delta in cohomology, delta the degree step of
+    the largest in-window stage (one Tor shift per fold, class 0 and the head
+    included), and top in homology."""
+    plan = ss_engine._plan(p, n, top, variance)
+    limit = top
+    if variance == "cohomology":
+        limit += (n + 1) * ss_engine.degree_step(plan.max_stage, p, n)
+    sched = ss_engine.schedule(p, n, plan.j_ext, variance)
+    folded = Counter({(0, ss_engine.INF): 1})
+    for cls in range(n + 1):
+        coords = ss_engine._class_coords(p, n, cls, plan.enum_limit)
+        lat = ss_engine._Lattice(p, n, coords, plan.enum_limit)
+        entries = [e for e in sched if e.index % (n + 1) == cls]
+        fired, bound = ss_engine._sweep(lat, entries, variance)
+        part = Counter()
+        for mono, g in lat.monomials.items():
+            b = bound.get(mono, ss_engine.INF)
+            if g <= limit and b > fired.get(mono, 0):
+                part[(g, b if b == ss_engine.INF else int(b))] += 1
+        folded = ss_engine._fold(folded, part, p, n, variance, limit)
+    head = ss_engine._Lattice(p, n, ss_engine._head_coords(p, n, limit), limit)
+    head_towers = Counter((g, ss_engine.INF) for g in head.monomials.values())
+    folded = ss_engine._fold(folded, head_towers, p, n, variance, limit)
+    summands = [
+        ss_engine.TowerSummand(None, g, order, c)
+        for (g, order), c in sorted(
+            folded.items(), key=lambda kv: (kv[0][0], kv[0][1] == ss_engine.INF, kv[0][1])
+        )
+        if g <= top and c
+    ]
     return ss_engine.Page(
         p=p,
         n=n,

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -368,6 +369,41 @@ def test_shared_brute_page_keeps_pairing_and_uct_honest(capsys, monkeypatch):
     assert "PASS\toracle" in out
     assert "FAIL\tpairing" in out and "FAIL\tuct" in out
     assert len(calls) == 2
+
+
+def test_verify_refuses_predicted_fold_work_over_the_cap(capsys, monkeypatch):
+    """verify --p 2 --n 1 at window 6000 would fold about 1.7e6 units of
+    work: refused with exit 2 in under a second, naming the predicted work,
+    before any lattice is built.  A suite that builds no brute-force page
+    still runs."""
+
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(ss_engine, "_Lattice", no_lattice)
+    work = sum(ss_engine.fold_work(2, 1, 6000, v) for v in ("cohomology", "homology"))
+    assert work > cli._FOLD_WORK_CAP
+    wide = ["verify", "--p", "2", "--n", "1", "--max-degree", "6000"]
+    start = time.perf_counter()
+    assert main(wide) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f" {work} units" in captured.err
+    assert main(wide + ["--suite", "numerology"]) == 0
+
+
+def test_fold_work_cap_passes_every_default_window_up_to_height_3():
+    """The cap leaves verify every default window with n <= 3 (p < 200),
+    and so every narrower window too: fold_work grows with the window."""
+    for p in (q for q in range(2, 200) if km2._is_prime(q)):
+        for n in (1, 2, 3):
+            top = km2.default_window(n)
+            works = [
+                sum(ss_engine.fold_work(p, n, hi, v) for v in ("cohomology", "homology"))
+                for hi in (top // 4, top // 2, top)
+            ]
+            assert works == sorted(works) and works[-1] <= cli._FOLD_WORK_CAP, (p, n, works)
 
 
 def test_composite_p_rejected(capsys):

@@ -23,6 +23,7 @@ from helpers import (
     qn_matrix,
     qn_monomial_reference,
     qn_square_reference,
+    transpose,
     whole_basis_trivial,
 )
 
@@ -311,8 +312,27 @@ def test_trivial_homology_31_reference_degrees():
 
 
 def test_homology_variance_same_dims_starred_reps():
-    c = km2.qn_homology(3, 1, max_degree=20)
-    h = km2.qn_homology(3, 1, "homology", max_degree=20)
+    """Both variances read one memoised trivial series; here the homology
+    one is ranked afresh from the transposed Q_n blocks of each component,
+    which map the starred classes down by 2p^n - 1, and folded over the
+    components."""
+    p, n, hi = 3, 1, 20
+    pres = km2.build(p, n)
+    dq = pres.qn_degree
+    want = [1] + [0] * hi
+    for comp in km2.components(pres, hi + dq):
+        ctx = km2.DerivationContext(pres, hi + dq, gens=comp)
+        buckets = km2.window_bases(comp, hi + dq)
+        # down[d]: rank of homology Q_n from degree d + dq to d
+        down = [
+            km2.rank_modp(transpose(km2._qn_block(ctx, buckets[d], buckets[d + dq])), p)
+            for d in range(hi + 1)
+        ]
+        dims = [len(buckets[d]) - down[d] - (down[d - dq] if d >= dq else 0) for d in range(hi + 1)]
+        want = [sum(want[a] * dims[d - a] for a in range(d + 1)) for d in range(hi + 1)]
+    c = km2.qn_homology(p, n, max_degree=hi)
+    h = km2.qn_homology(p, n, "homology", max_degree=hi)
+    assert h.trivial == want
     assert c.trivial == h.trivial
     assert c.free_rank == h.free_rank
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from morava_k2 import answer, km2, numerology, ss_engine as ss
 from morava_k2.graded_algebra import TensorExpression, replace
 
-from helpers import bruteforce_full_reference
+from helpers import bruteforce_full_reference, bruteforce_single_limit_reference
 
 
 def test_degree_step():
@@ -339,6 +339,103 @@ def test_homology_window_sees_distant_sources():
     assert hinf.free_by_degree().get(54, 0) == 0
     grouped = ss.run_bruteforce(3, 1, "homology", 60)
     assert grouped.torsion_by_degree()[(54, 22)] == 1
+
+
+def test_every_fold_cuts_at_the_window(monkeypatch):
+    """run_bruteforce folds on [0, top] alone: each of the n + 2 folds cuts
+    at top, by the homology rule (cohomology towers keyed by source degree),
+    on keys that never pass top, and fold_work bounds the (limit + 1) x
+    order pairs it multiplies.  A single cut at top + (n + 1) * delta, or one
+    staged per class, would read limits such as [3951] * 4 or
+    [2734, 2734, 1517, 300] at (3, 2) on [0, 300]."""
+    calls = []
+    real = ss._fold
+
+    def recording(a, b, p, n, variance, limit):
+        keys = max(g for g, _o in a | b)
+        calls.append((variance, limit, keys, {o for _g, o in a}, {o for _g, o in b}))
+        return real(a, b, p, n, variance, limit)
+
+    monkeypatch.setattr(ss, "_fold", recording)
+    for variance in ("cohomology", "homology"):
+        for p, n, top in [(3, 2, 300), (2, 1, 60), (2, 3, 200)]:
+            calls.clear()
+            ss.run_bruteforce(p, n, variance, top)
+            assert [c[:2] for c in calls] == [("homology", top)] * (n + 2)
+            assert max(c[2] for c in calls) <= top
+            work = sum((top + 1) * len(oa) * len(ob) for _v, _l, _g, oa, ob in calls)
+            assert work <= ss.fold_work(p, n, top, variance)
+    assert ss.fold_work(3, 2, 300, "cohomology") == 12341
+
+
+@pytest.mark.parametrize("p, n, top", [(2, 1, 400), (3, 1, 400), (5, 1, 400), (2, 2, 300),
+                                       (3, 2, 300), (2, 3, 200), (3, 3, 200), (2, 4, 200)])
+def test_no_class_monomial_lies_on_two_arcs(p, n, top):
+    """Every class tower is hit by one arc at most, so its order is the
+    stage of that arc and it sits one degree step above a monomial divisible
+    by the arc's source: why a tower of order above max_stage has its key
+    above the window (see run_bruteforce)."""
+    plan = ss._plan(p, n, top, "cohomology")
+    sched = ss.schedule(p, n, plan.j_ext)
+    arcs = 0
+    for cls in range(n + 1):
+        lat = ss._Lattice(p, n, ss._class_coords(p, n, cls, plan.enum_limit), plan.enum_limit)
+        seen = Counter()
+        for e in sched:
+            if e.index % (n + 1) != cls:
+                continue
+            for s, t, _c in lat.arcs_for(e):
+                seen.update((s, t))
+                assert lat.monomials[t] == lat.monomials[s] + ss.degree_step(e.stage, p, n)
+                assert lat.monomials[s] >= e.source_degree
+        assert max(seen.values(), default=1) == 1, (cls, seen.most_common(1))
+        arcs += len(seen) // 2
+    assert arcs > 0
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 4),
+    variance=st.sampled_from(["cohomology", "homology"]),
+    top=st.integers(8, 60),
+)
+@example(p=2, n=1, variance="cohomology", top=20)
+@settings(deadline=None, max_examples=60)
+def test_window_folds_match_single_limit_reference(p, n, variance, top):
+    """Every fold cut at top, cohomology towers keyed by source degree,
+    gives the page of every fold cut at top + (n + 1) * delta."""
+    assert ss.run_bruteforce(p, n, variance, top) == bruteforce_single_limit_reference(
+        p, n, variance, top
+    )
+
+
+@pytest.mark.parametrize(
+    "floor",
+    [
+        # each key one v-degree too high
+        lambda order, p, n, variance: 0 if order == ss.INF else ss.degree_step(order - 1, p, n),
+        # every tower keyed by its degree, still folded on [0, top]
+        lambda order, p, n, variance: 0,
+    ],
+)
+def test_misplaced_fold_keys_fail_the_reference(monkeypatch, floor):
+    """Cohomology towers keyed one v-degree off their source, or by their
+    own degree, give pages that the single-limit reference does not."""
+    monkeypatch.setattr(ss, "_key_floor", floor)
+    with pytest.raises(AssertionError):
+        test_window_folds_match_single_limit_reference()
+
+
+def test_a_tower_keyed_below_zero_is_refused(monkeypatch):
+    """A key below 0 would index its slot from the top of the fold's int;
+    run_bruteforce refuses it instead."""
+    monkeypatch.setattr(
+        ss,
+        "_key_floor",
+        lambda order, p, n, variance: 0 if order == ss.INF else 2 * ss.degree_step(order, p, n),
+    )
+    with pytest.raises(RuntimeError, match="sits below its source"):
+        ss.run_bruteforce(3, 1, "cohomology", 60)
 
 
 def _pairwise_fold(a, b, p, n, variance, limit):
