@@ -11,10 +11,13 @@ localization_check read dimensions off the module description.
 poincare_answer sums whole families, never single classes: each family's
 generator series is one run, ended r|v| further on for a family of order
 r, and one prefix sum with stride |v| counts the classes of every tower.
-It shares the family series with Page.chart_series but none of the tower
-arithmetic (ss_engine._tower_powers), so cli's comparison of the two can
-catch a defect in either.  A single v-power row is built only when
-AnswerSeries.power asks for it.
+Page.chart_series of the answer's page counts the same classes from the
+same family series (TensorExpression.poincare), but with its own run code:
+it enters each tower of the page as two run ends and sums in its own loop,
+where poincare_answer shifts whole series (_add_shifted) and sums each
+strand with accumulate.  So cli's comparison of the two can catch a defect
+in either.  A single v-power row is built only when AnswerSeries.power
+asks for it.
 
 Both variances are written down directly at every p, p = 2 homology
 included, from the generator registry in ss_engine; in homology each

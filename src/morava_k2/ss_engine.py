@@ -393,10 +393,9 @@ class Page(NamedTuple):
         lo, hi = self.window
         out: Counter = Counter()
         if self.v_free is not None:
-            series = _without_v(self.v_free).poincare(lo, hi)
-            for d in range(lo, hi + 1):
-                if series.dim(d):
-                    out[d] += series.dim(d)
+            for d, c in enumerate(_without_v(self.v_free).poincare(lo, hi).dims, lo):
+                if c:
+                    out[d] += c
         for t in self.torsion:
             if t.order == INF:
                 out[t.generator_degree] += t.count
@@ -410,18 +409,18 @@ class Page(NamedTuple):
         return out
 
     def _towers(self) -> list[tuple[int, object, int]]:
-        """(generator degree, order, count) of every P[v]-tower on the page."""
-        towers = [(g, INF, c) for g, c in self.free_by_degree().items()]
-        return towers + [
-            (t.generator_degree, t.order, t.count) for t in self.torsion if t.order != INF
-        ]
+        """(generator degree, order, count) of each summand in torsion: the
+        v-torsion towers and, on a brute-force page, the free ones."""
+        return [(g, order, c) for _expr, g, order, c in self.torsion]
 
     def chart_dims(self) -> Counter:
         """Dimension of each (degree, filtration) spot inside the window."""
         lo, hi = self.window
         dv = v_degree(self.p, self.n, self.variance)
+        towers = [(g, INF, c) for g, c in self.free_by_degree().items()]
+        towers += [t for t in self._towers() if t[1] != INF]
         out: Counter = Counter()
-        for g, order, c in self._towers():
+        for g, order, c in towers:
             for e in _tower_powers(g, order, dv, lo, hi):
                 out[(g + e * dv, e)] += c
         for d, c in self.zp_family:
@@ -431,26 +430,35 @@ class Page(NamedTuple):
 
     def chart_series(self) -> PoincareSeries:
         """Dimension of each degree inside the window: chart_dims summed over
-        the filtrations, without visiting a spot.  A tower's classes in the
-        window are one run with stride |v|, entered as +c at its lowest
-        degree and -c one stride past its highest; a prefix sum with that
-        stride then counts each degree once per run that covers it."""
+        the filtrations, without visiting a spot.
+
+        The towers are runs in one array that spans the window and every
+        tower generator, also those outside the window.  A tower on a
+        degree-g generator enters as +c at g and, for finite order r, as -c
+        at g + r*dv (dv = v_degree, negative in cohomology); a run end past
+        the array in the direction of v touches no degree of the window and
+        is dropped.  The v-free generators of the window enter as their
+        series.  One prefix sum with stride |v|, taken in the direction of
+        v, then counts each degree once per tower covering it.
+        """
         lo, hi = self.window
         dv = v_degree(self.p, self.n, self.variance)
-        s = abs(dv)
-        dims = [0] * (hi - lo + 1 + s)
-        for g, order, c in self._towers():
-            powers = _tower_powers(g, order, dv, lo, hi)
-            if powers:
-                low, high = (powers[0], powers[-1]) if dv > 0 else (powers[-1], powers[0])
-                dims[g + low * dv - lo] += c
-                dims[g + high * dv - lo + s] -= c
-        for i in range(s, len(dims)):
-            dims[i] += dims[i - s]
+        towers = self._towers()
+        degrees = [lo, hi] + [g for g, _order, _c in towers]
+        base, top = min(degrees), max(degrees)
+        runs = [0] * (top - base + 1)
+        if self.v_free is not None:
+            runs[lo - base : hi - base + 1] = _without_v(self.v_free).poincare(lo, hi).dims
+        for g, order, c in towers:
+            runs[g - base] += c
+            if order != INF and base <= g + order * dv <= top:
+                runs[g + order * dv - base] -= c
+        for i in range(dv, len(runs)) if dv > 0 else range(len(runs) - 1 + dv, -1, -1):
+            runs[i] += runs[i - dv]
         for d, c in self.zp_family:
             if lo <= d <= hi:
-                dims[d - lo] += c
-        return PoincareSeries(lo, hi, tuple(dims[: hi - lo + 1]))
+                runs[d - base] += c
+        return PoincareSeries(lo, hi, tuple(runs[lo - base : hi - base + 1]))
 
 
 def zp_family_counts(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int, int], ...]:

@@ -105,7 +105,8 @@ def test_wide_compute_json_bytes_match_parent(capsys, command):
 
 # sha256 of the stdout of `verify` (every suite) and `table` per (command,
 # p, n, variance, max degree): the verdict lines and the charts, guarded the
-# same way as the compute bytes above.
+# same way as the compute bytes above.  A table window of 90 or less is a
+# chart_dims grid; the wider ones are chart_series rows.
 STDOUT_SHA256 = {
     ("verify", 3, 1, "cohomology", 60):
         "ddc59a42bcdcda781f1c7be8e4643adecdd8b0599888c8943f0a49382de7a139",
@@ -117,6 +118,12 @@ STDOUT_SHA256 = {
         "227b3ace6816fa2b82114f6c5c261c263f9a9581549c4b226e4b86b6ee7b0d13",
     ("table", 2, 2, "cohomology", 90):
         "b9e769416c97299236d2e31cabb193c0d4755d43a6ec7e0949d6ef201acf8760",
+    ("table", 3, 2, "cohomology", 600):
+        "7d8a113f2601ae876a56c62a0460466589308af70512d7fcc7159966f325d7f4",
+    ("table", 5, 1, "homology", 600):
+        "34b3b4271027ae2a5564ca5f109510f24d37b43a1d15df28a423b46337795654",
+    ("table", 2, 2, "homology", 300):
+        "29653e88c5d41e0523fdb5eff303840f7206b5ae0c20b94b5be939e1f528efd6",
 }
 
 
@@ -290,18 +297,16 @@ def test_internal_assertion_exits_3(capsys, monkeypatch):
 
 
 def test_series_readers_see_a_planted_tower_defect(capsys, monkeypatch):
-    """With ss_engine._tower_powers keeping one class too many on every
-    torsion tower, wherever the package binds it, the chart of the answer's
-    page no longer counts what poincare_answer counts, and compute refuses
-    to print: the two readers share no tower arithmetic."""
-    real = ss_engine._tower_powers
+    """With Page._towers reading one class too many on every torsion tower,
+    the chart of the answer's page no longer counts what poincare_answer
+    counts, and compute refuses to print: the two readers share no tower
+    arithmetic, and poincare_answer reads the families, never the page."""
+    real = ss_engine.Page._towers
 
-    def planted(g, order, dv, lo, hi):
-        return real(g, order + 1, dv, lo, hi)
+    def planted(page):
+        return [(g, order + 1, c) for g, order, c in real(page)]
 
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "morava_k2" and vars(module).get("_tower_powers") is real:
-            monkeypatch.setattr(module, "_tower_powers", planted)
+    monkeypatch.setattr(ss_engine.Page, "_towers", planted)
     a = answer.closed_form(3, 1, "cohomology", (0, 600))
     assert answer.poincare_answer(a).total != answer.to_page(a).chart_series()
     assert main(["compute", "--p", "3", "--n", "1", "--format", "json"]) == 3

@@ -147,8 +147,8 @@ def test_generator_named_rejects_names_outside_the_registry():
 )
 @settings(deadline=None, max_examples=300)
 def test_tower_powers_matches_the_walk(g, order, dv, lo, width):
-    """The closed-form exponent range that Page.chart_dims and
-    Page.chart_series read, against a cell-by-cell walk."""
+    """The closed-form exponent range that Page.chart_dims walks (and the
+    test references in helpers read), against a cell-by-cell walk."""
     hi = lo + width
     walked = []
     e = 0
@@ -623,6 +623,14 @@ def _spots_by_degree(page):
     lo=st.integers(-40, 80),
     width=st.integers(0, 160),
 )
+# the edges of the run array: a cohomology window reaching below degree 0;
+# a homology window above 0 whose tower generators lie below it; brute
+# pages whose free towers run past hi (homology) or come down into the
+# window from generators above hi (cohomology)
+@example(pn=(3, 1), variance="cohomology", top=60, lo=-30, width=100)
+@example(pn=(3, 1), variance="homology", top=100, lo=40, width=30)
+@example(pn=(2, 3), variance="homology", top=60, lo=0, width=20)
+@example(pn=(2, 3), variance="cohomology", top=60, lo=0, width=20)
 @settings(deadline=None, max_examples=40)
 def test_chart_series_sums_chart_dims(pn, variance, top, lo, width):
     """The strided runs of chart_series count what chart_dims places, degree
