@@ -23,7 +23,7 @@ print()
 
 # Stage 2 is the first: w_3/2 in degree 11 hits v^2 z_2 in degree 20.
 # The degree step 1 + 2r(p^n - 1) = 9 pins r = 2; no other stage fits.
-page = ss.e2_closed_form(3, 1, window=24)
+page = ss.e2_closed_form(3, 1, "cohomology", 24)
 print("E2 v-free part:", page.v_free.label())
 
 sched = ss.window_schedule(3, 1, 24)
@@ -35,7 +35,7 @@ print()
 
 # The independent route sweeps the same window monomial by monomial and
 # reads off towers from kernels and cokernels, with no schedule in sight.
-brute = ss.run_bruteforce(3, 1, window=24)
+brute = ss.run_bruteforce(3, 1, "cohomology", 24)
 ok, msg = ss.oracle_match(final, brute)
 print("rewrite route vs sweep route:", msg)
 assert ok

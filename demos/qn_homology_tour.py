@@ -35,13 +35,13 @@ for w in ws:
 print()
 
 # The trivial part of the Q_1-action is exactly what survives to E2.
-report = km2.qn_homology(3, 1, max_degree=40)
+report = km2.qn_homology(3, 1, "cohomology", 40)
 series = report.trivial_series()
 print("Q_1-homology dims, degrees 0..20:", [series.dim(d) for d in range(21)])
 
 from morava_k2 import ss_engine as ss
 
-page = ss.e2_closed_form(3, 1, window=40)
+page = ss.e2_closed_form(3, 1, "cohomology", 40)
 rest = ss.TensorExpression(
     tuple(f for f in page.v_free.factors if f.gen.name != "v")
 )

@@ -13,7 +13,7 @@ from morava_k2 import answer
 
 # p = 3, n = 1, cohomology.  The free part is the coefficient ring
 # alone; every other class is v-torsion.
-a = answer.closed_form(3, 1, window=80)
+a = answer.closed_form(3, 1, "cohomology", 80)
 print("free part:", a.free_part.label())
 for f in a.torsion_families:
     print(
@@ -24,7 +24,7 @@ print()
 
 # The same module in homology pairs with it degree for degree: orders
 # match, and generator degrees sit one degree step lower.
-h = answer.closed_form(3, 1, "homology", window=80)
+h = answer.closed_form(3, 1, "homology", 80)
 for f in h.torsion_families:
     print(
         f"  order {f.order:2} torsion from degree {f.base_degree:3}:"
@@ -41,7 +41,7 @@ assert ok
 
 # At n = 2 the free part keeps a truncated polynomial factor, so the
 # periodic theory is no longer trivial on this space.
-b = answer.closed_form(2, 2, window=120)
+b = answer.closed_form(2, 2, "cohomology", 120)
 loc = answer.localize(b)
 print("p=2, n=2 localized free part:", loc.free_part.label())
 series = answer.poincare_answer(loc).total

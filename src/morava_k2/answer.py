@@ -39,7 +39,6 @@ from .ss_engine import (
     Page,
     TorsionFamily,
     _head_factors,
-    _norm_window,
     _summands,
     _v_free,
     _without_v,
@@ -50,7 +49,7 @@ class _AnswerModuleFields(NamedTuple):
     p: int
     n: int
     variance: str
-    window: tuple[int, int]
+    top: int
     free_part: TensorExpression
     torsion_families: tuple[TorsionFamily, ...]
     zp_family: tuple[tuple[int, int], ...]
@@ -73,23 +72,24 @@ class AnswerModule(_AnswerModuleFields):
         return self
 
 
-def closed_form(p: int, n: int, variance: str = "cohomology", window=None) -> AnswerModule:
-    """The k(n) module of K(Z_p, 2) assembled from its displayed summands.
+def closed_form(p: int, n: int, variance: str, top: int) -> AnswerModule:
+    """The k(n) module of K(Z_p, 2) on [0, top], assembled from its displayed
+    summands.
 
-    A family enters the list while its differential's source degree lies in
-    the window; the infinite z tensor tails are cut once their generator
-    degree leaves it.
+    A family enters the list while its differential's source degree is at
+    most top; the infinite z tensor tails are cut once their generator
+    degree passes it.
     """
     km2.build(p, n, variance)  # validates p prime, n >= 1, variance spelling
-    lo, hi = _norm_window(n, window)
+    km2.check_top(top)
     return AnswerModule(
         p=p,
         n=n,
         variance=variance,
-        window=(lo, hi),
-        free_part=_v_free(p, n, variance, _head_factors(p, n, variance), hi),
-        torsion_families=tuple(ss_engine._families(p, n, variance, hi)),
-        zp_family=ss_engine.zp_family_closed(p, n, variance, hi),
+        top=top,
+        free_part=_v_free(p, n, variance, _head_factors(p, n, variance), top),
+        torsion_families=tuple(ss_engine._families(p, n, variance, top)),
+        zp_family=ss_engine.zp_family_closed(p, n, variance, top),
     )
 
 
@@ -103,14 +103,14 @@ def to_page(a: AnswerModule) -> Page:
     ss_engine comparators (oracle_match, pairing_check, uct_matches) apply."""
     summands = []
     for f in a.torsion_families:
-        summands += _summands(f.expression, f.order, a.window[1])
+        summands += _summands(f.expression, f.order, a.top)
     stage = max((f.order for f in a.torsion_families), default=1) + 1
     return Page(
         p=a.p,
         n=a.n,
         variance=a.variance,
         stage=stage,
-        window=a.window,
+        top=a.top,
         v_free=a.free_part,
         torsion=tuple(summands),
         zp_family=a.zp_family,
@@ -166,13 +166,13 @@ def poincare_answer(a: AnswerModule, window=None) -> AnswerSeries:
     family's generator series enters as a run of +1 at its own degrees and,
     for finite order r, of -1 at those degrees shifted by r|v|; one prefix
     sum with stride |v| in the direction of v then counts every class.  The
-    window is a (lo, hi) pair, the module's own by default; it may reach
+    window is a (lo, hi) pair, [0, top] by default; it may reach
     into negative degrees, where only the v-free part lives in cohomology.
     """
-    lo, hi = a.window if window is None else window
+    top = a.top
+    lo, hi = (0, top) if window is None else window
     if lo > hi:
         raise WindowError(f"empty window [{lo}, {hi}]")
-    top = a.window[1]
     if hi > top:
         raise WindowError(f"window top {hi} exceeds the computed range {top}")
     dv = v_degree(a.p, a.n, a.variance)
@@ -217,7 +217,7 @@ def bockstein_check(a: AnswerModule) -> tuple[bool, str]:
     if a.localized:
         raise ValueError("bockstein_check needs the torsion the localized module drops")
     p, n = a.p, a.n
-    hi = a.window[1]
+    hi = a.top
     q2 = 2 * (p**n - 1)
     dq = q2 + 1
     coh = a.variance == "cohomology"
@@ -228,15 +228,11 @@ def bockstein_check(a: AnswerModule) -> tuple[bool, str]:
     for d in range(series.lo, series.hi + 1):
         cok[d] += series.dim(d)
     # the Z_p classes die under v and miss its image; cohomology kernels
-    # reach one Q_n-degree above the module's window
+    # reach one Q_n-degree above the module's top
     ker_top = hi + dq if coh else hi
     zp = list(a.zp_family)
-    if coh and ker_top > a.window[1]:
-        zp += [
-            (d, c)
-            for d, c in ss_engine.zp_family_closed(p, n, a.variance, ker_top)
-            if d > a.window[1]
-        ]
+    if coh:
+        zp += [(d, c) for d, c in ss_engine.zp_family_closed(p, n, a.variance, ker_top) if d > hi]
     for d, c in zp:
         if d <= hi:
             cok[d] += c
@@ -281,7 +277,7 @@ def localization_check(a: AnswerModule) -> tuple[bool, str]:
     localized module: its v^0 row against the generators, its total against
     their v-towers.  No factor label is read.
     """
-    p, n, hi = a.p, a.n, a.window[1]
+    p, n, hi = a.p, a.n, a.top
     base = [1] + [0] * hi
     top = 0
     for i in range(1, n):

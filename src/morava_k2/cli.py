@@ -269,7 +269,7 @@ def parse_answer(data: dict) -> answer.AnswerModule:
         p=p,
         n=n,
         variance=variance,
-        window=(0, hi),
+        top=hi,
         free_part=factors(data["free"]),
         torsion_families=tuple(families),
         zp_family=tuple((e["degree"], e["count"]) for e in data["zp_family"]),
@@ -296,13 +296,11 @@ def parse_answer(data: dict) -> answer.AnswerModule:
 
 
 def cmd_compute(cfg: RunConfig, out) -> int:
-    a = answer.closed_form(cfg.p, cfg.n, cfg.variance, (0, cfg.hi))
+    a = answer.closed_form(cfg.p, cfg.n, cfg.variance, cfg.hi)
     if cfg.localize:
         a = answer.localize(a)
     series = answer.poincare_answer(a, (cfg.lo, cfg.hi))
-    chart = answer.to_page(a).chart_series()
-    # the page's window starts at 0
-    if series.total.dims[max(-cfg.lo, 0) :] != chart.dims[max(cfg.lo, 0) :]:
+    if series.total != answer.to_page(a).chart_series(cfg.lo, cfg.hi):
         print("internal consistency failure: series readers disagree", file=sys.stderr)
         return 3
     if cfg.fmt == "json":
@@ -371,18 +369,17 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
         )
         return ss_engine.oracle_match(closed, _brute_page(cfg, pages, variance))
     if name == "pairing":
-        rep = ss_engine.pairing_check(
+        return ss_engine.pairing_check(
             _brute_page(cfg, pages, "cohomology"), _brute_page(cfg, pages, "homology")
         )
-        return rep.ok, rep.detail
     if name == "uct":
         return ss_engine.uct_matches(
             _brute_page(cfg, pages, "homology"), _brute_page(cfg, pages, "cohomology")
         )
     if name == "bockstein":
-        return answer.bockstein_check(answer.closed_form(p, n, variance, (0, hi)))
+        return answer.bockstein_check(answer.closed_form(p, n, variance, hi))
     if name == "localization":
-        return answer.localization_check(answer.closed_form(p, n, variance, (0, hi)))
+        return answer.localization_check(answer.closed_form(p, n, variance, hi))
     raise ConfigError(f"unknown suite {name!r}")
 
 
@@ -419,14 +416,14 @@ def cmd_verify(cfg: RunConfig, out) -> int:
 
 
 def _render_grid(page, out) -> None:
-    """The page's (degree, filtration) grid, or for a window wider than 90
-    degrees one row of dimensions by degree, read from chart_series."""
-    lo, hi = page.window
+    """The page's (degree, filtration) grid on [0, top], or for a top above
+    90 one row of dimensions by degree, read from chart_series."""
+    lo, hi = 0, page.top
     if hi - lo > 90:
-        row = " ".join(map(str, page.chart_series().dims))
+        row = " ".join(map(str, page.chart_series(lo, hi).dims))
         print(f"window too wide for a grid; dims by degree: {row}", file=out)
         return
-    chart = page.chart_dims()
+    chart = page.chart_dims(lo, hi)
     if not chart:
         print("(empty grid)", file=out)
         return

@@ -22,6 +22,7 @@ import functools
 from collections.abc import Iterator
 from typing import NamedTuple
 
+from . import numerology
 from .graded_algebra import PoincareSeries
 
 
@@ -439,15 +440,6 @@ class DerivationContext:
                     out.pop(key, None)
         return out
 
-    def render(self, exps: tuple[int, ...]) -> str:
-        parts = []
-        for e, g in zip(exps, self.gens):
-            if e == 1:
-                parts.append(g.name)
-            elif e:
-                parts.append(f"{g.name}^{e}")
-        return " ".join(parts) if parts else "1"
-
 
 def each_monomial(degrees: list[int], caps: list[int], hi: int, emit) -> None:
     """Call emit(exps, degree) once for every exponent vector with
@@ -613,6 +605,13 @@ def default_window(n: int) -> int:
     return 600 if n == 1 else 2500
 
 
+def check_top(top: int) -> None:
+    """Every computation runs on [0, top]; the entry points refuse a top
+    below 2."""
+    if top < 2:
+        raise ValueError(f"top must be at least 2, got {top}")
+
+
 _FACTORED_TRIVIAL: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
@@ -645,26 +644,19 @@ def _factored_trivial(p: int, n: int, hi: int) -> tuple[int, ...]:
     return _FACTORED_TRIVIAL[key]
 
 
-def qn_homology(
-    p: int,
-    n: int,
-    variance: str = "cohomology",
-    max_degree: int | None = None,
-) -> QnHomologyReport:
+def qn_homology(p: int, n: int, variance: str, top: int) -> QnHomologyReport:
     pres = build(p, n, variance)
-    hi = default_window(n) if max_degree is None else max_degree
-    if hi < 2:
-        raise ValueError("max_degree must be at least 2")
-    total = total_dims(pres, hi)
-    triv = list(_factored_trivial(p, n, hi))
+    check_top(top)
+    total = total_dims(pres, top)
+    triv = list(_factored_trivial(p, n, top))
     dq = pres.qn_degree
-    free = [0] * (hi + 1)
-    for d in range(hi + 1):
+    free = [0] * (top + 1)
+    for d in range(top + 1):
         lower = free[d - dq] if d >= dq else 0
         free[d] = total[d] - triv[d] - lower
         if free[d] < 0:
             raise AssertionError(f"negative free rank at degree {d}")
-    return QnHomologyReport(p, n, variance, hi, total, triv, free)
+    return QnHomologyReport(p, n, variance, top, total, triv, free)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +680,7 @@ class WFactory:
     """Builds the w-elements as explicit cycles in the presentation."""
 
     def __init__(self, pres: Presentation, max_degree: int):
-        from . import numerology
-
         self.pres = pres
-        self.numerology = numerology
         self.ctx = DerivationContext(pres, max_degree + 2 * pres.qn_degree)
         self.max_degree = max_degree
 
@@ -733,7 +722,7 @@ class WFactory:
         return self.ctx.mul_poly(y, self.w_poly(m))
 
     def element(self, index2: int) -> WElement:
-        deg = self.numerology.degree_w(index2, self.pres.p, self.pres.n)
+        deg = numerology.degree_w(index2, self.pres.p, self.pres.n)
         poly = (
             self.w_poly(index2 // 2) if index2 % 2 == 0 else self.w_half_poly(index2)
         )
@@ -836,8 +825,6 @@ def qn_square_check(
 
 def w_elements(p: int, n: int, max_degree: int) -> tuple[WFactory, list[WElement]]:
     """All w-elements (integer and half index) with degree inside the window."""
-    from . import numerology
-
     pres = build(p, n)
     factory = WFactory(pres, max_degree)
     out = []

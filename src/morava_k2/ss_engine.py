@@ -10,7 +10,7 @@ The E2 page over E[Q_n] is run to E-infinity in two independent ways:
   E2 lattice and reads tower orders off a matching sweep.
 
 Both report per-degree free ranks, v-torsion towers and the filtration-0 Z_p
-family; ``oracle_match`` compares the two degree for degree on a window, and
+family; ``oracle_match`` compares the two degree for degree on [0, top], and
 ``pairing_check`` / ``uct_transport`` verify the duality between the homology
 and cohomology runs.
 
@@ -55,17 +55,6 @@ def degree_step(stage: int, p: int, n: int) -> int:
 def v_degree(p: int, n: int, variance: str) -> int:
     d = 2 * (p**n - 1)
     return -d if variance == "cohomology" else d
-
-
-def _norm_window(n: int, window) -> tuple[int, int]:
-    if window is None:
-        return (0, km2.default_window(n))
-    if isinstance(window, int):
-        window = (0, window)
-    lo, hi = window
-    if lo != 0 or hi < 2:
-        raise ValueError("window must be [0, hi] with hi >= 2")
-    return (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +184,9 @@ class TorsionFamily(NamedTuple):
     kind "y" families are indexed by the differential on y_j (order r(j)),
     kind "half" families by the one hitting z_{n+j+1} (order r'(j)).  The
     expression contains every non-v tensor cofactor, with its lowest basis
-    element in degree base_degree; families whose base lies above the window
-    still appear when their differential's source is inside it, carrying no
-    in-window generators.
+    element in degree base_degree; families whose base lies above top still
+    appear when their differential's source is at most top, carrying no
+    generators in [0, top].
     """
 
     j: int
@@ -383,17 +372,16 @@ class Page(NamedTuple):
     n: int
     variance: str
     stage: int
-    window: tuple[int, int]
+    top: int
     v_free: TensorExpression | None
     torsion: tuple[TowerSummand, ...]
     zp_family: tuple[tuple[int, int], ...]
 
     def free_by_degree(self) -> Counter:
-        """Generator degrees of the v-free part, inside the window."""
-        lo, hi = self.window
+        """Generator degrees of the v-free part, all in [0, top]."""
         out: Counter = Counter()
         if self.v_free is not None:
-            for d, c in enumerate(_without_v(self.v_free).poincare(lo, hi).dims, lo):
+            for d, c in enumerate(_without_v(self.v_free).poincare(0, self.top).dims):
                 if c:
                     out[d] += c
         for t in self.torsion:
@@ -413,9 +401,9 @@ class Page(NamedTuple):
         v-torsion towers and, on a brute-force page, the free ones."""
         return [(g, order, c) for _expr, g, order, c in self.torsion]
 
-    def chart_dims(self) -> Counter:
-        """Dimension of each (degree, filtration) spot inside the window."""
-        lo, hi = self.window
+    def chart_dims(self, lo: int, hi: int) -> Counter:
+        """Dimension of each (degree, filtration) spot in [lo, hi], from the
+        towers on every generator in [0, top]."""
         dv = v_degree(self.p, self.n, self.variance)
         towers = [(g, INF, c) for g, c in self.free_by_degree().items()]
         towers += [t for t in self._towers() if t[1] != INF]
@@ -428,30 +416,27 @@ class Page(NamedTuple):
                 out[(d, 0)] += c
         return out
 
-    def chart_series(self) -> PoincareSeries:
-        """Dimension of each degree inside the window: chart_dims summed over
-        the filtrations, without visiting a spot.
+    def chart_series(self, lo: int, hi: int) -> PoincareSeries:
+        """Dimension of each degree in [lo, hi]: chart_dims(lo, hi) summed
+        over the filtrations, without visiting a spot.
 
-        The towers are runs in one array that spans the window and every
-        tower generator, also those outside the window.  A tower on a
-        degree-g generator enters as +c at g and, for finite order r, as -c
-        at g + r*dv (dv = v_degree, negative in cohomology); a run end past
-        the array in the direction of v touches no degree of the window and
-        is dropped.  The v-free generators of the window enter as their
-        series.  One prefix sum with stride |v|, taken in the direction of
-        v, then counts each degree once per tower covering it.
+        The towers are runs in one array that spans [lo, hi] and [0, top],
+        where every tower generator lies.  A tower on a degree-g generator
+        enters as +c at g and, for finite order r, as -c at g + r*dv
+        (dv = v_degree, negative in cohomology); a run end past the array
+        in the direction of v touches no degree of [lo, hi] and is dropped.
+        The v-free generators enter as their series.  One prefix sum with
+        stride |v|, taken in the direction of v, then counts each degree
+        once per tower covering it.
         """
-        lo, hi = self.window
         dv = v_degree(self.p, self.n, self.variance)
-        towers = self._towers()
-        degrees = [lo, hi] + [g for g, _order, _c in towers]
-        base, top = min(degrees), max(degrees)
-        runs = [0] * (top - base + 1)
+        base, end = min(lo, 0), max(hi, self.top)
+        runs = [0] * (end - base + 1)
         if self.v_free is not None:
-            runs[lo - base : hi - base + 1] = _without_v(self.v_free).poincare(lo, hi).dims
-        for g, order, c in towers:
+            runs[-base : self.top - base + 1] = _without_v(self.v_free).poincare(0, self.top).dims
+        for g, order, c in self._towers():
             runs[g - base] += c
-            if order != INF and base <= g + order * dv <= top:
+            if order != INF and base <= g + order * dv <= end:
                 runs[g + order * dv - base] -= c
         for i in range(dv, len(runs)) if dv > 0 else range(len(runs) - 1 + dv, -1, -1):
             runs[i] += runs[i - dv]
@@ -490,9 +475,9 @@ class _PageState:
     order is that stage; the families themselves come from _families.
     """
 
-    def __init__(self, p: int, n: int, variance: str, window: tuple[int, int], families=()):
+    def __init__(self, p: int, n: int, variance: str, top: int, families=()):
         self.p, self.n, self.variance = p, n, variance
-        self.window = window
+        self.top = top
         self.star = _star(variance)
         self.head = _head_factors(p, n, variance)
         self.jy = 1
@@ -522,7 +507,7 @@ class _PageState:
             f = _trunc_factor(_gen_w(2 * m, p, n, self.star), 2 ** (n + 1), self.variance)
             if f is not None:
                 out.append(f)
-        return out + _z_tail(p, n, self.zlo, self.window[1], self.variance)
+        return out + _z_tail(p, n, self.zlo, self.top, self.variance)
 
     def snapshot(self, zp: tuple[tuple[int, int], ...]) -> Page:
         return Page(
@@ -530,8 +515,8 @@ class _PageState:
             n=self.n,
             variance=self.variance,
             stage=self.stage,
-            window=self.window,
-            v_free=_v_free(self.p, self.n, self.variance, self._base_factors(), self.window[1]),
+            top=self.top,
+            v_free=_v_free(self.p, self.n, self.variance, self._base_factors(), self.top),
             torsion=tuple(self.torsion),
             zp_family=zp,
         )
@@ -554,7 +539,7 @@ class _PageState:
                 self._apply_half(e.index)
         for f in self.families:
             if f.order == st:
-                self.torsion += _summands(f.expression, st, self.window[1])
+                self.torsion += _summands(f.expression, st, self.top)
         self.stage = st + 1
 
     def _apply_y(self, j: int) -> None:
@@ -607,7 +592,7 @@ def zp_family_closed(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int,
             for k, g in enumerate(pres.generators(hi))
         )
     ).poincare(0, hi)
-    base = _PageState(p, n, variance, (0, hi))._base_factors()
+    base = _PageState(p, n, variance, hi)._base_factors()
     trivial = TensorExpression(tuple(base)).poincare(0, hi)
     dq = pres.qn_degree
     free = [0] * (hi + 1)
@@ -620,15 +605,14 @@ def zp_family_closed(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int,
     return tuple((d, r) for d, r in enumerate(free) if r)
 
 
-def e2_closed_form(p: int, n: int, variance: str = "cohomology", window=None) -> Page:
-    """The E2 page: P[v] tensored with the trivial part of the Q_n-homology,
-    written as the closed-form factor list of the rewrite, plus the
-    filtration-0 Z_p family from zp_family_closed.  No F_p linear algebra
-    runs; criterion 3 and the verify e2 suite compare this page with
-    km2.qn_homology."""
-    win = _norm_window(n, window)
-    state = _PageState(p, n, variance, win)
-    return state.snapshot(zp_family_closed(p, n, variance, win[1]))
+def e2_closed_form(p: int, n: int, variance: str, top: int) -> Page:
+    """The E2 page on [0, top]: P[v] tensored with the trivial part of the
+    Q_n-homology, written as the closed-form factor list of the rewrite,
+    plus the filtration-0 Z_p family from zp_family_closed.  No F_p linear
+    algebra runs; criterion 3 and the verify e2 suite compare this page
+    with km2.qn_homology."""
+    km2.check_top(top)
+    return _PageState(p, n, variance, top).snapshot(zp_family_closed(p, n, variance, top))
 
 
 def closed_form_pages(page: Page, sched: list[Differential]) -> Iterator[Page]:
@@ -637,8 +621,8 @@ def closed_form_pages(page: Page, sched: list[Differential]) -> Iterator[Page]:
     the _families entries of its order."""
     if page.stage != 2 or page.torsion:
         raise RuntimeError("run_closed_form starts from an E2 page")
-    families = tuple(_families(page.p, page.n, page.variance, page.window[1]))
-    state = _PageState(page.p, page.n, page.variance, page.window, families)
+    families = tuple(_families(page.p, page.n, page.variance, page.top))
+    state = _PageState(page.p, page.n, page.variance, page.top, families)
     e2 = state.snapshot(page.zp_family)
     if e2.v_free.label() != page.v_free.label():
         raise RuntimeError("page was not produced by e2_closed_form")
@@ -1032,12 +1016,7 @@ def _key_floor(order, p: int, n: int, variance: str) -> int:
     return 0
 
 
-def run_bruteforce(
-    p: int,
-    n: int,
-    variance: str = "cohomology",
-    window=None,
-) -> Page:
+def run_bruteforce(p: int, n: int, variance: str, top: int) -> Page:
     """E-infinity by monomial bookkeeping over the E2 lattice.
 
     One lattice runs per residue class of the family index modulo n+1 (no
@@ -1065,8 +1044,8 @@ def run_bruteforce(
     it is cut before any fold.  Hence no Tor shift that reaches the window
     exceeds the degree step of max_stage.
     """
-    lo, top = _norm_window(n, window)
     km2.build(p, n, variance)
+    km2.check_top(top)
     plan = _plan(p, n, top, variance)
     sched = schedule(p, n, plan.j_ext, variance)
     folded: Counter = Counter({(0, INF): 1})
@@ -1103,7 +1082,7 @@ def run_bruteforce(
         n=n,
         variance=variance,
         stage=plan.max_stage + 1 if plan.max_stage else 2,
-        window=(lo, top),
+        top=top,
         v_free=None,
         torsion=tuple(TowerSummand(None, g, o, c) for g, o, c in towers if g <= top and c),
         zp_family=zp_family_counts(p, n, variance, top),
@@ -1114,53 +1093,46 @@ def run_bruteforce(
 # comparisons
 
 
-def _clip(counter, top: int, key_deg=lambda d: d) -> Counter:
-    """The nonzero entries of counter whose degree, key_deg(key), is at most top."""
-    return Counter({k: v for k, v in counter.items() if key_deg(k) <= top and v})
-
-
 def _first_difference(a, b):
     """The least key on which the mappings a and b disagree."""
     return min(set(a) ^ set(b) | {k for k in a if a[k] != b.get(k)})
 
 
+def _tops_differ(a: Page, b: Page) -> str:
+    """Why two pages computed to different tops cannot be compared, or ''."""
+    return f"pages end at different tops: {a.top} vs {b.top}" if a.top != b.top else ""
+
+
 def oracle_match(a: Page, b: Page) -> tuple[bool, str]:
-    """Degree-for-degree comparison of two runs on their common window."""
+    """Degree-for-degree comparison of two runs on [0, top].
+
+    Free ranks, torsion towers and the Z_p family are compared.  Every
+    class of both pages then sits on a generator in [0, top], and the chart
+    is a function of these three counts, so it agrees too.
+    """
     if (a.p, a.n, a.variance) != (b.p, b.n, b.variance):
         return False, "pages disagree on (p, n, variance)"
-    top = min(a.window[1], b.window[1])
-
-    fa, fb = _clip(a.free_by_degree(), top), _clip(b.free_by_degree(), top)
+    if refusal := _tops_differ(a, b):
+        return False, refusal
+    fa, fb = a.free_by_degree(), b.free_by_degree()
     if fa != fb:
         d = _first_difference(fa, fb)
         return False, f"free ranks differ at degree {d}: {fa.get(d, 0)} vs {fb.get(d, 0)}"
-    ta = _clip(a.torsion_by_degree(), top, lambda k: k[0])
-    tb = _clip(b.torsion_by_degree(), top, lambda k: k[0])
+    ta, tb = a.torsion_by_degree(), b.torsion_by_degree()
     if ta != tb:
         k = _first_difference(ta, tb)
         return False, (
             f"torsion differs at degree {k[0]} order {k[1]}: "
             f"{ta.get(k, 0)} vs {tb.get(k, 0)}"
         )
-    za = {d: c for d, c in a.zp_family if d <= top}
-    zb = {d: c for d, c in b.zp_family if d <= top}
+    za, zb = dict(a.zp_family), dict(b.zp_family)
     if za != zb:
         d = _first_difference(za, zb)
         return False, f"Z_p families differ at degree {d}: {za.get(d, 0)} vs {zb.get(d, 0)}"
-    ca = _clip(a.chart_dims(), top, lambda k: k[0])
-    cb = _clip(b.chart_dims(), top, lambda k: k[0])
-    if ca != cb:
-        k = _first_difference(ca, cb)
-        return False, f"chart dimensions differ at (degree, filtration) = {k}"
-    return True, f"runs agree on [0, {top}]"
+    return True, f"runs agree on [0, {a.top}]"
 
 
-class PairingReport(NamedTuple):
-    ok: bool
-    detail: str
-
-
-def pairing_check(coh: Page, hom: Page) -> PairingReport:
+def pairing_check(coh: Page, hom: Page) -> tuple[bool, str]:
     """The cohomology and homology runs determine each other.
 
     Schedules match with source and target roles swapped; the pages pair
@@ -1173,25 +1145,27 @@ def pairing_check(coh: Page, hom: Page) -> PairingReport:
         "cohomology",
         "homology",
     ):
-        return PairingReport(False, "need cohomology and homology pages at one (p, n)")
-    p, n = coh.p, coh.n
-    top = min(coh.window[1], hom.window[1])
-    j_max = max(e.index for e in window_schedule(p, n, top, "cohomology"))
+        return False, "need cohomology and homology pages at one (p, n)"
+    if refusal := _tops_differ(coh, hom):
+        return False, refusal
+    p, n, top = coh.p, coh.n, coh.top
     direct = sorted(
-        (e.stage, e.source_degree, e.target_degree) for e in schedule(p, n, j_max, "cohomology")
+        (e.stage, e.source_degree, e.target_degree)
+        for e in window_schedule(p, n, top, "cohomology")
     )
     swapped = sorted(
-        (e.stage, e.target_degree, e.source_degree) for e in schedule(p, n, j_max, "homology")
+        (e.stage, e.target_degree, e.source_degree)
+        for e in window_schedule(p, n, top, "homology")
     )
     if direct != swapped:
         bad = next(x for x, y in zip(direct, swapped) if x != y)
-        return PairingReport(False, f"schedule triple {bad} has no mirror")
+        return False, f"schedule triple {bad} has no mirror"
 
     ok, msg = uct_matches(hom, coh)
     if not ok:
-        return PairingReport(False, msg)
+        return False, msg
     orders = {o for _d, o in coh.torsion_by_degree()} | {o for _d, o in hom.torsion_by_degree()}
-    return PairingReport(True, f"pairing verified on [0, {top}] across {len(orders)} tower orders")
+    return True, f"pairing verified on [0, {top}] across {len(orders)} tower orders"
 
 
 def uct_transport(hom: Page) -> dict:
@@ -1215,19 +1189,20 @@ def uct_transport(hom: Page) -> dict:
 
 
 def uct_matches(hom: Page, coh: Page) -> tuple[bool, str]:
-    """Transported homology must equal the directly computed cohomology."""
+    """Transported homology must equal the directly computed cohomology;
+    what the transport moves above top is cut."""
+    if refusal := _tops_differ(hom, coh):
+        return False, refusal
     moved = uct_transport(hom)
-    top = min(coh.window[1], hom.window[1])
-    if _clip(coh.free_by_degree(), top) != _clip(moved["free"], top):
+    top = coh.top
+    if coh.free_by_degree() != moved["free"]:
         return False, "free parts disagree after transport"
-    want = _clip(coh.torsion_by_degree(), top, lambda k: k[0])
-    got = _clip(moved["torsion"], top, lambda k: k[0])
+    want = coh.torsion_by_degree()
+    got = Counter({k: c for k, c in moved["torsion"].items() if k[0] <= top})
     if want != got:
         k = _first_difference(want, got)
         return False, f"torsion disagrees after transport at (degree, order) = {k}"
-    if {d: c for d, c in coh.zp_family if d <= top} != {
-        d: c for d, c in moved["zp"].items() if d <= top
-    }:
+    if dict(coh.zp_family) != {d: c for d, c in moved["zp"].items() if d <= top}:
         return False, "Z_p family disagrees after transport"
     return True, f"transport matches cohomology on [0, {top}]"
 
@@ -1236,8 +1211,8 @@ def uct_matches(hom: Page, coh: Page) -> tuple[bool, str]:
 # exhaustiveness scan
 
 
-def advisory_scan(p: int, n: int, window=None) -> dict:
-    """Search a window for differentials the schedule does not list.
+def advisory_scan(p: int, n: int, top: int) -> dict:
+    """Search [0, top] for differentials the schedule does not list.
 
     Candidate sources are the indecomposable page generators (the y's, the
     half-index w's or their p = 2 product stand-ins, and the integer-index
@@ -1252,10 +1227,10 @@ def advisory_scan(p: int, n: int, window=None) -> dict:
     "unexcluded" list exactly when the scheduled differentials are the only
     ones possible.
     """
-    lo, top = _norm_window(n, window)
+    km2.check_top(top)
     q2 = 2 * (p**n - 1)
     sched = window_schedule(p, n, top, "cohomology")
-    page = run_closed_form(e2_closed_form(p, n, "cohomology", (lo, top)), sched)
+    page = run_closed_form(e2_closed_form(p, n, "cohomology", top), sched)
 
     classes: dict[int, list[tuple[float, int]]] = {}
 
@@ -1320,7 +1295,7 @@ def advisory_scan(p: int, n: int, window=None) -> dict:
         "p": p,
         "n": n,
         "variance": "cohomology",
-        "window": [lo, top],
+        "window": [0, top],
         "sources": len(sources),
         "surviving_classes": sum(c for group in classes.values() for _o, c in group),
         "pairs": sum(tally.values()) + recovered,

@@ -1,11 +1,11 @@
 """Reference code that only the tests read: series arithmetic for the
 schoolbook Poincare fold, the Q_n matrix on the full monomial basis, the
 trivial Q_n-homology ranked on the whole basis at once, the E[Q_n] split
-invariant of a report, the degree of u_i, the derivation one monomial at a
-time (at p = 2 over polynomial u_i, through the basis bijection), the
-Q_n-square sweep one monomial at a time, the brute-force sweep over the
-whole E2 lattice at once, the brute-force folds all cut at one limit, and
-the answer's Poincare series one tower class at a time.
+invariant of a report, the degree of u_i, monomial names, the derivation
+one monomial at a time (at p = 2 over polynomial u_i, through the basis
+bijection), the Q_n-square sweep one monomial at a time, the brute-force
+sweep over the whole E2 lattice at once, the brute-force folds all cut at
+one limit, and the answer's Poincare series one tower class at a time.
 """
 
 import random
@@ -36,6 +36,17 @@ def degree_u(i: int, p: int) -> int:
     if i < 0:
         raise ValueError("u indices start at 0")
     return 2 * p**i + 1
+
+
+def render(ctx: km2.DerivationContext, exps: tuple[int, ...]) -> str:
+    """The monomial with exponent vector exps over ctx's generators, as text."""
+    parts = []
+    for e, g in zip(exps, ctx.gens):
+        if e == 1:
+            parts.append(g.name)
+        elif e:
+            parts.append(f"{g.name}^{e}")
+    return " ".join(parts) if parts else "1"
 
 
 def qn_matrix(pres: km2.Presentation, d: int, max_degree: int) -> km2.Matrix:
@@ -316,7 +327,7 @@ def bruteforce_full_reference(p: int, n: int, variance: str, top: int) -> ss_eng
         n=n,
         variance=variance,
         stage=plan.max_stage + 1 if plan.max_stage else 2,
-        window=(0, top),
+        top=top,
         v_free=None,
         torsion=tuple(summands),
         zp_family=ss_engine.zp_family_counts(p, n, variance, top),
@@ -360,7 +371,7 @@ def bruteforce_single_limit_reference(p: int, n: int, variance: str, top: int) -
         n=n,
         variance=variance,
         stage=plan.max_stage + 1 if plan.max_stage else 2,
-        window=(0, top),
+        top=top,
         v_free=None,
         torsion=tuple(summands),
         zp_family=ss_engine.zp_family_counts(p, n, variance, top),
@@ -375,7 +386,7 @@ def poincare_answer_reference(a, window=None):
     through ss_engine._tower_powers and each class lands in its v-power row.
     Returns (total, rows, family_counts), rows[s] the v^s row for every s
     with a class in the window."""
-    lo, hi = a.window if window is None else window
+    lo, hi = (0, a.top) if window is None else window
     dv = ss_engine.v_degree(a.p, a.n, a.variance)
     rows: dict[int, Counter] = {}
 
@@ -383,13 +394,13 @@ def poincare_answer_reference(a, window=None):
         for e in ss_engine._tower_powers(g, order, dv, lo, hi):
             rows.setdefault(e, Counter())[g + e * dv] += count
 
-    series = ss_engine._without_v(a.free_part).poincare(0, a.window[1])
+    series = ss_engine._without_v(a.free_part).poincare(0, a.top)
     for d in range(series.lo, series.hi + 1):
         if series.dim(d):
             tower(d, series.dim(d), ss_engine.INF)
     family_counts = []
     for f in a.torsion_families:
-        fs = f.expression.poincare(0, a.window[1])
+        fs = f.expression.poincare(0, a.top)
         family_counts.append(sum(fs.dims))
         for d in range(fs.lo, fs.hi + 1):
             if fs.dim(d):

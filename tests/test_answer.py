@@ -13,9 +13,9 @@ from helpers import poincare_answer_reference
 
 
 def test_free_part_labels():
-    assert answer.closed_form(3, 1, window=60).free_part.label() == "P[v]"
-    assert answer.closed_form(3, 2, window=120).free_part.label() == "P[v] @ TP_3[z_1]"
-    assert answer.closed_form(2, 2, window=90).free_part.label() == "P[v] @ TP_2[z_1]"
+    assert answer.closed_form(3, 1, "cohomology", 60).free_part.label() == "P[v]"
+    assert answer.closed_form(3, 2, "cohomology", 120).free_part.label() == "P[v] @ TP_3[z_1]"
+    assert answer.closed_form(2, 2, "cohomology", 90).free_part.label() == "P[v] @ TP_2[z_1]"
     assert (
         answer.closed_form(3, 2, "homology", 90).free_part.label()
         == "P[v] @ Gamma_3[z_1*]"
@@ -23,7 +23,7 @@ def test_free_part_labels():
 
 
 def test_families_31_frozen():
-    a = answer.closed_form(3, 1, window=60)
+    a = answer.closed_form(3, 1, "cohomology", 60)
     got = [
         (f.j, f.kind, f.order, f.base_degree, f.expression.label())
         for f in a.torsion_families[:4]
@@ -50,7 +50,7 @@ def test_families_31_homology_frozen():
 
 
 def test_families_p2():
-    c = answer.closed_form(2, 1, window=60)
+    c = answer.closed_form(2, 1, "cohomology", 60)
     got = [(f.kind, f.order, f.base_degree) for f in c.torsion_families[:4]]
     assert got == [("y", 2, 9), ("half", 2, 18), ("y", 4, 17), ("half", 4, 34)]
     # no TP_1[y_j] factor survives the p = 2 degeneration
@@ -76,11 +76,11 @@ def test_families_p2():
 def test_family_source_in_window_rule():
     """A family appears once its source enters the window, even when its
     generators all sit above it."""
-    a = answer.closed_form(3, 1, window=300)
+    a = answer.closed_form(3, 1, "cohomology", 300)
     f59 = next(f for f in a.torsion_families if f.order == 59)
     assert f59.base_degree == 488
     assert answer.to_page(a).torsion_by_degree().get((488, 59)) is None
-    small = answer.closed_form(3, 1, window=200)
+    small = answer.closed_form(3, 1, "cohomology", 200)
     assert all(f.order != 59 for f in small.torsion_families)
 
 
@@ -113,13 +113,13 @@ def _tp_factor(a):
 def test_order_invariant_enforced(change, match):
     """replace rebuilds a record through its constructor, so every
     constructor check runs on the changed copy."""
-    a = answer.closed_form(3, 1, window=60)
+    a = answer.closed_form(3, 1, "cohomology", 60)
     with pytest.raises(ValueError, match=match):
         change(a)
 
 
 def test_records_are_immutable():
-    a = answer.closed_form(3, 1, window=60)
+    a = answer.closed_form(3, 1, "cohomology", 60)
     f = a.torsion_families[0]
     series = answer.poincare_answer(a).total
     page = answer.to_page(a)
@@ -186,13 +186,14 @@ def test_pairing_and_uct_through_answers():
     for p, n, top in [(2, 1, 60), (3, 1, 60), (2, 2, 100), (3, 2, 100)]:
         coh = answer.to_page(answer.closed_form(p, n, "cohomology", top))
         hom = answer.to_page(answer.closed_form(p, n, "homology", top))
-        assert ss.pairing_check(coh, hom).ok, (p, n)
+        ok, msg = ss.pairing_check(coh, hom)
+        assert ok, (p, n, msg)
         ok, msg = ss.uct_matches(hom, coh)
         assert ok, (p, n, msg)
 
 
 def test_poincare_free_tower_negative_window():
-    a = answer.closed_form(3, 1, window=60)
+    a = answer.closed_form(3, 1, "cohomology", 60)
     s = answer.poincare_answer(a, (-8, 0)).total
     assert [s.dim(d) for d in range(-8, 1)] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
@@ -213,11 +214,11 @@ def test_poincare_free_tower_negative_window():
 def test_poincare_matches_chart_series(p, n, variance, top, lo, localized):
     """The chart of the answer's page and poincare_answer count the same
     classes in every degree, also below degree 0."""
-    a = answer.closed_form(p, n, variance, (0, top))
+    a = answer.closed_form(p, n, variance, top)
     if localized:
         a = answer.localize(a)
     total = answer.poincare_answer(a, (lo, top)).total
-    chart = answer.to_page(a)._replace(window=(lo, top)).chart_series()
+    chart = answer.to_page(a).chart_series(lo, top)
     assert chart == total
 
 
@@ -236,7 +237,7 @@ def test_poincare_matches_class_by_class_reference(p, n, variance, top, lo, loca
     """The strided family sums count what walking every tower class by class
     counts: the total, each family's generator count and every v-power row,
     one power past the last row included."""
-    a = answer.closed_form(p, n, variance, (0, top))
+    a = answer.closed_form(p, n, variance, top)
     if localized:
         a = answer.localize(a)
     lo = min(lo, top)
@@ -251,7 +252,7 @@ def test_poincare_matches_class_by_class_reference(p, n, variance, top, lo, loca
 
 
 def test_poincare_by_v_power():
-    a = answer.closed_form(3, 1, window=60)
+    a = answer.closed_form(3, 1, "cohomology", 60)
     series = answer.poincare_answer(a)
     # filtration 0 carries one class per torsion generator, the Z_p family
     # and the unit
@@ -266,7 +267,7 @@ def test_poincare_by_v_power():
 
 
 def test_poincare_window_errors():
-    a = answer.closed_form(3, 1, window=60)
+    a = answer.closed_form(3, 1, "cohomology", 60)
     with pytest.raises(km2.WindowError):
         answer.poincare_answer(a, (0, 100))
     with pytest.raises(km2.WindowError):
@@ -274,14 +275,14 @@ def test_poincare_window_errors():
 
 
 def test_localize():
-    a = answer.closed_form(3, 1, window=60)
+    a = answer.closed_form(3, 1, "cohomology", 60)
     loc = answer.localize(a)
     assert loc.localized and not loc.torsion_families and not loc.zp_family
     assert answer.localize(loc) == loc
     s = answer.poincare_answer(loc, (1, 60)).total
     assert all(s.dim(d) == 0 for d in range(1, 61))
     # at n = 2 the truncated head survives localization
-    loc32 = answer.localize(answer.closed_form(3, 2, window=120))
+    loc32 = answer.localize(answer.closed_form(3, 2, "cohomology", 120))
     assert loc32.free_part.label() == "P[v] @ TP_3[z_1]"
     # z_1 powers at 0, 8, 16 with |v| = -16 folding 16 back onto 0
     s32 = answer.poincare_answer(loc32, (0, 20)).total
@@ -347,7 +348,7 @@ def test_bockstein_all_pairs():
 
 
 def test_bockstein_sees_tampering():
-    a = answer.closed_form(3, 1, window=60)
+    a = answer.closed_form(3, 1, "cohomology", 60)
     bad = replace(a, zp_family=a.zp_family[1:])
     ok, _ = answer.bockstein_check(bad)
     assert not ok
@@ -398,12 +399,12 @@ def test_bockstein_reads_total_dims(monkeypatch):
         return dims
 
     monkeypatch.setattr(km2, "total_dims", bumped)
-    ok, msg = answer.bockstein_check(answer.closed_form(3, 1, window=60))
+    ok, msg = answer.bockstein_check(answer.closed_form(3, 1, "cohomology", 60))
     assert not ok
     assert msg.startswith("degree 30: "), msg
 
 
 def test_bockstein_input_errors():
-    a = answer.closed_form(3, 1, window=60)
+    a = answer.closed_form(3, 1, "cohomology", 60)
     with pytest.raises(ValueError):
         answer.bockstein_check(answer.localize(a))

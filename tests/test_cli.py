@@ -144,7 +144,9 @@ def test_table_computes_each_chart_once(capsys, monkeypatch):
     for name in ("chart_dims", "chart_series"):
         real = getattr(ss_engine.Page, name)
         monkeypatch.setattr(
-            ss_engine.Page, name, lambda page, real=real, name=name: calls.update([name]) or real(page)
+            ss_engine.Page,
+            name,
+            lambda page, lo, hi, real=real, name=name: calls.update([name]) or real(page, lo, hi),
         )
     assert main(["table", "--p", "3", "--n", "1", "--max-degree", "200"]) == 0
     out = capsys.readouterr().out
@@ -161,7 +163,7 @@ def test_table_computes_each_chart_once(capsys, monkeypatch):
 def test_compute_json_round_trips(capsys, job):
     p, n, variance, hi, localize = job
     rebuilt = cli.parse_answer(json.loads(_compute_json(capsys, job)))
-    want = answer.closed_form(p, n, variance, (0, hi))
+    want = answer.closed_form(p, n, variance, hi)
     assert rebuilt == (answer.localize(want) if localize else want)
     # records compare as tuples; the repr also names every nested record class
     assert repr(rebuilt) == repr(answer.localize(want) if localize else want)
@@ -188,7 +190,7 @@ def test_compute_json_round_trips_small_window(localize, p, n, variance, hi):
     with redirect_stdout(out):
         assert main(argv + ["--localize"] * localize) == 0
     rebuilt = cli.parse_answer(json.loads(out.getvalue()))
-    want = answer.closed_form(p, n, variance, (0, hi))
+    want = answer.closed_form(p, n, variance, hi)
     assert rebuilt == (answer.localize(want) if localize else want)
     assert repr(rebuilt) == repr(answer.localize(want) if localize else want)
 
@@ -209,7 +211,7 @@ def test_compute_tsv_one_row_per_degree(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "degree\tdim"
     assert len(lines) == 27
-    a = answer.closed_form(3, 2, "homology", (0, 25))
+    a = answer.closed_form(3, 2, "homology", 25)
     series = answer.poincare_answer(a).total
     for line in lines[1:]:
         d, dim = line.split("\t")
@@ -307,13 +309,35 @@ def test_series_readers_see_a_planted_tower_defect(capsys, monkeypatch):
         return [(g, order + 1, c) for g, order, c in real(page)]
 
     monkeypatch.setattr(ss_engine.Page, "_towers", planted)
-    a = answer.closed_form(3, 1, "cohomology", (0, 600))
-    assert answer.poincare_answer(a).total != answer.to_page(a).chart_series()
+    a = answer.closed_form(3, 1, "cohomology", 600)
+    assert answer.poincare_answer(a).total != answer.to_page(a).chart_series(0, 600)
     assert main(["compute", "--p", "3", "--n", "1", "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "series readers disagree" in captured.err
 
+
+
+def test_series_readers_compare_below_degree_zero(capsys, monkeypatch):
+    """compute compares the two series readers over the whole printed range:
+    a poincare_answer defect that shows only below degree 0, where the
+    cohomology free tower lives, makes it refuse to print."""
+    real = answer.poincare_answer
+
+    def planted(a, window=None):
+        series = real(a, window)
+        total = series.total
+        if total.lo < 0:
+            total = replace(total, dims=(total.dims[0] + 1,) + total.dims[1:])
+        return series._replace(total=total)
+
+    monkeypatch.setattr(answer, "poincare_answer", planted)
+    assert main(["compute", "--p", "3", "--n", "1", "--max-degree", "60"]) == 0
+    capsys.readouterr()
+    assert main(["compute", "--p", "3", "--n", "1", "--min-degree", "-20"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "series readers disagree" in captured.err
 
 @pytest.mark.parametrize(
     "exc, code",
@@ -659,10 +683,34 @@ def test_verify_runs_without_numpy(capsys, argv):
     assert done.stdout == want
 
 
+_HASH_SEED_JOBS = [
+    ["compute", "--p", "3", "--n", "2", "--max-degree", "60", "--format", "json"],
+    ["compute", "--p", "2", "--n", "1", "--max-degree", "60", "--variance", "homology",
+     "--format", "json"],
+    ["table", "--p", "2", "--n", "1", "--max-degree", "60"],
+    ["verify", "--p", "3", "--n", "1", "--max-degree", "60"],
+]
+
+
+@pytest.mark.parametrize("argv", _HASH_SEED_JOBS, ids=" ".join)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    """compute, table and verify print the same bytes under two string-hash
+    seeds: no output follows the iteration order of a set or dict keyed by
+    strings."""
+    outs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-m", "morava_k2.cli", *argv], capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+
 def test_parse_answer_requires_canonical_factor_kinds():
     """A factor_kind must be spelled as Factor.label spells it; "TPbar_03"
     once parsed as TPbar_3."""
-    a = answer.closed_form(3, 1, window=30)
+    a = answer.closed_form(3, 1, "cohomology", 30)
     text = json.dumps(cli.serialize_answer(a, answer.poincare_answer(a)))
     for kind in ("TPbar_03", "TPbar_+3", "TPbar_3 ", "GammaTrunc_3", "TPbar_1", "TPbar", "E_2"):
         doc = json.loads(text)
@@ -676,7 +724,7 @@ def test_parse_answer_requires_canonical_factor_kinds():
 
 
 def test_parse_answer_rejects_unknown_generator(monkeypatch):
-    a = answer.closed_form(3, 1, window=30)
+    a = answer.closed_form(3, 1, "cohomology", 30)
     text = json.dumps(cli.serialize_answer(a, answer.poincare_answer(a)))
     # (where, key, value, words of the message): an unknown name, an unknown
     # factor kind, a degree other than the name's (|v| = -4 at (3, 1)) and a

@@ -23,6 +23,7 @@ from helpers import (
     qn_matrix,
     qn_monomial_reference,
     qn_square_reference,
+    render,
     transpose,
     whole_basis_trivial,
 )
@@ -304,7 +305,7 @@ def test_each_monomial_is_the_capped_product_in_order(gens, hi):
 
 def test_trivial_homology_31_reference_degrees():
     """The first trivial classes at (3,1) are 1, y_1, y_1 w-half, y_1^2."""
-    rep = km2.qn_homology(3, 1, max_degree=20)
+    rep = km2.qn_homology(3, 1, "cohomology", 20)
     assert [rep.trivial[d] for d in (0, 6, 11, 12)] == [1, 1, 1, 1]
     assert sum(rep.trivial[:13]) == 4
     assert rep.free_rank[2] == 1
@@ -330,8 +331,8 @@ def test_homology_variance_same_dims_starred_reps():
         ]
         dims = [len(buckets[d]) - down[d] - (down[d - dq] if d >= dq else 0) for d in range(hi + 1)]
         want = [sum(want[a] * dims[d - a] for a in range(d + 1)) for d in range(hi + 1)]
-    c = km2.qn_homology(p, n, max_degree=hi)
-    h = km2.qn_homology(p, n, "homology", max_degree=hi)
+    c = km2.qn_homology(p, n, "cohomology", hi)
+    h = km2.qn_homology(p, n, "homology", hi)
     assert h.trivial == want
     assert c.trivial == h.trivial
     assert c.free_rank == h.free_rank
@@ -339,7 +340,7 @@ def test_homology_variance_same_dims_starred_reps():
 
 def _assert_factored_matches_whole_basis():
     for p, n in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]:
-        fact = km2.qn_homology(p, n, max_degree=55)
+        fact = km2.qn_homology(p, n, "cohomology", 55)
         assert fact.trivial == whole_basis_trivial(p, n, 55), (p, n)
         assert check_invariant(fact)
 
@@ -369,11 +370,11 @@ def test_factored_matches_whole_basis_sees_a_lost_generator(monkeypatch):
 
 
 def test_trivial_prefix_frozen():
-    f21 = km2.qn_homology(2, 1, max_degree=19)
+    f21 = km2.qn_homology(2, 1, "cohomology", 19)
     assert f21.trivial == [1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 2, 1, 0]
-    f22 = km2.qn_homology(2, 2, max_degree=19)
+    f22 = km2.qn_homology(2, 2, "cohomology", 19)
     assert f22.trivial == [1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 0]
-    f32 = km2.qn_homology(3, 2, max_degree=19)
+    f32 = km2.qn_homology(3, 2, "cohomology", 19)
     assert f32.trivial == [1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0]
 
 
@@ -393,7 +394,7 @@ def test_default_window():
 
 
 def test_report_invariant_is_checked():
-    rep = km2.qn_homology(5, 1, max_degree=40)
+    rep = km2.qn_homology(5, 1, "cohomology", 40)
     assert check_invariant(rep)
     rep.free_rank[3] += 1
     assert not check_invariant(rep)
@@ -451,7 +452,7 @@ def test_half_w_cycles_and_the_p2_exception():
             out = factory.ctx.qn_poly(dict(w.poly))
             if w.index2 == 3:
                 (key,) = out
-                assert factory.ctx.render(key) == "z_2"
+                assert render(factory.ctx, key) == "z_2"
             else:
                 assert out == {}
 
@@ -460,7 +461,7 @@ def test_w_first_family_shape():
     # w_2 at (3,1) is u_2 - u_0 z_1^2
     factory, ws = km2.w_elements(3, 1, 60)
     w2 = next(w for w in ws if w.name == "w_2")
-    terms = {factory.ctx.render(m): c for m, c in w2.poly}
+    terms = {render(factory.ctx, m): c for m, c in w2.poly}
     assert terms == {"u_2": 1, "z_1^2 u_0": 2}
 
 

@@ -164,19 +164,19 @@ def test_tower_powers_matches_the_walk(g, order, dv, lo, width):
 
 def test_e2_labels():
     assert (
-        ss.e2_closed_form(3, 1, window=60).v_free.label()
+        ss.e2_closed_form(3, 1, "cohomology", 60).v_free.label()
         == "P[v] @ P[y_1] @ E[w_3/2] @ E[w_2] @ TP_3[z_2] @ TP_3[z_3]"
     )
     assert (
-        ss.e2_closed_form(2, 1, window=40).v_free.label()
+        ss.e2_closed_form(2, 1, "cohomology", 40).v_free.label()
         == "P[v] @ P[y_1] @ TP_4[w_2] @ TP_4[w_3]"
     )
     # n = 2 keeps a truncated head factor below the schedule's reach
     assert (
-        ss.e2_closed_form(2, 2, window=70).v_free.label()
+        ss.e2_closed_form(2, 2, "cohomology", 70).v_free.label()
         == "P[v] @ TP_2[z_1] @ P[y_1] @ TP_8[w_3] @ TP_8[w_4] @ TP_8[w_5]"
     )
-    assert ss.e2_closed_form(3, 2, window=60).v_free.label().startswith("P[v] @ TP_3[z_1]")
+    assert ss.e2_closed_form(3, 2, "cohomology", 60).v_free.label().startswith("P[v] @ TP_3[z_1]")
 
 
 def test_e2_homology_uses_divided_power_duals():
@@ -187,7 +187,7 @@ def test_e2_homology_uses_divided_power_duals():
 def test_e2_matches_trivial_qn_homology():
     """The non-v part of E2 has the dimensions of the trivial Q_n-homology."""
     for p, n, top in [(2, 1, 80), (3, 1, 80), (5, 1, 80), (2, 2, 90), (3, 2, 90)]:
-        page = ss.e2_closed_form(p, n, window=top)
+        page = ss.e2_closed_form(p, n, "cohomology", top)
         rest = TensorExpression(
             tuple(f for f in page.v_free.factors if f.gen.name != "v")
         )
@@ -228,7 +228,7 @@ def test_zp_family_closed_matches_rank_route(monkeypatch, p, n, top, variance):
 
 
 def test_closed_form_31_families():
-    e2 = ss.e2_closed_form(3, 1, window=60)
+    e2 = ss.e2_closed_form(3, 1, "cohomology", 60)
     sched = ss.window_schedule(3, 1, 60)
     assert sorted({e.stage for e in sched}) == [2, 3, 6, 8, 19, 22, 59]
 
@@ -244,7 +244,7 @@ def test_closed_form_31_families():
 
 
 def test_closed_form_31_frozen_window():
-    e2 = ss.e2_closed_form(3, 1, window=60)
+    e2 = ss.e2_closed_form(3, 1, "cohomology", 60)
     einf = ss.run_closed_form(e2, ss.window_schedule(3, 1, 60))
     assert einf.v_free.label() == "P[v]"
     assert dict(einf.free_by_degree()) == {0: 1}
@@ -263,18 +263,18 @@ def test_closed_form_31_frozen_window():
 
 def test_closed_form_32_keeps_head():
     einf = ss.run_closed_form(
-        ss.e2_closed_form(3, 2, window=120), ss.window_schedule(3, 2, 120)
+        ss.e2_closed_form(3, 2, "cohomology", 120), ss.window_schedule(3, 2, 120)
     )
     assert einf.v_free.label() == "P[v] @ TP_3[z_1]"
 
 
 def test_empty_schedule_returns_e2():
-    e2 = ss.e2_closed_form(3, 1, window=60)
+    e2 = ss.e2_closed_form(3, 1, "cohomology", 60)
     assert ss.run_closed_form(e2, []) == e2
 
 
 def test_closed_form_preconditions():
-    e2 = ss.e2_closed_form(3, 1, window=60)
+    e2 = ss.e2_closed_form(3, 1, "cohomology", 60)
     sched = ss.window_schedule(3, 1, 60)
     with pytest.raises(RuntimeError, match="E2"):
         ss.run_closed_form(ss.run_closed_form(e2, sched), sched)
@@ -504,7 +504,7 @@ def test_fold_is_exact_past_64_bits():
 
 
 def test_oracle_match_reports_mismatch():
-    a = ss.run_bruteforce(3, 1, window=40)
+    a = ss.run_bruteforce(3, 1, "cohomology", 40)
     b = bruteforce_full_reference(3, 1, "cohomology", 40)
     ok, msg = ss.oracle_match(a, b)
     assert ok and "[0, 40]" in msg
@@ -546,20 +546,21 @@ def test_pairing_named_degrees():
         ss.e2_closed_form(3, 1, "homology", 60), ss.window_schedule(3, 1, 60, "homology")
     )
     coh = ss.run_closed_form(
-        ss.e2_closed_form(3, 1, window=60), ss.window_schedule(3, 1, 60)
+        ss.e2_closed_form(3, 1, "cohomology", 60), ss.window_schedule(3, 1, 60)
     )
     ht, ct = hom.torsion_by_degree(), coh.torsion_by_degree()
     assert ht[(6, 3)] == ct[(6 + ss.degree_step(3, 3, 1), 3)] == 1
     assert ht[(11, 2)] == ct[(11 + ss.degree_step(2, 3, 1), 2)] == 1
-    report = ss.pairing_check(coh, hom)
-    assert report.ok, report.detail
+    ok, msg = ss.pairing_check(coh, hom)
+    assert ok, msg
 
 
 def test_pairing_and_transport_all_pairs():
     for p, n, top in [(2, 1, 60), (3, 1, 60), (2, 2, 100), (3, 2, 100)]:
         coh = ss.run_bruteforce(p, n, "cohomology", top)
         hom = ss.run_bruteforce(p, n, "homology", top)
-        assert ss.pairing_check(coh, hom).ok, (p, n)
+        ok, msg = ss.pairing_check(coh, hom)
+        assert ok, (p, n, msg)
         ok, msg = ss.uct_matches(hom, coh)
         assert ok, (p, n, msg)
 
@@ -571,14 +572,14 @@ def test_uct_transport_shifts():
     assert moved["zp"][2 + 5] == 1
     assert moved["free"][0] == 1
     with pytest.raises(ValueError):
-        ss.uct_transport(ss.run_bruteforce(3, 1, window=40))
+        ss.uct_transport(ss.run_bruteforce(3, 1, "cohomology", 40))
 
 
 def test_chart_dims_places_towers():
     einf = ss.run_closed_form(
-        ss.e2_closed_form(3, 1, window=60), ss.window_schedule(3, 1, 60)
+        ss.e2_closed_form(3, 1, "cohomology", 60), ss.window_schedule(3, 1, 60)
     )
-    chart = einf.chart_dims()
+    chart = einf.chart_dims(0, 60)
     # cohomological v lowers degree by 4: the order-3 tower on degree 19
     # occupies (19,0), (15,1), (11,2) and stops
     assert chart[(15, 1)] == 1 and chart[(11, 2)] == 1
@@ -587,13 +588,13 @@ def test_chart_dims_places_towers():
     assert chart[(7, 0)] == 1  # the first Z_p class
     # the free v-tower on 1 leaves the window below degree 0
     assert chart[(0, 0)] == 1 and (0, 1) not in chart
-    series = einf.chart_series()
+    series = einf.chart_series(0, 60)
     assert series.dim(0) == sum(c for (d, _s), c in chart.items() if d == 0)
     # homological v raises degree, so the same tower climbs in steps of 4
     hom = ss.run_closed_form(
         ss.e2_closed_form(3, 1, "homology", 60), ss.window_schedule(3, 1, 60, "homology")
     )
-    hchart = hom.chart_dims()
+    hchart = hom.chart_dims(0, 60)
     assert hchart[(0, 0)] == 1 and hchart[(4, 1)] == 1 and hchart[(40, 10)] == 1
 
 
@@ -603,15 +604,14 @@ def _charted_pages(p, n, variance, top):
     e2 = ss.e2_closed_form(p, n, variance, top)
     yield from ss.closed_form_pages(e2, ss.window_schedule(p, n, top, variance))
     yield ss.run_bruteforce(p, n, variance, top)
-    a = answer.closed_form(p, n, variance, (0, top))
+    a = answer.closed_form(p, n, variance, top)
     yield answer.to_page(a)
     yield answer.to_page(answer.localize(a))
 
 
-def _spots_by_degree(page):
-    lo, hi = page.window
+def _spots_by_degree(page, lo, hi):
     dims = [0] * (hi - lo + 1)
-    for (d, _s), c in page.chart_dims().items():
+    for (d, _s), c in page.chart_dims(lo, hi).items():
         dims[d - lo] += c
     return dims
 
@@ -623,10 +623,10 @@ def _spots_by_degree(page):
     lo=st.integers(-40, 80),
     width=st.integers(0, 160),
 )
-# the edges of the run array: a cohomology window reaching below degree 0;
-# a homology window above 0 whose tower generators lie below it; brute
-# pages whose free towers run past hi (homology) or come down into the
-# window from generators above hi (cohomology)
+# the edges of the run array: a cohomology range reaching below degree 0;
+# a homology range above 0 whose tower generators lie below it; pages whose
+# free towers run past hi (homology) or come down into the range from
+# generators above hi (cohomology)
 @example(pn=(3, 1), variance="cohomology", top=60, lo=-30, width=100)
 @example(pn=(3, 1), variance="homology", top=100, lo=40, width=30)
 @example(pn=(2, 3), variance="homology", top=60, lo=0, width=20)
@@ -634,22 +634,61 @@ def _spots_by_degree(page):
 @settings(deadline=None, max_examples=40)
 def test_chart_series_sums_chart_dims(pn, variance, top, lo, width):
     """The strided runs of chart_series count what chart_dims places, degree
-    by degree, on the page's own window and on a shifted one (towers then
-    run off either end, also below degree 0)."""
+    by degree, on [0, top] and on a shifted range (towers then run off
+    either end, also below degree 0)."""
     for page in _charted_pages(*pn, variance, top):
-        for window in (page.window, (lo, lo + width)):
-            moved = page._replace(window=window)
-            assert list(moved.chart_series().dims) == _spots_by_degree(moved), (page.stage, window)
+        for a, b in ((0, page.top), (lo, lo + width)):
+            assert list(page.chart_series(a, b).dims) == _spots_by_degree(page, a, b), (
+                page.stage, a, b,
+            )
 
+
+def test_routes_chart_alike_on_a_narrower_range():
+    """Two runs that agree on [0, top] chart alike on any range: every reader
+    counts the towers on all generators in [0, top].  At (2,3) cohomology
+    the free towers on 22 and 28 come down into [0, 20]."""
+    sched = ss.window_schedule(2, 3, 60)
+    closed = ss.run_closed_form(ss.e2_closed_form(2, 3, "cohomology", 60), sched)
+    brute = ss.run_bruteforce(2, 3, "cohomology", 60)
+    assert ss.oracle_match(closed, brute)[0]
+    assert closed.chart_series(0, 20) == brute.chart_series(0, 20)
+    assert [closed.chart_series(0, 20).dim(d) for d in (0, 8, 14)] == [2, 1, 1]
+    assert closed.chart_dims(0, 20) == brute.chart_dims(0, 20)
+
+
+def test_comparators_refuse_pages_with_different_tops():
+    """Pages computed to different tops are not compared on the narrower
+    one: at (2,3) cohomology the top-60 page charts free towers from 22 and
+    28 into [0, 20] that the top-20 page cannot see."""
+    wide = ss.run_closed_form(
+        ss.e2_closed_form(2, 3, "cohomology", 60), ss.window_schedule(2, 3, 60)
+    )
+    narrow = ss.run_bruteforce(2, 3, "cohomology", 20)
+    hom = ss.run_bruteforce(2, 3, "homology", 20)
+    assert ss.oracle_match(wide, narrow) == (False, "pages end at different tops: 60 vs 20")
+    assert ss.oracle_match(narrow, wide) == (False, "pages end at different tops: 20 vs 60")
+    assert ss.pairing_check(wide, hom) == (False, "pages end at different tops: 60 vs 20")
+    assert ss.uct_matches(hom, wide) == (False, "pages end at different tops: 20 vs 60")
+    assert ss.pairing_check(narrow, hom)[0] and ss.uct_matches(hom, narrow)[0]
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        ss.e2_closed_form(3, 1, window=(3, 60))
-    assert ss.e2_closed_form(3, 1).window == (0, km2.default_window(1))
+    """Every entry point computes on [0, top] and refuses a top below 2."""
+    entry_points = [
+        lambda top: ss.e2_closed_form(3, 1, "cohomology", top),
+        lambda top: ss.run_bruteforce(3, 1, "homology", top),
+        lambda top: ss.advisory_scan(3, 1, top),
+        lambda top: answer.closed_form(3, 1, "cohomology", top),
+        lambda top: km2.qn_homology(3, 1, "cohomology", top),
+    ]
+    for run in entry_points:
+        for top in (1, 0, -5):
+            with pytest.raises(ValueError, match=f"top must be at least 2, got {top}"):
+                run(top)
+        assert run(2) is not None
 
 
 def test_free_tower_order_is_inf():
-    page = ss.run_bruteforce(3, 1, window=30)
+    page = ss.run_bruteforce(3, 1, "cohomology", 30)
     orders = {t.order for t in page.torsion}
     assert math.inf in orders
     assert all(o == math.inf or isinstance(o, int) for o in orders)
