@@ -26,8 +26,8 @@ print()
 page = ss.e2_closed_form(3, 1, "cohomology", 24)
 print("E2 v-free part:", page.v_free.label())
 
-sched = ss.window_schedule(3, 1, 24)
-final = ss.run_closed_form(page, sched)
+# run_closed_form builds that E2 page and the window's schedule itself.
+final = ss.run_closed_form(3, 1, "cohomology", 24)
 print("after all in-window differentials, the surviving torsion is:")
 for (degree, order), count in sorted(final.torsion_by_degree().items()):
     print(f"  degree {degree}: {count} tower(s) of order {order}")

@@ -363,10 +363,7 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
             else f"E2 dimension differs at degree {bad[0]}"
         )
     if name == "oracle":
-        closed = ss_engine.run_closed_form(
-            ss_engine.e2_closed_form(p, n, variance, hi),
-            ss_engine.window_schedule(p, n, hi, variance),
-        )
+        closed = ss_engine.run_closed_form(p, n, variance, hi)
         return ss_engine.oracle_match(closed, _brute_page(cfg, pages, variance))
     if name == "pairing":
         return ss_engine.pairing_check(
@@ -395,7 +392,7 @@ def cmd_verify(cfg: RunConfig, out) -> int:
     variances = {cfg.variance} if "oracle" in names else set()
     if {"pairing", "uct"} & set(names):
         variances = {"cohomology", "homology"}
-    work = sum(ss_engine.fold_work(cfg.p, cfg.n, cfg.hi, v) for v in variances)
+    work = sum(ss_engine.fold_work(cfg.p, cfg.n, v, cfg.hi) for v in variances)
     if work > _FOLD_WORK_CAP:
         raise ConfigError(
             f"the brute-force folds on [0, {cfg.hi}] would take {work} units of predicted "
@@ -440,11 +437,9 @@ def _render_grid(page, out) -> None:
 
 
 def cmd_table(cfg: RunConfig, out) -> int:
-    full = ss_engine.window_schedule(cfg.p, cfg.n, cfg.hi, cfg.variance)
+    full = ss_engine.window_schedule(cfg.p, cfg.n, cfg.variance, cfg.hi)
     sched = [e for e in full if min(e.source_degree, e.target_degree) <= cfg.hi]
-    pages = ss_engine.closed_form_pages(
-        ss_engine.e2_closed_form(cfg.p, cfg.n, cfg.variance, cfg.hi), full
-    )
+    pages = ss_engine.closed_form_pages(cfg.p, cfg.n, cfg.variance, cfg.hi)
     page = next(pages)
     arrow = "d^" if cfg.variance == "cohomology" else "d_"
     print(

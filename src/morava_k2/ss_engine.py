@@ -2,10 +2,11 @@
 
 The E2 page over E[Q_n] is run to E-infinity in two independent ways:
 
-* ``run_closed_form`` applies each scheduled differential as a tensor rewrite
-  of the page's v-free factors; each stage adds the towers of the torsion
-  families (``_families``, the rule the answer module is built from) whose
-  order is that stage,
+* ``run_closed_form(p, n, variance, top)`` builds the E2 page and the
+  window's schedule itself and applies each scheduled differential as a
+  tensor rewrite of the page's v-free factors; each stage adds the towers
+  of the torsion families (``_families``, the rule the answer module is
+  built from) whose order is that stage,
 * ``run_bruteforce`` replays the same schedule monomial by monomial over the
   E2 lattice and reads tower orders off a matching sweep.
 
@@ -523,8 +524,6 @@ class _PageState:
 
     def apply_stage(self, group: list[Differential]) -> None:
         st = group[0].stage
-        if st < self.stage:
-            raise RuntimeError("stages must be applied in ascending order")
         if any(e.paired for e in group):
             if len(group) != 2 or {e.family for e in group} != {"y", "half"}:
                 raise RuntimeError("a p = 2 paired stage needs exactly its two entries")
@@ -615,29 +614,21 @@ def e2_closed_form(p: int, n: int, variance: str, top: int) -> Page:
     return _PageState(p, n, variance, top).snapshot(zp_family_closed(p, n, variance, top))
 
 
-def closed_form_pages(page: Page, sched: list[Differential]) -> Iterator[Page]:
-    """The E2 page again, then the page after each scheduled stage in turn,
-    from one tensor rewrite of the E2 page; each stage adds the towers of
-    the _families entries of its order."""
-    if page.stage != 2 or page.torsion:
-        raise RuntimeError("run_closed_form starts from an E2 page")
-    families = tuple(_families(page.p, page.n, page.variance, page.top))
-    state = _PageState(page.p, page.n, page.variance, page.top, families)
-    e2 = state.snapshot(page.zp_family)
-    if e2.v_free.label() != page.v_free.label():
-        raise RuntimeError("page was not produced by e2_closed_form")
-    for e in sched:
-        if e.variance != page.variance:
-            raise RuntimeError("schedule and page disagree on variance")
+def closed_form_pages(p: int, n: int, variance: str, top: int) -> Iterator[Page]:
+    """The E2 page, then the page after each stage of window_schedule in
+    turn, from one tensor rewrite of the E2 page; each stage adds the towers
+    of the _families entries of its order."""
+    e2 = e2_closed_form(p, n, variance, top)
     yield e2
-    for _, group in groupby(sched, key=lambda e: e.stage):
+    state = _PageState(p, n, variance, top, tuple(_families(p, n, variance, top)))
+    for _, group in groupby(window_schedule(p, n, variance, top), key=lambda e: e.stage):
         state.apply_stage(list(group))
-        yield state.snapshot(page.zp_family)
+        yield state.snapshot(e2.zp_family)
 
 
-def run_closed_form(page: Page, sched: list[Differential]) -> Page:
-    """E-infinity by tensor rewriting, one scheduled stage at a time."""
-    for out in closed_form_pages(page, sched):
+def run_closed_form(p: int, n: int, variance: str, top: int) -> Page:
+    """E-infinity on [0, top] by tensor rewriting, one scheduled stage at a time."""
+    for out in closed_form_pages(p, n, variance, top):
         pass
     return out
 
@@ -669,24 +660,25 @@ def _stage_relevance(p: int, n: int, j: int) -> list[tuple[int, int]]:
     return out
 
 
-def _plan(p: int, n: int, top: int, variance: str) -> _WindowPlan:
-    j_top = 0
-    delta_max = 0
+def _plan(p: int, n: int, variance: str, top: int) -> _WindowPlan:
+    # at odd p index 0 has only the half source w_{n+1/2}, which lies above
+    # y_1, so the scan stops only at an index j >= 1 with no source in
+    # [0, top]; j_top ends at 1 or above either way
+    j_top = 1
     max_stage = 0
     j = 0 if p != 2 else 1
     while True:
-        pairs = _stage_relevance(p, n, j)
-        if min(src for _st, src in pairs) > top:
+        stages = [st for st, src in _stage_relevance(p, n, j) if src <= top]
+        if j >= 1 and not stages:
             break
-        j_top = max(j_top, j)
-        for st, src in pairs:
-            if src <= top:
-                delta_max = max(delta_max, degree_step(st, p, n))
-                max_stage = max(max_stage, st)
+        if stages:
+            j_top = j
+            max_stage = max(max_stage, *stages)
         j += 1
     if variance == "cohomology":
-        # a value at degree g only depends on arcs reaching up to g + delta_max
-        enum_limit = top + (n + 2) * delta_max
+        # a value at degree g only depends on arcs reaching up to g + the
+        # degree step of max_stage
+        enum_limit = top + (n + 2) * degree_step(max_stage, p, n)
     else:
         # downward arcs chain: a value can depend on strictly descending
         # stages stacked above it, so allow the sum of their degree steps
@@ -699,19 +691,19 @@ def _plan(p: int, n: int, top: int, variance: str) -> _WindowPlan:
             span += sum(degree_step(st, p, n) for st in stages if st <= max_stage)
             j += 1
         enum_limit = top + span
-    j_ext = max(j_top, 1)
+    j_ext = j_top
     while min(src for _st, src in _stage_relevance(p, n, j_ext + 1)) <= enum_limit:
         j_ext += 1
-    return _WindowPlan(max(j_top, 1), j_ext, max_stage, enum_limit)
+    return _WindowPlan(j_top, j_ext, max_stage, enum_limit)
 
 
-def fold_work(p: int, n: int, top: int, variance: str = "cohomology") -> int:
+def fold_work(p: int, n: int, variance: str, top: int) -> int:
     """The work of run_bruteforce's folds on [0, top], predicted from _plan
     before any lattice is built: the sum over folds of (top + 1), the slots
     of each key, times the order pairs multiplied.  A class part holds the
     free order and the stages of its scheduled differentials that start in
     [0, top]; the running product holds every order folded in so far."""
-    sched = schedule(p, n, _plan(p, n, top, variance).j_ext, variance)
+    sched = schedule(p, n, _plan(p, n, variance, top).j_ext, variance)
     running = {INF}
     work = 0
     for cls in range(n + 1):
@@ -725,10 +717,9 @@ def fold_work(p: int, n: int, top: int, variance: str = "cohomology") -> int:
     return work + (top + 1) * len(running)
 
 
-def window_schedule(p: int, n: int, top: int, variance: str = "cohomology") -> list[Differential]:
+def window_schedule(p: int, n: int, variance: str, top: int) -> list[Differential]:
     """The schedule truncated to the families visible inside [0, top]."""
-    plan = _plan(p, n, top, variance)
-    return schedule(p, n, plan.j_top, variance)
+    return schedule(p, n, _plan(p, n, variance, top).j_top, variance)
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1037,7 @@ def run_bruteforce(p: int, n: int, variance: str, top: int) -> Page:
     """
     km2.build(p, n, variance)
     km2.check_top(top)
-    plan = _plan(p, n, top, variance)
+    plan = _plan(p, n, variance, top)
     sched = schedule(p, n, plan.j_ext, variance)
     folded: Counter = Counter({(0, INF): 1})
     for cls in range(n + 1):
@@ -1151,11 +1142,11 @@ def pairing_check(coh: Page, hom: Page) -> tuple[bool, str]:
     p, n, top = coh.p, coh.n, coh.top
     direct = sorted(
         (e.stage, e.source_degree, e.target_degree)
-        for e in window_schedule(p, n, top, "cohomology")
+        for e in window_schedule(p, n, "cohomology", top)
     )
     swapped = sorted(
         (e.stage, e.target_degree, e.source_degree)
-        for e in window_schedule(p, n, top, "homology")
+        for e in window_schedule(p, n, "homology", top)
     )
     if direct != swapped:
         bad = next(x for x, y in zip(direct, swapped) if x != y)
@@ -1229,8 +1220,8 @@ def advisory_scan(p: int, n: int, top: int) -> dict:
     """
     km2.check_top(top)
     q2 = 2 * (p**n - 1)
-    sched = window_schedule(p, n, top, "cohomology")
-    page = run_closed_form(e2_closed_form(p, n, "cohomology", top), sched)
+    sched = window_schedule(p, n, "cohomology", top)
+    page = run_closed_form(p, n, "cohomology", top)
 
     classes: dict[int, list[tuple[float, int]]] = {}
 

@@ -298,7 +298,7 @@ def bruteforce_full_reference(p: int, n: int, variance: str, top: int) -> ss_eng
     at top plus the largest degree step in cohomology and at enum_limit,
     top plus the stacked downward steps, in homology.
     """
-    plan = ss_engine._plan(p, n, top, variance)
+    plan = ss_engine._plan(p, n, variance, top)
     if variance == "cohomology":
         limit = top + ss_engine.degree_step(plan.max_stage, p, n)
     else:
@@ -339,7 +339,7 @@ def bruteforce_single_limit_reference(p: int, n: int, variance: str, top: int) -
     one limit: top + (n + 1) * delta in cohomology, delta the degree step of
     the largest in-window stage (one Tor shift per fold, class 0 and the head
     included), and top in homology."""
-    plan = ss_engine._plan(p, n, top, variance)
+    plan = ss_engine._plan(p, n, variance, top)
     limit = top
     if variance == "cohomology":
         limit += (n + 1) * ss_engine.degree_step(plan.max_stage, p, n)

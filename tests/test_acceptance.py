@@ -30,10 +30,7 @@ def _brute(p: int, n: int, variance: str) -> ss.Page:
 
 @lru_cache(maxsize=None)
 def _closed(p: int, n: int, variance: str) -> ss.Page:
-    w = WINDOW[n]
-    return ss.run_closed_form(
-        ss.e2_closed_form(p, n, variance, w), ss.window_schedule(p, n, w, variance)
-    )
+    return ss.run_closed_form(p, n, variance, WINDOW[n])
 
 
 @lru_cache(maxsize=None)

@@ -410,7 +410,7 @@ def test_verify_refuses_predicted_fold_work_over_the_cap(capsys, monkeypatch):
         raise AssertionError("a lattice was built")
 
     monkeypatch.setattr(ss_engine, "_Lattice", no_lattice)
-    work = sum(ss_engine.fold_work(2, 1, 6000, v) for v in ("cohomology", "homology"))
+    work = sum(ss_engine.fold_work(2, 1, v, 6000) for v in ("cohomology", "homology"))
     assert work > cli._FOLD_WORK_CAP
     wide = ["verify", "--p", "2", "--n", "1", "--max-degree", "6000"]
     start = time.perf_counter()
@@ -429,7 +429,7 @@ def test_fold_work_cap_passes_every_default_window_up_to_height_3():
         for n in (1, 2, 3):
             top = km2.default_window(n)
             works = [
-                sum(ss_engine.fold_work(p, n, hi, v) for v in ("cohomology", "homology"))
+                sum(ss_engine.fold_work(p, n, v, hi) for v in ("cohomology", "homology"))
                 for hi in (top // 4, top // 2, top)
             ]
             assert works == sorted(works) and works[-1] <= cli._FOLD_WORK_CAP, (p, n, works)

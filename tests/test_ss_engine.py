@@ -228,24 +228,25 @@ def test_zp_family_closed_matches_rank_route(monkeypatch, p, n, top, variance):
 
 
 def test_closed_form_31_families():
-    e2 = ss.e2_closed_form(3, 1, "cohomology", 60)
-    sched = ss.window_schedule(3, 1, 60)
+    sched = ss.window_schedule(3, 1, "cohomology", 60)
     assert sorted({e.stage for e in sched}) == [2, 3, 6, 8, 19, 22, 59]
+    # a page after stage r has page.stage r + 1
+    pages = {page.stage: page for page in ss.closed_form_pages(3, 1, "cohomology", 60)}
+    assert sorted(pages) == [2, 3, 4, 7, 9, 20, 23, 60]
 
-    after2 = ss.run_closed_form(e2, [e for e in sched if e.stage <= 2])
+    after2 = pages[3]
     labels2 = {t.generator_expression.label() for t in after2.torsion}
     assert labels2 == {"P[y_1] @ TPbar_3[z_2] @ E[w_2] @ TP_3[z_3]"}
     assert {t.order for t in after2.torsion} == {2}
 
-    after3 = ss.run_closed_form(e2, [e for e in sched if e.stage <= 3])
+    after3 = pages[4]
     labels3 = {t.generator_expression.label() for t in after3.torsion}
     assert labels3 == labels2 | {"P[y_2] @ TP_2[y_1] @ Ebar[w_2] @ E[w_3] @ TP_3[z_3]"}
     assert {t.order for t in after3.torsion} == {2, 3}
 
 
 def test_closed_form_31_frozen_window():
-    e2 = ss.e2_closed_form(3, 1, "cohomology", 60)
-    einf = ss.run_closed_form(e2, ss.window_schedule(3, 1, 60))
+    einf = ss.run_closed_form(3, 1, "cohomology", 60)
     assert einf.v_free.label() == "P[v]"
     assert dict(einf.free_by_degree()) == {0: 1}
     by_order: dict = {}
@@ -262,29 +263,42 @@ def test_closed_form_31_frozen_window():
 
 
 def test_closed_form_32_keeps_head():
-    einf = ss.run_closed_form(
-        ss.e2_closed_form(3, 2, "cohomology", 120), ss.window_schedule(3, 2, 120)
-    )
+    einf = ss.run_closed_form(3, 2, "cohomology", 120)
     assert einf.v_free.label() == "P[v] @ TP_3[z_1]"
 
 
-def test_empty_schedule_returns_e2():
+def test_empty_schedule_returns_e2(monkeypatch):
+    """The rewrite starts from e2_closed_form's page and yields it first; with
+    no stage scheduled it is also E-infinity."""
     e2 = ss.e2_closed_form(3, 1, "cohomology", 60)
-    assert ss.run_closed_form(e2, []) == e2
+    assert next(ss.closed_form_pages(3, 1, "cohomology", 60)) == e2
+    monkeypatch.setattr(ss, "window_schedule", lambda *args: [])
+    assert ss.run_closed_form(3, 1, "cohomology", 60) == e2
 
 
-def test_closed_form_preconditions():
-    e2 = ss.e2_closed_form(3, 1, "cohomology", 60)
-    sched = ss.window_schedule(3, 1, 60)
-    with pytest.raises(RuntimeError, match="E2"):
-        ss.run_closed_form(ss.run_closed_form(e2, sched), sched)
-    # stage 3 consumes E[w_2] but needs the half generator slot free,
-    # which only the stage-2 rewrite vacates
-    with pytest.raises(RuntimeError, match="does not carry"):
-        ss.run_closed_form(e2, [e for e in sched if e.stage == 3])
-    hom = ss.window_schedule(3, 1, 60, "homology")
-    with pytest.raises(RuntimeError, match="variance"):
-        ss.run_closed_form(e2, hom)
+_window_schedule = ss.window_schedule
+
+
+def _planted_schedule(monkeypatch, edit):
+    """Make window_schedule return edit(the real schedule)."""
+    monkeypatch.setattr(ss, "window_schedule", lambda *args: edit(_window_schedule(*args)))
+
+
+def test_closed_form_preconditions(monkeypatch):
+    """Each stage checks the page it rewrites.  Stage 3 consumes E[w_2] but
+    needs the half generator slot free, which only the stage-2 rewrite
+    vacates; unrelated entries cannot share a stage; a p = 2 paired stage
+    needs both of its entries."""
+    _planted_schedule(monkeypatch, lambda sched: [e for e in sched if e.stage != 2])
+    with pytest.raises(RuntimeError, match=r"does not carry P\[y_1\] \(x\) E\[w_2\]"):
+        ss.run_closed_form(3, 1, "cohomology", 60)
+    # d^3(y_1) moved onto stage 2, next to d^2(w_3/2)
+    _planted_schedule(monkeypatch, lambda sched: [sched[0], sched[1]._replace(stage=2)])
+    with pytest.raises(RuntimeError, match="unrelated differentials share stage 2"):
+        ss.run_closed_form(3, 1, "cohomology", 60)
+    _planted_schedule(monkeypatch, lambda sched: [e for e in sched if e.family == "y"])
+    with pytest.raises(RuntimeError, match="paired stage needs exactly its two entries"):
+        ss.run_closed_form(2, 1, "cohomology", 60)
 
 
 def test_bruteforce_full_names_generators():
@@ -303,10 +317,7 @@ def test_bruteforce_full_names_generators():
 def test_routes_agree_small_windows():
     for p, n, top in [(2, 1, 60), (3, 1, 60), (5, 1, 100), (2, 2, 100), (3, 2, 100)]:
         for variance in ("cohomology", "homology"):
-            closed = ss.run_closed_form(
-                ss.e2_closed_form(p, n, variance, top),
-                ss.window_schedule(p, n, top, variance),
-            )
+            closed = ss.run_closed_form(p, n, variance, top)
             grouped = ss.run_bruteforce(p, n, variance, top)
             ok, msg = ss.oracle_match(closed, grouped)
             assert ok, (p, n, variance, msg)
@@ -332,13 +343,36 @@ def test_grouped_matches_full_lattice_reference(p, n, variance, top):
 
 def test_homology_window_sees_distant_sources():
     """d^22 starts at degree 143 yet bounds the tower on y_3* at degree 54."""
-    hinf = ss.run_closed_form(
-        ss.e2_closed_form(3, 1, "homology", 60), ss.window_schedule(3, 1, 60, "homology")
-    )
+    hinf = ss.run_closed_form(3, 1, "homology", 60)
     assert hinf.torsion_by_degree()[(54, 22)] == 1
     assert hinf.free_by_degree().get(54, 0) == 0
     grouped = ss.run_bruteforce(3, 1, "homology", 60)
     assert grouped.torsion_by_degree()[(54, 22)] == 1
+
+
+@pytest.mark.parametrize("variance", ["cohomology", "homology"])
+@pytest.mark.parametrize(
+    "p, n, top",
+    [(3, 1, 6), (3, 1, 10), (5, 1, 10), (5, 1, 18), (7, 1, 14), (7, 1, 26),
+     (3, 2, 6), (3, 2, 22), (5, 2, 10), (5, 2, 58), (3, 3, 6), (3, 3, 58)],
+)
+def test_window_plan_reaches_past_the_half_source(p, n, top, variance):
+    """At odd p family index 0 has only the half source w_{n+1/2}, in degree
+    2p^n + 2p - 1, above y_1 in degree 2p.  On the tops from 2p up to one
+    below that source the plan still scans the indices past 0: every
+    differential whose lowest degree lies in [0, top] is scheduled, and the
+    brute route sees y_1's tower bounded, as the rewrite does."""
+    reach = {
+        (e.family, e.index)
+        for e in ss.schedule(p, n, 4, variance)
+        if min(e.source_degree, e.target_degree) <= top
+    }
+    got = {(e.family, e.index) for e in ss.window_schedule(p, n, variance, top)}
+    assert ("y", 1) in reach and reach <= got
+    ok, msg = ss.oracle_match(
+        ss.run_closed_form(p, n, variance, top), ss.run_bruteforce(p, n, variance, top)
+    )
+    assert ok, msg
 
 
 def test_every_fold_cuts_at_the_window(monkeypatch):
@@ -364,8 +398,8 @@ def test_every_fold_cuts_at_the_window(monkeypatch):
             assert [c[:2] for c in calls] == [("homology", top)] * (n + 2)
             assert max(c[2] for c in calls) <= top
             work = sum((top + 1) * len(oa) * len(ob) for _v, _l, _g, oa, ob in calls)
-            assert work <= ss.fold_work(p, n, top, variance)
-    assert ss.fold_work(3, 2, 300, "cohomology") == 12341
+            assert work <= ss.fold_work(p, n, variance, top)
+    assert ss.fold_work(3, 2, "cohomology", 300) == 12341
 
 
 @pytest.mark.parametrize("p, n, top", [(2, 1, 400), (3, 1, 400), (5, 1, 400), (2, 2, 300),
@@ -375,7 +409,7 @@ def test_no_class_monomial_lies_on_two_arcs(p, n, top):
     stage of that arc and it sits one degree step above a monomial divisible
     by the arc's source: why a tower of order above max_stage has its key
     above the window (see run_bruteforce)."""
-    plan = ss._plan(p, n, top, "cohomology")
+    plan = ss._plan(p, n, "cohomology", top)
     sched = ss.schedule(p, n, plan.j_ext)
     arcs = 0
     for cls in range(n + 1):
@@ -528,9 +562,7 @@ def test_oracle_match_sees_a_planted_rank_route_defect(monkeypatch, variance):
         return rep
 
     monkeypatch.setattr(km2, "qn_homology", bumped)
-    closed = ss.run_closed_form(
-        ss.e2_closed_form(p, n, variance, top), ss.window_schedule(p, n, top, variance)
-    )
+    closed = ss.run_closed_form(p, n, variance, top)
     monkeypatch.setattr(ss, "zp_family_closed", _forbidden)
     brute = ss.run_bruteforce(p, n, variance, top)
     ok, msg = ss.oracle_match(closed, brute)
@@ -542,12 +574,8 @@ def test_oracle_match_sees_a_planted_rank_route_defect(monkeypatch, variance):
 def test_pairing_named_degrees():
     """The homology towers on y_1* and w_3/2* pair with the cohomology
     towers one differential-length higher."""
-    hom = ss.run_closed_form(
-        ss.e2_closed_form(3, 1, "homology", 60), ss.window_schedule(3, 1, 60, "homology")
-    )
-    coh = ss.run_closed_form(
-        ss.e2_closed_form(3, 1, "cohomology", 60), ss.window_schedule(3, 1, 60)
-    )
+    hom = ss.run_closed_form(3, 1, "homology", 60)
+    coh = ss.run_closed_form(3, 1, "cohomology", 60)
     ht, ct = hom.torsion_by_degree(), coh.torsion_by_degree()
     assert ht[(6, 3)] == ct[(6 + ss.degree_step(3, 3, 1), 3)] == 1
     assert ht[(11, 2)] == ct[(11 + ss.degree_step(2, 3, 1), 2)] == 1
@@ -576,9 +604,7 @@ def test_uct_transport_shifts():
 
 
 def test_chart_dims_places_towers():
-    einf = ss.run_closed_form(
-        ss.e2_closed_form(3, 1, "cohomology", 60), ss.window_schedule(3, 1, 60)
-    )
+    einf = ss.run_closed_form(3, 1, "cohomology", 60)
     chart = einf.chart_dims(0, 60)
     # cohomological v lowers degree by 4: the order-3 tower on degree 19
     # occupies (19,0), (15,1), (11,2) and stops
@@ -591,9 +617,7 @@ def test_chart_dims_places_towers():
     series = einf.chart_series(0, 60)
     assert series.dim(0) == sum(c for (d, _s), c in chart.items() if d == 0)
     # homological v raises degree, so the same tower climbs in steps of 4
-    hom = ss.run_closed_form(
-        ss.e2_closed_form(3, 1, "homology", 60), ss.window_schedule(3, 1, 60, "homology")
-    )
+    hom = ss.run_closed_form(3, 1, "homology", 60)
     hchart = hom.chart_dims(0, 60)
     assert hchart[(0, 0)] == 1 and hchart[(4, 1)] == 1 and hchart[(40, 10)] == 1
 
@@ -601,8 +625,7 @@ def test_chart_dims_places_towers():
 def _charted_pages(p, n, variance, top):
     """Every kind of page the chart readers see: each closed-form stage, the
     brute E-infinity, and the answer module's page, plain and localized."""
-    e2 = ss.e2_closed_form(p, n, variance, top)
-    yield from ss.closed_form_pages(e2, ss.window_schedule(p, n, top, variance))
+    yield from ss.closed_form_pages(p, n, variance, top)
     yield ss.run_bruteforce(p, n, variance, top)
     a = answer.closed_form(p, n, variance, top)
     yield answer.to_page(a)
@@ -647,8 +670,7 @@ def test_routes_chart_alike_on_a_narrower_range():
     """Two runs that agree on [0, top] chart alike on any range: every reader
     counts the towers on all generators in [0, top].  At (2,3) cohomology
     the free towers on 22 and 28 come down into [0, 20]."""
-    sched = ss.window_schedule(2, 3, 60)
-    closed = ss.run_closed_form(ss.e2_closed_form(2, 3, "cohomology", 60), sched)
+    closed = ss.run_closed_form(2, 3, "cohomology", 60)
     brute = ss.run_bruteforce(2, 3, "cohomology", 60)
     assert ss.oracle_match(closed, brute)[0]
     assert closed.chart_series(0, 20) == brute.chart_series(0, 20)
@@ -660,9 +682,7 @@ def test_comparators_refuse_pages_with_different_tops():
     """Pages computed to different tops are not compared on the narrower
     one: at (2,3) cohomology the top-60 page charts free towers from 22 and
     28 into [0, 20] that the top-20 page cannot see."""
-    wide = ss.run_closed_form(
-        ss.e2_closed_form(2, 3, "cohomology", 60), ss.window_schedule(2, 3, 60)
-    )
+    wide = ss.run_closed_form(2, 3, "cohomology", 60)
     narrow = ss.run_bruteforce(2, 3, "cohomology", 20)
     hom = ss.run_bruteforce(2, 3, "homology", 20)
     assert ss.oracle_match(wide, narrow) == (False, "pages end at different tops: 60 vs 20")
@@ -675,6 +695,7 @@ def test_window_validation():
     """Every entry point computes on [0, top] and refuses a top below 2."""
     entry_points = [
         lambda top: ss.e2_closed_form(3, 1, "cohomology", top),
+        lambda top: ss.run_closed_form(3, 1, "homology", top),
         lambda top: ss.run_bruteforce(3, 1, "homology", top),
         lambda top: ss.advisory_scan(3, 1, top),
         lambda top: answer.closed_form(3, 1, "cohomology", top),
