@@ -5,7 +5,7 @@ flags or as the keys of a --config JSON file; any other flag or key is refused.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 (an unknown flag or config key, ConfigError, WindowError, a verify run over
-_FOLD_WORK_CAP), 3 internal consistency failure (any other ValueError,
+_FOLD_WORK_CAP or _SWEEP_CAP), 3 internal consistency failure (any other ValueError,
 RuntimeError or AssertionError from inside the package), 141 (128 + SIGPIPE)
 stdout closed by its reader before the output was written.
 """
@@ -386,6 +386,13 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
 # largest default window with n <= 3 predicts 6.1e5, at (p, n) = (2, 2).
 _FOLD_WORK_CAP = 10**6
 
+# The most monomials (km2.sweep_monomials) that the Q_n sweep of the suites
+# qn, e2, oracle, pairing and uct may enumerate; above it the run is refused
+# before any Q_n block is built.  The largest default window with n <= 2
+# predicts 3.5e5, at (p, n) = (2, 2); at n = 3 the default windows pass up
+# to p = 67 (9.2e5).
+_SWEEP_CAP = 10**6
+
 
 def cmd_verify(cfg: RunConfig, out) -> int:
     names = _SUITES if cfg.suite == "all" else (cfg.suite,)
@@ -399,6 +406,14 @@ def cmd_verify(cfg: RunConfig, out) -> int:
             f"work, over the limit of {_FOLD_WORK_CAP}; lower --max-degree or pick a suite "
             "other than oracle, pairing and uct"
         )
+    if {"qn", "e2", "oracle", "pairing", "uct"} & set(names):
+        monomials = km2.sweep_monomials(cfg.p, cfg.n, cfg.hi, _SWEEP_CAP)
+        if monomials > _SWEEP_CAP:
+            raise ConfigError(
+                f"the Q_n sweep on [0, {cfg.hi}] would enumerate at least {monomials} "
+                f"monomials, over the limit of {_SWEEP_CAP}; lower --max-degree or pick "
+                "the suite numerology, bockstein or localization"
+            )
     first_failure = None
     pages: dict = {}
     for name in names:

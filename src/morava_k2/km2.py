@@ -10,10 +10,12 @@ derivation with Koszul signs.  The only Leibniz term that meets the relation
 is Q_n(i2) = u_n landing on a u_n already present: it carries into z_{n+1}.
 
 Q_n-homology splits the algebra into the tensor components coupled by Q_n,
-the carry joining z_{n+1} to i2 and u_n, ranks each component's Q_n blocks
-with one ExplicitHomology, and multiplies the component series.  Every
-component has at most four generators.  The rank of the whole basis at once,
-which needs no split, is a reference that only the tests run.
+the carry joining z_{n+1} to i2 and u_n, and multiplies the component series.
+One sweep per component builds each of its Q_n blocks once: it ranks the
+blocks out of the window for the homology dimensions and multiplies
+consecutive blocks for the square check, in the same pass.  Every component
+has at most four generators.  The rank of the whole basis at once, which
+needs no split, is a reference that only the tests run.
 """
 
 from __future__ import annotations
@@ -532,28 +534,94 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
     return sorted(groups.values(), key=lambda c: min(g.degree for g in c))
 
 
-class ExplicitHomology:
-    """Q_n-homology dimensions of the sub-algebra on a generator subset.
+def _sweep_component(ctx: DerivationContext, buckets, top: int, failures: list) -> list[int]:
+    """Ranks of the component's Q_n blocks out of degrees 0..top, with the
+    monomials of degree <= top on which Q_n∘Q_n is nonzero appended to
+    failures in bucket order.
 
-    qn_homology builds one per component; on the full generator list it is
-    the whole-basis rank the tests compare against.  dims on [0, top] comes
-    from the ranks of the Q_n blocks, ranked one at a time.  The homology
-    blocks are the transposes of the cohomology ones, so the ranks, and
-    with them dims, serve either variance.
+    Each block is built once: block d is ranked, and when it is nonzero
+    the block out of d + dq is built, multiplied onto it and held until its
+    own turn.  A degree whose source or target bucket is empty is skipped.
     """
+    p, dq = ctx.p, ctx.pres.qn_degree
+    ranks = [0] * (top + 1)
+    ahead: dict[int, Matrix] = {}
+    for d in range(top + 1):
+        src, tgt = buckets[d], buckets[d + dq]
+        if not src or not tgt:
+            continue
+        first = ahead.pop(d, None) or _qn_block(ctx, src, tgt)
+        ranks[d] = rank_modp(first, p)
+        if not ranks[d] or not buckets[d + 2 * dq]:
+            continue
+        second = _qn_block(ctx, tgt, buckets[d + 2 * dq])
+        if d + dq <= top:
+            ahead[d + dq] = second
+        square = _matmul(second, first)
+        if p == 2:
+            bad = functools.reduce(int.__or__, square.rows, 0)
+            failures += (m for j, m in enumerate(src) if bad >> j & 1)
+        else:
+            failures += (m for j, m in enumerate(src) if any(r[j] for r in square.rows))
+    return ranks
 
-    def __init__(self, pres: Presentation, gens: list[PresGenerator], top: int):
-        dq = pres.qn_degree
-        ctx = DerivationContext(pres, top + dq, gens=gens)
-        buckets = window_bases(gens, top + dq)
-        ranks = [
-            rank_modp(_qn_block(ctx, buckets[d], buckets[d + dq]), pres.p)
+
+# Trivial Q_n-homology dimensions on [0, top] per (p, n, top), stored by
+# every sweep.  The homology blocks are the transposes of the cohomology
+# ones, so the ranks, and with them the series, serve either variance.
+_TRIVIAL_MEMO: dict[tuple[int, int, int], tuple[int, ...]] = {}
+
+
+def _qn_sweep(pres: Presentation, top: int) -> tuple[int, list[tuple[int, ...]]]:
+    """One pass over every Q_n-coupled component on [0, top]: stores the
+    trivial series in _TRIVIAL_MEMO and returns (monomials checked, square
+    failures).  The component series are folded over their nonzero
+    coefficients only."""
+    dq = pres.qn_degree
+    hi = top + 2 * dq
+    series = [1] + [0] * top
+    checked = 0
+    failures: list[tuple[int, ...]] = []
+    for comp in components(pres, hi):
+        if len(comp) > 4:
+            raise AssertionError("components have at most 4 generators")
+        ctx = DerivationContext(pres, hi, gens=comp, missing_as_zero=True)
+        buckets = window_bases(comp, hi)
+        ranks = _sweep_component(ctx, buckets, top, failures)
+        checked += sum(len(b) for b in buckets[: top + 1])
+        terms = [
+            (d, c)
             for d in range(top + 1)
+            if (c := len(buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0))
         ]
-        self.dims = [
-            len(buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0)
-            for d in range(top + 1)
-        ]
+        out = [0] * (top + 1)
+        for d1, a in enumerate(series):
+            if a:
+                for d2, c in terms:
+                    if d1 + d2 > top:
+                        break
+                    out[d1 + d2] += a * c
+        series = out
+    _TRIVIAL_MEMO[pres.p, pres.n, top] = tuple(series)
+    return checked, failures
+
+
+def sweep_monomials(p: int, n: int, top: int, cap: int) -> int:
+    """The monomials the sweep on [0, top] enumerates, every monomial of
+    degree <= top + 2(2p^n - 1) of every component, or, once the count
+    passes cap, a partial count above cap.  The powers of i2 alone number
+    hi // 2 + 1, which bounds the count before any series is built."""
+    pres = build(p, n)
+    hi = top + 2 * pres.qn_degree
+    count = hi // 2 + 1
+    if count > cap:
+        return count
+    count = 0
+    for comp in components(pres, hi):
+        count += sum(_prefix_sum_series(comp, hi))
+        if count > cap:
+            break
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -612,43 +680,13 @@ def check_top(top: int) -> None:
         raise ValueError(f"top must be at least 2, got {top}")
 
 
-_FACTORED_TRIVIAL: dict[tuple[int, int, int], tuple[int, ...]] = {}
-
-
-def _factored_trivial(p: int, n: int, hi: int) -> tuple[int, ...]:
-    """Trivial Q_n-homology dimensions on [0, hi], one component at a time.
-
-    Memoised per (p, n, hi): the homology matrices are the transposes of the
-    cohomology ones, so the ranks, and with them this series, do not depend
-    on the variance.  The component series are folded over their nonzero
-    coefficients only.
-    """
-    key = (p, n, hi)
-    if key not in _FACTORED_TRIVIAL:
-        pres = build(p, n)
-        series = [1] + [0] * hi
-        for comp in components(pres, hi + pres.qn_degree):
-            if len(comp) > 4:
-                raise AssertionError("components have at most 4 generators")
-            cd = ExplicitHomology(pres, comp, hi).dims
-            terms = [(d2, c) for d2, c in enumerate(cd) if c]
-            out = [0] * (hi + 1)
-            for d1, a in enumerate(series):
-                if a:
-                    for d2, c in terms:
-                        if d1 + d2 > hi:
-                            break
-                        out[d1 + d2] += a * c
-            series = out
-        _FACTORED_TRIVIAL[key] = tuple(series)
-    return _FACTORED_TRIVIAL[key]
-
-
 def qn_homology(p: int, n: int, variance: str, top: int) -> QnHomologyReport:
     pres = build(p, n, variance)
     check_top(top)
     total = total_dims(pres, top)
-    triv = list(_factored_trivial(p, n, top))
+    if (p, n, top) not in _TRIVIAL_MEMO:
+        _qn_sweep(pres, top)
+    triv = list(_TRIVIAL_MEMO[p, n, top])
     dq = pres.qn_degree
     free = [0] * (top + 1)
     for d in range(top + 1):
@@ -757,33 +795,6 @@ def _random_monomial(rng, ctx: DerivationContext, gens: list[PresGenerator], roo
     return tuple(exps)
 
 
-def _square_failures(ctx: DerivationContext, buckets, hi: int) -> Iterator[tuple[int, ...]]:
-    """The monomials of degree <= hi on which Q_n∘Q_n is nonzero, in bucket
-    order, read off the products of consecutive Q_n blocks.
-
-    Blocks are built one source degree at a time and only the next dq of
-    them are held; a degree whose first block is zero needs no product.
-    """
-    dq = ctx.pres.qn_degree
-    ahead: dict[int, Matrix] = {}
-    for d in range(hi + 1):
-        src = buckets[d]
-        if not src:
-            continue
-        first = ahead.pop(d, None) or _qn_block(ctx, src, buckets[d + dq])
-        if not any(first.rows):
-            continue
-        second = _qn_block(ctx, buckets[d + dq], buckets[d + 2 * dq])
-        if d + dq <= hi:
-            ahead[d + dq] = second
-        square = _matmul(second, first)
-        if ctx.p == 2:
-            bad = functools.reduce(int.__or__, square.rows, 0)
-            yield from (m for j, m in enumerate(src) if bad >> j & 1)
-        else:
-            yield from (m for j, m in enumerate(src) if any(r[j] for r in square.rows))
-
-
 SQUARE_SEED = 0  # the seed of the mixed samples of qn_square_check
 
 
@@ -794,23 +805,19 @@ def qn_square_check(
 
     Every Q_n-coupled tensor component is swept whole, every monomial up
     to max_degree: degree by degree, the product of the Q_n block out of
-    d + dq with the block out of d (the blocks ExplicitHomology ranks) must
-    vanish, and each nonzero column is a failing monomial.  Products across
-    components satisfy the identity once each factor does (the cross terms
-    of a derivation square cancel), but seeded random mixed monomials are
-    pushed through the code path as well, one at a time.  Returns
-    (monomials checked, failures).
+    d + dq with the block out of d must vanish, and each nonzero column is
+    a failing monomial.  The sweep that multiplies the blocks also ranks
+    them and stores the trivial series that qn_homology reads; the check
+    itself never reads that memo.  Products across components satisfy the
+    identity once each factor does (the cross terms of a derivation square
+    cancel), but seeded random mixed monomials are pushed through the code
+    path as well, one at a time.  Returns (monomials checked, failures).
     """
     import random
 
     pres = build(p, n)
     dq = pres.qn_degree
-    checked = 0
-    failures: list[tuple[int, ...]] = []
-    for comp in components(pres, max_degree + 2 * dq):
-        ctx = DerivationContext(pres, max_degree + 2 * dq, gens=comp, missing_as_zero=True)
-        failures += _square_failures(ctx, window_bases(comp, max_degree + 2 * dq), max_degree)
-        checked += sum(_prefix_sum_series(comp, max_degree))
+    checked, failures = _qn_sweep(pres, max_degree)
     rng = random.Random(SQUARE_SEED)
     ctx = DerivationContext(pres, max_degree + 2 * dq, missing_as_zero=True)
     full_gens = [g for g in ctx.gens if g.degree <= max_degree]

@@ -76,9 +76,16 @@ def transpose(m: km2.Matrix) -> km2.Matrix:
 
 def whole_basis_trivial(p: int, n: int, hi: int) -> list[int]:
     """Trivial Q_n-homology dimensions on [0, hi] from the Q_n blocks of the
-    whole monomial basis, with no split into components."""
+    whole monomial basis, with no split into components: dim H(d) is the
+    basis at d minus the ranks of the blocks out of d and into d."""
     pres = km2.build(p, n)
-    return km2.ExplicitHomology(pres, pres.generators(hi + pres.qn_degree), hi).dims
+    dq = pres.qn_degree
+    ctx = km2.DerivationContext(pres, hi + dq)
+    buckets = km2.window_bases(ctx.gens, hi + dq)
+    ranks = [
+        km2.rank_modp(km2._qn_block(ctx, buckets[d], buckets[d + dq]), p) for d in range(hi + 1)
+    ]
+    return [len(buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0) for d in range(hi + 1)]
 
 
 # ---- p = 2 over polynomial u_i

@@ -435,6 +435,57 @@ def test_fold_work_cap_passes_every_default_window_up_to_height_3():
             assert works == sorted(works) and works[-1] <= cli._FOLD_WORK_CAP, (p, n, works)
 
 
+@pytest.mark.parametrize("suite", ["qn", "e2"])
+def test_verify_refuses_a_sweep_over_the_cap(capsys, monkeypatch, suite):
+    """verify --p 2 --n 1 at window 4000 would sweep 1.6e6 monomials: the
+    qn and e2 suites, which fold no lattice, are refused with exit 2,
+    naming the figure, before any Q_n block is built."""
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a Q_n block was built")
+
+    monkeypatch.setattr(km2, "_TRIVIAL_MEMO", {})
+    monkeypatch.setattr(km2, "_qn_block", no_block)
+    assert km2.sweep_monomials(2, 1, 4000, 10**9) == 1604786
+    # the count stops at the first component that passes the cap
+    monomials = km2.sweep_monomials(2, 1, 4000, cli._SWEEP_CAP)
+    assert monomials > cli._SWEEP_CAP
+    assert main(["verify", "--p", "2", "--n", "1", "--max-degree", "4000", "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f" {monomials} monomials" in captured.err
+
+
+def test_sweep_cap_passes_the_default_windows():
+    """The cap leaves verify the default windows with n <= 3 at small p,
+    the largest with n <= 2 ((2, 2), 3.5e5 monomials), p = 199 at n <= 2,
+    and n = 3 up to p = 67 (9.2e5), and so every narrower window too: a
+    narrower window sweeps a subset of the monomials.  (71, 3) would sweep
+    1.1e6."""
+    cases = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in (1, 2, 3)]
+    for p, n in cases + [(199, 1), (199, 2), (67, 3)]:
+        count = km2.sweep_monomials(p, n, km2.default_window(n), cli._SWEEP_CAP)
+        assert count <= cli._SWEEP_CAP, (p, n, count)
+    assert km2.sweep_monomials(2, 2, 2500, cli._SWEEP_CAP) == 346772
+    assert km2.sweep_monomials(71, 3, 2500, cli._SWEEP_CAP) > cli._SWEEP_CAP
+
+
+def test_verify_builds_each_qn_block_once(capsys, monkeypatch):
+    """One verify run sweeps the Q_n blocks once: the qn suite builds them,
+    and e2 and both brute-force pages read its ranks."""
+    built = Counter()
+    real = km2._qn_block
+
+    def counted(ctx, src, tgt):
+        built[tuple(g.name for g in ctx.gens), ctx.degree(src[0])] += 1
+        return real(ctx, src, tgt)
+
+    monkeypatch.setattr(km2, "_TRIVIAL_MEMO", {})
+    monkeypatch.setattr(km2, "_qn_block", counted)
+    assert main(["verify", "--p", "3", "--n", "2", "--max-degree", "300"]) == 0
+    assert built and max(built.values()) == 1
+
+
 def test_composite_p_rejected(capsys):
     assert main(["verify", "--p", "4", "--n", "1"]) == 2
     assert "p must be prime" in capsys.readouterr().err

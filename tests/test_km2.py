@@ -5,6 +5,7 @@ whole monomial basis, helpers.whole_basis_trivial, and the tensor-component
 factorization) agreeing before freezing.
 """
 
+import contextlib
 import itertools
 
 import pytest
@@ -236,6 +237,18 @@ def test_p2_basis_rewrites_the_polynomial_basis(n, hi):
     assert sorted(images) == sorted(basis)
 
 
+@contextlib.contextmanager
+def _fresh_memo(*keys):
+    """Run a planted defect against a fresh trivial-series memo.  Once the
+    plant is undone, qn_homology at every (p, n, hi) in keys must equal the
+    whole-basis reference again: no entry the plant computed survives."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km2, "_TRIVIAL_MEMO", {})
+        yield mp
+    for p, n, hi in keys:
+        assert km2.qn_homology(p, n, "cohomology", hi).trivial == whole_basis_trivial(p, n, hi)
+
+
 def test_qn_square_zero_small_windows():
     for p, n in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]:
         checked, failures = km2.qn_square_check(p, n, 60, mixed_samples=200)
@@ -270,14 +283,45 @@ def _drop_first_term_at_cube(monkeypatch):
 
 @pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
 @pytest.mark.parametrize("p, n, hi", SQUARE_WINDOWS)
-def test_square_check_matches_per_monomial_sweep(monkeypatch, p, n, hi, planted):
+def test_square_check_matches_per_monomial_sweep(p, n, hi, planted):
     """The block products report exactly what pushing each monomial through
     the derivation twice reports: the count, and every failure in order."""
-    if planted:
-        _drop_first_term_at_cube(monkeypatch)
-    checked, failures = km2.qn_square_check(p, n, hi)
-    assert (checked, failures) == qn_square_reference(p, n, hi)
-    assert len(failures) == (PLANTED_FAILURES[p, n, hi] if planted else 0)
+    with _fresh_memo((p, n, hi)) as mp:
+        if planted:
+            _drop_first_term_at_cube(mp)
+        checked, failures = km2.qn_square_check(p, n, hi)
+        assert (checked, failures) == qn_square_reference(p, n, hi)
+        assert len(failures) == (PLANTED_FAILURES[p, n, hi] if planted else 0)
+
+
+@pytest.mark.parametrize("p, n, hi", SQUARE_WINDOWS)
+def test_square_check_is_never_served_from_the_memo(p, n, hi):
+    """A clean check stores its trivial series; a planted defect at the same
+    (p, n, hi) is still swept afresh and reports every failure."""
+    with _fresh_memo((p, n, hi)) as mp:
+        assert km2.qn_square_check(p, n, hi)[1] == []
+        assert (p, n, hi) in km2._TRIVIAL_MEMO
+        _drop_first_term_at_cube(mp)
+        assert len(km2.qn_square_check(p, n, hi)[1]) == PLANTED_FAILURES[p, n, hi]
+
+
+@given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 3), top=st.integers(2, 80))
+@example(p=2, n=1, top=60)
+@example(p=5, n=3, top=80)
+@settings(deadline=None, max_examples=40)
+def test_sweep_matches_the_references(p, n, top):
+    """One sweep gives the whole-basis trivial series and exactly the
+    per-monomial square sweep's (checked, failures); its components,
+    restricted to the generators of degree <= top + dq, are the partition
+    at top + dq."""
+    pres = km2.build(p, n)
+    dq = pres.qn_degree
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km2, "_TRIVIAL_MEMO", {})
+        assert km2.qn_square_check(p, n, top, 50) == qn_square_reference(p, n, top, 50)
+        assert list(km2._TRIVIAL_MEMO[p, n, top]) == whole_basis_trivial(p, n, top)
+    wide = [[g for g in c if g.degree <= top + dq] for c in km2.components(pres, top + 2 * dq)]
+    assert [c for c in wide if c] == km2.components(pres, top + dq)
 
 
 @given(
@@ -354,7 +398,7 @@ def test_factored_matches_whole_basis():
     _assert_factored_matches_whole_basis()
 
 
-def test_factored_matches_whole_basis_sees_a_lost_generator(monkeypatch):
+def test_factored_matches_whole_basis_sees_a_lost_generator():
     """A split that loses u_0, which lies below the window, must fail the
     comparison with the whole basis."""
     real = km2.components
@@ -363,10 +407,10 @@ def test_factored_matches_whole_basis_sees_a_lost_generator(monkeypatch):
         comps = [[g for g in c if g.name != "u_0"] for c in real(pres, max_degree)]
         return [c for c in comps if c]
 
-    monkeypatch.setattr(km2, "components", lossy)
-    monkeypatch.setattr(km2, "_FACTORED_TRIVIAL", {})
-    with pytest.raises(AssertionError, match=r"^\(2, 1\)"):
-        _assert_factored_matches_whole_basis()
+    with _fresh_memo((2, 1, 55)) as mp:
+        mp.setattr(km2, "components", lossy)
+        with pytest.raises(AssertionError, match=r"^\(2, 1\)"):
+            _assert_factored_matches_whole_basis()
 
 
 def test_trivial_prefix_frozen():
