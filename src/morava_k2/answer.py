@@ -16,8 +16,8 @@ same family series (TensorExpression.poincare), but with its own run code:
 it enters each tower of the page as two run ends and sums in its own loop,
 where poincare_answer shifts whole series (_add_shifted) and sums each
 strand with accumulate.  So cli's comparison of the two can catch a defect
-in either.  A single v-power row is built only when AnswerSeries.power
-asks for it.
+in either.  The per-filtration rows of a module have one reader,
+to_page(a).chart_dims.
 
 Both variances are written down directly at every p, p = 2 homology
 included, from the generator registry in ss_engine; in homology each
@@ -118,34 +118,11 @@ def to_page(a: AnswerModule) -> Page:
 
 
 class AnswerSeries(NamedTuple):
-    """The module's dimensions on a window [lo, hi] (total's window).
-
-    family_counts holds each torsion family's generator count on [0, module
-    top].  towers holds (order, generator series on [0, module top]) for
-    each P[v]-tower family, the v-free part first with order INF; power(s)
-    reads the v^s row off them only when asked.
-    """
+    """The module's dimensions on a window [lo, hi] (total's window), and
+    each torsion family's generator count on [0, module top]."""
 
     total: PoincareSeries
     family_counts: tuple[int, ...]
-    towers: tuple[tuple[object, PoincareSeries], ...]
-    v_degree: int
-    zp_family: tuple[tuple[int, int], ...]
-
-    def power(self, s: int) -> PoincareSeries:
-        """The classes v^s x in the window, x a generator of a tower of order
-        above s, and at s = 0 the Z_p family."""
-        lo, hi = self.total.lo, self.total.hi
-        dims = [0] * (hi - lo + 1)
-        if s >= 0:
-            for order, gens in self.towers:
-                if s < order:
-                    _add_shifted(dims, lo, gens, s * self.v_degree, add)
-        if s == 0:
-            for d, c in self.zp_family:
-                if lo <= d <= hi:
-                    dims[d - lo] += c
-        return PoincareSeries(lo, hi, tuple(dims))
 
 
 def _add_shifted(dims: list[int], lo: int, series: PoincareSeries, shift: int, op) -> None:
@@ -176,8 +153,8 @@ def poincare_answer(a: AnswerModule, window=None) -> AnswerSeries:
     if hi > top:
         raise WindowError(f"window top {hi} exceeds the computed range {top}")
     dv = v_degree(a.p, a.n, a.variance)
-    towers = [(INF, _without_v(a.free_part).poincare(0, top))]
-    towers += [(f.order, f.expression.poincare(0, top)) for f in a.torsion_families]
+    towers = [(INF, _without_v(a.free_part).poincare(top))]
+    towers += [(f.order, f.expression.poincare(top)) for f in a.torsion_families]
 
     # runs on [base, top]: every generator lies in [0, top], and a run end
     # that falls outside only touches degrees outside [lo, hi]
@@ -188,8 +165,8 @@ def poincare_answer(a: AnswerModule, window=None) -> AnswerSeries:
         if order != INF:
             _add_shifted(runs, base, gens, order * dv, sub)
     s = abs(dv)
-    for r in range(s):
-        # each residue class mod |v| in the direction of v
+    for r in range(min(s, len(runs))):
+        # each residue class mod |v| that meets the array, in the direction of v
         strand = slice(r, None, s) if dv > 0 else slice(-1 - r, None, -s)
         runs[strand] = accumulate(runs[strand])
     total = runs[lo - base : hi - base + 1]
@@ -199,9 +176,6 @@ def poincare_answer(a: AnswerModule, window=None) -> AnswerSeries:
     return AnswerSeries(
         total=PoincareSeries(lo, hi, tuple(total)),
         family_counts=tuple(sum(gens.dims) for _order, gens in towers[1:]),
-        towers=tuple(towers),
-        v_degree=dv,
-        zp_family=a.zp_family,
     )
 
 
@@ -224,15 +198,19 @@ def bockstein_check(a: AnswerModule) -> tuple[bool, str]:
 
     cok: Counter = Counter()
     kerv: Counter = Counter()
-    series = _without_v(a.free_part).poincare(0, hi)
-    for d in range(series.lo, series.hi + 1):
-        cok[d] += series.dim(d)
+    for d, c in enumerate(_without_v(a.free_part).poincare(hi).dims):
+        cok[d] += c
     # the Z_p classes die under v and miss its image; cohomology kernels
-    # reach one Q_n-degree above the module's top
+    # reach one Q_n-degree above the module's top, to the Z_p at d + dq over
+    # each free generator d <= hi, where the homology family has its Z_p
     ker_top = hi + dq if coh else hi
     zp = list(a.zp_family)
     if coh:
-        zp += [(d, c) for d, c in ss_engine.zp_family_closed(p, n, a.variance, ker_top) if d > hi]
+        zp += [
+            (d + dq, c)
+            for d, c in ss_engine.zp_family_closed(p, n, "homology", hi)
+            if d + dq > hi
+        ]
     for d, c in zp:
         if d <= hi:
             cok[d] += c
@@ -242,9 +220,7 @@ def bockstein_check(a: AnswerModule) -> tuple[bool, str]:
         # kernel slots sit q2*(order-1) away from their generators, on the
         # far side of the window in cohomology
         gen_top = max(hi, ker_top + q2 * (f.order - 1)) if coh else hi
-        fs = f.expression.poincare(0, gen_top)
-        for g in range(fs.lo, fs.hi + 1):
-            c = fs.dim(g)
+        for g, c in enumerate(f.expression.poincare(gen_top).dims):
             if not c:
                 continue
             if g <= hi:
@@ -273,9 +249,9 @@ def localization_check(a: AnswerModule) -> tuple[bool, str]:
     Inverting v leaves P[v] on the tensor product over i = 1..n-1 of the
     truncated factors of height p^(n-i) on z_i (their duals in homology), of
     total rank p^C(n,2).  The expected series is built here from numerology
-    degrees alone and compared degree by degree with poincare_answer of the
-    localized module: its v^0 row against the generators, its total against
-    their v-towers.  No factor label is read.
+    degrees alone and compared degree by degree with the localized module:
+    the series of its free part without P[v] against the generators, and
+    poincare_answer's total against their v-towers.  No factor label is read.
     """
     p, n, hi = a.p, a.n, a.top
     base = [1] + [0] * hi
@@ -297,11 +273,12 @@ def localization_check(a: AnswerModule) -> tuple[bool, str]:
         for e in range(hi - step, -1, -1):
             total[e] += total[e + step]
 
-    series = poincare_answer(localize(a), (0, hi))
-    rank, want_rank = sum(series.power(0).dims), p ** (n * (n - 1) // 2)
+    gens = _without_v(a.free_part).poincare(hi)
+    towers = poincare_answer(localize(a), (0, hi)).total
+    rank, want_rank = sum(gens.dims), p ** (n * (n - 1) // 2)
     if top <= hi and rank != want_rank:
         return False, f"localized rank {rank}, expected p^C(n,2) = {want_rank}"
-    for name, got, want in (("generators", series.power(0), base), ("towers", series.total, total)):
+    for name, got, want in (("generators", gens, base), ("towers", towers, total)):
         bad = next((d for d in range(hi + 1) if got.dim(d) != want[d]), None)
         if bad is not None:
             return False, (

@@ -120,6 +120,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     p = pick("p", 3)
     n = pick("n", 1)
+    if p >= km2.PRIME_BOUND:
+        raise ConfigError(f"p must be below {km2.PRIME_BOUND}, where the primality test is exact")
     if not km2._is_prime(p):
         raise ConfigError("p must be prime")
     if n < 1:
@@ -354,7 +356,7 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
         )
     if name == "e2":
         page = ss_engine.e2_closed_form(p, n, variance, hi)
-        series = ss_engine._without_v(page.v_free).poincare(0, hi)
+        series = ss_engine._without_v(page.v_free).poincare(hi)
         trivial = km2.qn_homology(p, n, variance, hi).trivial_series()
         bad = [d for d in range(hi + 1) if series.dim(d) != trivial.dim(d)]
         return not bad, (

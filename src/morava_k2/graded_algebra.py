@@ -5,8 +5,9 @@ a tensor product of single-generator factors: polynomial, exterior, truncated
 polynomial, divided power, and the reduced (augmentation-complement) variants
 of the last two kinds used by torsion summands.  A factor constrains the
 exponent range of its generator; a TensorExpression is an ordered list of
-factors, and its Poincare series counts basis elements per degree inside a
-window.
+factors, and its Poincare series counts basis elements per degree on [0, hi].
+Series are taken over factors of positive degree only: the P[v] of a
+cohomology page, whose v has negative degree, is stripped first.
 """
 
 from __future__ import annotations
@@ -149,14 +150,6 @@ def _times_exponent_range(dims: list[int], d: int, exps: range) -> list[int]:
     return list(map(sub, out, [0] * b + s[: n - b]))
 
 
-def _exponent_limit(f: Factor, lo: int, hi: int) -> int:
-    d = f.gen.degree
-    bound = hi if d > 0 else lo
-    if d > 0:
-        return max(bound // d, 0)
-    return max(bound // d, 0) if bound < 0 else 0
-
-
 class TensorExpression(NamedTuple):
     factors: tuple[Factor, ...]
 
@@ -166,24 +159,18 @@ class TensorExpression(NamedTuple):
         return " @ ".join(f.label() for f in self.factors)
 
     @functools.lru_cache(maxsize=64)
-    def poincare(self, lo: int, hi: int) -> PoincareSeries:
-        """Per-degree dimensions on [lo, hi], one factor at a time.
+    def poincare(self, hi: int) -> PoincareSeries:
+        """Per-degree dimensions on [0, hi], one factor at a time.
 
-        The running series lives on [min(lo, 0), max(hi, 0)] and is cut back
-        to it after every factor, so classes that leave the window never
-        return through a factor of the opposite degree sign.  A negative
-        degree is the mirror image of a positive one on the reversed list.
-        Results are kept per (expression, lo, hi): the answer's series, its
-        page and the chart read the same family series.
+        Every factor's generator must have positive degree, so an expression
+        that carries P[v] has it stripped first (ss_engine._without_v).
+        Results are kept per (expression, hi): the answer's series, its page
+        and the chart read the same family series.
         """
-        wlo, whi = min(lo, 0), max(hi, 0)
-        dims = [0] * (whi - wlo + 1)
-        dims[-wlo] = 1
+        dims = [1] + [0] * hi
         for f in self.factors:
             d = f.gen.degree
-            exps = f.exponent_range(_exponent_limit(f, wlo, whi))
-            if d > 0:
-                dims = _times_exponent_range(dims, d, exps)
-            else:
-                dims = _times_exponent_range(dims[::-1], -d, exps)[::-1]
-        return PoincareSeries(lo, hi, tuple(dims[lo - wlo : hi - wlo + 1]))
+            if d <= 0:
+                raise ValueError(f"factor {f.label()} has degree {d}; series need positive degrees")
+            dims = _times_exponent_range(dims, d, f.exponent_range(hi // d))
+        return PoincareSeries(0, hi, tuple(dims))

@@ -196,14 +196,36 @@ class PresGenerator(NamedTuple):
     index: int
 
 
+# Miller-Rabin over the first thirteen primes as bases is exact below
+# PRIME_BOUND, the least strong pseudoprime to all of them; twelve bases
+# already fail at 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Whether p is prime, by deterministic Miller-Rabin; a p at or above
+    PRIME_BOUND, where the bases no longer decide, is a ValueError."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p = {p} is not below {PRIME_BOUND}, where the primality test is exact")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -266,7 +266,6 @@ class Differential(NamedTuple):
     target: str
     source_degree: int
     target_degree: int
-    variance: str
     family: str
     index: int
     paired: bool = False
@@ -293,7 +292,7 @@ def schedule(p: int, n: int, j_max: int, variance: str = "cohomology") -> list[D
         entries.append(
             Differential(
                 stage, source.name, target.name, source.degree, target.degree,
-                variance, family, j, paired,
+                family, j, paired,
             )
         )
 
@@ -346,12 +345,7 @@ class TowerSummand(NamedTuple):
 def _summands(expr: TensorExpression, order, hi: int) -> list[TowerSummand]:
     """One order-`order` tower per basis element of expr in [0, hi], collapsed
     per degree."""
-    series = expr.poincare(0, hi)
-    return [
-        TowerSummand(expr, d, order, c)
-        for d, c in enumerate(series.dims, series.lo)
-        if c
-    ]
+    return [TowerSummand(expr, d, order, c) for d, c in enumerate(expr.poincare(hi).dims) if c]
 
 
 def _tower_powers(g: int, order, dv: int, lo: int, hi: int) -> range:
@@ -382,7 +376,7 @@ class Page(NamedTuple):
         """Generator degrees of the v-free part, all in [0, top]."""
         out: Counter = Counter()
         if self.v_free is not None:
-            for d, c in enumerate(_without_v(self.v_free).poincare(0, self.top).dims):
+            for d, c in enumerate(_without_v(self.v_free).poincare(self.top).dims):
                 if c:
                     out[d] += c
         for t in self.torsion:
@@ -434,7 +428,7 @@ class Page(NamedTuple):
         base, end = min(lo, 0), max(hi, self.top)
         runs = [0] * (end - base + 1)
         if self.v_free is not None:
-            runs[-base : self.top - base + 1] = _without_v(self.v_free).poincare(0, self.top).dims
+            runs[-base : self.top - base + 1] = _without_v(self.v_free).poincare(self.top).dims
         for g, order, c in self._towers():
             runs[g - base] += c
             if order != INF and base <= g + order * dv <= end:
@@ -590,9 +584,9 @@ def zp_family_closed(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int,
             Factor(P if g.exp_kind == "P" else E, Generator(k + 1, g.name, g.degree))
             for k, g in enumerate(pres.generators(hi))
         )
-    ).poincare(0, hi)
+    ).poincare(hi)
     base = _PageState(p, n, variance, hi)._base_factors()
-    trivial = TensorExpression(tuple(base)).poincare(0, hi)
+    trivial = TensorExpression(tuple(base)).poincare(hi)
     dq = pres.qn_degree
     free = [0] * (hi + 1)
     for d in range(hi + 1):

@@ -401,13 +401,13 @@ def poincare_answer_reference(a, window=None):
         for e in ss_engine._tower_powers(g, order, dv, lo, hi):
             rows.setdefault(e, Counter())[g + e * dv] += count
 
-    series = ss_engine._without_v(a.free_part).poincare(0, a.top)
+    series = ss_engine._without_v(a.free_part).poincare(a.top)
     for d in range(series.lo, series.hi + 1):
         if series.dim(d):
             tower(d, series.dim(d), ss_engine.INF)
     family_counts = []
     for f in a.torsion_families:
-        fs = f.expression.poincare(0, a.top)
+        fs = f.expression.poincare(a.top)
         family_counts.append(sum(fs.dims))
         for d in range(fs.lo, fs.hi + 1):
             if fs.dim(d):

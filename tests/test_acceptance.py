@@ -78,7 +78,7 @@ def test_criterion_3_e2_closed_form_matches_brute_force():
             rest = ss.TensorExpression(
                 tuple(f for f in page.v_free.factors if f.gen.name != "v")
             )
-            series = rest.poincare(0, w)
+            series = rest.poincare(w)
             for d in range(w + 1):
                 if series.dim(d) != trivial.dim(d):
                     bad = bad or (p, n, variance, d)

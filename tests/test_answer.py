@@ -1,13 +1,14 @@
 """Module answers: displayed summands, dimensions, localization, Bockstein."""
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morava_k2 import answer, km2, ss_engine as ss
-from morava_k2.graded_algebra import E, PoincareSeries, TensorExpression, replace
+from morava_k2 import answer, cli, km2, ss_engine as ss
+from morava_k2.graded_algebra import E, TensorExpression, replace
 
 from helpers import poincare_answer_reference
 
@@ -258,8 +259,8 @@ def test_poincare_matches_chart_series(p, n, variance, top, lo, localized):
 @settings(deadline=None, max_examples=60)
 def test_poincare_matches_class_by_class_reference(p, n, variance, top, lo, localized):
     """The strided family sums count what walking every tower class by class
-    counts: the total, each family's generator count and every v-power row,
-    one power past the last row included."""
+    counts: the total and each family's generator count; the chart of the
+    answer's page holds every v-power row of the walk, spot by spot."""
     a = answer.closed_form(p, n, variance, top)
     if localized:
         a = answer.localize(a)
@@ -268,25 +269,41 @@ def test_poincare_matches_class_by_class_reference(p, n, variance, top, lo, loca
     total, rows, family_counts = poincare_answer_reference(a, (lo, top))
     assert series.total == total
     assert series.family_counts == family_counts
-    orders = [f.order for f in a.torsion_families]
-    zero = PoincareSeries(lo, top, (0,) * (top - lo + 1))
-    for s in range(max([*rows, *orders], default=0) + 2):
-        assert series.power(s) == rows.get(s, zero), s
+    walked = {(d, s): c for s, row in rows.items() for d, c in enumerate(row.dims, lo) if c}
+    assert answer.to_page(a).chart_dims(lo, top) == Counter(walked)
 
 
 def test_poincare_by_v_power():
     a = answer.closed_form(3, 1, "cohomology", 60)
-    series = answer.poincare_answer(a)
+    chart = answer.to_page(a).chart_dims(0, 60)
     # filtration 0 carries one class per torsion generator, the Z_p family
     # and the unit
     zp = dict(a.zp_family)
-    f0 = series.power(0)
-    assert f0.dim(7) == zp[7]
-    assert f0.dim(0) == 1
-    assert f0.dim(19) == 1 + zp.get(19, 0)
+    assert chart[(7, 0)] == zp[7]
+    assert chart[(0, 0)] == 1
+    assert chart[(19, 0)] == 1 + zp.get(19, 0)
     # the order-3 tower on degree 19 reaches filtration 2 at degree 11
-    assert series.power(2).dim(11) == 1
-    assert series.power(77).dim(0) == 0
+    assert chart[(11, 2)] == 1
+    assert chart[(0, 77)] == 0
+
+
+@pytest.mark.parametrize("variance", ["cohomology", "homology"])
+def test_poincare_answer_sums_only_the_strands_in_its_array(monkeypatch, variance):
+    """At p = 1000003, |v| = 2(p - 1) dwarfs the window [0, 50]: one prefix
+    sum per strand that starts inside the 51-entry run array, not one per
+    residue class mod |v|."""
+    sums = []
+    real = answer.accumulate
+
+    def counted(strand):
+        sums.append(1)
+        return real(strand)
+
+    monkeypatch.setattr(answer, "accumulate", counted)
+    a = answer.closed_form(1000003, 1, variance, 50)
+    total = answer.poincare_answer(a).total
+    assert len(sums) <= 51
+    assert total == answer.to_page(a).chart_series(0, 50)
 
 
 def test_poincare_window_errors():
@@ -409,6 +426,24 @@ def test_bockstein_sees_a_planted_closed_route_rank(monkeypatch, variance):
     ok, msg = answer.bockstein_check(answer.closed_form(p, n, variance, top))
     assert not ok
     assert msg.startswith(f"degree {d0}: "), msg
+
+
+def test_bockstein_reads_zp_classes_above_the_window_off_its_free_ranks(monkeypatch, capsys):
+    """The cohomology Z_p classes above the window sit one Q_n-degree over
+    free generators in [0, top], so the bockstein suite builds no Z_p series
+    past top, even at p = 1000003 where that degree is 2000005."""
+    tops = []
+    real = ss.zp_family_closed
+
+    def recorded(p, n, variance, hi):
+        tops.append(hi)
+        return real(p, n, variance, hi)
+
+    monkeypatch.setattr(ss, "zp_family_closed", recorded)
+    argv = ["verify", "--suite", "bockstein", "--p", "1000003", "--n", "1", "--max-degree", "50"]
+    assert cli.main(argv) == 0
+    assert "PASS\tbockstein" in capsys.readouterr().out
+    assert tops and max(tops) <= 50
 
 
 def test_bockstein_reads_total_dims(monkeypatch):

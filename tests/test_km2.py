@@ -7,12 +7,13 @@ factorization) agreeing before freezing.
 
 import contextlib
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morava_k2 import km2
+from morava_k2 import cli, km2
 from morava_k2.graded_algebra import E, Factor, Generator, P, TensorExpression
 
 from helpers import (
@@ -68,6 +69,45 @@ def test_build_rejects_bad_input():
         km2.build(3, 0)
     with pytest.raises(ValueError):
         km2.build(3, 1, "both")
+
+
+def _trial_division(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [q for q in range(-3, 10**5) if km2._is_prime(q)] == [
+        q for q in range(-3, 10**5) if _trial_division(q)
+    ]
+
+
+# Carmichael numbers, the last also a strong pseudoprime to bases 2, 3, 5, 7
+_CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 3215031751)
+
+
+def test_is_prime_decides_large_p():
+    """A 17- and a 20-digit prime pass; Carmichael numbers fail, and so does
+    318665857834031151167461, a strong pseudoprime to the first twelve prime
+    bases that the thirteenth, 41, exposes."""
+    assert km2._is_prime(10000000000000061)
+    assert km2._is_prime(2**64 - 59)
+    for c in _CARMICHAEL:
+        assert not _trial_division(c)
+        assert all(pow(a, c - 1, c) == 1 for a in range(2, 100) if math.gcd(a, c) == 1), c
+        assert not km2._is_prime(c), c
+    assert not km2._is_prime(399165290221 * 798330580441)
+
+
+def test_is_prime_refuses_p_at_or_above_its_bound(capsys):
+    """The bound is itself composite, a strong pseudoprime to all thirteen
+    bases, so _is_prime refuses it and every p above it."""
+    assert km2.PRIME_BOUND == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match="primality test is exact"):
+        km2._is_prime(km2.PRIME_BOUND)
+    with pytest.raises(ValueError):
+        km2.build(km2.PRIME_BOUND + 2, 1)
+    assert cli.main(["compute", "--p", str(km2.PRIME_BOUND), "--n", "1"]) == 2
+    assert f"p must be below {km2.PRIME_BOUND}" in capsys.readouterr().err
 
 
 def test_qn_on_generator_odd_p():
@@ -428,7 +468,7 @@ def test_total_dims_matches_series_route():
     for i, g in enumerate(pres.generators(40)):
         kind = P if g.exp_kind == "P" else E
         factors.append(Factor(kind, Generator(i, g.name, g.degree)))
-    series = TensorExpression(tuple(factors)).poincare(0, 40)
+    series = TensorExpression(tuple(factors)).poincare(40)
     assert km2.total_dims(pres, 40) == [series.dim(d) for d in range(41)]
 
 

@@ -191,7 +191,7 @@ def test_e2_matches_trivial_qn_homology():
         rest = TensorExpression(
             tuple(f for f in page.v_free.factors if f.gen.name != "v")
         )
-        series = rest.poincare(0, top)
+        series = rest.poincare(top)
         trivial = km2.qn_homology(p, n, "cohomology", top).trivial_series()
         assert all(series.dim(d) == trivial.dim(d) for d in range(top + 1)), (p, n)
 
