@@ -20,7 +20,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from . import answer, km2, numerology, ss_engine
-from .graded_algebra import GAMMA, GAMMA_TRUNC, Factor, TensorExpression
+from .graded_algebra import GAMMA, GAMMA_TRUNC, Factor, Generator, TensorExpression
 
 
 class ConfigError(ValueError):
@@ -89,6 +89,15 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_pn(p: int, n: int) -> None:
+    if p >= km2.PRIME_BOUND:
+        raise ConfigError(f"p must be below {km2.PRIME_BOUND}, where the primality test is exact")
+    if not km2._is_prime(p):
+        raise ConfigError("p must be prime")
+    if n < 1:
+        raise ConfigError("n must be a positive integer")
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     keys = _COMMAND_OPTIONS[args.command]
     data = {}
@@ -120,12 +129,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     p = pick("p", 3)
     n = pick("n", 1)
-    if p >= km2.PRIME_BOUND:
-        raise ConfigError(f"p must be below {km2.PRIME_BOUND}, where the primality test is exact")
-    if not km2._is_prime(p):
-        raise ConfigError("p must be prime")
-    if n < 1:
-        raise ConfigError("n must be a positive integer")
+    _check_pn(p, n)
     variance = pick("variance", "cohomology", str)
     if variance not in ("cohomology", "homology"):
         raise ConfigError("variance must be cohomology or homology")
@@ -157,14 +161,16 @@ def _factor_dict(f: Factor) -> dict:
     return {"factor_kind": kind, "generator": f.gen.name, "degree": f.gen.degree}
 
 
-def _parse_factor(entry: dict, p: int, n: int, variance: str) -> Factor:
-    """One factor entry of the JSON form, its generator resolved through the
-    ss_engine registry for (p, n, variance).  The kind must be spelled as
-    Factor.label spells it."""
+def _parse_factor(entry: dict, names: dict[str, Generator], ref: answer.AnswerModule) -> Factor:
+    """One factor entry of the JSON form, its generator looked up in names,
+    the generators of the closed-form module ref by name.  The kind must be
+    spelled as Factor.label spells it."""
     kind, name = entry["factor_kind"], entry["generator"]
-    gen = ss_engine._generator_named(name, p, n, variance)
+    gen = names.get(name)
     if gen is None:
-        raise ConfigError(f"no {variance} generator is named {name!r} at p={p}, n={n}: {entry}")
+        raise ConfigError(
+            f"no {ref.variance} generator is named {name!r} at p={ref.p}, n={ref.n}: {entry}"
+        )
     if gen.degree != entry["degree"]:
         raise ConfigError(f"{name} has degree {gen.degree}, not {entry['degree']}: {entry}")
     base, _, height = kind.partition("_")
@@ -207,25 +213,6 @@ def serialize_answer(a: answer.AnswerModule, series: answer.AnswerSeries) -> dic
     }
 
 
-def _family_identity(p: int, n: int, variance: str, order: int, base: int) -> tuple[int, str]:
-    """Recover (j, kind) of a family from its order and base parity.
-
-    y-family bases are w-degrees (odd) in cohomology and y-degrees (even) in
-    homology; half-family bases the other parity either way.
-    """
-    odd_base = base % 2 == 1
-    kind = ("y" if odd_base else "half") if variance == "cohomology" else (
-        "half" if odd_base else "y"
-    )
-    fn = numerology.r if kind == "y" else numerology.rprime
-    j = 1 if (kind == "y" or p == 2) else 0
-    while fn(j, p, n) < order:
-        j += 1
-    if fn(j, p, n) != order:
-        raise ConfigError(f"no schedule stage has order {order}")
-    return j, kind
-
-
 def parse_answer(data: dict) -> answer.AnswerModule:
     """Rebuild an AnswerModule from its JSON form.
 
@@ -235,11 +222,15 @@ def parse_answer(data: dict) -> answer.AnswerModule:
     by family.
     """
     p, n, variance = data["p"], data["n"], data["variance"]
-    if variance not in ("cohomology", "homology"):
-        raise ConfigError(f"variance must be cohomology or homology, not {variance!r}")
     lo, hi = data["window"]
     poincare = data["poincare"]
-    # before anything is recomputed, so that a huge stated window costs nothing
+    # before anything is recomputed, so that a huge stated window costs
+    # nothing and closed_form meets no p, n or top it refuses
+    if variance not in ("cohomology", "homology"):
+        raise ConfigError(f"variance must be cohomology or homology, not {variance!r}")
+    _check_pn(p, n)
+    if hi < 2:
+        raise ConfigError(f"window top {hi} is below 2")
     if lo > hi:
         raise ConfigError(f"window [{lo}, {hi}] is empty")
     if len(poincare) != hi - lo + 1 or any(
@@ -250,22 +241,25 @@ def parse_answer(data: dict) -> answer.AnswerModule:
     if bad_zp is not None:
         raise ConfigError(f"Z_p family counts must be positive: {bad_zp}")
 
+    # the names and families of the module as the registry builds them
+    ref = answer.closed_form(p, n, variance, hi)
+    exprs = [ref.free_part] + [f.expression for f in ref.torsion_families]
+    names = {x.gen.name: x.gen for e in exprs for x in e.factors}
+    identity = {(f.order, f.base_degree): (f.j, f.kind) for f in ref.torsion_families}
+
     def factors(entries: list) -> TensorExpression:
-        return TensorExpression(tuple(_parse_factor(x, p, n, variance) for x in entries))
+        return TensorExpression(tuple(_parse_factor(x, names, ref) for x in entries))
 
     families = []
-    for entry in data["torsion"]:
-        j, kind = _family_identity(
-            p, n, variance, entry["order"], entry["generator_degree"]
-        )
-        families.append(
-            answer.TorsionFamily(
-                j,
-                kind,
-                entry["order"],
-                entry["generator_degree"],
-                factors(entry["cofactor"]),
+    for i, entry in enumerate(data["torsion"]):
+        order, base = entry["order"], entry["generator_degree"]
+        if (order, base) not in identity:
+            raise ConfigError(
+                f"torsion entry {i}: no {variance} family at p={p}, n={n} has order {order} "
+                f"and base degree {base}"
             )
+        families.append(
+            answer.TorsionFamily(*identity[order, base], order, base, factors(entry["cofactor"]))
         )
     a = answer.AnswerModule(
         p=p,

@@ -316,19 +316,12 @@ class DerivationContext:
     mul_poly both read it.
     """
 
-    def __init__(
-        self,
-        pres: Presentation,
-        max_degree: int,
-        gens: list[PresGenerator] | None = None,
-        missing_as_zero: bool = False,
-    ):
+    def __init__(self, pres: Presentation, max_degree: int, gens: list[PresGenerator] | None = None):
         self.pres = pres
         self.p = pres.p
         self.max_degree = max_degree
         self.gens = list(gens) if gens is not None else pres.generators(max_degree)
         self.index = {g.name: k for k, g in enumerate(self.gens)}
-        self.missing_as_zero = missing_as_zero
         self.square = {
             k: self.index.get(f"z_{g.index + 1}", -1)
             for k, g in enumerate(self.gens)
@@ -344,10 +337,6 @@ class DerivationContext:
             tname, texp = img
             tpos = self.index.get(tname, -1)
             if tpos < 0:
-                if missing_as_zero:
-                    # sources whose image needs the absent generator all sit
-                    # above the degrees the caller reads, so drop the image
-                    continue
                 # target generator outside this context: flagged when a
                 # monomial reaches the term
                 self.terms.append(_LeibnizTerm(k, -1, texp, False, (), ()))
@@ -366,9 +355,9 @@ class DerivationContext:
 
     def _square_slot(self, k: int) -> int:
         """The slot of u · u for the exterior generator in slot k: -1 where
-        the square is 0 (odd p) or, with missing_as_zero, lies outside."""
+        the square is 0 (odd p); a square outside the context is a WindowError."""
         s = self.square.get(k, -1)
-        if s < 0 and k in self.square and not self.missing_as_zero:
+        if s < 0 and k in self.square:
             raise WindowError(
                 f"square of {self.gens[k].name} needs a generator beyond degree {self.max_degree}"
             )
@@ -533,7 +522,7 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
     A generator is coupled to its Q_n target and, where that target is
     exterior with a square (p = 2), to the square as well.
     """
-    ctx = DerivationContext(pres, max_degree, missing_as_zero=True)
+    ctx = DerivationContext(pres, max_degree)
     gens = ctx.gens
     parent = list(range(len(gens)))
 
@@ -547,7 +536,8 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
         parent[find(x)] = find(y)
 
     for t in ctx.terms:
-        union(t.k, t.tpos)
+        if t.tpos >= 0:  # else t's image lies beyond max_degree
+            union(t.k, t.tpos)
         if t.exterior and ctx.square.get(t.tpos, -1) >= 0:
             union(t.k, ctx.square[t.tpos])
     groups: dict[int, list[PresGenerator]] = {}
@@ -607,7 +597,7 @@ def _qn_sweep(pres: Presentation, top: int) -> tuple[int, list[tuple[int, ...]]]
     for comp in components(pres, hi):
         if len(comp) > 4:
             raise AssertionError("components have at most 4 generators")
-        ctx = DerivationContext(pres, hi, gens=comp, missing_as_zero=True)
+        ctx = DerivationContext(pres, hi, gens=comp)
         buckets = window_bases(comp, hi)
         ranks = _sweep_component(ctx, buckets, top, failures)
         checked += sum(len(b) for b in buckets[: top + 1])
@@ -841,7 +831,7 @@ def qn_square_check(
     dq = pres.qn_degree
     checked, failures = _qn_sweep(pres, max_degree)
     rng = random.Random(SQUARE_SEED)
-    ctx = DerivationContext(pres, max_degree + 2 * dq, missing_as_zero=True)
+    ctx = DerivationContext(pres, max_degree + 2 * dq)
     full_gens = [g for g in ctx.gens if g.degree <= max_degree]
     for _ in range(mixed_samples):
         m = _random_monomial(rng, ctx, full_gens, max_degree)

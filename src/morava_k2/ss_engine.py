@@ -102,37 +102,6 @@ def _half_source(j: int, p: int, n: int, star: str) -> Generator:
     return _gen_w(2 * (n + j) + 1, p, n, star)
 
 
-def _generator_named(name: str, p: int, n: int, variance: str) -> Generator | None:
-    """The registry generator called name in (p, n, variance), or None.
-
-    Only the index is read off the name: the generator is rebuilt by the
-    builders above and must carry the same name back, so a star that does
-    not match the variance, a product outside the p = 2 special range or a
-    non-canonical spelling resolves to nothing.
-    """
-    if name == "v":
-        return _gen_v(p, n, variance)
-    star = _star(variance)
-    head, _, tail = name.removesuffix("*").partition(" ")
-    letter, _, index = head.partition("_")
-    half = index.endswith("/2")
-    index = index.removesuffix("/2")
-    if not index.isdigit():
-        return None
-    k = int(index)
-    if letter == "w" and (k if half else 2 * k) >= 2 * n:
-        gen = _gen_w(k if half else 2 * k, p, n, star)
-    elif k < 1:
-        return None
-    elif letter == "y":
-        gen = _half_source(k, p, n, star) if tail else _gen_y(k, p, star)
-    elif letter == "z":
-        gen = _gen_z(k, p, star)
-    else:
-        return None
-    return gen if gen.name == name else None
-
-
 def _without_v(expr: TensorExpression) -> TensorExpression:
     """expr with its P[v] factor dropped: the generators of the v-towers."""
     return TensorExpression(tuple(f for f in expr.factors if f.gen.name != "v"))

@@ -160,14 +160,13 @@ def from_polynomial_basis(ctx: km2.DerivationContext, mono: dict[str, int]) -> t
 
 
 def qn_monomial_reference(
-    ctx: km2.DerivationContext, exps: tuple[int, ...], missing_as_zero: bool = False
+    ctx: km2.DerivationContext, exps: tuple[int, ...]
 ) -> dict[tuple[int, ...], int]:
     """Q_n of one monomial, read off the presentation generator by generator
     with no term table: the Koszul sign from the degree of the prefix, the
     reordering sign from the odd factors the inserted one moves past.  At
     p = 2 the monomial goes to polynomial u_i and back instead, so no
-    carry into u_i^2 is involved.  missing_as_zero must be the flag the
-    context was built with."""
+    carry into u_i^2 is involved."""
     p = ctx.p
     out: dict[tuple[int, ...], int] = {}
     if p == 2:
@@ -175,14 +174,13 @@ def qn_monomial_reference(
             try:
                 out[from_polynomial_basis(ctx, dict(key))] = 1
             except KeyError as exc:
-                if not missing_as_zero:
-                    raise km2.WindowError(f"Q_n of {exps} needs {exc}") from None
+                raise km2.WindowError(f"Q_n of {exps} needs {exc}") from None
         return out
     prefix = 0
     for k, g in enumerate(ctx.gens):
         e = exps[k]
         img = ctx.pres.qn_on_generator(g.name)
-        if e and img is not None and (img[0] in ctx.index or not missing_as_zero):
+        if e and img is not None:
             c = e % p
             if c and prefix % 2 == 1:
                 c = p - c
@@ -217,13 +215,12 @@ def qn_block_reference(
     ctx: km2.DerivationContext,
     src: list[tuple[int, ...]],
     tgt: list[tuple[int, ...]],
-    missing_as_zero: bool = False,
 ) -> km2.Matrix:
     """The Q_n block from src to tgt, one column per qn_monomial_reference."""
     pos = {m: i for i, m in enumerate(tgt)}
     a = km2.Matrix.zeros(len(tgt), len(src), ctx.p)
     for j, m in enumerate(src):
-        for t, c in qn_monomial_reference(ctx, m, missing_as_zero).items():
+        for t, c in qn_monomial_reference(ctx, m).items():
             if ctx.p == 2:
                 a.rows[pos[t]] |= 1 << j
             else:
@@ -263,12 +260,12 @@ def qn_square_reference(
         checked += 1
 
     for comp in km2.components(pres, max_degree + 2 * dq):
-        ctx = km2.DerivationContext(pres, max_degree + 2 * dq, gens=comp, missing_as_zero=True)
+        ctx = km2.DerivationContext(pres, max_degree + 2 * dq, gens=comp)
         for bucket in km2.window_bases(comp, max_degree):
             for m in bucket:
                 run(ctx, m)
     rng = random.Random(km2.SQUARE_SEED)
-    ctx = km2.DerivationContext(pres, max_degree + 2 * dq, missing_as_zero=True)
+    ctx = km2.DerivationContext(pres, max_degree + 2 * dq)
     full_gens = [g for g in ctx.gens if g.degree <= max_degree]
     for _ in range(mixed_samples):
         run(ctx, km2._random_monomial(rng, ctx, full_gens, max_degree))

@@ -793,12 +793,35 @@ def test_parse_answer_rejects_unknown_generator(monkeypatch):
         with pytest.raises(cli.ConfigError, match=re.escape(words)) as info:
             cli.parse_answer(doc)
         assert str(entry) in str(info.value)
+    # names outside the registry's spelling, in a p = 3 and a p = 2 module
+    a2 = answer.closed_form(2, 1, "cohomology", 30)
+    text2 = json.dumps(cli.serialize_answer(a2, answer.poincare_answer(a2)))
+    for name, p in [
+        ("y_1 w_2", 3),  # products name sources only at p = 2
+        ("y_3 w_4", 2),  # j = 3 lies past the p = 2 special range
+        ("y_1 w_3", 2),  # the product pairs y_j with w_{n+j}
+        ("w_1/2", 3),  # w indices start at n
+        ("w_4/2", 3),  # w_2 has an even doubled index
+        ("y_01", 3),
+        ("y_0", 3),
+        ("z_0", 3),
+        ("v*", 3),
+        ("x_1", 3),
+    ]:
+        doc = json.loads(text if p == 3 else text2)
+        doc["free"][0]["generator"] = name
+        words = f"no cohomology generator is named {name!r} at p={p}, n=1"
+        with pytest.raises(cli.ConfigError, match=re.escape(words)):
+            cli.parse_answer(doc)
     # the module around the entries: a variance that is neither, a window the
-    # poincare entries do not cover, a Z_p count that is not positive, and an
-    # edited dimension or family count
+    # poincare entries do not cover, a Z_p count that is not positive, a
+    # family base no family of that order has, and an edited dimension or
+    # family count
     module_edits = [
         (lambda doc: doc.update(variance="sideways"),
          "variance must be cohomology or homology, not 'sideways'"),
+        (lambda doc: doc["torsion"][0].update(generator_degree=22),
+         "torsion entry 0: no cohomology family at p=3, n=1 has order 2 and base degree 22"),
         (lambda doc: doc.update(window=[0, 31]), "poincare entries do not cover the window [0, 31]"),
         (lambda doc: doc["zp_family"][0].update(count=-3), "Z_p family counts must be positive"),
         (lambda doc: doc["poincare"][12].update(dim=2),
@@ -811,16 +834,28 @@ def test_parse_answer_rejects_unknown_generator(monkeypatch):
         edit(doc)
         with pytest.raises(cli.ConfigError, match=re.escape(words)):
             cli.parse_answer(doc)
-    # a huge stated window is refused before any series is recomputed
+    # a huge stated window is refused before any module or series is
+    # recomputed, and so are a p that is not prime, an n below 1 and a
+    # window top below 2, which closed_form refuses with a ValueError
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("series recomputed for a window the entries do not cover")
+        raise AssertionError("module recomputed for a document the checks refuse")
 
+    monkeypatch.setattr(answer, "closed_form", forbidden)
     monkeypatch.setattr(answer, "poincare_answer", forbidden)
     doc = json.loads(text)
     doc["window"] = [0, 10**9]
     with pytest.raises(cli.ConfigError, match=re.escape("[0, 1000000000]")):
         cli.parse_answer(doc)
+    for key, value, words in [
+        ("p", 4, "p must be prime"),
+        ("n", 0, "n must be a positive integer"),
+        ("window", [0, 1], "window top 1 is below 2"),
+    ]:
+        doc = json.loads(text)
+        doc[key] = value
+        with pytest.raises(cli.ConfigError, match=re.escape(words)):
+            cli.parse_answer(doc)
     # so is a window whose bottom lies above its top, even with no entries
     doc = json.loads(text)
     doc.update(window=[31, 30], poincare=[])

@@ -214,8 +214,7 @@ def test_derivation_window_error_when_image_gen_missing():
 
 def test_p2_carry_needs_its_square_in_the_window():
     """Q_1(i2 u_1) = u_1 u_1 = z_2 in degree 10, through the kernel and
-    through mul_poly; below that window the carry is a WindowError, or is
-    dropped in a context that reads missing targets as zero."""
+    through mul_poly; below that window the carry is a WindowError."""
     pres = km2.build(2, 1)
 
     def mono(ctx, **exps):
@@ -230,8 +229,6 @@ def test_p2_carry_needs_its_square_in_the_window():
         short.qn_monomial(mono(short, i2=1, u_1=1))
     with pytest.raises(km2.WindowError):
         short.mul_poly({mono(short, u_1=1): 1}, {mono(short, u_1=1): 1})
-    dropped = km2.DerivationContext(pres, 8, missing_as_zero=True)
-    assert dropped.qn_monomial(mono(dropped, i2=1, u_1=1)) == {}
 
 
 @given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 3), hi=st.integers(2, 80))
@@ -241,22 +238,22 @@ def test_p2_carry_needs_its_square_in_the_window():
 def test_leibniz_kernel_matches_per_monomial_reference(p, n, hi):
     """_qn_block and qn_monomial, both read off the one term table, agree
     with the derivation applied one monomial at a time: on every component
-    as the square check builds it (missing targets dropped), for every
+    as the square check builds it, for every
     source degree the check reads, and on the whole generator list for the
     degrees the whole-basis reference reads."""
     pres = km2.build(p, n)
     dq = pres.qn_degree
-    cases = [(comp, hi + 2 * dq, True) for comp in km2.components(pres, hi + 2 * dq)]
-    cases.append((pres.generators(hi + dq), hi + dq, False))
-    for gens, top, missing in cases:
-        ctx = km2.DerivationContext(pres, top, gens=gens, missing_as_zero=missing)
+    cases = [(comp, hi + 2 * dq) for comp in km2.components(pres, hi + 2 * dq)]
+    cases.append((pres.generators(hi + dq), hi + dq))
+    for gens, top in cases:
+        ctx = km2.DerivationContext(pres, top, gens=gens)
         buckets = km2.window_bases(gens, top)
         for d in range(top - dq + 1):
             got = km2._qn_block(ctx, buckets[d], buckets[d + dq])
-            want = qn_block_reference(ctx, buckets[d], buckets[d + dq], missing)
+            want = qn_block_reference(ctx, buckets[d], buckets[d + dq])
             assert (got.shape, got.rows) == (want.shape, want.rows)
             for m in buckets[d]:
-                assert ctx.qn_monomial(m) == qn_monomial_reference(ctx, m, missing)
+                assert ctx.qn_monomial(m) == qn_monomial_reference(ctx, m)
 
 
 @pytest.mark.parametrize("n, hi", [(1, 80), (2, 120), (3, 120)])

@@ -101,43 +101,6 @@ def test_schedule_sources_unique_and_sorted(pn, j_max):
     assert not any(e.source.startswith("z") for e in sched)
 
 
-@given(nice_pn, st.integers(min_value=1, max_value=9), st.sampled_from(["cohomology", "homology"]))
-@settings(deadline=None)
-def test_generator_named_inverts_the_builders(pn, j_max, variance):
-    """Every name the schedule and the E2 page print resolves back to a
-    generator of the same name and degree, in its own variance only."""
-    p, n = pn
-    named = {(e.source, e.source_degree) for e in ss.schedule(p, n, j_max, variance)}
-    named |= {(e.target, e.target_degree) for e in ss.schedule(p, n, j_max, variance)}
-    named |= {
-        (f.gen.name, f.gen.degree)
-        for f in ss.e2_closed_form(p, n, variance, 200).v_free.factors
-    }
-    other = "homology" if variance == "cohomology" else "cohomology"
-    for name, degree in named:
-        gen = ss._generator_named(name, p, n, variance)
-        assert (gen.name, gen.degree) == (name, degree)
-        if name != "v":
-            assert ss._generator_named(name, p, n, other) is None
-
-
-def test_generator_named_rejects_names_outside_the_registry():
-    for name, p, n in [
-        ("y_1 w_2", 3, 1),  # products name sources only at p = 2
-        ("y_3 w_4", 2, 1),  # j = 3 lies past the p = 2 special range
-        ("y_1 w_3", 2, 1),  # the product pairs y_j with w_{n+j}
-        ("w_1/2", 3, 1),  # w indices start at n
-        ("w_4/2", 3, 1),  # w_2 has an even doubled index
-        ("y_01", 3, 1),
-        ("y_0", 3, 1),
-        ("z_0", 3, 1),
-        ("v*", 3, 1),
-        ("x_1", 3, 1),
-    ]:
-        assert ss._generator_named(name, p, n, "cohomology") is None, name
-    assert ss._generator_named("y_2 w_3", 2, 1, "cohomology").degree == 8 + 17
-
-
 @given(
     st.integers(min_value=-60, max_value=200),
     st.one_of(st.integers(min_value=1, max_value=9), st.just(ss.INF)),
