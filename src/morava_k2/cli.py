@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import groupby
+from itertools import groupby, zip_longest
 from typing import NamedTuple
 
 from . import answer, km2, numerology, ss_engine
@@ -40,7 +40,7 @@ class RunConfig(NamedTuple):
     localize: bool
 
 
-_JSON_TYPE = {int: "integer", str: "string", bool: "boolean"}
+_JSON_TYPE = {int: "integer", str: "string", bool: "boolean", list: "array", dict: "object"}
 
 _SUITES = (
     "numerology",
@@ -89,6 +89,21 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _typed(value, kind, what: str):
+    """value, which must be a JSON value of kind; a bool, though an int
+    subclass, does not pass for an integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{what} must be a JSON {_JSON_TYPE[kind]}, not {json.dumps(value)}")
+    return value
+
+
+def _field(obj: dict, key: str, kind, where: str):
+    """obj[key], present and a JSON value of kind; where names obj."""
+    if key not in obj:
+        raise ConfigError(f"{where} has no key {key!r}")
+    return _typed(obj[key], kind, f"{where} key {key!r}")
+
+
 def _check_pn(p: int, n: int) -> None:
     if p >= km2.PRIME_BOUND:
         raise ConfigError(f"p must be below {km2.PRIME_BOUND}, where the primality test is exact")
@@ -119,13 +134,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             return flag
         if key not in data:
             return default
-        value = data[key]
-        # bool is an int subclass, so True must not pass for an int
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise ConfigError(
-                f"config key {key!r} must be a JSON {_JSON_TYPE[kind]}, not {json.dumps(value)}"
-            )
-        return value
+        return _typed(data[key], kind, f"config key {key!r}")
 
     p = pick("p", 3)
     n = pick("n", 1)
@@ -165,13 +174,15 @@ def _parse_factor(entry: dict, names: dict[str, Generator], ref: answer.AnswerMo
     """One factor entry of the JSON form, its generator looked up in names,
     the generators of the closed-form module ref by name.  The kind must be
     spelled as Factor.label spells it."""
-    kind, name = entry["factor_kind"], entry["generator"]
+    where = f"factor {_typed(entry, dict, 'a factor')}"
+    kind = _field(entry, "factor_kind", str, where)
+    name = _field(entry, "generator", str, where)
     gen = names.get(name)
     if gen is None:
         raise ConfigError(
             f"no {ref.variance} generator is named {name!r} at p={ref.p}, n={ref.n}: {entry}"
         )
-    if gen.degree != entry["degree"]:
+    if gen.degree != _field(entry, "degree", int, where):
         raise ConfigError(f"{name} has degree {gen.degree}, not {entry['degree']}: {entry}")
     base, _, height = kind.partition("_")
     try:
@@ -217,13 +228,37 @@ def parse_answer(data: dict) -> answer.AnswerModule:
     """Rebuild an AnswerModule from its JSON form.
 
     The document's window is the range its poincare entries cover; the
-    module itself is computed on [0, window top].  The entries must agree
-    with poincare_answer of the rebuilt module, degree by degree and family
-    by family.
+    module itself is computed on [0, window top].  Every key must be
+    present with its JSON type.  The free factors, torsion families and
+    Z_p entries must be that module's (localized, once the document says
+    so), and the poincare entries must agree with poincare_answer of the
+    rebuilt module, degree by degree and family by family.
     """
-    p, n, variance = data["p"], data["n"], data["variance"]
-    lo, hi = data["window"]
-    poincare = data["poincare"]
+
+    def entries(key: str, fields: tuple[tuple[str, type], ...]) -> list[dict]:
+        """data[key], an array of objects each holding fields."""
+        out = _field(data, key, list, "answer")
+        for e in out:
+            _typed(e, dict, f"a {key} entry")
+            for name, kind in fields:
+                _field(e, name, kind, f"{key} entry {e}")
+        return out
+
+    _typed(data, dict, "an answer")
+    p, n = _field(data, "p", int, "answer"), _field(data, "n", int, "answer")
+    variance = _field(data, "variance", str, "answer")
+    window = _field(data, "window", list, "answer")
+    if len(window) != 2:
+        raise ConfigError(f"window must be a pair [lo, hi], not {json.dumps(window)}")
+    lo, hi = (_typed(x, int, "a window bound") for x in window)
+    localized = _field(data, "localized", bool, "answer")
+    poincare = entries("poincare", (("degree", int), ("dim", int)))
+    zp_family = entries("zp_family", (("degree", int), ("count", int)))
+    torsion = entries(
+        "torsion",
+        (("order", int), ("generator_degree", int), ("cofactor", list), ("count_in_window", int)),
+    )
+    free = _field(data, "free", list, "answer")
     # before anything is recomputed, so that a huge stated window costs
     # nothing and closed_form meets no p, n or top it refuses
     if variance not in ("cohomology", "homology"):
@@ -237,7 +272,7 @@ def parse_answer(data: dict) -> answer.AnswerModule:
         e["degree"] != d for d, e in zip(range(lo, hi + 1), poincare)
     ):
         raise ConfigError(f"poincare entries do not cover the window [{lo}, {hi}] exactly")
-    bad_zp = next((e for e in data["zp_family"] if e["count"] < 1), None)
+    bad_zp = next((e for e in zp_family if e["count"] < 1), None)
     if bad_zp is not None:
         raise ConfigError(f"Z_p family counts must be positive: {bad_zp}")
 
@@ -247,11 +282,11 @@ def parse_answer(data: dict) -> answer.AnswerModule:
     names = {x.gen.name: x.gen for e in exprs for x in e.factors}
     identity = {(f.order, f.base_degree): (f.j, f.kind) for f in ref.torsion_families}
 
-    def factors(entries: list) -> TensorExpression:
-        return TensorExpression(tuple(_parse_factor(x, names, ref) for x in entries))
+    def factors(items: list) -> TensorExpression:
+        return TensorExpression(tuple(_parse_factor(x, names, ref) for x in items))
 
     families = []
-    for i, entry in enumerate(data["torsion"]):
+    for i, entry in enumerate(torsion):
         order, base = entry["order"], entry["generator_degree"]
         if (order, base) not in identity:
             raise ConfigError(
@@ -266,11 +301,23 @@ def parse_answer(data: dict) -> answer.AnswerModule:
         n=n,
         variance=variance,
         top=hi,
-        free_part=factors(data["free"]),
+        free_part=factors(free),
         torsion_families=tuple(families),
-        zp_family=tuple((e["degree"], e["count"]) for e in data["zp_family"]),
-        localized=data["localized"],
+        zp_family=tuple((e["degree"], e["count"]) for e in zp_family),
+        localized=localized,
     )
+    # parts with no generator in the window move no poincare entry or count
+    want = answer.localize(ref) if localized else ref
+    for key, got, items in (
+        ("free", a.free_part.factors, want.free_part.factors),
+        ("torsion", a.torsion_families, want.torsion_families),
+        ("zp_family", a.zp_family, want.zp_family),
+    ):
+        if got != items:
+            i = next(i for i, (x, y) in enumerate(zip_longest(got, items)) if x != y)
+            raise ConfigError(
+                f"{key} entries disagree with the {len(items)} of the module from entry {i} on"
+            )
     series = answer.poincare_answer(a, (lo, hi))
     bad = next((e for e in poincare if e["dim"] != series.total.dim(e["degree"])), None)
     if bad is not None:
@@ -278,7 +325,7 @@ def parse_answer(data: dict) -> answer.AnswerModule:
             f"poincare entry {bad} disagrees with the module, which has dimension "
             f"{series.total.dim(bad['degree'])} there"
         )
-    for entry, count in zip(data["torsion"], series.family_counts):
+    for entry, count in zip(torsion, series.family_counts):
         if entry["count_in_window"] != count:
             raise ConfigError(
                 f"count_in_window {entry['count_in_window']} disagrees with the module, "

@@ -21,7 +21,8 @@ needs no split, is a reference that only the tests run.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
+import operator
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from . import numerology
@@ -298,8 +299,19 @@ class _LeibnizTerm(NamedTuple):
     tpos: int  # target slot, -1 when the target lies outside the context
     texp: int
     exterior: bool  # the target is exterior: once present, the term dies or carries
-    before: tuple[int, ...]  # odd slots before k: the Koszul sign
-    between: tuple[int, ...]  # odd slots strictly between k and an odd target
+    # the odd factors before k (the Koszul sign) and strictly between k and
+    # an odd target (the reordering sign), as one getter whose values sum to
+    # their count, odd slots being exterior; None where there are none
+    odd: Callable[[tuple[int, ...]], tuple[int, ...]] | None
+
+
+def _odd_getter(slots: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]] | None:
+    """The exponents at slots as a tuple (one slot is a one-wide slice)."""
+    if not slots:
+        return None
+    if len(slots) == 1:
+        return operator.itemgetter(slice(slots[0], slots[0] + 1))
+    return operator.itemgetter(*slots)
 
 
 class DerivationContext:
@@ -339,7 +351,7 @@ class DerivationContext:
             if tpos < 0:
                 # target generator outside this context: flagged when a
                 # monomial reaches the term
-                self.terms.append(_LeibnizTerm(k, -1, texp, False, (), ()))
+                self.terms.append(_LeibnizTerm(k, -1, texp, False, None))
                 continue
             between: tuple[int, ...] = ()
             if tpos in odd:
@@ -348,7 +360,7 @@ class DerivationContext:
                 between = tuple(t for t in odd if k < t < tpos)
             before = tuple(t for t in odd if t < k)
             exterior = self.gens[tpos].exp_kind == "E"
-            self.terms.append(_LeibnizTerm(k, tpos, texp, exterior, before, between))
+            self.terms.append(_LeibnizTerm(k, tpos, texp, exterior, _odd_getter(before + between)))
 
     def degree(self, exps: tuple[int, ...]) -> int:
         return sum(e * g.degree for e, g in zip(exps, self.gens))
@@ -372,7 +384,7 @@ class DerivationContext:
         already present dies, or at p = 2 carries into its square.
         """
         p = self.p
-        for k, tpos, texp, exterior, before, between in self.terms:
+        for k, tpos, texp, exterior, odd in self.terms:
             if tpos < 0:
                 if any(m[k] % p for m in bucket):
                     raise WindowError(
@@ -380,16 +392,18 @@ class DerivationContext:
                         f"{self.max_degree}"
                     )
                 continue
+            square = self.square.get(tpos)  # None at odd p, where an exterior square is 0
             for j, m in enumerate(bucket):
                 c = m[k] % p
                 if not c:
                     continue
                 carry = -1
                 if exterior and m[tpos] + texp > 1:
-                    carry = self._square_slot(tpos)
-                    if carry < 0:
+                    if square is None:
                         continue
-                if p != 2 and (sum(m[t] for t in before) + sum(1 for t in between if m[t])) % 2:
+                    # -1: the square lies outside the context, a WindowError
+                    carry = square if square >= 0 else self._square_slot(tpos)
+                if odd is not None and sum(odd(m)) % 2:
                     c = p - c
                 t = list(m)
                 t[k] -= 1
@@ -399,10 +413,6 @@ class DerivationContext:
                     t[tpos] += texp - 2
                     t[carry] += 1
                 yield j, tuple(t), c
-
-    def qn_monomial(self, exps: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """Q_n of one monomial as {target: coefficient}: the one-column case."""
-        return {t: c for _j, t, c in self.leibniz_terms([exps])}
 
     def qn_poly(self, poly: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
         """Q_n of a polynomial: its monomials go through the kernel as one bucket."""
@@ -795,16 +805,72 @@ def _poly_add(
     return out
 
 
-def _random_monomial(rng, ctx: DerivationContext, gens: list[PresGenerator], room: int) -> tuple[int, ...]:
-    exps = [0] * len(ctx.gens)
-    for g in rng.sample(gens, len(gens)):
-        cap = room // g.degree
-        if g.exp_kind == "E":
-            cap = min(cap, 1)
-        e = rng.randint(0, cap)
-        exps[ctx.index[g.name]] = e
-        room -= e * g.degree
-    return tuple(exps)
+def _draw_monomials(
+    rng, ctx: DerivationContext, gens: list[PresGenerator], room: int, count: int
+) -> list[tuple[int, ...]]:
+    """count seeded monomials of degree <= room over gens, in ctx's slots.
+
+    For each, rng.sample(gens, len(gens)) orders the generators and
+    rng.randint(0, cap) then draws each exponent, cap being the most the
+    room left allows (at most 1 for an exterior generator).  Both are
+    replayed straight from rng.getrandbits, so the sequence is theirs:
+    sample's pool algorithm, which a full-length sample always takes, and
+    the rejection loop of _randbelow, which draws w.bit_length() bits until
+    the value falls below w.  Each generator's slot, degree and exterior
+    flag are read once.
+    """
+    getrandbits = rng.getrandbits
+    table = [(ctx.index[g.name], g.degree, g.exp_kind == "E") for g in gens]
+    widths = [(w, w.bit_length()) for w in range(len(table), 0, -1)]
+    out = []
+    for _ in range(count):
+        pool = table[:]
+        order = []
+        for w, bits in widths:
+            j = getrandbits(bits)
+            while j >= w:
+                j = getrandbits(bits)
+            order.append(pool[j])
+            pool[j] = pool[w - 1]
+        exps = [0] * len(ctx.gens)
+        left = room
+        for slot, degree, exterior in order:
+            w = left // degree + 1
+            if exterior and w > 2:
+                w = 2
+            bits = w.bit_length()
+            e = getrandbits(bits)
+            while e >= w:
+                e = getrandbits(bits)
+            exps[slot] = e
+            left -= e * degree
+        out.append(tuple(exps))
+    return out
+
+
+def _square_failures(ctx: DerivationContext, bucket: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The monomials of bucket on which Q_n∘Q_n is nonzero, in bucket order.
+
+    The bucket goes through the kernel once and the distinct targets it
+    reaches once more; each column's composed image is summed mod p.
+    """
+    p = ctx.p
+    pos: dict[tuple[int, ...], int] = {}
+    first: list[list[tuple[int, int]]] = [[] for _ in bucket]
+    for j, t, c in ctx.leibniz_terms(bucket):
+        first[j].append((pos.setdefault(t, len(pos)), c))
+    second: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in pos]
+    for i, t, c in ctx.leibniz_terms(list(pos)):
+        second[i].append((t, c))
+    failures = []
+    for m, terms in zip(bucket, first):
+        image: dict[tuple[int, ...], int] = {}
+        for i, c in terms:
+            for t, c2 in second[i]:
+                image[t] = (image.get(t, 0) + c * c2) % p
+        if any(image.values()):
+            failures.append(m)
+    return failures
 
 
 SQUARE_SEED = 0  # the seed of the mixed samples of qn_square_check
@@ -822,24 +888,21 @@ def qn_square_check(
     them and stores the trivial series that qn_homology reads; the check
     itself never reads that memo.  Products across components satisfy the
     identity once each factor does (the cross terms of a derivation square
-    cancel), but seeded random mixed monomials are pushed through the code
-    path as well, one at a time.  Returns (monomials checked, failures).
+    cancel), but seeded random mixed monomials over all generators are
+    pushed through the kernel as well, as one bucket, and their failures
+    follow the sweep's in draw order.  Returns (monomials checked,
+    failures).
     """
     import random
 
     pres = build(p, n)
     dq = pres.qn_degree
     checked, failures = _qn_sweep(pres, max_degree)
-    rng = random.Random(SQUARE_SEED)
     ctx = DerivationContext(pres, max_degree + 2 * dq)
     full_gens = [g for g in ctx.gens if g.degree <= max_degree]
-    for _ in range(mixed_samples):
-        m = _random_monomial(rng, ctx, full_gens, max_degree)
-        q1 = ctx.qn_monomial(m)
-        if q1 and ctx.qn_poly(q1):
-            failures.append(m)
-        checked += 1
-    return checked, failures
+    samples = _draw_monomials(random.Random(SQUARE_SEED), ctx, full_gens, max_degree, mixed_samples)
+    failures += _square_failures(ctx, samples)
+    return checked + len(samples), failures
 
 
 def w_elements(p: int, n: int, max_degree: int) -> tuple[WFactory, list[WElement]]:

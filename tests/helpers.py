@@ -3,9 +3,11 @@ schoolbook Poincare fold, the Q_n matrix on the full monomial basis, the
 trivial Q_n-homology ranked on the whole basis at once, the E[Q_n] split
 invariant of a report, the degree of u_i, monomial names, the derivation
 one monomial at a time (at p = 2 over polynomial u_i, through the basis
-bijection), the Q_n-square sweep one monomial at a time, the brute-force
-sweep over the whole E2 lattice at once, the brute-force folds all cut at
-one limit, and the answer's Poincare series one tower class at a time.
+bijection), the kernel's one-column case, the seeded mixed samples drawn
+by the stdlib calls, the Q_n-square sweep one monomial at a time, the
+brute-force sweep over the whole E2 lattice at once, the brute-force folds
+all cut at one limit, and the answer's Poincare series one tower class at
+a time.
 """
 
 import random
@@ -241,12 +243,35 @@ def check_invariant(rep: km2.QnHomologyReport) -> bool:
     return True
 
 
+def qn_monomial(ctx: km2.DerivationContext, exps: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Q_n of one monomial as {target: coefficient}: the kernel's one-column case."""
+    return {t: c for _j, t, c in ctx.leibniz_terms([exps])}
+
+
+def random_monomial(
+    rng: random.Random, ctx: km2.DerivationContext, gens: list[km2.PresGenerator], room: int
+) -> tuple[int, ...]:
+    """One seeded monomial of degree <= room over gens, from the stdlib
+    calls themselves: rng.sample orders the generators, then rng.randint
+    draws each exponent within the room left."""
+    exps = [0] * len(ctx.gens)
+    for g in rng.sample(gens, len(gens)):
+        cap = room // g.degree
+        if g.exp_kind == "E":
+            cap = min(cap, 1)
+        e = rng.randint(0, cap)
+        exps[ctx.index[g.name]] = e
+        room -= e * g.degree
+    return tuple(exps)
+
+
 def qn_square_reference(
     p: int, n: int, max_degree: int, mixed_samples: int = 2000
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """km2.qn_square_check with every swept monomial pushed through the
-    derivation on its own: Q_n of the monomial, then Q_n of that polynomial.
-    Same monomials, same order, same (checked, failures)."""
+    """km2.qn_square_check with every swept and every sampled monomial
+    pushed through the derivation on its own: Q_n of the monomial, then Q_n
+    of that polynomial, the samples drawn by random_monomial.  Same
+    monomials, same order, same (checked, failures)."""
     pres = km2.build(p, n)
     dq = pres.qn_degree
     checked = 0
@@ -254,7 +279,7 @@ def qn_square_reference(
 
     def run(ctx: km2.DerivationContext, m: tuple[int, ...]) -> None:
         nonlocal checked
-        q1 = ctx.qn_monomial(m)
+        q1 = qn_monomial(ctx, m)
         if q1 and ctx.qn_poly(q1):
             failures.append(m)
         checked += 1
@@ -268,7 +293,7 @@ def qn_square_reference(
     ctx = km2.DerivationContext(pres, max_degree + 2 * dq)
     full_gens = [g for g in ctx.gens if g.degree <= max_degree]
     for _ in range(mixed_samples):
-        run(ctx, km2._random_monomial(rng, ctx, full_gens, max_degree))
+        run(ctx, random_monomial(rng, ctx, full_gens, max_degree))
     return checked, failures
 
 

@@ -114,6 +114,18 @@ STDOUT_SHA256 = {
         "cbe2e5f212b504a7db7173e6851d78649d301aef4553f181ee79eaf8d1786354",
     ("verify", 2, 2, "homology", 100):
         "c518beb51586e4946f50b249e0ccbd6feacb2bb65cebe390bc2c4ccce2391bd6",
+    # the five perfbench `verify` jobs, whose reference holds only the
+    # PASS-line count
+    ("verify", 3, 1, "cohomology", 400):
+        "37313a9b25aba9cd65f5e176ad32adced8b475a45eb2d3c7b9a117cf7c72766f",
+    ("verify", 5, 1, "homology", 400):
+        "ab971039c42c776a497c7294501ae87adfe27d5e01b06efc0d18484913a711c9",
+    ("verify", 2, 1, "cohomology", 300):
+        "a42d5697a1014bcb66041402bc2afe1a5126f9513532d1a03dfcd4a9cf5598f6",
+    ("verify", 3, 2, "cohomology", 300):
+        "237c8fc835e0276c918fcc038408336522f466af16be5b6fa840e27ecd27906a",
+    ("verify", 2, 2, "cohomology", 200):
+        "65a452d2eaa494ba37249a3e96b065a91a29d7c78491350a692db9d9bd1f0809",
     ("table", 3, 1, "cohomology", 40):
         "227b3ace6816fa2b82114f6c5c261c263f9a9581549c4b226e4b86b6ee7b0d13",
     ("table", 2, 2, "cohomology", 90):
@@ -834,6 +846,51 @@ def test_parse_answer_rejects_unknown_generator(monkeypatch):
         edit(doc)
         with pytest.raises(cli.ConfigError, match=re.escape(words)):
             cli.parse_answer(doc)
+    # the order-8 family has no generator in the window, so neither a second
+    # copy of it nor its loss moves a poincare entry or a count; nor does a
+    # Z_p entry above the window top or a second P[v].  Each part must be
+    # the module's
+    assert [(f["order"], f["count_in_window"]) for f in json.loads(text)["torsion"]][2] == (8, 0)
+    for edit, words in [
+        (lambda doc: doc["torsion"].append(dict(doc["torsion"][2])),
+         "torsion entries disagree with the 3 of the module from entry 3 on"),
+        (lambda doc: doc["torsion"].pop(2),
+         "torsion entries disagree with the 3 of the module from entry 2 on"),
+        (lambda doc: doc["torsion"].insert(0, doc["torsion"].pop(2)),
+         "torsion entries disagree with the 3 of the module from entry 0 on"),
+        (lambda doc: doc["zp_family"].append({"degree": 45, "count": 1}),
+         "zp_family entries disagree with the 23 of the module from entry 23 on"),
+        (lambda doc: doc["free"].append(dict(doc["free"][0])),
+         "free entries disagree with the 1 of the module from entry 1 on"),
+        # a localized module has no family
+        (lambda doc: doc.update(localized=True),
+         "torsion entries disagree with the 0 of the module from entry 0 on"),
+    ]:
+        doc = json.loads(text)
+        edit(doc)
+        with pytest.raises(cli.ConfigError, match=re.escape(words)):
+            cli.parse_answer(doc)
+    # a key missing or of the wrong JSON type is a ConfigError, not a KeyError
+    # or TypeError
+    for edit, words in [
+        (lambda doc: doc.update(p="3"), "answer key 'p' must be a JSON integer, not \"3\""),
+        (lambda doc: doc.pop("n"), "answer has no key 'n'"),
+        (lambda doc: doc.update(window=[0, 15, 30]), "window must be a pair [lo, hi], not [0, 15, 30]"),
+        (lambda doc: doc.update(window=30), "answer key 'window' must be a JSON array, not 30"),
+        (lambda doc: doc.update(window=[0, 30.0]), "a window bound must be a JSON integer, not 30.0"),
+        (lambda doc: doc.update(localized=0), "answer key 'localized' must be a JSON boolean, not 0"),
+        (lambda doc: doc["poincare"][3].pop("dim"), "poincare entry {'degree': 3} has no key 'dim'"),
+        (lambda doc: doc["zp_family"].append(7), "a zp_family entry must be a JSON object, not 7"),
+        (lambda doc: doc["torsion"][1].update(order=True), "key 'order' must be a JSON integer, not true"),
+        (lambda doc: doc["free"][0].update(degree="-4"), "key 'degree' must be a JSON integer, not \"-4\""),
+        (lambda doc: doc["free"].append([]), "a factor must be a JSON object, not []"),
+    ]:
+        doc = json.loads(text)
+        edit(doc)
+        with pytest.raises(cli.ConfigError, match=re.escape(words)):
+            cli.parse_answer(doc)
+    with pytest.raises(cli.ConfigError, match="an answer must be a JSON object"):
+        cli.parse_answer([])
     # a huge stated window is refused before any module or series is
     # recomputed, and so are a p that is not prime, an n below 1 and a
     # window top below 2, which closed_form refuses with a ValueError

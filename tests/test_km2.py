@@ -6,8 +6,10 @@ factorization) agreeing before freezing.
 """
 
 import contextlib
+import functools
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,8 +25,10 @@ from helpers import (
     polynomial_qn_p2,
     qn_block_reference,
     qn_matrix,
+    qn_monomial,
     qn_monomial_reference,
     qn_square_reference,
+    random_monomial,
     render,
     transpose,
     whole_basis_trivial,
@@ -191,7 +195,7 @@ def test_derivation_reorder_sign():
     exps = [0] * len(ctx.gens)
     exps[i2] = 1
     exps[u0] = 1
-    out = ctx.qn_monomial(tuple(exps))
+    out = qn_monomial(ctx, tuple(exps))
     e1 = [0] * len(ctx.gens)
     e1[u0] = 1
     e1[u1] = 1
@@ -206,7 +210,7 @@ def test_derivation_window_error_when_image_gen_missing():
     ctx = km2.DerivationContext(pres, 4)
     exps = tuple(1 if g.name == "i2" else 0 for g in ctx.gens)
     with pytest.raises(km2.WindowError):
-        ctx.qn_monomial(exps)
+        qn_monomial(ctx, exps)
     # a block raises it too, before any target is looked up
     with pytest.raises(km2.WindowError):
         km2._qn_block(ctx, [exps], [])
@@ -221,12 +225,12 @@ def test_p2_carry_needs_its_square_in_the_window():
         return tuple(exps.get(g.name, 0) for g in ctx.gens)
 
     ctx = km2.DerivationContext(pres, 10)
-    assert ctx.qn_monomial(mono(ctx, i2=1, u_1=1)) == {mono(ctx, z_2=1): 1}
+    assert qn_monomial(ctx, mono(ctx, i2=1, u_1=1)) == {mono(ctx, z_2=1): 1}
     u1 = {mono(ctx, u_1=1): 1}
     assert ctx.mul_poly(u1, u1) == {mono(ctx, z_2=1): 1}
     short = km2.DerivationContext(pres, 8)
     with pytest.raises(km2.WindowError):
-        short.qn_monomial(mono(short, i2=1, u_1=1))
+        qn_monomial(short, mono(short, i2=1, u_1=1))
     with pytest.raises(km2.WindowError):
         short.mul_poly({mono(short, u_1=1): 1}, {mono(short, u_1=1): 1})
 
@@ -253,7 +257,7 @@ def test_leibniz_kernel_matches_per_monomial_reference(p, n, hi):
             want = qn_block_reference(ctx, buckets[d], buckets[d + dq])
             assert (got.shape, got.rows) == (want.shape, want.rows)
             for m in buckets[d]:
-                assert ctx.qn_monomial(m) == qn_monomial_reference(ctx, m)
+                assert qn_monomial(ctx, m) == qn_monomial_reference(ctx, m)
 
 
 @pytest.mark.parametrize("n, hi", [(1, 80), (2, 120), (3, 120)])
@@ -269,7 +273,7 @@ def test_p2_basis_rewrites_the_polynomial_basis(n, hi):
         assert ctx.degree(exps) == deg, mono
         images.append(exps)
         want = {from_polynomial_basis(ctx, dict(t)): 1 for t in polynomial_qn_p2(n, mono)}
-        assert ctx.qn_monomial(exps) == want, mono
+        assert qn_monomial(ctx, exps) == want, mono
     basis = [m for bucket in km2.window_bases(ctx.gens, hi) for m in bucket]
     assert sorted(images) == sorted(basis)
 
@@ -298,10 +302,11 @@ SQUARE_WINDOWS = [(2, 1, 60), (3, 1, 60), (2, 2, 60), (3, 2, 80), (5, 1, 80)]
 PLANTED_FAILURES = {(2, 1, 60): 3, (3, 1, 60): 40, (2, 2, 60): 3, (3, 2, 80): 60, (5, 1, 80): 30}
 
 
-def _drop_first_term_at_cube(monkeypatch):
+def _drop_first_term_at_cube(monkeypatch, only=lambda ctx, m: True):
     """Plant a derivation defect in the one Leibniz kernel: on a monomial
-    whose first exponent is 3, Q_n loses the term of its lowest generator.
-    Every surviving term keeps its degree, so only Q_n∘Q_n can see it."""
+    whose first exponent is 3 (and, if given, that only(ctx, m) accepts),
+    Q_n loses the term of its lowest generator.  Every surviving term keeps
+    its degree, so only Q_n∘Q_n can see it."""
     real = km2.DerivationContext.leibniz_terms
 
     def planted(self, bucket):
@@ -309,13 +314,24 @@ def _drop_first_term_at_cube(monkeypatch):
         hit = set()
         for j, t, c in real(self, bucket):
             m = bucket[j]
-            if m and m[0] == 3 and j not in hit:
+            if m and m[0] == 3 and j not in hit and only(self, m):
                 hit.add(j)
                 continue
             out.append((j, t, c))
         return out
 
     monkeypatch.setattr(km2.DerivationContext, "leibniz_terms", planted)
+
+
+@functools.cache
+def _component_index(pres, max_degree):
+    """{generator name: index of its Q_n-coupled component} on [0, max_degree]."""
+    return {g.name: i for i, c in enumerate(km2.components(pres, max_degree)) for g in c}
+
+
+def _meets_two_components(ctx, m):
+    index = _component_index(ctx.pres, ctx.max_degree)
+    return len({index[g.name] for e, g in zip(m, ctx.gens) if e}) > 1
 
 
 @pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
@@ -357,8 +373,57 @@ def test_sweep_matches_the_references(p, n, top):
         mp.setattr(km2, "_TRIVIAL_MEMO", {})
         assert km2.qn_square_check(p, n, top, 50) == qn_square_reference(p, n, top, 50)
         assert list(km2._TRIVIAL_MEMO[p, n, top]) == whole_basis_trivial(p, n, top)
+    # under the cube plant the batched failure list is the per-sample one
+    with _fresh_memo() as mp:
+        _drop_first_term_at_cube(mp)
+        assert km2.qn_square_check(p, n, top, 50) == qn_square_reference(p, n, top, 50)
     wide = [[g for g in c if g.degree <= top + dq] for c in km2.components(pres, top + 2 * dq)]
     assert [c for c in wide if c] == km2.components(pres, top + dq)
+
+
+# the five perfbench `verify` windows
+VERIFY_WINDOWS = [(3, 1, 400), (5, 1, 400), (2, 1, 300), (3, 2, 300), (2, 2, 200)]
+
+
+@pytest.mark.parametrize("p, n, hi", VERIFY_WINDOWS + SQUARE_WINDOWS)
+def test_mixed_draws_replay_the_stdlib_sequence(p, n, hi):
+    """_draw_monomials, straight from getrandbits, draws what rng.sample
+    and rng.randint draw, 2000 monomials in a row from the check's seed."""
+    pres = km2.build(p, n)
+    ctx = km2.DerivationContext(pres, hi + 2 * pres.qn_degree)
+    gens = [g for g in ctx.gens if g.degree <= hi]
+    got = km2._draw_monomials(random.Random(km2.SQUARE_SEED), ctx, gens, hi, 2000)
+    rng = random.Random(km2.SQUARE_SEED)
+    assert got == [random_monomial(rng, ctx, gens, hi) for _ in range(2000)]
+
+
+# failures the cube plant leaves when it reaches only monomials whose support
+# meets two components.  The sweep, one component per context, never meets
+# one.  The plant does not reach p = 2 either: a Leibniz term keeps the
+# components a monomial meets, so both pushes are planted, and at p = 2 the
+# first term of i2^3 x is always i2's (a u_n already present carries, it
+# does not kill the term), so what is left is i2^3 Q_n(Q_n(x)) = 0.
+SPREAD_PLANT_FAILURES = {(2, 1, 60): 0, (3, 1, 60): 13, (2, 2, 60): 0, (3, 2, 80): 11, (5, 1, 80): 8}
+
+
+@pytest.mark.parametrize("p, n, hi", SQUARE_WINDOWS)
+def test_a_plant_only_the_mixed_samples_see(p, n, hi):
+    """The sweep alone passes; 500 mixed samples see the plant, failure for
+    failure as when each is pushed on its own."""
+    with _fresh_memo((p, n, hi)) as mp:
+        _drop_first_term_at_cube(mp, only=_meets_two_components)
+        assert km2.qn_square_check(p, n, hi, 0)[1] == []
+        checked, failures = km2.qn_square_check(p, n, hi, 500)
+        assert (checked, failures) == qn_square_reference(p, n, hi, 500)
+        assert len(failures) == SPREAD_PLANT_FAILURES[p, n, hi]
+
+
+def test_verify_qn_fails_on_a_plant_only_the_mixed_samples_see(capsys):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km2, "_TRIVIAL_MEMO", {})
+        _drop_first_term_at_cube(mp, only=_meets_two_components)
+        assert cli.main(["verify", "--p", "3", "--n", "1", "--max-degree", "400", "--suite", "qn"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL\tqn")
 
 
 @given(
