@@ -26,13 +26,12 @@ family's towers start on the dual of its differential's source.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import accumulate
 from operator import add, sub
-from typing import NamedTuple
 
 from . import km2, numerology, ss_engine
-from .graded_algebra import PoincareSeries, TensorExpression, replace
+from .graded_algebra import PoincareSeries, replace
 from .km2 import WindowError
 from .ss_engine import (
     INF,
@@ -45,18 +44,18 @@ from .ss_engine import (
     v_degree,
 )
 
-class _AnswerModuleFields(NamedTuple):
-    p: int
-    n: int
-    variance: str
-    top: int
-    free_part: TensorExpression
-    torsion_families: tuple[TorsionFamily, ...]
-    zp_family: tuple[tuple[int, int], ...]
-    localized: bool = False
 
+class AnswerModule(
+    namedtuple(
+        "AnswerModule",
+        "p n variance top free_part torsion_families zp_family localized",
+        defaults=(False,),
+    )
+):
+    """The module on [0, top]: free_part a TensorExpression, torsion_families
+    a tuple of TorsionFamily whose orders the schedule fixes, zp_family
+    (degree, count) pairs."""
 
-class AnswerModule(_AnswerModuleFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -117,12 +116,12 @@ def to_page(a: AnswerModule) -> Page:
     )
 
 
-class AnswerSeries(NamedTuple):
-    """The module's dimensions on a window [lo, hi] (total's window), and
-    each torsion family's generator count on [0, module top]."""
+class AnswerSeries(namedtuple("AnswerSeries", "total family_counts")):
+    """The module's dimensions on a window [lo, hi] (total, a
+    PoincareSeries), and each torsion family's generator count on
+    [0, module top]."""
 
-    total: PoincareSeries
-    family_counts: tuple[int, ...]
+    __slots__ = ()
 
 
 def _add_shifted(dims: list[int], lo: int, series: PoincareSeries, shift: int, op) -> None:

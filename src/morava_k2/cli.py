@@ -8,16 +8,19 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 _FOLD_WORK_CAP or _SWEEP_CAP), 3 internal consistency failure (any other ValueError,
 RuntimeError or AssertionError from inside the package), 141 (128 + SIGPIPE)
 stdout closed by its reader before the output was written.
+
+json is imported only where JSON is read or written (--config, --format
+json and two error messages), so that verify, table and a text or tsv
+compute do not pay for loading it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections import namedtuple
 from itertools import groupby, zip_longest
-from typing import NamedTuple
 
 from . import answer, km2, numerology, ss_engine
 from .graded_algebra import GAMMA, GAMMA_TRUNC, Factor, Generator, TensorExpression
@@ -27,17 +30,10 @@ class ConfigError(ValueError):
     pass
 
 
-class RunConfig(NamedTuple):
-    command: str
-    p: int
-    n: int
-    variance: str
-    lo: int
-    hi: int
-    j_max: int
-    fmt: str
-    suite: str
-    localize: bool
+class RunConfig(
+    namedtuple("RunConfig", "command p n variance lo hi j_max fmt suite localize")
+):
+    __slots__ = ()
 
 
 _JSON_TYPE = {int: "integer", str: "string", bool: "boolean", list: "array", dict: "object"}
@@ -93,6 +89,8 @@ def _typed(value, kind, what: str):
     """value, which must be a JSON value of kind; a bool, though an int
     subclass, does not pass for an integer."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        import json
+
         raise ConfigError(f"{what} must be a JSON {_JSON_TYPE[kind]}, not {json.dumps(value)}")
     return value
 
@@ -117,6 +115,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     keys = _COMMAND_OPTIONS[args.command]
     data = {}
     if args.config:
+        import json
+
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
@@ -249,6 +249,8 @@ def parse_answer(data: dict) -> answer.AnswerModule:
     variance = _field(data, "variance", str, "answer")
     window = _field(data, "window", list, "answer")
     if len(window) != 2:
+        import json
+
         raise ConfigError(f"window must be a pair [lo, hi], not {json.dumps(window)}")
     lo, hi = (_typed(x, int, "a window bound") for x in window)
     localized = _field(data, "localized", bool, "answer")
@@ -347,6 +349,8 @@ def cmd_compute(cfg: RunConfig, out) -> int:
         print("internal consistency failure: series readers disagree", file=sys.stderr)
         return 3
     if cfg.fmt == "json":
+        import json
+
         print(json.dumps(serialize_answer(a, series)), file=out)
     elif cfg.fmt == "tsv":
         print("degree\tdim", file=out)

@@ -13,8 +13,8 @@ cohomology page, whose v has negative degree, is stripped first.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from operator import sub
-from typing import NamedTuple
 
 P = "P"
 E = "E"
@@ -34,13 +34,7 @@ def replace(record, **changes):
     return type(record)(**{**record._asdict(), **changes})
 
 
-class _GeneratorFields(NamedTuple):
-    id: int
-    name: str
-    degree: int
-
-
-class Generator(_GeneratorFields):
+class Generator(namedtuple("Generator", "id name degree")):
     """A named generator of nonzero degree; id gives the canonical sort order."""
 
     __slots__ = ()
@@ -52,14 +46,9 @@ class Generator(_GeneratorFields):
         return self
 
 
-class _FactorFields(NamedTuple):
-    kind: str
-    gen: Generator
-    height: int | None = None
-
-
-class Factor(_FactorFields):
-    """One tensor factor: a generator with an exponent-range kind.
+class Factor(namedtuple("Factor", "kind gen height", defaults=(None,))):
+    """One tensor factor: a generator with an exponent-range kind, and a
+    height (an int) for the truncated kinds only.
 
     kind P allows any exponent >= 0, E only 0..1, TP(height h) 0..h-1, with
     the barred variants dropping exponent 0.  Gamma is the divided power
@@ -98,14 +87,8 @@ class Factor(_FactorFields):
         return f"{kind}{height}[{self.gen.name}]"
 
 
-class _PoincareSeriesFields(NamedTuple):
-    lo: int
-    hi: int
-    dims: tuple[int, ...]
-
-
-class PoincareSeries(_PoincareSeriesFields):
-    """Per-degree dimensions over a closed window [lo, hi]."""
+class PoincareSeries(namedtuple("PoincareSeries", "lo hi dims")):
+    """Per-degree dimensions over a closed window [lo, hi], dims a tuple."""
 
     __slots__ = ()
 
@@ -150,8 +133,10 @@ def _times_exponent_range(dims: list[int], d: int, exps: range) -> list[int]:
     return list(map(sub, out, [0] * b + s[: n - b]))
 
 
-class TensorExpression(NamedTuple):
-    factors: tuple[Factor, ...]
+class TensorExpression(namedtuple("TensorExpression", "factors")):
+    """An ordered tuple of Factors."""
+
+    __slots__ = ()
 
     def label(self) -> str:
         if not self.factors:

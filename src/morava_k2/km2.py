@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import namedtuple
 from collections.abc import Callable, Iterator
-from typing import NamedTuple
 
 from . import numerology
 from .graded_algebra import PoincareSeries
@@ -189,12 +189,12 @@ def nullspace_modp(a: Matrix, p: int) -> Matrix:
 # presentation
 
 
-class PresGenerator(NamedTuple):
-    name: str
-    degree: int
-    exp_kind: str  # "P" unbounded exponent, "E" exponent at most 1
-    family: str  # "i2", "z" or "u"
-    index: int
+class PresGenerator(namedtuple("PresGenerator", "name degree exp_kind family index")):
+    """One generator of the presentation: exp_kind "P" for an unbounded
+    exponent, "E" for an exponent at most 1; family "i2", "z" or "u", with
+    index its subscript."""
+
+    __slots__ = ()
 
 
 # Miller-Rabin over the first thirteen primes as bases is exact below
@@ -230,7 +230,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class Presentation(NamedTuple):
+class Presentation(namedtuple("Presentation", "p n variance")):
     """Generators and Q_n images for H*K(Z_p, 2) (or its homology dual).
 
     The homology variant has the same per-degree dimensions (graded dual)
@@ -239,9 +239,7 @@ class Presentation(NamedTuple):
     variance tag differs.
     """
 
-    p: int
-    n: int
-    variance: str
+    __slots__ = ()
 
     @property
     def qn_degree(self) -> int:
@@ -292,17 +290,18 @@ def build(p: int, n: int, variance: str = "cohomology") -> Presentation:
 # the derivation on monomials
 
 
-class _LeibnizTerm(NamedTuple):
-    """The Leibniz term of one generator k with a Q_n image x_t^texp."""
+class _LeibnizTerm(namedtuple("_LeibnizTerm", "k tpos texp exterior odd")):
+    """The Leibniz term of one generator k with a Q_n image x_t^texp.
 
-    k: int
-    tpos: int  # target slot, -1 when the target lies outside the context
-    texp: int
-    exterior: bool  # the target is exterior: once present, the term dies or carries
-    # the odd factors before k (the Koszul sign) and strictly between k and
-    # an odd target (the reordering sign), as one getter whose values sum to
-    # their count, odd slots being exterior; None where there are none
-    odd: Callable[[tuple[int, ...]], tuple[int, ...]] | None
+    tpos is the target slot, -1 when the target lies outside the context;
+    exterior says the target is exterior, so that once present the term
+    dies or carries.  odd reads the odd factors before k (the Koszul sign)
+    and strictly between k and an odd target (the reordering sign) as one
+    getter whose values sum to their count, odd slots being exterior; it is
+    None where there are none.
+    """
+
+    __slots__ = ()
 
 
 def _odd_getter(slots: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]] | None:
@@ -493,13 +492,36 @@ def each_monomial(degrees: list[int], caps: list[int], hi: int, emit) -> None:
         emit(tuple(exps), 0)
     else:
         rec(0, 0)
+    # rec refers to itself: without this the cycle, and emit with whatever
+    # it holds, would wait for the garbage collector
+    del rec
 
 
 def window_bases(gens: list[PresGenerator], hi: int) -> list[list[tuple[int, ...]]]:
     """Monomial bases for every degree 0..hi, in deterministic order."""
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(hi + 1)]
+    bases = degree_bases(gens, hi)
+    return [bases.get(d, []) for d in range(hi + 1)]
+
+
+def degree_bases(
+    gens: list[PresGenerator], hi: int, keep: Callable[[int], bool] | None = None
+) -> dict[int, list[tuple[int, ...]]]:
+    """The nonempty monomial bases of the degrees 0..hi that keep accepts
+    (all of them without keep), keyed by degree, each in window_bases'
+    order.  Every monomial of degree <= hi is enumerated, but one of a
+    refused degree is dropped at once, and that degree gets no list."""
+    buckets: dict[int, list[tuple[int, ...]]] = {}
     caps = [1 if g.exp_kind == "E" else hi for g in gens]
-    each_monomial([g.degree for g in gens], caps, hi, lambda m, d: buckets[d].append(m))
+
+    def emit(m: tuple[int, ...], d: int) -> None:
+        bucket = buckets.get(d)
+        if bucket is None:
+            if keep is not None and not keep(d):
+                return
+            bucket = buckets[d] = []
+        bucket.append(m)
+
+    each_monomial([g.degree for g in gens], caps, hi, emit)
     return buckets
 
 
@@ -556,25 +578,29 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
     return sorted(groups.values(), key=lambda c: min(g.degree for g in c))
 
 
-def _sweep_component(ctx: DerivationContext, buckets, top: int, failures: list) -> list[int]:
-    """Ranks of the component's Q_n blocks out of degrees 0..top, with the
-    monomials of degree <= top on which Q_n∘Q_n is nonzero appended to
-    failures in bucket order.
+def _sweep_component(ctx: DerivationContext, top: int, failures: list) -> tuple[int, list[int]]:
+    """The number of the component's monomials of degree <= top and its
+    trivial Q_n-homology dims on [0, top], with the monomials on which
+    Q_n∘Q_n is nonzero appended to failures in bucket order.
 
-    Each block is built once: block d is ranked, and when it is nonzero
-    the block out of d + dq is built, multiplied onto it and held until its
-    own turn.  A degree whose source or target bucket is empty is skipped.
+    Only the bases of the degrees read, d, d + dq and d + 2dq for d in
+    [0, top], are kept: as top + 2dq < 3dq unless every degree is read,
+    they are the degrees whose remainder mod dq is at most top.  Each block
+    is built once: block d is ranked, and when it is nonzero the block out
+    of d + dq is built, multiplied onto it and held until its own turn.  A
+    degree whose source or target bucket is empty is skipped.
     """
     p, dq = ctx.p, ctx.pres.qn_degree
+    buckets = degree_bases(ctx.gens, top + 2 * dq, lambda d: d % dq <= top)
     ranks = [0] * (top + 1)
     ahead: dict[int, Matrix] = {}
     for d in range(top + 1):
-        src, tgt = buckets[d], buckets[d + dq]
+        src, tgt = buckets.get(d), buckets.get(d + dq)
         if not src or not tgt:
             continue
         first = ahead.pop(d, None) or _qn_block(ctx, src, tgt)
         ranks[d] = rank_modp(first, p)
-        if not ranks[d] or not buckets[d + 2 * dq]:
+        if not ranks[d] or d + 2 * dq not in buckets:
             continue
         second = _qn_block(ctx, tgt, buckets[d + 2 * dq])
         if d + dq <= top:
@@ -585,7 +611,11 @@ def _sweep_component(ctx: DerivationContext, buckets, top: int, failures: list) 
             failures += (m for j, m in enumerate(src) if bad >> j & 1)
         else:
             failures += (m for j, m in enumerate(src) if any(r[j] for r in square.rows))
-    return ranks
+    dims = [
+        len(buckets.get(d, ())) - ranks[d] - (ranks[d - dq] if d >= dq else 0)
+        for d in range(top + 1)
+    ]
+    return sum(len(b) for d, b in buckets.items() if d <= top), dims
 
 
 # Trivial Q_n-homology dimensions on [0, top] per (p, n, top), stored by
@@ -607,15 +637,9 @@ def _qn_sweep(pres: Presentation, top: int) -> tuple[int, list[tuple[int, ...]]]
     for comp in components(pres, hi):
         if len(comp) > 4:
             raise AssertionError("components have at most 4 generators")
-        ctx = DerivationContext(pres, hi, gens=comp)
-        buckets = window_bases(comp, hi)
-        ranks = _sweep_component(ctx, buckets, top, failures)
-        checked += sum(len(b) for b in buckets[: top + 1])
-        terms = [
-            (d, c)
-            for d in range(top + 1)
-            if (c := len(buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0))
-        ]
+        count, dims = _sweep_component(DerivationContext(pres, hi, gens=comp), top, failures)
+        checked += count
+        terms = [(d, c) for d, c in enumerate(dims) if c]
         out = [0] * (top + 1)
         for d1, a in enumerate(series):
             if a:
@@ -650,7 +674,9 @@ def sweep_monomials(p: int, n: int, top: int, cap: int) -> int:
 # reports
 
 
-class QnHomologyReport(NamedTuple):
+class QnHomologyReport(
+    namedtuple("QnHomologyReport", "p n variance max_degree total trivial free_rank")
+):
     """Trivial/free split of H* as a module over E[Q_n].
 
     total, trivial and free_rank are per-degree lists on [0, max_degree];
@@ -658,13 +684,7 @@ class QnHomologyReport(NamedTuple):
     total(d) = trivial(d) + free_rank(d) + free_rank(d - (2p^n - 1)).
     """
 
-    p: int
-    n: int
-    variance: str
-    max_degree: int
-    total: list[int]
-    trivial: list[int]
-    free_rank: list[int]
+    __slots__ = ()
 
     def trivial_series(self) -> PoincareSeries:
         return PoincareSeries(0, self.max_degree, tuple(self.trivial))
@@ -723,11 +743,11 @@ def qn_homology(p: int, n: int, variance: str, top: int) -> QnHomologyReport:
 # the w-elements
 
 
-class WElement(NamedTuple):
-    index2: int  # doubled index: 2(n+j) or 2(n+j)+1
-    name: str
-    degree: int
-    poly: tuple[tuple[tuple[int, ...], int], ...]
+class WElement(namedtuple("WElement", "index2 name degree poly")):
+    """A w-element: index2 is the doubled index 2(n+j) or 2(n+j)+1, poly
+    the sorted (exponents, coefficient) pairs of its cycle."""
+
+    __slots__ = ()
 
 
 def w_name(index2: int) -> str:

@@ -9,7 +9,7 @@ on.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
 def _check_pn(p: int, n: int) -> None:
@@ -25,12 +25,10 @@ def q(k: int, p: int, n: int) -> int:
     return (b**k - 1) // (b - 1)
 
 
-class IndexSplit(NamedTuple):
+class IndexSplit(namedtuple("IndexSplit", "j i k")):
     """j = i + k*(n+1) with 0 <= i < n+1."""
 
-    j: int
-    i: int
-    k: int
+    __slots__ = ()
 
 
 def split(j: int, n: int) -> IndexSplit:
@@ -107,10 +105,8 @@ def divisibility_check(source_degree: int, target_degree: int, p: int, n: int) -
     return gap // step
 
 
-class IdentityFailure(NamedTuple):
-    identity: str
-    j: int
-    detail: str
+class IdentityFailure(namedtuple("IdentityFailure", "identity j detail")):
+    __slots__ = ()
 
 
 def identity_suite(p: int, n: int, j_max: int) -> list[IdentityFailure]:

@@ -25,10 +25,9 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 from itertools import groupby
-from typing import NamedTuple
 
 from . import km2, numerology
 from .graded_algebra import (
@@ -148,7 +147,7 @@ def _v_free(p: int, n: int, variance: str, factors, hi: int) -> TensorExpression
     )
 
 
-class TorsionFamily(NamedTuple):
+class TorsionFamily(namedtuple("TorsionFamily", "j kind order base_degree expression")):
     """One v-torsion summand family TP_order[v] (x) expression.
 
     kind "y" families are indexed by the differential on y_j (order r(j)),
@@ -159,11 +158,7 @@ class TorsionFamily(NamedTuple):
     generators in [0, top].
     """
 
-    j: int
-    kind: str
-    order: int
-    base_degree: int
-    expression: TensorExpression
+    __slots__ = ()
 
 
 def _families(p: int, n: int, variance: str, hi: int) -> list[TorsionFamily]:
@@ -221,7 +216,13 @@ def _families(p: int, n: int, variance: str, hi: int) -> list[TorsionFamily]:
 # the differential schedule
 
 
-class Differential(NamedTuple):
+class Differential(
+    namedtuple(
+        "Differential",
+        "stage source target source_degree target_degree family index paired",
+        defaults=(False,),
+    )
+):
     """One scheduled differential d(source) = v^stage * target.
 
     family "y" entries follow the d^{r(j)}(y_j) = v^{r(j)} w_{n+j} pattern and
@@ -230,14 +231,7 @@ class Differential(NamedTuple):
     (r = r' = 2^j) and both entries carry paired=True.
     """
 
-    stage: int
-    source: str
-    target: str
-    source_degree: int
-    target_degree: int
-    family: str
-    index: int
-    paired: bool = False
+    __slots__ = ()
 
 
 def schedule(p: int, n: int, j_max: int, variance: str = "cohomology") -> list[Differential]:
@@ -297,18 +291,20 @@ def schedule(p: int, n: int, j_max: int, variance: str = "cohomology") -> list[D
 # pages
 
 
-class TowerSummand(NamedTuple):
+class TowerSummand(
+    namedtuple(
+        "TowerSummand", "generator_expression generator_degree order count", defaults=(1,)
+    )
+):
     """A P[v]-tower over a generator: order-r torsion (v^r kills it) or free.
 
     generator_expression is a TensorExpression for closed-form families and
     None on a brute-force page, whose towers are counted per degree and
-    order, not named.  count collapses equal towers.
+    order, not named.  order is a positive int, or math.inf for a free
+    tower.  count collapses equal towers.
     """
 
-    generator_expression: object
-    generator_degree: int
-    order: object  # positive int, or math.inf for a free tower
-    count: int = 1
+    __slots__ = ()
 
 
 def _summands(expr: TensorExpression, order, hi: int) -> list[TowerSummand]:
@@ -331,15 +327,11 @@ def _tower_powers(g: int, order, dv: int, lo: int, hi: int) -> range:
     return range(max(first, 0), last + 1)
 
 
-class Page(NamedTuple):
-    p: int
-    n: int
-    variance: str
-    stage: int
-    top: int
-    v_free: TensorExpression | None
-    torsion: tuple[TowerSummand, ...]
-    zp_family: tuple[tuple[int, int], ...]
+class Page(namedtuple("Page", "p n variance stage top v_free torsion zp_family")):
+    """A page on [0, top]: v_free is a TensorExpression or None, torsion a
+    tuple of TowerSummands and zp_family (degree, count) pairs."""
+
+    __slots__ = ()
 
     def free_by_degree(self) -> Counter:
         """Generator degrees of the v-free part, all in [0, top]."""
@@ -600,11 +592,13 @@ def run_closed_form(p: int, n: int, variance: str, top: int) -> Page:
 # window planning shared by both runs
 
 
-class _WindowPlan(NamedTuple):
-    j_top: int  # widest family index whose action reaches into [0, top]
-    j_ext: int  # widest family index used for lattice arcs
-    max_stage: int  # largest stage among in-window stages
-    enum_limit: int  # per-class lattice enumeration bound
+class _WindowPlan(namedtuple("_WindowPlan", "j_top j_ext max_stage enum_limit")):
+    """j_top is the widest family index whose action reaches into [0, top],
+    j_ext the widest used for lattice arcs, max_stage the largest stage
+    among in-window stages and enum_limit the per-class lattice
+    enumeration bound."""
+
+    __slots__ = ()
 
 
 def _stage_relevance(p: int, n: int, j: int) -> list[tuple[int, int]]:
@@ -689,11 +683,11 @@ def window_schedule(p: int, n: int, variance: str, top: int) -> list[Differentia
 # the brute-force lattice
 
 
-class _Coord(NamedTuple):
-    tag: str  # "digit" | "w" | "half" | "z"
-    index: int
-    degree: int
-    cap: int  # largest allowed exponent
+class _Coord(namedtuple("_Coord", "tag index degree cap")):
+    """One E2 coordinate: tag "digit", "w", "half" or "z", and cap the
+    largest allowed exponent."""
+
+    __slots__ = ()
 
 
 def _class_coords(p: int, n: int, cls: int, limit: int) -> list[_Coord]:

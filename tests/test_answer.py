@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morava_k2 import answer, cli, km2, ss_engine as ss
+from morava_k2 import answer, cli, graded_algebra, km2, numerology, ss_engine as ss
 from morava_k2.graded_algebra import E, TensorExpression, replace
 
 from helpers import poincare_answer_reference
@@ -119,12 +119,51 @@ def test_order_invariant_enforced(change, match):
         change(a)
 
 
+RECORD_MODULES = (graded_algebra, km2, numerology, ss, answer, cli)
+
+
+def _record_classes() -> list[type]:
+    """Every record class the package defines: a tuple subclass with
+    _fields bound in the module that defines it (answer's re-export of
+    ss_engine.TorsionFamily is counted once)."""
+    return [
+        obj
+        for mod in RECORD_MODULES
+        for obj in vars(mod).values()
+        if isinstance(obj, type)
+        and issubclass(obj, tuple)
+        and hasattr(obj, "_fields")
+        and obj.__module__ == mod.__name__
+    ]
+
+
+def _unslotted(record: type) -> list[type]:
+    """The classes between record and tuple that do not declare
+    __slots__ = (); any one of them gives the instances a __dict__."""
+    between = record.__mro__[: record.__mro__.index(tuple)]
+    return [c for c in between if c.__dict__.get("__slots__") != ()]
+
+
 def test_records_are_immutable():
+    """Every record class is a named tuple whose classes all declare
+    __slots__ = (): no field can be set and no attribute added, on one
+    value of each class and on the records of a real answer."""
+    records = _record_classes()
+    assert sorted(r.__name__ for r in records) == sorted([
+        "Generator", "Factor", "PoincareSeries", "TensorExpression",
+        "PresGenerator", "Presentation", "_LeibnizTerm", "QnHomologyReport", "WElement",
+        "IndexSplit", "IdentityFailure",
+        "TorsionFamily", "Differential", "TowerSummand", "Page", "_WindowPlan", "_Coord",
+        "AnswerModule", "AnswerSeries", "RunConfig",
+    ])
+    assert [r for r in records if _unslotted(r)] == []
+    # _make skips the constructor checks, so any values will do
+    values = [(r._make(range(len(r._fields))), r._fields[0]) for r in records]
     a = answer.closed_form(3, 1, "cohomology", 60)
     f = a.torsion_families[0]
     series = answer.poincare_answer(a).total
     page = answer.to_page(a)
-    for record, field in [
+    for record, field in values + [
         (a, "localized"),
         (f, "order"),
         (f.expression, "factors"),
@@ -138,6 +177,19 @@ def test_records_are_immutable():
             setattr(record, field, getattr(record, field))
         with pytest.raises(AttributeError):
             record.extra = 1
+
+
+def test_a_record_without_slots_is_found():
+    """A subclass that forgets __slots__ = () gains an instance __dict__,
+    and the shape check names it."""
+
+    class Loose(answer.AnswerSeries):
+        pass
+
+    assert _unslotted(Loose) == [Loose]
+    value = Loose._make((1, 2))
+    value.extra = 1
+    assert value.__dict__ == {"extra": 1}
 
 
 def test_answer_matches_engine_run():

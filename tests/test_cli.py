@@ -693,13 +693,35 @@ def test_demos_run():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """Neither numpy nor dataclasses (about 40 ms of every CLI run) loads."""
+    """Neither numpy nor dataclasses (about 40 ms of every CLI run) loads.
+    Without site (-S), whose .pth files may import typing themselves,
+    neither typing nor json loads either, and json stays out through a
+    verify, a table and a tsv compute run."""
     done = _python(
         "-c",
         "import sys, morava_k2.cli; print('numpy' in sys.modules, 'dataclasses' in sys.modules)",
     )
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == b"False False\n"
+    done = _python(
+        "-S", "-c",
+        "import sys, morava_k2.cli; print('typing' in sys.modules, 'json' in sys.modules)",
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == b"False False\n"
+    runs = [
+        ["verify", "--p", "3", "--n", "1", "--max-degree", "40"],
+        ["table", "--p", "3", "--n", "1", "--max-degree", "40"],
+        ["compute", "--p", "3", "--n", "1", "--max-degree", "40", "--format", "tsv"],
+    ]
+    done = _python(
+        "-S", "-c",
+        "import sys; from morava_k2.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "print(codes, 'json' in sys.modules, file=sys.stderr)",
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stderr == b"[0, 0, 0] False\n"
 
 
 _NUMPY_FREE_JOBS = [

@@ -7,9 +7,11 @@ factorization) agreeing before freezing.
 
 import contextlib
 import functools
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -361,6 +363,7 @@ def test_square_check_is_never_served_from_the_memo(p, n, hi):
 @given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 3), top=st.integers(2, 80))
 @example(p=2, n=1, top=60)
 @example(p=5, n=3, top=80)
+@example(p=3, n=2, top=12)  # dq = 17 > top: the sweep keeps no basis in 13..16 or 30..33
 @settings(deadline=None, max_examples=40)
 def test_sweep_matches_the_references(p, n, top):
     """One sweep gives the whole-basis trivial series and exactly the
@@ -447,6 +450,41 @@ def test_each_monomial_is_the_capped_product_in_order(gens, hi):
         if deg <= hi:
             want.append((exps, deg))
     assert got == want
+
+
+def test_each_monomial_lets_go_of_emit():
+    """Once each_monomial returns it holds no reference to emit, so the
+    bases an emit fills die with their last user and do not wait for the
+    cyclic garbage collector."""
+
+    class Sink(list):
+        def __call__(self, m, d):
+            self.append(m)
+
+    sink = Sink()
+    alive = weakref.ref(sink)
+    gc.disable()
+    try:
+        km2.each_monomial([1, 2], [3, 3], 5, sink)
+        assert len(sink) == 10
+        del sink
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("p, n, top", [(3, 2, 12), (5, 1, 3), (2, 2, 30)])
+def test_degree_bases_keep_only_the_degrees_the_sweep_reads(p, n, top):
+    """The bases the sweep keeps are window_bases' nonempty buckets at the
+    degrees d, d + dq and d + 2dq for d <= top, and nothing else."""
+    pres = km2.build(p, n)
+    dq = pres.qn_degree
+    hi = top + 2 * dq
+    read = {d + k * dq for k in range(3) for d in range(top + 1)}
+    for comp in km2.components(pres, hi):
+        kept = km2.degree_bases(comp, hi, lambda d: d % dq <= top)
+        full = km2.window_bases(comp, hi)
+        assert kept == {d: b for d, b in enumerate(full) if b and d in read}
 
 
 def test_trivial_homology_31_reference_degrees():
