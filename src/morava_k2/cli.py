@@ -1,22 +1,26 @@
 """Command-line front end: compute module answers, verify, print charts.
 
+The argv grammar is `<command> (--key value | --key=value | --localize)*`.
 Each command takes only the options it reads (see _COMMAND_OPTIONS), as
-flags or as the keys of a --config JSON file; any other flag or key is refused.
+flags or as the keys of a --config JSON file; any other flag or key is
+refused, and _build_config checks flags and keys alike.  -h or --help prints
+the usage, read off the same table.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration
-(an unknown flag or config key, ConfigError, WindowError, a verify run over
-_FOLD_WORK_CAP or _SWEEP_CAP), 3 internal consistency failure (any other ValueError,
-RuntimeError or AssertionError from inside the package), 141 (128 + SIGPIPE)
-stdout closed by its reader before the output was written.
+Exit codes: 0 success (--help included), 1 verification failure, 2 invalid
+configuration (any ConfigError: a token the argv reader cannot place, an
+unknown config key, a bad value, a compute or table window over _WINDOW_CAP,
+a verify run over _FOLD_WORK_CAP or _SWEEP_CAP; or a WindowError), 3 internal
+consistency failure (any other ValueError, RuntimeError or AssertionError
+from inside the package), 141 (128 + SIGPIPE) stdout closed by its reader
+before the output was written.
 
-json is imported only where JSON is read or written (--config, --format
-json and two error messages), so that verify, table and a text or tsv
-compute do not pay for loading it.
+Reading argv takes no argument-parsing library, so a run loads neither one
+nor the gettext and locale it would bring; json loads only where JSON is
+read or written (--config, --format json and two error messages).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections import namedtuple
@@ -49,18 +53,26 @@ _SUITES = (
     "localization",
 )
 
-# Each option as argparse reads it; the flag is --key with - for _, and the
-# config file key is key itself.
+# The kind of each option's value.  The flag is --key with - for _ (an int
+# flag's value converted by int, a bool flag taking no value) and the config
+# file key is key itself, holding a JSON value of the kind.
 _OPTIONS = {
-    "p": dict(type=int),
-    "n": dict(type=int),
-    "variance": dict(choices=("cohomology", "homology")),
-    "min_degree": dict(type=int),
-    "max_degree": dict(type=int),
-    "format": dict(choices=("json", "tsv", "text")),
-    "localize": dict(action="store_true", default=None),
-    "suite": dict(choices=_SUITES + ("all",)),
-    "j_max": dict(type=int),
+    "p": int,
+    "n": int,
+    "variance": str,
+    "min_degree": int,
+    "max_degree": int,
+    "format": str,
+    "localize": bool,
+    "suite": str,
+    "j_max": int,
+}
+
+# The values a str option may take.
+_CHOICES = {
+    "variance": ("cohomology", "homology"),
+    "format": ("json", "tsv", "text"),
+    "suite": _SUITES + ("all",),
 }
 
 # The options each command reads, and no others.
@@ -71,18 +83,60 @@ _COMMAND_OPTIONS = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="morava-k2",
-        description="Connective Morava K-theory of K(Z_p, 2).",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, keys in _COMMAND_OPTIONS.items():
-        cmd = sub.add_parser(name)
-        for key in keys:
-            cmd.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
-        cmd.add_argument("--config", help="JSON file with the same keys; flags win")
-    return top
+def _usage(command: str | None) -> str:
+    """The --help text: every command's flags, or command's alone."""
+    commands = [command] if command else list(_COMMAND_OPTIONS)
+    lines = [
+        f"usage: morava-k2 {command or 'COMMAND'} [--flag VALUE | --flag=VALUE]...",
+        "",
+        "Connective Morava K-theory of K(Z_p, 2).  Each command reads only the",
+        "flags listed for it.  --config FILE reads the same options from a JSON",
+        "object, keyed with _ for - (max_degree for --max-degree); a flag wins.",
+    ]
+    for name in commands:
+        lines += ["", f"{name}:"]
+        for key in _COMMAND_OPTIONS[name] + ("config",):
+            value = "|".join(_CHOICES.get(key, ())) or {int: "INT", bool: "", None: "FILE"}[
+                _OPTIONS.get(key)
+            ]
+            lines.append(f"  --{key.replace('_', '-')} {value}".rstrip())
+    return "\n".join(lines)
+
+
+def _read_argv(argv: list[str]) -> tuple[str, dict]:
+    """The command of argv and the flags it gives, keyed as _OPTIONS is,
+    with "config" for --config; int values are converted.  A token that fits
+    no place in the grammar is refused."""
+    if not argv:
+        raise ConfigError(f"a command is required: {', '.join(_COMMAND_OPTIONS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    keys = _COMMAND_OPTIONS.get(command)
+    if keys is None:
+        raise ConfigError(f"unknown command {command!r}; choose {', '.join(_COMMAND_OPTIONS)}")
+    flags, unplaced = {}, []
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        key = name[2:].replace("-", "_")
+        kind = _OPTIONS.get(key, str)  # str: the --config path
+        placed = name.startswith("--") and "_" not in name and key in keys + ("config",)
+        if not placed or (eq and kind is bool):
+            unplaced.append(token)
+            continue
+        if kind is bool:
+            value = True
+        elif not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise ConfigError(f"{name} expects a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError(f"{name} takes an integer, not {value!r}") from None
+        flags[key] = value
+    if unplaced:
+        raise ConfigError(f"unrecognized arguments: {' '.join(unplaced)}")
+    return command, flags
 
 
 def _typed(value, kind, what: str):
@@ -111,14 +165,17 @@ def _check_pn(p: int, n: int) -> None:
         raise ConfigError("n must be a positive integer")
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    keys = _COMMAND_OPTIONS[args.command]
+def _build_config(command: str, flags: dict) -> RunConfig:
+    """The run that command asks for, each option read from flags, else
+    from the --config file, else its default; flag and key values pass the
+    same checks."""
+    keys = _COMMAND_OPTIONS[command]
     data = {}
-    if args.config:
+    if flags.get("config"):
         import json
 
         try:
-            with open(args.config) as fh:
+            with open(flags["config"]) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
@@ -126,21 +183,20 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
         unknown = next((key for key in data if key not in keys), None)
         if unknown is not None:
-            raise ConfigError(f"config key {unknown!r} is not a {args.command} option")
+            raise ConfigError(f"config key {unknown!r} is not a {command} option")
 
-    def pick(key, default, kind=int):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
+    def pick(key, default):
+        if key in flags:
+            return flags[key]
         if key not in data:
             return default
-        return _typed(data[key], kind, f"config key {key!r}")
+        return _typed(data[key], _OPTIONS[key], f"config key {key!r}")
 
     p = pick("p", 3)
     n = pick("n", 1)
     _check_pn(p, n)
-    variance = pick("variance", "cohomology", str)
-    if variance not in ("cohomology", "homology"):
+    variance = pick("variance", "cohomology")
+    if variance not in _CHOICES["variance"]:
         raise ConfigError("variance must be cohomology or homology")
     hi = pick("max_degree", km2.default_window(n))
     lo = pick("min_degree", 0)
@@ -148,17 +204,22 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("min-degree exceeds max-degree")
     if hi < 2:
         raise ConfigError("max-degree must be at least 2")
+    if command != "verify" and hi - min(lo, 0) > _WINDOW_CAP:
+        raise ConfigError(
+            f"the window [{min(lo, 0)}, {hi}] spans {hi - min(lo, 0)} degrees, over the limit "
+            f"of {_WINDOW_CAP}; narrow it"
+        )
     j_max = pick("j_max", n + 3)
     if j_max < n + 2:
         raise ConfigError("j-max must be at least n + 2")
-    fmt = pick("format", "text", str)
-    if fmt not in ("json", "tsv", "text"):
+    fmt = pick("format", "text")
+    if fmt not in _CHOICES["format"]:
         raise ConfigError("format must be json, tsv or text")
-    suite = pick("suite", "all", str)
-    if suite not in _SUITES + ("all",):
+    suite = pick("suite", "all")
+    if suite not in _CHOICES["suite"]:
         raise ConfigError(f"unknown suite {suite!r}")
-    localize = pick("localize", False, bool)
-    return RunConfig(args.command, p, n, variance, lo, hi, j_max, fmt, suite, localize)
+    localize = pick("localize", False)
+    return RunConfig(command, p, n, variance, lo, hi, j_max, fmt, suite, localize)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +501,13 @@ _FOLD_WORK_CAP = 10**6
 # to p = 67 (9.2e5).
 _SWEEP_CAP = 10**6
 
+# The most degrees, from the lower of 0 and --min-degree up to --max-degree,
+# that compute and table take on; above it the run is refused before any
+# series is built.  Both grow linearly in the window: at 10^4 the costliest
+# measured, table --p 2 --n 3, takes 1.5 s and 40 MB, and at 10^5 table
+# --p 3 --n 2 took 14 s.  Every default window (2500 at most) passes.
+_WINDOW_CAP = 10**4
+
 
 def cmd_verify(cfg: RunConfig, out) -> int:
     names = _SUITES if cfg.suite == "all" else (cfg.suite,)
@@ -532,9 +600,12 @@ def cmd_table(cfg: RunConfig, out) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_usage(argv[0] if argv[0] in _COMMAND_OPTIONS else None))
+        return 0
     try:
-        args = _parser().parse_args(argv)
-        cfg = _build_config(args)
+        cfg = _build_config(*_read_argv(argv))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

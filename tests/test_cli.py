@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morava_k2 import answer, cli, km2, ss_engine
+from morava_k2 import answer, cli, graded_algebra, km2, ss_engine
 from morava_k2.cli import main
 from morava_k2.graded_algebra import replace
 
@@ -86,11 +86,20 @@ def test_compute_json_bytes_match_parent(capsys, job):
     assert hashlib.sha256(out).hexdigest() == COMPUTE_JSON_SHA256[job]
 
 
-# The same guard per full argument list, at a benchmark width and on a
-# window that reaches below degree 0.
+# The same guard per full argument list: the five perfbench `compute` jobs,
+# spelt as perfbench/jobs.py spells them, and a window that reaches below
+# degree 0.
 WIDE_COMPUTE_JSON_SHA256 = {
+    "compute --p 3 --n 1 --format json":
+        "e069694e22030ba4ca716c4d9967d237c7e4908a85042a30e88cde149f1e8de6",
+    "compute --p 5 --n 1 --variance homology --format json":
+        "7d80f9566d7f9b5d872e891386b26116760fd4faab069bd51641cd85b9f9b022",
+    "compute --p 2 --n 1 --format json":
+        "4d78697fb42c9488180a71553f5833f9b4f8e295c6bc88641578dc598658472c",
     "compute --p 3 --n 2 --max-degree 900 --variance homology --format json":
         "133367990745aff4c111c362696c010dd6c5c443de2e9ac641b2b8dc69e421a4",
+    "compute --p 2 --n 2 --max-degree 400 --format json":
+        "46df16b121eaef1ecb582bff960b354e28d3e2db2a73310b8c818de73a67b649",
     "compute --p 3 --n 1 --max-degree 120 --min-degree -8 --format json":
         "dffc8356c95780440d4b2988ac3289fde31114eb7c625e21a9df39897b29f5ec",
 }
@@ -101,6 +110,37 @@ def test_wide_compute_json_bytes_match_parent(capsys, command):
     assert main(command.split()) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == WIDE_COMPUTE_JSON_SHA256[command]
+
+
+# The perfbench `verify` and `table` jobs, spelt as perfbench/jobs.py spells
+# them (mostly without --variance, which STDOUT_SHA256 below always passes).
+BENCHMARK_STDOUT_SHA256 = {
+    "verify --p 3 --n 1 --max-degree 400":
+        "37313a9b25aba9cd65f5e176ad32adced8b475a45eb2d3c7b9a117cf7c72766f",
+    "verify --p 5 --n 1 --max-degree 400 --variance homology":
+        "ab971039c42c776a497c7294501ae87adfe27d5e01b06efc0d18484913a711c9",
+    "verify --p 2 --n 1 --max-degree 300":
+        "a42d5697a1014bcb66041402bc2afe1a5126f9513532d1a03dfcd4a9cf5598f6",
+    "verify --p 3 --n 2 --max-degree 300":
+        "237c8fc835e0276c918fcc038408336522f466af16be5b6fa840e27ecd27906a",
+    "verify --p 2 --n 2 --max-degree 200":
+        "65a452d2eaa494ba37249a3e96b065a91a29d7c78491350a692db9d9bd1f0809",
+    "table --p 3 --n 1 --max-degree 60":
+        "f8d825ebdf86a525055fa76fc9352bba26b00b4809287fd9abd1dd55a4d20b94",
+    "table --p 5 --n 1 --max-degree 600 --variance homology":
+        "34b3b4271027ae2a5564ca5f109510f24d37b43a1d15df28a423b46337795654",
+    "table --p 2 --n 2 --max-degree 300":
+        "330895c5159f83faa129b1e8dcd68ab5e4854d903f459a18758584037c1027ec",
+    "table --p 3 --n 2 --max-degree 600":
+        "7d8a113f2601ae876a56c62a0460466589308af70512d7fcc7159966f325d7f4",
+}
+
+
+@pytest.mark.parametrize("command", BENCHMARK_STDOUT_SHA256)
+def test_benchmark_job_bytes_match_parent(capsys, command):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == BENCHMARK_STDOUT_SHA256[command]
 
 
 # sha256 of the stdout of `verify` (every suite) and `table` per (command,
@@ -265,9 +305,7 @@ def test_compute_positive_min_degree(capsys):
 
 @pytest.mark.parametrize("command", ["table", "verify"])
 def test_min_degree_is_compute_only(capsys, command):
-    with pytest.raises(SystemExit) as info:
-        main([command, "--p", "3", "--n", "1", "--min-degree", "4", "--max-degree", "60"])
-    assert info.value.code == 2
+    assert main([command, "--p", "3", "--n", "1", "--min-degree", "4", "--max-degree", "60"]) == 2
     assert "unrecognized arguments: --min-degree 4" in capsys.readouterr().err
 
 
@@ -510,9 +548,8 @@ def test_invalid_config_values(capsys, tmp_path):
     assert "variance" in capsys.readouterr().err
     assert main(["compute", "--p", "3", "--max-degree", "1"]) == 2
     capsys.readouterr()
-    with pytest.raises(SystemExit):
-        main(["compute", "--format", "xml"])
-    capsys.readouterr()
+    assert main(["compute", "--format", "xml"]) == 2
+    assert "format must be json, tsv or text" in capsys.readouterr().err
     # a value of the wrong JSON type names its key and exits 2, never 1, in
     # each command that reads the key
     for key, value in [
@@ -551,9 +588,7 @@ _IGNORED_FLAGS = [
 
 @pytest.mark.parametrize("argv, flag", _IGNORED_FLAGS, ids=lambda x: " ".join(x))
 def test_flag_a_command_ignores_exits_2(capsys, argv, flag):
-    with pytest.raises(SystemExit) as info:
-        main(argv + flag)
-    assert info.value.code == 2
+    assert main(argv + flag) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: unrecognized arguments: {' '.join(flag)}" in captured.err
@@ -581,6 +616,135 @@ def test_config_file_supplies_defaults_but_flags_win(capsys, tmp_path):
     assert lines[1] == "0\t1"
     # q2 = 8 at p=5, so nothing else lives this low
     assert all(line.endswith("\t0") for line in lines[2:])
+
+
+# Each accepted argv with the RunConfig that the argparse reader it replaced
+# gave for it; {config} is a file holding {"p": 5, "max_degree": 12,
+# "format": "tsv"}.
+_ACCEPTED_ARGV = [
+    ("compute --p 5 --n 2 --max-degree 40",
+     ("compute", 5, 2, "cohomology", 0, 40, 5, "text", "all", False)),
+    ("compute --p=5 --n=2 --max-degree=40",
+     ("compute", 5, 2, "cohomology", 0, 40, 5, "text", "all", False)),
+    ("compute --min-degree -10 --max-degree 20",
+     ("compute", 3, 1, "cohomology", -10, 20, 4, "text", "all", False)),
+    ("compute --min-degree=-10 --max-degree=20",
+     ("compute", 3, 1, "cohomology", -10, 20, 4, "text", "all", False)),
+    ("compute --p 2 --localize --format json",
+     ("compute", 2, 1, "cohomology", 0, 600, 4, "json", "all", True)),
+    ("table --p 3 --p 5",
+     ("table", 5, 1, "cohomology", 0, 600, 4, "text", "all", False)),
+    ("verify --variance homology --suite qn --j-max 7 --max-degree 60",
+     ("verify", 3, 1, "homology", 0, 60, 7, "text", "qn", False)),
+    ("verify",
+     ("verify", 3, 1, "cohomology", 0, 600, 4, "text", "all", False)),
+    ("compute --config {config} --max-degree 6",
+     ("compute", 5, 1, "cohomology", 0, 6, 4, "tsv", "all", False)),
+    ("compute --max-degree 6 --config={config}",
+     ("compute", 5, 1, "cohomology", 0, 6, 4, "tsv", "all", False)),
+]
+
+# Each refused argv with a piece of its one stderr line, which names the
+# token the reader could not place.
+_REFUSED_ARGV = [
+    ("compute --v-cap 1", "error: unrecognized arguments: --v-cap 1"),
+    ("compute --bogus --p 3", "error: unrecognized arguments: --bogus"),
+    ("table --min-degree 4", "error: unrecognized arguments: --min-degree 4"),
+    ("compute --max 60", "error: unrecognized arguments: --max 60"),
+    ("compute --max_degree 60", "error: unrecognized arguments: --max_degree 60"),
+    ("compute --localize=1", "error: unrecognized arguments: --localize=1"),
+    ("compute --p 3 extra", "error: unrecognized arguments: extra"),
+    ("compute --max-degree 60 --p", "error: --p expects a value"),
+    ("compute --p --n 2", "error: --p expects a value"),
+    ("compute --p x", "error: --p takes an integer, not 'x'"),
+    ("compute --variance=sideways", "error: variance must be cohomology or homology"),
+    ("", "error: a command is required"),
+    ("frobnicate --p 3", "error: unknown command 'frobnicate'"),
+]
+
+
+@pytest.fixture
+def read_config(monkeypatch, tmp_path):
+    """main on an argv string, returning (exit code, the RunConfig the
+    command received or None); {config} in the string names a config file."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"p": 5, "max_degree": 12, "format": "tsv"}))
+    seen = []
+    for name in ("cmd_compute", "cmd_verify", "cmd_table"):
+        monkeypatch.setattr(cli, name, lambda cfg, out: seen.append(cfg) or 0)
+
+    def run(argv: str):
+        seen.clear()
+        code = main(argv.format(config=path).split())
+        return code, (seen[0] if seen else None)
+
+    return run
+
+
+@pytest.mark.parametrize("argv, want", _ACCEPTED_ARGV, ids=[a for a, _ in _ACCEPTED_ARGV])
+def test_argv_reader_accepts(capsys, read_config, argv, want):
+    assert read_config(argv) == (0, cli.RunConfig(*want))
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, message", _REFUSED_ARGV, ids=[a for a, _ in _REFUSED_ARGV])
+def test_argv_reader_refuses(capsys, read_config, argv, message):
+    assert read_config(argv) == (2, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["verify", "--help"], ["table", "--p", "3", "-h"]]
+)
+def test_help_lists_each_command_flags(capsys, argv):
+    """--help lists every command's flags, and COMMAND --help that command's,
+    exactly as _COMMAND_OPTIONS has them, each command taking --config too."""
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    listed, command = {}, None
+    for line in captured.out.splitlines():
+        if line.endswith(":") and line[:-1] in cli._COMMAND_OPTIONS:
+            command = line[:-1]
+            listed[command] = []
+        elif command and line.startswith("  --"):
+            listed[command].append(line.split()[0])
+    commands = [argv[0]] if argv[0] in cli._COMMAND_OPTIONS else list(cli._COMMAND_OPTIONS)
+    assert listed == {
+        c: ["--" + key.replace("_", "-") for key in cli._COMMAND_OPTIONS[c]] + ["--config"]
+        for c in commands
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, top",
+    [
+        ("compute --p 3 --n 1 --format tsv --max-degree {}", 10**4),
+        ("compute --p 3 --n 1 --format tsv --min-degree -9000 --max-degree {}", 1000),
+        ("table --p 3 --n 1 --max-degree {}", 10**4),
+    ],
+)
+def test_compute_and_table_refuse_a_window_over_the_cap(capsys, monkeypatch, argv, top):
+    """A compute or table window that spans more than _WINDOW_CAP degrees,
+    counted from the lower of 0 and --min-degree, is refused with exit 2
+    before any series is built; one degree less runs.  The default windows
+    pass."""
+    assert max(km2.default_window(n) for n in (1, 2, 3)) < cli._WINDOW_CAP == 10**4
+    real = graded_algebra._times_exponent_range
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(graded_algebra, "_times_exponent_range", no_series)
+    assert main(argv.format(top + 1).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"limit of {cli._WINDOW_CAP}" in captured.err
+    monkeypatch.setattr(graded_algebra, "_times_exponent_range", real)
+    assert main(argv.format(top).split()) == 0
+    capsys.readouterr()
 
 
 def test_table_annotates_differentials(capsys):
@@ -695,20 +859,21 @@ def test_demos_run():
 def test_cli_import_leaves_numpy_unloaded():
     """Neither numpy nor dataclasses (about 40 ms of every CLI run) loads.
     Without site (-S), whose .pth files may import typing themselves,
-    neither typing nor json loads either, and json stays out through a
-    verify, a table and a tsv compute run."""
+    neither typing, json, argparse, gettext nor locale loads either, and
+    none of them is loaded by a verify, a table or a tsv compute run."""
     done = _python(
         "-c",
         "import sys, morava_k2.cli; print('numpy' in sys.modules, 'dataclasses' in sys.modules)",
     )
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == b"False False\n"
+    absent = ("typing", "json", "argparse", "gettext", "locale")
     done = _python(
         "-S", "-c",
-        "import sys, morava_k2.cli; print('typing' in sys.modules, 'json' in sys.modules)",
+        f"import sys, morava_k2.cli; print([m for m in {absent!r} if m in sys.modules])",
     )
     assert done.returncode == 0, done.stderr.decode()
-    assert done.stdout == b"False False\n"
+    assert done.stdout == b"[]\n"
     runs = [
         ["verify", "--p", "3", "--n", "1", "--max-degree", "40"],
         ["table", "--p", "3", "--n", "1", "--max-degree", "40"],
@@ -718,10 +883,10 @@ def test_cli_import_leaves_numpy_unloaded():
         "-S", "-c",
         "import sys; from morava_k2.cli import main\n"
         f"codes = [main(argv) for argv in {runs!r}]\n"
-        "print(codes, 'json' in sys.modules, file=sys.stderr)",
+        f"print(codes, [m for m in {absent!r} if m in sys.modules], file=sys.stderr)",
     )
     assert done.returncode == 0, done.stderr.decode()
-    assert done.stderr == b"[0, 0, 0] False\n"
+    assert done.stderr == b"[0, 0, 0] []\n"
 
 
 _NUMPY_FREE_JOBS = [

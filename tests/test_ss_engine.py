@@ -705,3 +705,26 @@ def test_advisory_scan_n2_head_targets_need_global_argument():
     scan = ss.advisory_scan(3, 2, 120)
     assert scan["unexcluded"] == []
     assert scan["excluded"]["dimension_conservation"] == 3
+
+
+@pytest.mark.parametrize("order, bucket", [(8, "torsion_counting"), (7, "dimension_conservation")])
+def test_advisory_scan_torsion_counting(monkeypatch, order, bucket):
+    """A d_r out of a w whose tower the schedule cuts to length s, into a
+    class x of order above s + r, is excluded by v-linearity: v^s d_r(w) =
+    d_r(v^s w) = 0 would need v^(s+r) x = 0.  No page in reach offers such a
+    pair (none for p <= 7, n <= 3 and tops up to 400), so one class is
+    planted.  At (3, 1), d^3(y_1) = v^3 w_2 cuts w_2 (degree 19) to length
+    3, and a d_4 from it lands in degree 19 + 1 + 4 q2 = 36: a class of order
+    8 there is excluded by this count, one of order 3 + 4 = 7 is not.  The
+    other two new pairs, from sources that fire, fall in "interval"."""
+    base = ss.advisory_scan(3, 1, 60)
+    assert "torsion_counting" not in base["excluded"]
+    real = ss.Page.torsion_by_degree
+    monkeypatch.setattr(
+        ss.Page, "torsion_by_degree", lambda page: real(page) + Counter({(36, order): 1})
+    )
+    scan = ss.advisory_scan(3, 1, 60)
+    assert scan["unexcluded"] == [] and scan["pairs"] == base["pairs"] + 3
+    grown = Counter(scan["excluded"])
+    grown.subtract(base["excluded"])
+    assert +grown == Counter({bucket: 1, "interval": 2})
