@@ -431,6 +431,26 @@ def test_verify_builds_each_brute_page_once(capsys, monkeypatch):
     assert len(calls) == 2  # one per variance, shared by oracle, pairing and uct
 
 
+@pytest.mark.parametrize("suite", ["all", "bockstein", "localization"])
+def test_verify_builds_the_closed_module_once(capsys, monkeypatch, suite):
+    """bockstein and localization read one closed-form module per run, and
+    either suite alone still builds it."""
+    argv = VERIFY_31 + ["--suite", suite]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    calls = []
+    real = answer.closed_form
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(answer, "closed_form", counted)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert calls == [(3, 1, "cohomology", 40)]
+
+
 def test_shared_brute_page_keeps_pairing_and_uct_honest(capsys, monkeypatch):
     """A wrong homology tower order on the shared page fails both suites."""
 
@@ -504,6 +524,8 @@ def test_verify_refuses_a_sweep_over_the_cap(capsys, monkeypatch, suite):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f" {monomials} monomials" in captured.err
+    # bockstein, slow at large p, is not offered as a way round the cap
+    assert captured.err.endswith("pick the suite numerology or localization\n")
 
 
 def test_sweep_cap_passes_the_default_windows():
@@ -818,32 +840,166 @@ sys.exit(code)
 """
 
 
+# a child's environment: the package from SRC, and stdout block-buffered as
+# a user's pipe is, so that what reaches the pipe last rests on run()'s flush
+_CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+_CHILD_ENV["PYTHONPATH"] = str(SRC)
+
+
 def _python(*args):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=_CHILD_ENV, timeout=120
+    )
 
 
 def _cli_subprocess(argv, block_numpy):
     return _python("-c", _CLI_SCRIPT, "block" if block_numpy else "allow", *argv)
 
 
+def _cli_into_closed_pipe(argv):
+    """`python -m morava_k2.cli argv` with stdout a pipe whose reader has
+    already closed it."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "morava_k2.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=_CHILD_ENV, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
 def test_closed_stdout_exits_141_without_traceback():
     """A reader that closes stdout before the output is written (as
     `compute ... | head -1` can) gets exit 141, 128 + SIGPIPE, and an empty
     stderr: no traceback and no "Exception ignored" line."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "morava_k2.cli", "compute", "--p", "3", "--n", "1",
-             "--max-degree", "60", "--format", "tsv"],
-            stdout=write_end, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
-        )
-    finally:
-        os.close(write_end)
+    done = _cli_into_closed_pipe(
+        ["compute", "--p", "3", "--n", "1", "--max-degree", "60", "--format", "tsv"]
+    )
     assert done.stderr == b""
     assert done.returncode == 141
+
+
+# runs `cli.run()` on argv[1:] after the plant, a line that may monkeypatch
+# the package and register an exit handler; run() never returns
+_RUN_SCRIPT = """
+import atexit, os
+from morava_k2 import cli
+{plant}
+cli.run()
+"""
+_ATEXIT = "atexit.register(os.write, 2, b'atexit ran\\n')"
+
+
+def _run_cli(argv, plant=""):
+    return _python("-c", _RUN_SCRIPT.format(plant=plant), *argv)
+
+
+def test_closed_stdout_after_help_exits_141():
+    """--help prints without flushing, so the write to a closed stdout fails
+    in run()'s own flush: exit 141 and an empty stderr, as from main."""
+    done = _cli_into_closed_pipe(["--help"])
+    assert done.stderr == b""
+    assert done.returncode == 141
+
+
+def test_output_larger_than_a_pipe_buffer_arrives_whole(capsys):
+    """Nothing is lost to os._exit (main flushes stdout after a command and
+    run() again): 1.3 MB, many pipe buffers, arrives as the bytes main
+    prints in-process."""
+    argv = ["table", "--p", "3", "--n", "1", "--max-degree", "9000"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    assert len(want) > 16 * 65536
+    done = _python("-m", "morava_k2.cli", *argv)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == want
+
+
+_PLANTED_EXITS = [
+    (
+        "",
+        ["verify", "--suite", "numerology", "--p", "5", "--n", "1", "--j-max", "10"],
+        0,
+        b"PASS\tnumerology\tstage identities hold through j = 10\n",
+        b"",
+    ),
+    (
+        "cli.numerology.identity_suite = lambda p, n, j_max: ['j=3: staged']",
+        ["verify", "--suite", "numerology", "--p", "3", "--n", "1"],
+        1,
+        b"FAIL\tnumerology\tfirst failure: j=3: staged\n",
+        b"verification failed in numerology: first failure: j=3: staged\n",
+    ),
+    (
+        "",
+        ["verify", "--p", "4", "--n", "1"],
+        2,
+        b"",
+        b"error: p must be prime\n",
+    ),
+    (
+        "def broken(*args):\n    raise AssertionError('planted invariant failure')\n"
+        "cli.km2.build = broken",
+        ["compute", "--p", "3", "--n", "1", "--max-degree", "40"],
+        3,
+        b"",
+        b"internal consistency failure: planted invariant failure\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "plant, argv, code, out, err", _PLANTED_EXITS, ids=[f"exit-{c[2]}" for c in _PLANTED_EXITS]
+)
+def test_run_keeps_each_exit_code_and_skips_exit_handlers(plant, argv, code, out, err):
+    """Through run(), exits 0 to 3 keep main's code, stdout and stderr, and
+    an exit handler registered before run() never runs: the process leaves
+    through os._exit, not through interpreter teardown."""
+    done = _run_cli(argv, plant + "\n" + _ATEXIT)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+def test_an_exception_escaping_main_takes_the_normal_exit():
+    """An exception main does not turn into a code leaves run() as it came:
+    traceback, exit 1, and the interpreter's teardown with its exit
+    handlers."""
+    plant = (
+        "def broken(cfg, out):\n    raise KeyError('planted')\n"
+        f"cli.cmd_compute = broken\n{_ATEXIT}"
+    )
+    done = _run_cli(["compute", "--p", "3", "--n", "1", "--max-degree", "40"], plant)
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr.startswith(b"Traceback")
+    assert done.stderr.endswith(b"KeyError: 'planted'\natexit ran\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["compute", "--p", "3", "--n", "1", "--max-degree", "40"], 0),
+     (["verify", "--p", "4", "--n", "1"], 2)],
+)
+def test_run_with_stderr_closed_exits_with_mains_code(argv, code):
+    """Started with fd 2 closed, the interpreter sets sys.stderr to None;
+    run() skips that stream and still exits with main's code."""
+    script = "import sys; print(sys.stderr is None, flush=True)\n" + _RUN_SCRIPT.format(plant="")
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, "-c", script, *argv],
+        capture_output=True, env=_CHILD_ENV, timeout=120,
+    )
+    assert done.returncode == code
+    assert done.stdout.startswith(b"True\n")
+
+
+def test_installed_command_takes_the_fast_exit():
+    """The morava-k2 script calls run(), not main, so the installed command
+    also skips interpreter teardown."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"morava-k2": "morava_k2.cli:run"}
 
 
 def test_demos_run():
