@@ -12,11 +12,13 @@ unknown config key, a bad value, a compute or table window over _WINDOW_CAP,
 a verify run over _FOLD_WORK_CAP or _SWEEP_CAP; or a WindowError), 3 internal
 consistency failure (any other ValueError, RuntimeError or AssertionError
 from inside the package), 141 (128 + SIGPIPE) stdout closed by its reader
-before the output was written.
+before the output was written, --help included.  Diagnostics go through
+_warn, which drops them when the process has no stderr.
 
 Reading argv takes no argument-parsing library, so a run loads neither one
 nor the gettext and locale it would bring; json loads only where JSON is
-read or written (--config, --format json and two error messages).
+read or written: --config, --format json, parse_answer, and the message of
+a value of the wrong JSON type.
 
 The process (`morava-k2`, `python -m morava_k2.cli`) ends in run(): it
 flushes stdout and stderr and leaves through os._exit, skipping the
@@ -33,10 +35,10 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
-from itertools import groupby, zip_longest
+from itertools import groupby
 
 from . import answer, km2, numerology, ss_engine
-from .graded_algebra import GAMMA, GAMMA_TRUNC, Factor, Generator, TensorExpression
+from .graded_algebra import Factor
 
 
 class ConfigError(ValueError):
@@ -174,6 +176,15 @@ def _check_pn(p: int, n: int) -> None:
         raise ConfigError("n must be a positive integer")
 
 
+def _check_span(lo: int, hi: int) -> None:
+    """Refuse a compute window [lo, hi] over _WINDOW_CAP."""
+    if hi - min(lo, 0) > _WINDOW_CAP:
+        raise ConfigError(
+            f"the window [{min(lo, 0)}, {hi}] spans {hi - min(lo, 0)} degrees, over the limit "
+            f"of {_WINDOW_CAP}; narrow it"
+        )
+
+
 def _build_config(command: str, flags: dict) -> RunConfig:
     """The run that command asks for, each option read from flags, else
     from the --config file, else its default; flag and key values pass the
@@ -213,11 +224,8 @@ def _build_config(command: str, flags: dict) -> RunConfig:
         raise ConfigError("min-degree exceeds max-degree")
     if hi < 2:
         raise ConfigError("max-degree must be at least 2")
-    if command != "verify" and hi - min(lo, 0) > _WINDOW_CAP:
-        raise ConfigError(
-            f"the window [{min(lo, 0)}, {hi}] spans {hi - min(lo, 0)} degrees, over the limit "
-            f"of {_WINDOW_CAP}; narrow it"
-        )
+    if command != "verify":
+        _check_span(lo, hi)
     j_max = pick("j_max", n + 3)
     if j_max < n + 2:
         raise ConfigError("j-max must be at least n + 2")
@@ -238,33 +246,6 @@ def _build_config(command: str, flags: dict) -> RunConfig:
 def _factor_dict(f: Factor) -> dict:
     kind = f.label().split("[", 1)[0]
     return {"factor_kind": kind, "generator": f.gen.name, "degree": f.gen.degree}
-
-
-def _parse_factor(entry: dict, names: dict[str, Generator], ref: answer.AnswerModule) -> Factor:
-    """One factor entry of the JSON form, its generator looked up in names,
-    the generators of the closed-form module ref by name.  The kind must be
-    spelled as Factor.label spells it."""
-    where = f"factor {_typed(entry, dict, 'a factor')}"
-    kind = _field(entry, "factor_kind", str, where)
-    name = _field(entry, "generator", str, where)
-    gen = names.get(name)
-    if gen is None:
-        raise ConfigError(
-            f"no {ref.variance} generator is named {name!r} at p={ref.p}, n={ref.n}: {entry}"
-        )
-    if gen.degree != _field(entry, "degree", int, where):
-        raise ConfigError(f"{name} has degree {gen.degree}, not {entry['degree']}: {entry}")
-    base, _, height = kind.partition("_")
-    try:
-        if height:
-            f = Factor(GAMMA_TRUNC if base == GAMMA else base, gen, int(height))
-        else:
-            f = Factor(base, gen)
-    except ValueError as exc:
-        raise ConfigError(f"bad factor_kind {kind!r} in {entry}: {exc}")
-    if f.label() != f"{kind}[{name}]":
-        raise ConfigError(f"factor_kind {kind!r} is not canonical (label {f.label()!r}): {entry}")
-    return f
 
 
 def serialize_answer(a: answer.AnswerModule, series: answer.AnswerSeries) -> dict:
@@ -295,114 +276,57 @@ def serialize_answer(a: answer.AnswerModule, series: answer.AnswerSeries) -> dic
 
 
 def parse_answer(data: dict) -> answer.AnswerModule:
-    """Rebuild an AnswerModule from its JSON form.
+    """The module of a document that compute --format json writes, which
+    is refused with a ConfigError unless it is exactly that document.
 
-    The document's window is the range its poincare entries cover; the
-    module itself is computed on [0, window top].  Every key must be
-    present with its JSON type.  The free factors, torsion families and
-    Z_p entries must be that module's (localized, once the document says
-    so), and the poincare entries must agree with poincare_answer of the
-    rebuilt module, degree by degree and family by family.
+    The header (p, n, variance, window, localized) is checked before
+    anything is recomputed.  Then the module is computed on [0, window top],
+    localized if the document says so, and serialize_answer of it on the
+    window must hold the same JSON value in every key, and no other key.
     """
-
-    def entries(key: str, fields: tuple[tuple[str, type], ...]) -> list[dict]:
-        """data[key], an array of objects each holding fields."""
-        out = _field(data, key, list, "answer")
-        for e in out:
-            _typed(e, dict, f"a {key} entry")
-            for name, kind in fields:
-                _field(e, name, kind, f"{key} entry {e}")
-        return out
+    import json
 
     _typed(data, dict, "an answer")
     p, n = _field(data, "p", int, "answer"), _field(data, "n", int, "answer")
     variance = _field(data, "variance", str, "answer")
     window = _field(data, "window", list, "answer")
     if len(window) != 2:
-        import json
-
         raise ConfigError(f"window must be a pair [lo, hi], not {json.dumps(window)}")
     lo, hi = (_typed(x, int, "a window bound") for x in window)
     localized = _field(data, "localized", bool, "answer")
-    poincare = entries("poincare", (("degree", int), ("dim", int)))
-    zp_family = entries("zp_family", (("degree", int), ("count", int)))
-    torsion = entries(
-        "torsion",
-        (("order", int), ("generator_degree", int), ("cofactor", list), ("count_in_window", int)),
-    )
-    free = _field(data, "free", list, "answer")
     # before anything is recomputed, so that a huge stated window costs
     # nothing and closed_form meets no p, n or top it refuses
-    if variance not in ("cohomology", "homology"):
+    if variance not in _CHOICES["variance"]:
         raise ConfigError(f"variance must be cohomology or homology, not {variance!r}")
     _check_pn(p, n)
     if hi < 2:
         raise ConfigError(f"window top {hi} is below 2")
     if lo > hi:
         raise ConfigError(f"window [{lo}, {hi}] is empty")
-    if len(poincare) != hi - lo + 1 or any(
-        e["degree"] != d for d, e in zip(range(lo, hi + 1), poincare)
-    ):
-        raise ConfigError(f"poincare entries do not cover the window [{lo}, {hi}] exactly")
-    bad_zp = next((e for e in zp_family if e["count"] < 1), None)
-    if bad_zp is not None:
-        raise ConfigError(f"Z_p family counts must be positive: {bad_zp}")
+    _check_span(lo, hi)
 
-    # the names and families of the module as the registry builds them
-    ref = answer.closed_form(p, n, variance, hi)
-    exprs = [ref.free_part] + [f.expression for f in ref.torsion_families]
-    names = {x.gen.name: x.gen for e in exprs for x in e.factors}
-    identity = {(f.order, f.base_degree): (f.j, f.kind) for f in ref.torsion_families}
+    a = answer.closed_form(p, n, variance, hi)
+    if localized:
+        a = answer.localize(a)
+    want = serialize_answer(a, answer.poincare_answer(a, (lo, hi)))
+    extra = next((key for key in data if key not in want), None)
+    if extra is not None:
+        raise ConfigError(f"answer key {extra!r} is not one compute writes")
 
-    def factors(items: list) -> TensorExpression:
-        return TensorExpression(tuple(_parse_factor(x, names, ref) for x in items))
+    def dump(value) -> str:
+        return json.dumps(value, sort_keys=True)
 
-    families = []
-    for i, entry in enumerate(torsion):
-        order, base = entry["order"], entry["generator_degree"]
-        if (order, base) not in identity:
-            raise ConfigError(
-                f"torsion entry {i}: no {variance} family at p={p}, n={n} has order {order} "
-                f"and base degree {base}"
-            )
-        families.append(
-            answer.TorsionFamily(*identity[order, base], order, base, factors(entry["cofactor"]))
-        )
-    a = answer.AnswerModule(
-        p=p,
-        n=n,
-        variance=variance,
-        top=hi,
-        free_part=factors(free),
-        torsion_families=tuple(families),
-        zp_family=tuple((e["degree"], e["count"]) for e in zp_family),
-        localized=localized,
-    )
-    # parts with no generator in the window move no poincare entry or count
-    want = answer.localize(ref) if localized else ref
-    for key, got, items in (
-        ("free", a.free_part.factors, want.free_part.factors),
-        ("torsion", a.torsion_families, want.torsion_families),
-        ("zp_family", a.zp_family, want.zp_family),
-    ):
-        if got != items:
-            i = next(i for i, (x, y) in enumerate(zip_longest(got, items)) if x != y)
-            raise ConfigError(
-                f"{key} entries disagree with the {len(items)} of the module from entry {i} on"
-            )
-    series = answer.poincare_answer(a, (lo, hi))
-    bad = next((e for e in poincare if e["dim"] != series.total.dim(e["degree"])), None)
-    if bad is not None:
+    for key, value in want.items():
+        got = _field(data, key, type(value), "answer")
+        if dump(got) == dump(value):
+            continue
+        if not isinstance(value, list):
+            raise ConfigError(f"answer key {key!r} must be {dump(value)}, not {dump(got)}")
+        pairs = enumerate(zip(got, value))
+        i = next((i for i, (x, y) in pairs if dump(x) != dump(y)), min(len(got), len(value)))
         raise ConfigError(
-            f"poincare entry {bad} disagrees with the module, which has dimension "
-            f"{series.total.dim(bad['degree'])} there"
+            f"{key} entries disagree with the {len(value)} of the module from entry {i} on"
         )
-    for entry, count in zip(torsion, series.family_counts):
-        if entry["count_in_window"] != count:
-            raise ConfigError(
-                f"count_in_window {entry['count_in_window']} disagrees with the module, "
-                f"which has {count} generators in the family of order {entry['order']}"
-            )
     return a
 
 
@@ -416,7 +340,7 @@ def cmd_compute(cfg: RunConfig, out) -> int:
         a = answer.localize(a)
     series = answer.poincare_answer(a, (cfg.lo, cfg.hi))
     if series.total != answer.to_page(a).chart_series(cfg.lo, cfg.hi):
-        print("internal consistency failure: series readers disagree", file=sys.stderr)
+        _warn("internal consistency failure: series readers disagree")
         return 3
     if cfg.fmt == "json":
         import json
@@ -554,7 +478,7 @@ def cmd_verify(cfg: RunConfig, out) -> int:
         if not ok and first_failure is None:
             first_failure = (name, detail)
     if first_failure:
-        print(f"verification failed in {first_failure[0]}: {first_failure[1]}", file=sys.stderr)
+        _warn(f"verification failed in {first_failure[0]}: {first_failure[1]}")
         return 1
     return 0
 
@@ -616,18 +540,21 @@ def cmd_table(cfg: RunConfig, out) -> int:
     return 0
 
 
+def _warn(line: str) -> None:
+    """line on stderr; none when the process has no stderr, where print
+    would fall back to stdout."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        print(_usage(argv[0] if argv[0] in _COMMAND_OPTIONS else None))
-        return 0
     try:
+        if "-h" in argv or "--help" in argv:
+            print(_usage(argv[0] if argv[0] in _COMMAND_OPTIONS else None))
+            return 0
         cfg = _build_config(*_read_argv(argv))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    command = {"compute": cmd_compute, "verify": cmd_verify, "table": cmd_table}[cfg.command]
-    try:
+        command = {"compute": cmd_compute, "verify": cmd_verify, "table": cmd_table}[cfg.command]
         code = command(cfg, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -637,10 +564,10 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (ConfigError, km2.WindowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return 2
     except (ValueError, RuntimeError, AssertionError) as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        _warn(f"internal consistency failure: {exc}")
         return 3
     return code
 

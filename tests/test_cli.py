@@ -247,6 +247,121 @@ def test_compute_json_round_trips_small_window(localize, p, n, variance, hi):
     assert repr(rebuilt) == repr(answer.localize(want) if localize else want)
 
 
+def _dump(doc) -> str:
+    return json.dumps(doc, sort_keys=True)
+
+
+def _compute_doc(doc):
+    """The document compute --format json writes for the p, n, variance,
+    window and localized that doc names, or None where it writes none."""
+    try:
+        p, n, variance, (lo, hi), localized = (
+            doc[k] for k in ("p", "n", "variance", "window", "localized")
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
+    if {type(x) for x in (p, n, lo, hi)} != {int} or type(variance) is not str:
+        return None
+    if type(localized) is not bool:
+        return None
+    argv = [
+        "compute", "--p", str(p), "--n", str(n), "--variance", variance,
+        "--min-degree", str(lo), "--max-degree", str(hi), "--format", "json",
+    ]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv + ["--localize"] * localized)
+    return json.loads(out.getvalue()) if code == 0 else None
+
+
+def _edits(node, path=()):
+    """Every one-step edit of the JSON value node as (path, op): an integer
+    leaf moved by op = 1 or -1, a string leaf given an "x", a boolean
+    flipped, a list entry dropped or duplicated, a key added to an object."""
+    if isinstance(node, bool):
+        yield path, "flip"
+    elif isinstance(node, int):
+        yield path, 1
+        yield path, -1
+    elif isinstance(node, str):
+        yield path, "x"
+    elif isinstance(node, list):
+        for i, x in enumerate(node):
+            yield (*path, i), "drop"
+            yield (*path, i), "dup"
+            yield from _edits(x, (*path, i))
+    else:
+        yield path, "add"
+        for k, x in node.items():
+            yield from _edits(x, (*path, k))
+
+
+def _edited(doc, path, op):
+    """A copy of doc with the edit (path, op) of _edits made."""
+    doc = json.loads(json.dumps(doc))
+    if op == "add":
+        target = doc
+        for k in path:
+            target = target[k]
+        target["added"] = 0
+        return doc
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    if op == "drop":
+        del parent[key]
+    elif op == "dup":
+        parent.insert(key, parent[key])
+    elif op == "flip":
+        parent[key] = not parent[key]
+    else:
+        parent[key] += op
+    return doc
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 3),
+    variance=st.sampled_from(["cohomology", "homology"]),
+    lo=st.integers(-8, 2),
+    hi=st.integers(2, 60),
+    localize=st.booleans(),
+    data=st.data(),
+)
+def test_parse_answer_accepts_only_what_compute_writes(p, n, variance, lo, hi, localize, data):
+    """One edit of a compute document (a leaf changed, a list entry dropped
+    or duplicated, a key added) is refused with a ConfigError, unless the
+    edited document is exactly the one compute writes for the p, n,
+    variance, window and localized it now names; then it reads back as
+    that module."""
+    doc = _compute_doc(
+        {"p": p, "n": n, "variance": variance, "window": [lo, hi], "localized": localize}
+    )
+    edited = _edited(doc, *data.draw(st.sampled_from(list(_edits(doc)))))
+    want = _compute_doc(edited)
+    if want is not None and _dump(edited) == _dump(want):
+        module = answer.closed_form(want["p"], want["n"], want["variance"], want["window"][1])
+        if want["localized"]:
+            module = answer.localize(module)
+        assert cli.parse_answer(edited) == module
+    else:
+        with pytest.raises(cli.ConfigError):
+            cli.parse_answer(edited)
+
+
+def test_parse_answer_accepts_an_edit_compute_also_writes():
+    """At (3, 1) on [0, 4] the module has no torsion and no Z_p class, so
+    flipping localized gives the document compute --localize writes."""
+    doc = _compute_doc(
+        {"p": 3, "n": 1, "variance": "cohomology", "window": [0, 4], "localized": False}
+    )
+    edited = _edited(doc, ("localized",), "flip")
+    assert _dump(edited) == _dump(_compute_doc(edited))
+    assert cli.parse_answer(edited) == answer.localize(answer.closed_form(3, 1, "cohomology", 4))
+
+
 def test_compute_output_is_deterministic(capsys):
     argv = ["compute", "--p", "3", "--n", "2", "--max-degree", "60", "--format", "json"]
     assert main(argv) == 0
@@ -856,7 +971,7 @@ def _cli_subprocess(argv, block_numpy):
     return _python("-c", _CLI_SCRIPT, "block" if block_numpy else "allow", *argv)
 
 
-def _cli_into_closed_pipe(argv):
+def _cli_into_closed_pipe(argv, env=_CHILD_ENV):
     """`python -m morava_k2.cli argv` with stdout a pipe whose reader has
     already closed it."""
     read_end, write_end = os.pipe()
@@ -864,7 +979,7 @@ def _cli_into_closed_pipe(argv):
     try:
         return subprocess.run(
             [sys.executable, "-m", "morava_k2.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=_CHILD_ENV, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
         )
     finally:
         os.close(write_end)
@@ -897,11 +1012,13 @@ def _run_cli(argv, plant=""):
 
 
 def test_closed_stdout_after_help_exits_141():
-    """--help prints without flushing, so the write to a closed stdout fails
-    in run()'s own flush: exit 141 and an empty stderr, as from main."""
-    done = _cli_into_closed_pipe(["--help"])
-    assert done.stderr == b""
-    assert done.returncode == 141
+    """--help into a closed stdout exits 141 with an empty stderr, buffered
+    or not: buffered, the write fails in run()'s own flush; unbuffered
+    (PYTHONUNBUFFERED=1), in the print inside main, which handles it as it
+    does a command's."""
+    for env in (_CHILD_ENV, dict(_CHILD_ENV, PYTHONUNBUFFERED="1")):
+        done = _cli_into_closed_pipe(["--help"], env)
+        assert (done.returncode, done.stderr) == (141, b""), env.get("PYTHONUNBUFFERED")
 
 
 def test_output_larger_than_a_pipe_buffer_arrives_whole(capsys):
@@ -981,16 +1098,19 @@ def test_an_exception_escaping_main_takes_the_normal_exit():
     [(["compute", "--p", "3", "--n", "1", "--max-degree", "40"], 0),
      (["verify", "--p", "4", "--n", "1"], 2)],
 )
-def test_run_with_stderr_closed_exits_with_mains_code(argv, code):
+def test_run_with_stderr_closed_exits_with_mains_code(capsys, argv, code):
     """Started with fd 2 closed, the interpreter sets sys.stderr to None;
-    run() skips that stream and still exits with main's code."""
+    run() skips that stream and still exits with main's code, and no error
+    line falls back to stdout: stdout holds main's output alone."""
+    assert main(argv) == code
+    want = capsys.readouterr().out.encode()
     script = "import sys; print(sys.stderr is None, flush=True)\n" + _RUN_SCRIPT.format(plant="")
     done = subprocess.run(
         ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, "-c", script, *argv],
         capture_output=True, env=_CHILD_ENV, timeout=120,
     )
     assert done.returncode == code
-    assert done.stdout.startswith(b"True\n")
+    assert done.stdout == b"True\n" + want
 
 
 def test_installed_command_takes_the_fast_exit():
@@ -1115,39 +1235,49 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
 
 def test_parse_answer_requires_canonical_factor_kinds():
     """A factor_kind must be spelled as Factor.label spells it; "TPbar_03"
-    once parsed as TPbar_3."""
+    once parsed as TPbar_3.  The refusal names the torsion entry."""
     a = answer.closed_form(3, 1, "cohomology", 30)
     text = json.dumps(cli.serialize_answer(a, answer.poincare_answer(a)))
     for kind in ("TPbar_03", "TPbar_+3", "TPbar_3 ", "GammaTrunc_3", "TPbar_1", "TPbar", "E_2"):
         doc = json.loads(text)
-        entry = next(
-            x for f in doc["torsion"] for x in f["cofactor"] if x["factor_kind"] == "TPbar_3"
+        i, entry = next(
+            (i, x)
+            for i, f in enumerate(doc["torsion"])
+            for x in f["cofactor"]
+            if x["factor_kind"] == "TPbar_3"
         )
         entry["factor_kind"] = kind
-        with pytest.raises(cli.ConfigError, match=re.escape(repr(kind))) as info:
+        words = f"torsion entries disagree with the 3 of the module from entry {i} on"
+        with pytest.raises(cli.ConfigError, match=re.escape(words)):
             cli.parse_answer(doc)
-        assert str(entry) in str(info.value)
+
+
+def _entries_disagree(key, size, i):
+    return f"{key} entries disagree with the {size} of the module from entry {i} on"
 
 
 def test_parse_answer_rejects_unknown_generator(monkeypatch):
+    """Every edit of a compute document is refused, and the refusal names
+    the key, and for a list the first entry, where the document leaves the
+    one compute writes."""
     a = answer.closed_form(3, 1, "cohomology", 30)
     text = json.dumps(cli.serialize_answer(a, answer.poincare_answer(a)))
-    # (where, key, value, words of the message): an unknown name, an unknown
-    # factor kind, a degree other than the name's (|v| = -4 at (3, 1)) and a
-    # homology name inside a cohomology module
+    # an unknown name, an unknown factor kind, a degree other than the
+    # name's (|v| = -4 at (3, 1)) and a homology name inside a cohomology
+    # module
     edits = [
-        ("free", "generator", "q_1", "'q_1'"),
-        ("free", "factor_kind", "Q", "'Q'"),
-        ("free", "degree", 4, "v has degree -4, not 4"),
-        ("torsion", "generator", "y_1*", "'y_1*'"),
+        ("free", "generator", "q_1"),
+        ("free", "factor_kind", "Q"),
+        ("free", "degree", 4),
+        ("torsion", "generator", "y_1*"),
     ]
-    for where, key, value, words in edits:
+    for where, key, value in edits:
         doc = json.loads(text)
         entry = doc["free"][0] if where == "free" else doc["torsion"][0]["cofactor"][0]
         entry[key] = value
-        with pytest.raises(cli.ConfigError, match=re.escape(words)) as info:
+        size = 1 if where == "free" else 3
+        with pytest.raises(cli.ConfigError, match=re.escape(_entries_disagree(where, size, 0))):
             cli.parse_answer(doc)
-        assert str(entry) in str(info.value)
     # names outside the registry's spelling, in a p = 3 and a p = 2 module
     a2 = answer.closed_form(2, 1, "cohomology", 30)
     text2 = json.dumps(cli.serialize_answer(a2, answer.poincare_answer(a2)))
@@ -1165,24 +1295,22 @@ def test_parse_answer_rejects_unknown_generator(monkeypatch):
     ]:
         doc = json.loads(text if p == 3 else text2)
         doc["free"][0]["generator"] = name
-        words = f"no cohomology generator is named {name!r} at p={p}, n=1"
-        with pytest.raises(cli.ConfigError, match=re.escape(words)):
+        with pytest.raises(cli.ConfigError, match=re.escape(_entries_disagree("free", 1, 0))):
             cli.parse_answer(doc)
-    # the module around the entries: a variance that is neither, a window the
-    # poincare entries do not cover, a Z_p count that is not positive, a
-    # family base no family of that order has, and an edited dimension or
-    # family count
+    # the module around the entries: a variance that is neither, a family
+    # base no family of that order has, a window the poincare entries do
+    # not cover (at top 31 the module has a fourth family), a Z_p count that
+    # is not positive, and an edited dimension or family count
     module_edits = [
         (lambda doc: doc.update(variance="sideways"),
          "variance must be cohomology or homology, not 'sideways'"),
         (lambda doc: doc["torsion"][0].update(generator_degree=22),
-         "torsion entry 0: no cohomology family at p=3, n=1 has order 2 and base degree 22"),
-        (lambda doc: doc.update(window=[0, 31]), "poincare entries do not cover the window [0, 31]"),
-        (lambda doc: doc["zp_family"][0].update(count=-3), "Z_p family counts must be positive"),
-        (lambda doc: doc["poincare"][12].update(dim=2),
-         "poincare entry {'degree': 12, 'dim': 2} disagrees with the module"),
+         _entries_disagree("torsion", 3, 0)),
+        (lambda doc: doc.update(window=[0, 31]), _entries_disagree("torsion", 4, 2)),
+        (lambda doc: doc["zp_family"][0].update(count=-3), _entries_disagree("zp_family", 23, 0)),
+        (lambda doc: doc["poincare"][12].update(dim=2), _entries_disagree("poincare", 31, 12)),
         (lambda doc: doc["torsion"][0].update(count_in_window=3),
-         "count_in_window 3 disagrees with the module"),
+         _entries_disagree("torsion", 3, 0)),
     ]
     for edit, words in module_edits:
         doc = json.loads(text)
@@ -1208,6 +1336,15 @@ def test_parse_answer_rejects_unknown_generator(monkeypatch):
         # a localized module has no family
         (lambda doc: doc.update(localized=True),
          "torsion entries disagree with the 0 of the module from entry 0 on"),
+        # keys and values compute never writes: JSON false is not 0, 1.0
+        # is not 1
+        (lambda doc: doc.update(names_nominal=False),
+         "answer key 'names_nominal' must be true, not false"),
+        (lambda doc: doc.update(comment="edited"), "answer key 'comment' is not one compute writes"),
+        (lambda doc: doc["torsion"][2].update(count_in_window=False),
+         _entries_disagree("torsion", 3, 2)),
+        (lambda doc: doc["poincare"][4].update(dim=1.0), _entries_disagree("poincare", 31, 4)),
+        (lambda doc: doc["zp_family"][5].update(note=None), _entries_disagree("zp_family", 23, 5)),
     ]:
         doc = json.loads(text)
         edit(doc)
@@ -1222,11 +1359,13 @@ def test_parse_answer_rejects_unknown_generator(monkeypatch):
         (lambda doc: doc.update(window=30), "answer key 'window' must be a JSON array, not 30"),
         (lambda doc: doc.update(window=[0, 30.0]), "a window bound must be a JSON integer, not 30.0"),
         (lambda doc: doc.update(localized=0), "answer key 'localized' must be a JSON boolean, not 0"),
-        (lambda doc: doc["poincare"][3].pop("dim"), "poincare entry {'degree': 3} has no key 'dim'"),
-        (lambda doc: doc["zp_family"].append(7), "a zp_family entry must be a JSON object, not 7"),
-        (lambda doc: doc["torsion"][1].update(order=True), "key 'order' must be a JSON integer, not true"),
-        (lambda doc: doc["free"][0].update(degree="-4"), "key 'degree' must be a JSON integer, not \"-4\""),
-        (lambda doc: doc["free"].append([]), "a factor must be a JSON object, not []"),
+        (lambda doc: doc.pop("free"), "answer has no key 'free'"),
+        (lambda doc: doc.update(torsion={}), "answer key 'torsion' must be a JSON array, not {}"),
+        (lambda doc: doc["poincare"][3].pop("dim"), _entries_disagree("poincare", 31, 3)),
+        (lambda doc: doc["zp_family"].append(7), _entries_disagree("zp_family", 23, 23)),
+        (lambda doc: doc["torsion"][1].update(order=True), _entries_disagree("torsion", 3, 1)),
+        (lambda doc: doc["free"][0].update(degree="-4"), _entries_disagree("free", 1, 0)),
+        (lambda doc: doc["free"].append([]), _entries_disagree("free", 1, 1)),
     ]:
         doc = json.loads(text)
         edit(doc)
@@ -1245,7 +1384,8 @@ def test_parse_answer_rejects_unknown_generator(monkeypatch):
     monkeypatch.setattr(answer, "poincare_answer", forbidden)
     doc = json.loads(text)
     doc["window"] = [0, 10**9]
-    with pytest.raises(cli.ConfigError, match=re.escape("[0, 1000000000]")):
+    words = "the window [0, 1000000000] spans 1000000000 degrees, over the limit of 10000"
+    with pytest.raises(cli.ConfigError, match=re.escape(words)):
         cli.parse_answer(doc)
     for key, value, words in [
         ("p", 4, "p must be prime"),
