@@ -191,7 +191,7 @@ def _build_config(command: str, flags: dict) -> RunConfig:
     same checks."""
     keys = _COMMAND_OPTIONS[command]
     data = {}
-    if flags.get("config"):
+    if "config" in flags:
         import json
 
         try:

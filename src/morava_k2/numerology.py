@@ -38,18 +38,9 @@ def split(j: int, n: int) -> IndexSplit:
 
 
 def r(j: int, p: int, n: int) -> int:
-    """Stage of the differential supported on y_j (j >= 1); r(0) = 1.
-
-    At p = 2 the stages through j = n+1 are the powers 2^j.  That agrees
-    with the closed form, but it is kept as an explicit branch so the
-    special range is visible.
-    """
+    """Stage of the differential supported on y_j (j >= 1); r(0) = 1."""
     _check_pn(p, n)
-    if j < 0:
-        raise ValueError("index must be nonnegative")
-    if p == 2 and j <= n + 1:
-        return 2**j
-    s = split(j, n)
+    s = split(j, n)  # refuses j < 0
     return p ** (s.i + 1) * (p**n - 1) * q(s.k, p, n) + s.k + p**s.i
 
 
@@ -60,7 +51,8 @@ def rprime(j: int, p: int, n: int) -> int:
 
 
 def p2_special_range(j: int, p: int, n: int) -> bool:
-    """True when (p, j) falls in the p = 2 branch of r and rprime."""
+    """True when p = 2 and j <= n + 1, where r(j) = rprime(j) = 2^j: the
+    stages of the y_j and half-index differentials coincide."""
     return p == 2 and 0 <= j <= n + 1
 
 

@@ -11,9 +11,10 @@ The E2 page over E[Q_n] is run to E-infinity in two independent ways:
   E2 lattice and reads tower orders off a matching sweep.
 
 Both report per-degree free ranks, v-torsion towers and the filtration-0 Z_p
-family; ``oracle_match`` compares the two degree for degree on [0, top], and
-``pairing_check`` / ``uct_transport`` verify the duality between the homology
-and cohomology runs.
+family; ``oracle_match`` compares the two degree for degree on [0, top].  It
+also checks the duality between the homology and cohomology runs:
+``uct_matches`` (and ``pairing_check``) hand it the homology page moved to
+cohomology degrees by ``uct_transport``.
 
 The Z_p family, too, comes two ways: the closed route reads it off the
 total and E2 Poincare series (``zp_family_closed``, no linear algebra), the
@@ -354,7 +355,8 @@ class Page(namedtuple("Page", "p n variance stage top v_free torsion zp_family")
 
     def _towers(self) -> list[tuple[int, object, int]]:
         """(generator degree, order, count) of each summand in torsion: the
-        v-torsion towers and, on a brute-force page, the free ones."""
+        v-torsion towers and, on a brute-force or transported page, the
+        free ones."""
         return [(g, order, c) for _expr, g, order, c in self.torsion]
 
     def chart_dims(self, lo: int, hi: int) -> Counter:
@@ -1081,14 +1083,9 @@ def oracle_match(a: Page, b: Page) -> tuple[bool, str]:
 
 
 def pairing_check(coh: Page, hom: Page) -> tuple[bool, str]:
-    """The cohomology and homology runs determine each other.
-
-    Schedules match with source and target roles swapped; the pages pair
-    as uct_matches transports them: an order-r torsion tower generated in
-    homology degree d pairs with one generated in cohomology degree
-    d + 1 + 2r(p^n - 1), free parts pair degree for degree and the Z_p
-    family under the shift 2p^n - 1 of its order-1 step.
-    """
+    """The cohomology and homology runs determine each other: after the
+    refusals, the uct_matches comparison, summarized by the tower orders
+    that pair up."""
     if (coh.p, coh.n) != (hom.p, hom.n) or (coh.variance, hom.variance) != (
         "cohomology",
         "homology",
@@ -1096,63 +1093,36 @@ def pairing_check(coh: Page, hom: Page) -> tuple[bool, str]:
         return False, "need cohomology and homology pages at one (p, n)"
     if refusal := _tops_differ(coh, hom):
         return False, refusal
-    p, n, top = coh.p, coh.n, coh.top
-    direct = sorted(
-        (e.stage, e.source_degree, e.target_degree)
-        for e in window_schedule(p, n, "cohomology", top)
-    )
-    swapped = sorted(
-        (e.stage, e.target_degree, e.source_degree)
-        for e in window_schedule(p, n, "homology", top)
-    )
-    if direct != swapped:
-        bad = next(x for x, y in zip(direct, swapped) if x != y)
-        return False, f"schedule triple {bad} has no mirror"
-
     ok, msg = uct_matches(hom, coh)
     if not ok:
         return False, msg
     orders = {o for _d, o in coh.torsion_by_degree()} | {o for _d, o in hom.torsion_by_degree()}
-    return True, f"pairing verified on [0, {top}] across {len(orders)} tower orders"
+    return True, f"pairing verified on [0, {coh.top}] across {len(orders)} tower orders"
 
 
-def uct_transport(hom: Page) -> dict:
-    """Transport a homology answer to cohomology degrees.
-
-    Free summands keep their degree, an order-r tower moves up by
-    1 + 2r(p^n - 1), and the Z_p family moves up by 2p^n - 1.
-    """
+def uct_transport(hom: Page) -> Page:
+    """The homology page moved to cohomology degrees, as a cohomology page
+    on [0, hom.top]: a free tower keeps its degree, an order-r tower moves
+    up by degree_step(r) = 1 + 2r(p^n - 1) and the Z_p family by
+    2p^n - 1; what lands above top is cut."""
     if hom.variance != "homology":
         raise ValueError("uct_transport starts from a homology page")
-    p, n = hom.p, hom.n
-    torsion: Counter = Counter()
+    p, n, top = hom.p, hom.n, hom.top
+    towers = [TowerSummand(None, d, INF, c) for d, c in hom.free_by_degree().items()]
     for (d, r), c in hom.torsion_by_degree().items():
-        torsion[(d + degree_step(r, p, n), r)] += c
+        moved = d + degree_step(r, p, n)
+        if moved <= top:
+            towers.append(TowerSummand(None, moved, r, c))
     dq = 2 * p**n - 1
-    return {
-        "free": Counter(hom.free_by_degree()),
-        "torsion": torsion,
-        "zp": Counter({d + dq: c for d, c in hom.zp_family}),
-    }
+    zp = tuple((d + dq, c) for d, c in hom.zp_family if d + dq <= top)
+    return Page(p, n, "cohomology", hom.stage, top, None, tuple(towers), zp)
 
 
 def uct_matches(hom: Page, coh: Page) -> tuple[bool, str]:
-    """Transported homology must equal the directly computed cohomology;
-    what the transport moves above top is cut."""
-    if refusal := _tops_differ(hom, coh):
-        return False, refusal
-    moved = uct_transport(hom)
-    top = coh.top
-    if coh.free_by_degree() != moved["free"]:
-        return False, "free parts disagree after transport"
-    want = coh.torsion_by_degree()
-    got = Counter({k: c for k, c in moved["torsion"].items() if k[0] <= top})
-    if want != got:
-        k = _first_difference(want, got)
-        return False, f"torsion disagrees after transport at (degree, order) = {k}"
-    if dict(coh.zp_family) != {d: c for d, c in moved["zp"].items() if d <= top}:
-        return False, "Z_p family disagrees after transport"
-    return True, f"transport matches cohomology on [0, {top}]"
+    """Transported homology must equal the directly computed cohomology,
+    compared by oracle_match."""
+    ok, msg = oracle_match(uct_transport(hom), coh)
+    return ok, (f"transport matches cohomology on [0, {coh.top}]" if ok else msg)
 
 
 # ---------------------------------------------------------------------------

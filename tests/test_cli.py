@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -797,13 +798,19 @@ _REFUSED_ARGV = [
     ("compute --variance=sideways", "error: variance must be cohomology or homology"),
     ("", "error: a command is required"),
     ("frobnicate --p 3", "error: unknown command 'frobnicate'"),
+    ("compute --p 3 --n 1 --max-degree 8 --config {config}.missing",
+     "error: cannot read config file: "),
+    # an empty path is unreadable too, never a missing --config
+    ("compute --p 3 --n 1 --max-degree 8 --config=", "error: cannot read config file: "),
+    ("compute --p 3 --n 1 --max-degree 8 --config ''", "error: cannot read config file: "),
 ]
 
 
 @pytest.fixture
 def read_config(monkeypatch, tmp_path):
-    """main on an argv string, returning (exit code, the RunConfig the
-    command received or None); {config} in the string names a config file."""
+    """main on an argv string, split as a shell would, returning (exit code,
+    the RunConfig the command received or None); {config} in the string
+    names a config file."""
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"p": 5, "max_degree": 12, "format": "tsv"}))
     seen = []
@@ -812,7 +819,7 @@ def read_config(monkeypatch, tmp_path):
 
     def run(argv: str):
         seen.clear()
-        code = main(argv.format(config=path).split())
+        code = main(shlex.split(argv.format(config=path)))
         return code, (seen[0] if seen else None)
 
     return run

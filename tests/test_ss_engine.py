@@ -60,7 +60,15 @@ def test_schedule_21_paired_entries():
     assert flags[6:] == [(15, False), (17, False), (29, False), (35, False)]
 
 
-def test_schedule_homology_swaps_roles():
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(min_value=1, max_value=3),
+    top=st.integers(min_value=2, max_value=400),
+)
+@settings(deadline=None, max_examples=60)
+def test_schedule_homology_swaps_roles(p, n, top):
+    """Each homology differential is the cohomology one with source and
+    target, and their degrees, swapped and starred, at every window."""
     got = [
         (e.stage, e.source, e.target, e.source_degree, e.target_degree)
         for e in ss.schedule(3, 1, 1, "homology")
@@ -70,6 +78,14 @@ def test_schedule_homology_swaps_roles():
         (3, "w_2*", "y_1*", 19, 6),
         (6, "z_3*", "w_5/2*", 56, 31),
     ]
+    mirrored = [
+        e._replace(
+            source=e.target + "*", target=e.source + "*",
+            source_degree=e.target_degree, target_degree=e.source_degree,
+        )
+        for e in ss.window_schedule(p, n, "cohomology", top)
+    ]
+    assert ss.window_schedule(p, n, "homology", top) == mirrored
 
 
 def test_schedule_degree_identity():
@@ -559,11 +575,57 @@ def test_pairing_and_transport_all_pairs():
 def test_uct_transport_shifts():
     hom = ss.run_bruteforce(3, 1, "homology", 60)
     moved = ss.uct_transport(hom)
-    assert moved["torsion"][(6 + 13, 3)] == 1
-    assert moved["zp"][2 + 5] == 1
-    assert moved["free"][0] == 1
+    assert (moved.variance, moved.top) == ("cohomology", 60)
+    assert moved.torsion_by_degree()[(6 + 13, 3)] == 1
+    assert dict(moved.zp_family)[2 + 5] == 1
+    assert moved.free_by_degree()[0] == 1
     with pytest.raises(ValueError):
         ss.uct_transport(ss.run_bruteforce(3, 1, "cohomology", 40))
+
+
+def _plant_free_tower(hom):
+    return hom._replace(torsion=hom.torsion + (ss.TowerSummand(None, 4, ss.INF),))
+
+
+def _plant_wrong_order(hom):
+    """The order-3 tower on y_1* (degree 6) made order 2."""
+    return hom._replace(
+        torsion=tuple(
+            t._replace(order=2) if (t.generator_degree, t.order) == (6, 3) else t
+            for t in hom.torsion
+        )
+    )
+
+
+def _plant_zp_class(hom):
+    return hom._replace(zp_family=tuple(sorted(hom.zp_family + ((6, 1),))))
+
+
+@pytest.mark.parametrize(
+    "plant, uct_message, pairing_message",
+    [
+        (_plant_free_tower, "free ranks differ at degree 4: 1 vs 0", None),
+        # the order-2 tower moves up by degree_step(2) = 9, not 13
+        (_plant_wrong_order, "torsion differs at degree 15 order 2: 1 vs 0", None),
+        # the Z_p family moves up by 2p^n - 1 = 5
+        (_plant_zp_class, "Z_p families differ at degree 11: 1 vs 0", None),
+        (
+            lambda hom: ss.run_bruteforce(2, 1, "homology", 60),
+            "pages disagree on (p, n, variance)",
+            "need cohomology and homology pages at one (p, n)",
+        ),
+    ],
+    ids=["free", "order", "zp", "other_pn"],
+)
+def test_comparators_name_the_first_planted_mismatch(plant, uct_message, pairing_message):
+    """uct_matches and pairing_check report a defect planted in the
+    homology page at its transported degree, in oracle_match's words."""
+    hom = ss.run_bruteforce(3, 1, "homology", 60)
+    coh = ss.run_bruteforce(3, 1, "cohomology", 60)
+    assert ss.uct_matches(hom, coh)[0] and ss.pairing_check(coh, hom)[0]
+    planted = plant(hom)
+    assert ss.uct_matches(planted, coh) == (False, uct_message)
+    assert ss.pairing_check(coh, planted) == (False, pairing_message or uct_message)
 
 
 def test_chart_dims_places_towers():
