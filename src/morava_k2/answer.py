@@ -26,7 +26,7 @@ family's towers start on the dual of its differential's source.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import accumulate
 from operator import add, sub
 
@@ -41,6 +41,7 @@ from .ss_engine import (
     _summands,
     _v_free,
     _without_v,
+    degree_step,
     v_degree,
 )
 
@@ -178,6 +179,44 @@ def poincare_answer(a: AnswerModule, window=None) -> AnswerSeries:
     )
 
 
+def _kernel_slots(a: AnswerModule) -> tuple[list[int], str]:
+    """The bottom classes of the v-torsion towers, which v kills, where
+    bockstein_check reads them against dim H^d: entry d counts those in
+    degree d + dq in cohomology, d - dq in homology (dq = 2p^n - 1); and
+    why they cannot be read, or ''.
+
+    An order-r tower on g has its bottom class at g + (r-1)q2 in homology
+    (q2 = 2(p^n - 1)), entry g + 1 + r*q2.  In cohomology it lies at
+    g - (r-1)q2, under a generator far above the window, so it is read
+    through the UCT: the homology tower on h pairs with the cohomology
+    tower on h + 1 + r*q2, whose bottom class is entry h.  Each cohomology
+    family must have the homology partner of its (kind, j), of its order.
+    """
+    p, n, hi = a.p, a.n, a.top
+    slots = [0] * (hi + 1)
+    if a.variance == "homology":
+        for f in a.torsion_families:
+            _add_shifted(slots, 0, f.expression.poincare(hi), degree_step(f.order, p, n), add)
+        return slots, ""
+    dual = ss_engine._families(p, n, "homology", hi)
+    partners = {(f.kind, f.j): f for f in dual}
+    for f in a.torsion_families:
+        partner = partners.pop((f.kind, f.j), None)
+        if partner is None:
+            return slots, f"family ({f.kind}, {f.j}) has no homology partner"
+        if partner.order != f.order:
+            return slots, (
+                f"family ({f.kind}, {f.j}) has order {f.order}, its homology partner "
+                f"order {partner.order}"
+            )
+    if partners:
+        kind, j = next(iter(partners))
+        return slots, f"homology family ({kind}, {j}) has no cohomology partner"
+    for f in dual:
+        _add_shifted(slots, 0, f.expression.poincare(hi), 0, add)
+    return slots, ""
+
+
 def bockstein_check(a: AnswerModule) -> tuple[bool, str]:
     """Mod-p cohomology dimensions from the module, degree by degree.
 
@@ -185,24 +224,31 @@ def bockstein_check(a: AnswerModule) -> tuple[bool, str]:
     dim H^d(K_2) = dim coker(v)_d + dim ker(v)_{d'} with d' offset from d by
     2p^n - 1: upward in cohomology, downward in homology.  Only that derived
     orientation is tried, so a module of the wrong variance fails at its
-    first bad degree instead of passing under the opposite one.
+    first bad degree instead of passing under the opposite one.  ker(v)
+    comes from _kernel_slots and the Z_p classes; every series stays on
+    [0, top].  In cohomology the kernel slots are read through the UCT off
+    the homology families, so of each cohomology family only its (kind, j)
+    and order enter ker(v): its generators above top, which ker(v) once
+    read off its own series, are no longer checked against dim H.  Its
+    generators on [0, top] still enter coker(v).
     """
     if a.localized:
         raise ValueError("bockstein_check needs the torsion the localized module drops")
     p, n = a.p, a.n
     hi = a.top
-    q2 = 2 * (p**n - 1)
-    dq = q2 + 1
+    dq = 2 * p**n - 1
     coh = a.variance == "cohomology"
+    ker, refusal = _kernel_slots(a)
+    if refusal:
+        return False, refusal
 
-    cok: Counter = Counter()
-    kerv: Counter = Counter()
-    for d, c in enumerate(_without_v(a.free_part).poincare(hi).dims):
-        cok[d] += c
+    cok = list(_without_v(a.free_part).poincare(hi).dims)
+    for f in a.torsion_families:
+        _add_shifted(cok, 0, f.expression.poincare(hi), 0, add)
     # the Z_p classes die under v and miss its image; cohomology kernels
     # reach one Q_n-degree above the module's top, to the Z_p at d + dq over
     # each free generator d <= hi, where the homology family has its Z_p
-    ker_top = hi + dq if coh else hi
+    offset = dq if coh else -dq
     zp = list(a.zp_family)
     if coh:
         zp += [
@@ -213,27 +259,12 @@ def bockstein_check(a: AnswerModule) -> tuple[bool, str]:
     for d, c in zp:
         if d <= hi:
             cok[d] += c
-        if d <= ker_top:
-            kerv[d] += c
-    for f in a.torsion_families:
-        # kernel slots sit q2*(order-1) away from their generators, on the
-        # far side of the window in cohomology
-        gen_top = max(hi, ker_top + q2 * (f.order - 1)) if coh else hi
-        for g, c in enumerate(f.expression.poincare(gen_top).dims):
-            if not c:
-                continue
-            if g <= hi:
-                cok[g] += c
-            top = g - q2 * (f.order - 1) if coh else g + q2 * (f.order - 1)
-            if 0 <= top <= ker_top:
-                kerv[top] += c
+        if 0 <= d - offset <= hi:
+            ker[d - offset] += c
 
     h_dims = km2.total_dims(km2.build(p, n, a.variance), hi)
-
-    offset = dq if coh else -dq
     for d in range(hi + 1):
-        e = d + offset
-        predicted = cok[d] + (kerv[e] if e >= 0 else 0)
+        predicted = cok[d] + ker[d]
         if predicted != h_dims[d]:
             return False, (
                 f"degree {d}: H has dimension {h_dims[d]} but coker(v) + ker(v) "

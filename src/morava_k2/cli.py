@@ -8,8 +8,9 @@ the usage, read off the same table.
 
 Exit codes: 0 success (--help included), 1 verification failure, 2 invalid
 configuration (any ConfigError: a token the argv reader cannot place, an
-unknown config key, a bad value, a compute or table window over _WINDOW_CAP,
-a verify run over _FOLD_WORK_CAP or _SWEEP_CAP; or a WindowError), 3 internal
+unknown config key, a bad value, a window over _WINDOW_CAP for compute,
+table or the verify suites bockstein and localization, a verify run over
+_FOLD_WORK_CAP or _SWEEP_CAP; or a WindowError), 3 internal
 consistency failure (any other ValueError, RuntimeError or AssertionError
 from inside the package), 141 (128 + SIGPIPE) stdout closed by its reader
 before the output was written, --help included.  Diagnostics go through
@@ -177,7 +178,8 @@ def _check_pn(p: int, n: int) -> None:
 
 
 def _check_span(lo: int, hi: int) -> None:
-    """Refuse a compute window [lo, hi] over _WINDOW_CAP."""
+    """Refuse a window [lo, hi] over _WINDOW_CAP: compute's, table's, or the
+    verify window of bockstein and localization."""
     if hi - min(lo, 0) > _WINDOW_CAP:
         raise ConfigError(
             f"the window [{min(lo, 0)}, {hi}] spans {hi - min(lo, 0)} degrees, over the limit "
@@ -369,24 +371,31 @@ def cmd_compute(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _brute_page(cfg: RunConfig, pages: dict, variance: str):
-    """The brute-force page of cfg in this variance, built at most once and
-    shared through pages by the suites of one run."""
-    if variance not in pages:
-        pages[variance] = ss_engine.run_bruteforce(cfg.p, cfg.n, variance, cfg.hi)
-    return pages[variance]
-
-
-def _closed_module(cfg: RunConfig, pages: dict):
-    """The closed-form module of cfg, built at most once and shared through
-    pages by the bockstein and localization suites of one run."""
-    if "closed" not in pages:
-        pages["closed"] = answer.closed_form(cfg.p, cfg.n, cfg.variance, cfg.hi)
-    return pages["closed"]
-
-
 def _run_suite(name: str, cfg: RunConfig, pages: dict):
+    """One suite's (ok, detail).  Every result that two suites read is
+    built once per run and held in pages: the brute-force page of each
+    variance (oracle, pairing, uct), the E2 page that starts the closed
+    rewrite (e2, oracle), the UCT comparison (pairing, uct) and the
+    closed-form module (bockstein, localization)."""
     p, n, variance, hi = cfg.p, cfg.n, cfg.variance, cfg.hi
+
+    def once(key, build, *args):
+        if key not in pages:
+            pages[key] = build(*args)
+        return pages[key]
+
+    def brute(v: str):
+        return once(v, ss_engine.run_bruteforce, p, n, v, hi)
+
+    def e2():
+        return once("e2", ss_engine.e2_closed_form, p, n, variance, hi)
+
+    def uct():
+        return once("uct", ss_engine.uct_matches, brute("homology"), brute("cohomology"))
+
+    def closed():
+        return once("closed", answer.closed_form, p, n, variance, hi)
+
     if name == "numerology":
         failures = numerology.identity_suite(p, n, cfg.j_max)
         return not failures, (
@@ -402,8 +411,7 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
             else f"Q_n^2 != 0 on exponent vector {failures[0]}"
         )
     if name == "e2":
-        page = ss_engine.e2_closed_form(p, n, variance, hi)
-        series = ss_engine._without_v(page.v_free).poincare(hi)
+        series = ss_engine._without_v(e2().v_free).poincare(hi)
         trivial = km2.qn_homology(p, n, variance, hi).trivial_series()
         bad = [d for d in range(hi + 1) if series.dim(d) != trivial.dim(d)]
         return not bad, (
@@ -412,20 +420,16 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
             else f"E2 dimension differs at degree {bad[0]}"
         )
     if name == "oracle":
-        closed = ss_engine.run_closed_form(p, n, variance, hi)
-        return ss_engine.oracle_match(closed, _brute_page(cfg, pages, variance))
+        rewritten = ss_engine.run_closed_form(p, n, variance, hi, e2())
+        return ss_engine.oracle_match(rewritten, brute(variance))
     if name == "pairing":
-        return ss_engine.pairing_check(
-            _brute_page(cfg, pages, "cohomology"), _brute_page(cfg, pages, "homology")
-        )
+        return ss_engine.pairing_check(brute("cohomology"), brute("homology"), uct())
     if name == "uct":
-        return ss_engine.uct_matches(
-            _brute_page(cfg, pages, "homology"), _brute_page(cfg, pages, "cohomology")
-        )
+        return uct()
     if name == "bockstein":
-        return answer.bockstein_check(_closed_module(cfg, pages))
+        return answer.bockstein_check(closed())
     if name == "localization":
-        return answer.localization_check(_closed_module(cfg, pages))
+        return answer.localization_check(closed())
     raise ConfigError(f"unknown suite {name!r}")
 
 
@@ -443,15 +447,21 @@ _FOLD_WORK_CAP = 10**6
 _SWEEP_CAP = 10**6
 
 # The most degrees, from the lower of 0 and --min-degree up to --max-degree,
-# that compute and table take on; above it the run is refused before any
-# series is built.  Both grow linearly in the window: at 10^4 the costliest
-# measured, table --p 2 --n 3, takes 1.5 s and 40 MB, and at 10^5 table
-# --p 3 --n 2 took 14 s.  Every default window (2500 at most) passes.
+# that compute and table take on, and the verify suites bockstein and
+# localization, which build their series on [0, top] as compute does; above
+# it the run is refused before any series is built.  Each grows linearly in
+# the window: at 10^4 the costliest measured, table --p 2 --n 3, takes 1.5 s
+# and 40 MB, and at 10^5 table --p 3 --n 2 took 14 s.  Every default window
+# (2500 at most) passes.
 _WINDOW_CAP = 10**4
 
 
-def cmd_verify(cfg: RunConfig, out) -> int:
-    names = _SUITES if cfg.suite == "all" else (cfg.suite,)
+def _refuse_costly(cfg: RunConfig, names) -> None:
+    """Refuse, with a ConfigError naming the figure, a verify run of the
+    suites names that would pass one of the caps above, before any series,
+    lattice or Q_n block is built."""
+    if {"bockstein", "localization"} & set(names):
+        _check_span(0, cfg.hi)
     variances = {cfg.variance} if "oracle" in names else set()
     if {"pairing", "uct"} & set(names):
         variances = {"cohomology", "homology"}
@@ -468,8 +478,13 @@ def cmd_verify(cfg: RunConfig, out) -> int:
             raise ConfigError(
                 f"the Q_n sweep on [0, {cfg.hi}] would enumerate at least {monomials} "
                 f"monomials, over the limit of {_SWEEP_CAP}; lower --max-degree or pick "
-                "the suite numerology or localization"
+                "the suite numerology, bockstein or localization"
             )
+
+
+def cmd_verify(cfg: RunConfig, out) -> int:
+    names = _SUITES if cfg.suite == "all" else (cfg.suite,)
+    _refuse_costly(cfg, names)
     first_failure = None
     pages: dict = {}
     for name in names:

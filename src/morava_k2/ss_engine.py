@@ -571,11 +571,15 @@ def e2_closed_form(p: int, n: int, variance: str, top: int) -> Page:
     return _PageState(p, n, variance, top).snapshot(zp_family_closed(p, n, variance, top))
 
 
-def closed_form_pages(p: int, n: int, variance: str, top: int) -> Iterator[Page]:
+def closed_form_pages(
+    p: int, n: int, variance: str, top: int, e2: Page | None = None
+) -> Iterator[Page]:
     """The E2 page, then the page after each stage of window_schedule in
     turn, from one tensor rewrite of the E2 page; each stage adds the towers
-    of the _families entries of its order."""
-    e2 = e2_closed_form(p, n, variance, top)
+    of the _families entries of its order.  e2, when given, is the E2 page
+    a caller already holds, e2_closed_form(p, n, variance, top)."""
+    if e2 is None:
+        e2 = e2_closed_form(p, n, variance, top)
     yield e2
     state = _PageState(p, n, variance, top, tuple(_families(p, n, variance, top)))
     for _, group in groupby(window_schedule(p, n, variance, top), key=lambda e: e.stage):
@@ -583,9 +587,10 @@ def closed_form_pages(p: int, n: int, variance: str, top: int) -> Iterator[Page]
         yield state.snapshot(e2.zp_family)
 
 
-def run_closed_form(p: int, n: int, variance: str, top: int) -> Page:
-    """E-infinity on [0, top] by tensor rewriting, one scheduled stage at a time."""
-    for out in closed_form_pages(p, n, variance, top):
+def run_closed_form(p: int, n: int, variance: str, top: int, e2: Page | None = None) -> Page:
+    """E-infinity on [0, top] by tensor rewriting, one scheduled stage at a
+    time, from e2 when given (see closed_form_pages)."""
+    for out in closed_form_pages(p, n, variance, top, e2):
         pass
     return out
 
@@ -1082,10 +1087,11 @@ def oracle_match(a: Page, b: Page) -> tuple[bool, str]:
     return True, f"runs agree on [0, {a.top}]"
 
 
-def pairing_check(coh: Page, hom: Page) -> tuple[bool, str]:
+def pairing_check(coh: Page, hom: Page, match: tuple[bool, str] | None = None) -> tuple[bool, str]:
     """The cohomology and homology runs determine each other: after the
     refusals, the uct_matches comparison, summarized by the tower orders
-    that pair up."""
+    that pair up.  match, when given, is uct_matches(hom, coh) as the
+    caller already computed it."""
     if (coh.p, coh.n) != (hom.p, hom.n) or (coh.variance, hom.variance) != (
         "cohomology",
         "homology",
@@ -1093,10 +1099,10 @@ def pairing_check(coh: Page, hom: Page) -> tuple[bool, str]:
         return False, "need cohomology and homology pages at one (p, n)"
     if refusal := _tops_differ(coh, hom):
         return False, refusal
-    ok, msg = uct_matches(hom, coh)
+    ok, msg = match or uct_matches(hom, coh)
     if not ok:
         return False, msg
-    orders = {o for _d, o in coh.torsion_by_degree()} | {o for _d, o in hom.torsion_by_degree()}
+    orders = {t.order for t in coh.torsion + hom.torsion if t.order != INF}
     return True, f"pairing verified on [0, {coh.top}] across {len(orders)} tower orders"
 
 

@@ -6,8 +6,8 @@ one monomial at a time (at p = 2 over polynomial u_i, through the basis
 bijection), the kernel's one-column case, the seeded mixed samples drawn
 by the stdlib calls, the Q_n-square sweep one monomial at a time, the
 brute-force sweep over the whole E2 lattice at once, the brute-force folds
-all cut at one limit, and the answer's Poincare series one tower class at
-a time.
+all cut at one limit, the answer's Poincare series one tower class at
+a time, and the Bockstein kernel slots read off each family's own series.
 """
 
 import random
@@ -447,3 +447,26 @@ def poincare_answer_reference(a, window=None):
             total[d - lo] += c
         out[s] = PoincareSeries(lo, hi, tuple(dims))
     return PoincareSeries(lo, hi, tuple(total)), out, tuple(family_counts)
+
+
+# ---- the Bockstein kernel slots from the module's own families
+
+
+def kernel_slots_reference(a) -> Counter:
+    """The bottom class of every v-torsion tower of the module a, counted
+    by degree on [0, top + 2p^n - 1], from each family's own generator
+    series: at g + (r-1)q2 in homology and g - (r-1)q2 in cohomology for an
+    order-r tower on g.  In cohomology the series runs to
+    top + 2p^n - 1 + (r-1)q2, far past the window at large p or r."""
+    p, n, hi = a.p, a.n, a.top
+    q2 = 2 * (p**n - 1)
+    coh = a.variance == "cohomology"
+    ker_top = hi + q2 + 1 if coh else hi
+    slots: Counter = Counter()
+    for f in a.torsion_families:
+        gen_top = ker_top + q2 * (f.order - 1) if coh else hi
+        for g, c in enumerate(f.expression.poincare(gen_top).dims):
+            slot = g - q2 * (f.order - 1) if coh else g + q2 * (f.order - 1)
+            if c and 0 <= slot <= ker_top:
+                slots[slot] += c
+    return slots

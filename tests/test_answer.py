@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from morava_k2 import answer, cli, graded_algebra, km2, numerology, ss_engine as ss
 from morava_k2.graded_algebra import E, TensorExpression, replace
 
-from helpers import poincare_answer_reference
+from helpers import kernel_slots_reference, poincare_answer_reference
 
 
 def test_free_part_labels():
@@ -512,6 +512,99 @@ def test_bockstein_reads_total_dims(monkeypatch):
     ok, msg = answer.bockstein_check(answer.closed_form(3, 1, "cohomology", 60))
     assert not ok
     assert msg.startswith("degree 30: "), msg
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    n=st.integers(1, 3),
+    variance=st.sampled_from(["cohomology", "homology"]),
+    top=st.integers(2, 400),
+)
+@example(p=3, n=1, variance="cohomology", top=400)
+@example(p=2, n=3, variance="cohomology", top=400)
+@example(p=7, n=2, variance="cohomology", top=400)
+@settings(deadline=None, max_examples=40)
+def test_kernel_slots_through_the_uct_match_the_family_series(p, n, variance, top):
+    """On the degrees bockstein_check reads, the kernel slots read through
+    the UCT (cohomology) equal the bottom classes placed from each family's
+    own series, built far past the window."""
+    a = answer.closed_form(p, n, variance, top)
+    slots, refusal = answer._kernel_slots(a)
+    assert refusal == ""
+    dq = 2 * p**n - 1
+    offset = dq if variance == "cohomology" else -dq
+    want = kernel_slots_reference(a)
+    assert slots == [want[d + offset] if d + offset >= 0 else 0 for d in range(top + 1)]
+
+
+def _bump_first_order(families):
+    """families with the first one's order raised by one."""
+    first, *rest = families
+    return (replace(first, order=first.order + 1), *rest)
+
+
+@pytest.mark.parametrize(
+    "variance, plant, message",
+    [
+        ("cohomology", _bump_first_order, "family (half, 0) has order 3, its homology partner order 2"),
+        ("homology", _bump_first_order, "degree "),
+        ("cohomology", lambda fs: fs[1:], "homology family (half, 0) has no cohomology partner"),
+        ("cohomology", lambda fs: fs + fs[:1], "family (half, 0) has no homology partner"),
+    ],
+    ids=["order-cohomology", "order-homology", "dropped", "extra"],
+)
+def test_bockstein_sees_an_order_defect_in_the_closed_module_only(
+    monkeypatch, capsys, variance, plant, message
+):
+    """A defect in the torsion families of answer.closed_form's module, and
+    not in the families the closed rewrite reads, fails bockstein alone: in
+    homology the kernel slots move; in cohomology a family loses its
+    homology partner of the same order, or a family on either side has no
+    partner.  The module is edited with _replace, past the order check of
+    AnswerModule's constructor."""
+    real = answer.closed_form
+
+    def planted(*args):
+        a = real(*args)
+        return a._replace(torsion_families=plant(a.torsion_families))
+
+    monkeypatch.setattr(answer, "closed_form", planted)
+    argv = ["verify", "--p", "3", "--n", "1", "--max-degree", "60", "--variance", variance]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    fails = [line.split("\t") for line in out.splitlines() if line.startswith("FAIL")]
+    assert [line[:2] for line in fails] == [["FAIL", "bockstein"]], out
+    assert fails[0][2].startswith(message), out
+
+
+def test_bockstein_builds_no_series_past_the_window(monkeypatch):
+    """At (67, 3) with the default window 2500 the cohomology check builds
+    every family series, the free part's and dim H^d on [0, 2500], where
+    placing the kernel slots from the cohomology families took a series to
+    degree 40,302,409 (300 + dq + 66 q2 at a window of 300)."""
+    tops = Counter()
+    real = TensorExpression.poincare
+
+    def recorded(self, hi):
+        tops[hi] += 1
+        return real(self, hi)
+
+    real_total = km2.total_dims
+
+    def recorded_total(pres, hi):
+        tops[hi] += 1
+        return real_total(pres, hi)
+
+    monkeypatch.setattr(TensorExpression, "poincare", recorded)
+    monkeypatch.setattr(km2, "total_dims", recorded_total)
+    a = answer.closed_form(67, 3, "cohomology", 2500)
+    tops.clear()
+    ok, msg = answer.bockstein_check(a)
+    assert ok, msg
+    assert set(tops) == {2500}
+    # the free part, each family in both variances, the homology Z_p
+    # family's two series and dim H^d
+    assert sum(tops.values()) <= 1 + 2 * len(a.torsion_families) + 3
 
 
 def test_bockstein_input_errors():

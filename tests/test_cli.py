@@ -526,16 +526,22 @@ def test_exit_code_follows_error_kind(capsys, monkeypatch, exc, code):
 VERIFY_31 = ["verify", "--p", "3", "--n", "1", "--max-degree", "40"]
 
 
-def _count_brute_runs(monkeypatch, tamper=lambda page: page):
+def _count_calls(monkeypatch, module, name, tamper=lambda result: result):
+    """The argument tuples of every call to module.name from now on, each
+    result passed through tamper."""
     calls = []
-    real = ss_engine.run_bruteforce
+    real = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append((args, kwargs))
-        return tamper(real(*args, **kwargs))
+    def counted(*args):
+        calls.append(args)
+        return tamper(real(*args))
 
-    monkeypatch.setattr(ss_engine, "run_bruteforce", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _count_brute_runs(monkeypatch, tamper=lambda page: page):
+    return _count_calls(monkeypatch, ss_engine, "run_bruteforce", tamper)
 
 
 def test_verify_builds_each_brute_page_once(capsys, monkeypatch):
@@ -640,8 +646,8 @@ def test_verify_refuses_a_sweep_over_the_cap(capsys, monkeypatch, suite):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f" {monomials} monomials" in captured.err
-    # bockstein, slow at large p, is not offered as a way round the cap
-    assert captured.err.endswith("pick the suite numerology or localization\n")
+    # the suites that read no Q_n sweep are offered as the way round the cap
+    assert captured.err.endswith("pick the suite numerology, bockstein or localization\n")
 
 
 def test_sweep_cap_passes_the_default_windows():
@@ -656,6 +662,87 @@ def test_sweep_cap_passes_the_default_windows():
         assert count <= cli._SWEEP_CAP, (p, n, count)
     assert km2.sweep_monomials(2, 2, 2500, cli._SWEEP_CAP) == 346772
     assert km2.sweep_monomials(71, 3, 2500, cli._SWEEP_CAP) > cli._SWEEP_CAP
+
+
+@pytest.mark.parametrize("suite", ["bockstein", "localization", "all"])
+def test_verify_refuses_a_window_over_the_cap(capsys, monkeypatch, suite):
+    """bockstein and localization build their series on [0, top] as compute
+    does, so they take the compute window cap: one degree over it is refused
+    with exit 2 before any series is built, and the cap itself runs."""
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(graded_algebra, "_times_exponent_range", no_series)
+    monkeypatch.setattr(km2, "total_dims", no_series)
+    top = cli._WINDOW_CAP + 1
+    assert main(["verify", "--max-degree", str(top), "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the window [0, {top}] spans {top} degrees, over the limit of "
+        f"{cli._WINDOW_CAP}; narrow it\n"
+    )
+    monkeypatch.undo()
+    if suite != "all":
+        assert main(["verify", "--max-degree", str(cli._WINDOW_CAP), "--suite", suite]) == 0
+
+
+def test_window_cap_passes_every_default_window():
+    """Every default window with p < 200 and n <= 4 passes the guards of
+    bockstein and localization, whose series stay on [0, top] at every p:
+    (199, 4) and (67, 3), where bockstein once built a series to degree
+    4e7, run."""
+    for p in (q for q in range(2, 200) if km2._is_prime(q)):
+        for n in (1, 2, 3, 4):
+            cfg = cli._build_config("verify", {"p": p, "n": n})
+            cli._refuse_costly(cfg, ("bockstein", "localization"))
+    for p, n in ((199, 4), (67, 3)):
+        for suite in ("bockstein", "localization"):
+            assert main(["verify", "--p", str(p), "--n", str(n), "--suite", suite]) == 0
+
+
+def test_verify_computes_each_shared_result_once(capsys, monkeypatch):
+    """pairing and uct read one UCT transport, and e2 and oracle one E2
+    page, the first page of the closed rewrite; the output is unchanged."""
+    argv = ["verify", "--p", "3", "--n", "2", "--max-degree", "300"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    transports = _count_calls(monkeypatch, ss_engine, "uct_transport")
+    e2_pages = _count_calls(monkeypatch, ss_engine, "e2_closed_form")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert len(transports) == 1 and len(e2_pages) == 1
+
+
+def test_shared_uct_transport_keeps_pairing_and_uct_honest(capsys, monkeypatch):
+    """The Z_p family moved by 2p^n + 1 instead of 2p^n - 1 in the one
+    shared transport fails both suites that read it."""
+
+    def shift_zp_by_two(page):
+        return replace(page, zp_family=tuple((d + 2, c) for d, c in page.zp_family))
+
+    _count_calls(monkeypatch, ss_engine, "uct_transport", shift_zp_by_two)
+    assert main(VERIFY_31) == 1
+    out = capsys.readouterr().out
+    assert "PASS\toracle" in out
+    assert "FAIL\tpairing\tZ_p families differ at degree " in out
+    assert "FAIL\tuct\tZ_p families differ at degree " in out
+
+
+def test_a_plant_in_the_shared_e2_page_reaches_oracle(capsys, monkeypatch):
+    """A Z_p class dropped from the E2 page that e2 and oracle share fails
+    oracle, whose rewrite carries the E2 Z_p family to E-infinity, in a
+    full run as in the oracle suite alone."""
+
+    def drop_first_zp(page):
+        return replace(page, zp_family=page.zp_family[1:])
+
+    _count_calls(monkeypatch, ss_engine, "e2_closed_form", drop_first_zp)
+    for suites in (["--suite", "oracle"], []):
+        assert main(VERIFY_31 + suites) == 1
+        out = capsys.readouterr().out
+        assert "FAIL\toracle\tZ_p families differ at degree " in out, out
 
 
 def test_verify_builds_each_qn_block_once(capsys, monkeypatch):
