@@ -100,10 +100,12 @@ def localize(a: AnswerModule) -> AnswerModule:
 
 def to_page(a: AnswerModule) -> Page:
     """Expand the family description into a per-degree tower page so the
-    ss_engine comparators (oracle_match, pairing_check, uct_matches) apply."""
+    ss_engine comparators (oracle_match, pairing_check, uct_matches) apply;
+    free_part's towers join the families' and free_part is the v_free label."""
     summands = []
     for f in a.torsion_families:
         summands += _summands(f.expression, f.order, a.top)
+    summands += _summands(_without_v(a.free_part), INF, a.top)
     stage = max((f.order for f in a.torsion_families), default=1) + 1
     return Page(
         p=a.p,

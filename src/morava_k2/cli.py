@@ -8,13 +8,14 @@ the usage, read off the same table.
 
 Exit codes: 0 success (--help included), 1 verification failure, 2 invalid
 configuration (any ConfigError: a token the argv reader cannot place, an
-unknown config key, a bad value, a window over _WINDOW_CAP for compute,
-table or the verify suites bockstein and localization, a verify run over
-_FOLD_WORK_CAP or _SWEEP_CAP; or a WindowError), 3 internal
-consistency failure (any other ValueError, RuntimeError or AssertionError
-from inside the package), 141 (128 + SIGPIPE) stdout closed by its reader
-before the output was written, --help included.  Diagnostics go through
-_warn, which drops them when the process has no stderr.
+unknown config key, a bad value, an n over _N_CAP, a j-max over _J_MAX_CAP,
+a window over _WINDOW_CAP for compute, table or the verify suites bockstein
+and localization, a verify run over _FOLD_WORK_CAP or _SWEEP_CAP; or a
+WindowError), 3 internal consistency failure (any other ValueError,
+RuntimeError or AssertionError from inside the package), 141 (128 +
+SIGPIPE) stdout closed by its reader before the output was written, --help
+included.  Diagnostics go through _warn, which drops them when the process
+has no stderr.
 
 Reading argv takes no argument-parsing library, so a run loads neither one
 nor the gettext and locale it would bring; json loads only where JSON is
@@ -175,6 +176,8 @@ def _check_pn(p: int, n: int) -> None:
         raise ConfigError("p must be prime")
     if n < 1:
         raise ConfigError("n must be a positive integer")
+    if n > _N_CAP:
+        raise ConfigError(f"n must be at most {_N_CAP}")
 
 
 def _check_span(lo: int, hi: int) -> None:
@@ -231,6 +234,8 @@ def _build_config(command: str, flags: dict) -> RunConfig:
     j_max = pick("j_max", n + 3)
     if j_max < n + 2:
         raise ConfigError("j-max must be at least n + 2")
+    if j_max > _J_MAX_CAP:
+        raise ConfigError(f"j-max must be at most {_J_MAX_CAP}")
     fmt = pick("format", "text")
     if fmt not in _CHOICES["format"]:
         raise ConfigError("format must be json, tsv or text")
@@ -411,9 +416,9 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
             else f"Q_n^2 != 0 on exponent vector {failures[0]}"
         )
     if name == "e2":
-        series = ss_engine._without_v(e2().v_free).poincare(hi)
-        trivial = km2.qn_homology(p, n, variance, hi).trivial_series()
-        bad = [d for d in range(hi + 1) if series.dim(d) != trivial.dim(d)]
+        free = e2().free_by_degree()
+        trivial = km2.qn_homology(p, n, variance, hi).trivial
+        bad = [d for d in range(hi + 1) if free[d] != trivial[d]]
         return not bad, (
             f"E2 matches the Q_n-homology on [0, {hi}]"
             if not bad
@@ -454,6 +459,17 @@ _SWEEP_CAP = 10**6
 # and 40 MB, and at 10^5 table --p 3 --n 2 took 14 s.  Every default window
 # (2500 at most) passes.
 _WINDOW_CAP = 10**4
+
+# The largest n of every command and of parse_answer.  compute --p 3
+# --max-degree 100 took 2.9 s at n = 5000 and exited 3 after 14 s at 10000,
+# on Python's 4300-digit int-to-str limit (the label TP_{3^9999}[z_1]), as
+# the localization suite did on p^C(n,2) at (p, n) = (11, 100).  At n = 16,
+# p^C(n,2) has at most 2943 digits and |v| is past every admitted window.
+_N_CAP = 16
+
+# The largest j-max of the numerology suite: at p = 5, n = 1 it took 5.3 s
+# at 8000 and 31 s at 16000, and 1.9 s at 500 with n = 16 and the largest p.
+_J_MAX_CAP = 500
 
 
 def _refuse_costly(cfg: RunConfig, names) -> None:

@@ -34,8 +34,8 @@ def replace(record, **changes):
     return type(record)(**{**record._asdict(), **changes})
 
 
-class Generator(namedtuple("Generator", "id name degree")):
-    """A named generator of nonzero degree; id gives the canonical sort order."""
+class Generator(namedtuple("Generator", "name degree")):
+    """A named generator of nonzero degree."""
 
     __slots__ = ()
 

@@ -11,10 +11,11 @@ The E2 page over E[Q_n] is run to E-infinity in two independent ways:
   E2 lattice and reads tower orders off a matching sweep.
 
 Both report per-degree free ranks, v-torsion towers and the filtration-0 Z_p
-family; ``oracle_match`` compares the two degree for degree on [0, top].  It
-also checks the duality between the homology and cohomology runs:
-``uct_matches`` (and ``pairing_check``) hand it the homology page moved to
-cohomology degrees by ``uct_transport``.
+family; every page holds all its towers, free ones included, in
+``Page.torsion``.  ``oracle_match`` compares two pages degree for degree on
+[0, top].  It also checks the duality between the homology and cohomology
+runs: ``uct_matches`` (and ``pairing_check``) hand it the homology page
+moved to cohomology degrees by ``uct_transport``.
 
 The Z_p family, too, comes two ways: the closed route reads it off the
 total and E2 Poincare series (``zp_family_closed``, no linear algebra), the
@@ -59,16 +60,10 @@ def v_degree(p: int, n: int, variance: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the generator registry: ids, names and degrees of v, y_j, w, z_i and the
-# p = 2 products y_j w_{n+j}, each homology dual starred, and the factors
-# built from them.  Every E2 page, rewrite, schedule and answer module takes
-# its generators from here.
-
-_ID_V = 1
-_ID_Y = 100
-_ID_W = 1000
-_ID_Z = 5000
-_ID_PROD = 9000  # the p = 2 product sources y_j w_{n+j}
+# the generator registry: names and degrees of v, y_j, w, z_i and the p = 2
+# products y_j w_{n+j}, each homology dual starred, and the factors built
+# from them.  Every E2 page, rewrite, schedule and answer module takes its
+# generators from here.
 
 
 def _star(variance: str) -> str:
@@ -76,19 +71,19 @@ def _star(variance: str) -> str:
 
 
 def _gen_v(p: int, n: int, variance: str) -> Generator:
-    return Generator(_ID_V, "v", v_degree(p, n, variance))
+    return Generator("v", v_degree(p, n, variance))
 
 
 def _gen_y(j: int, p: int, star: str) -> Generator:
-    return Generator(_ID_Y + j, f"y_{j}{star}", numerology.degree_y(j, p))
+    return Generator(f"y_{j}{star}", numerology.degree_y(j, p))
 
 
 def _gen_w(index2: int, p: int, n: int, star: str) -> Generator:
-    return Generator(_ID_W + index2, km2.w_name(index2) + star, numerology.degree_w(index2, p, n))
+    return Generator(km2.w_name(index2) + star, numerology.degree_w(index2, p, n))
 
 
 def _gen_z(i: int, p: int, star: str) -> Generator:
-    return Generator(_ID_Z + i, f"z_{i}{star}", numerology.degree_z(i, p))
+    return Generator(f"z_{i}{star}", numerology.degree_z(i, p))
 
 
 def _half_source(j: int, p: int, n: int, star: str) -> Generator:
@@ -96,9 +91,7 @@ def _half_source(j: int, p: int, n: int, star: str) -> Generator:
     product y_j w_{n+j} in the p = 2 special range, otherwise w_{n+j+1/2}."""
     if numerology.p2_special_range(j, p, n):
         w = _gen_w(2 * (n + j), p, n, "")
-        return Generator(
-            _ID_PROD + j, f"y_{j} {w.name}{star}", numerology.degree_y(j, p) + w.degree
-        )
+        return Generator(f"y_{j} {w.name}{star}", numerology.degree_y(j, p) + w.degree)
     return _gen_w(2 * (n + j) + 1, p, n, star)
 
 
@@ -292,26 +285,19 @@ def schedule(p: int, n: int, j_max: int, variance: str = "cohomology") -> list[D
 # pages
 
 
-class TowerSummand(
-    namedtuple(
-        "TowerSummand", "generator_expression generator_degree order count", defaults=(1,)
-    )
-):
-    """A P[v]-tower over a generator: order-r torsion (v^r kills it) or free.
-
-    generator_expression is a TensorExpression for closed-form families and
-    None on a brute-force page, whose towers are counted per degree and
-    order, not named.  order is a positive int, or math.inf for a free
-    tower.  count collapses equal towers.
-    """
+class TowerSummand(namedtuple("TowerSummand", "generator_degree order count", defaults=(1,))):
+    """count P[v]-towers over generators of one degree: order-r torsion (v^r
+    kills it), or free for order math.inf.  Towers are counted per degree
+    and order on every page, not named."""
 
     __slots__ = ()
 
 
 def _summands(expr: TensorExpression, order, hi: int) -> list[TowerSummand]:
     """One order-`order` tower per basis element of expr in [0, hi], collapsed
-    per degree."""
-    return [TowerSummand(expr, d, order, c) for d, c in enumerate(expr.poincare(hi).dims) if c]
+    per degree: a torsion family's towers, or free ones for order INF."""
+    new = tuple.__new__  # skips TowerSummand's Python-level __new__, hundreds per page
+    return [new(TowerSummand, (d, order, c)) for d, c in enumerate(expr.poincare(hi).dims) if c]
 
 
 def _tower_powers(g: int, order, dv: int, lo: int, hi: int) -> range:
@@ -329,18 +315,15 @@ def _tower_powers(g: int, order, dv: int, lo: int, hi: int) -> range:
 
 
 class Page(namedtuple("Page", "p n variance stage top v_free torsion zp_family")):
-    """A page on [0, top]: v_free is a TensorExpression or None, torsion a
-    tuple of TowerSummands and zp_family (degree, count) pairs."""
+    """A page on [0, top]: torsion holds every tower, free and v-torsion, as
+    TowerSummands, zp_family (degree, count) pairs.  v_free is only a label:
+    the closed route's v-free factor list, None on the other pages."""
 
     __slots__ = ()
 
     def free_by_degree(self) -> Counter:
-        """Generator degrees of the v-free part, all in [0, top]."""
+        """Generator degrees of the free towers, all in [0, top]."""
         out: Counter = Counter()
-        if self.v_free is not None:
-            for d, c in enumerate(_without_v(self.v_free).poincare(self.top).dims):
-                if c:
-                    out[d] += c
         for t in self.torsion:
             if t.order == INF:
                 out[t.generator_degree] += t.count
@@ -353,20 +336,12 @@ class Page(namedtuple("Page", "p n variance stage top v_free torsion zp_family")
                 out[(t.generator_degree, t.order)] += t.count
         return out
 
-    def _towers(self) -> list[tuple[int, object, int]]:
-        """(generator degree, order, count) of each summand in torsion: the
-        v-torsion towers and, on a brute-force or transported page, the
-        free ones."""
-        return [(g, order, c) for _expr, g, order, c in self.torsion]
-
     def chart_dims(self, lo: int, hi: int) -> Counter:
         """Dimension of each (degree, filtration) spot in [lo, hi], from the
         towers on every generator in [0, top]."""
         dv = v_degree(self.p, self.n, self.variance)
-        towers = [(g, INF, c) for g, c in self.free_by_degree().items()]
-        towers += [t for t in self._towers() if t[1] != INF]
         out: Counter = Counter()
-        for g, order, c in towers:
+        for g, order, c in self.torsion:
             for e in _tower_powers(g, order, dv, lo, hi):
                 out[(g + e * dv, e)] += c
         for d, c in self.zp_family:
@@ -383,16 +358,13 @@ class Page(namedtuple("Page", "p n variance stage top v_free torsion zp_family")
         enters as +c at g and, for finite order r, as -c at g + r*dv
         (dv = v_degree, negative in cohomology); a run end past the array
         in the direction of v touches no degree of [lo, hi] and is dropped.
-        The v-free generators enter as their series.  One prefix sum with
-        stride |v|, taken in the direction of v, then counts each degree
-        once per tower covering it.
+        One prefix sum with stride |v|, taken in the direction of v, then
+        counts each degree once per tower covering it.
         """
         dv = v_degree(self.p, self.n, self.variance)
         base, end = min(lo, 0), max(hi, self.top)
         runs = [0] * (end - base + 1)
-        if self.v_free is not None:
-            runs[-base : self.top - base + 1] = _without_v(self.v_free).poincare(self.top).dims
-        for g, order, c in self._towers():
+        for g, order, c in self.torsion:
             runs[g - base] += c
             if order != INF and base <= g + order * dv <= end:
                 runs[g + order * dv - base] -= c
@@ -468,14 +440,15 @@ class _PageState:
         return out + _z_tail(p, n, self.zlo, self.top, self.variance)
 
     def snapshot(self, zp: tuple[tuple[int, int], ...]) -> Page:
+        v_free = _v_free(self.p, self.n, self.variance, self._base_factors(), self.top)
         return Page(
             p=self.p,
             n=self.n,
             variance=self.variance,
             stage=self.stage,
             top=self.top,
-            v_free=_v_free(self.p, self.n, self.variance, self._base_factors(), self.top),
-            torsion=tuple(self.torsion),
+            v_free=v_free,
+            torsion=(*self.torsion, *_summands(_without_v(v_free), INF, self.top)),
             zp_family=zp,
         )
 
@@ -544,8 +517,8 @@ def zp_family_closed(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int,
     pres = km2.build(p, n, variance)
     total = TensorExpression(
         tuple(
-            Factor(P if g.exp_kind == "P" else E, Generator(k + 1, g.name, g.degree))
-            for k, g in enumerate(pres.generators(hi))
+            Factor(P if g.exp_kind == "P" else E, Generator(g.name, g.degree))
+            for g in pres.generators(hi)
         )
     ).poincare(hi)
     base = _PageState(p, n, variance, hi)._base_factors()
@@ -571,28 +544,36 @@ def e2_closed_form(p: int, n: int, variance: str, top: int) -> Page:
     return _PageState(p, n, variance, top).snapshot(zp_family_closed(p, n, variance, top))
 
 
-def closed_form_pages(
-    p: int, n: int, variance: str, top: int, e2: Page | None = None
-) -> Iterator[Page]:
-    """The E2 page, then the page after each stage of window_schedule in
-    turn, from one tensor rewrite of the E2 page; each stage adds the towers
-    of the _families entries of its order.  e2, when given, is the E2 page
-    a caller already holds, e2_closed_form(p, n, variance, top)."""
-    if e2 is None:
-        e2 = e2_closed_form(p, n, variance, top)
-    yield e2
+def _rewrite(p: int, n: int, variance: str, top: int) -> Iterator[_PageState]:
+    """One tensor rewrite of the E2 page, yielded after each stage of
+    window_schedule; a stage adds the towers of the _families of its order."""
     state = _PageState(p, n, variance, top, tuple(_families(p, n, variance, top)))
     for _, group in groupby(window_schedule(p, n, variance, top), key=lambda e: e.stage):
         state.apply_stage(list(group))
+        yield state
+
+
+def closed_form_pages(
+    p: int, n: int, variance: str, top: int, e2: Page | None = None
+) -> Iterator[Page]:
+    """The E2 page, then the page after each stage of the rewrite; e2, when
+    given, is the e2_closed_form(p, n, variance, top) a caller holds."""
+    if e2 is None:
+        e2 = e2_closed_form(p, n, variance, top)
+    yield e2
+    for state in _rewrite(p, n, variance, top):
         yield state.snapshot(e2.zp_family)
 
 
 def run_closed_form(p: int, n: int, variance: str, top: int, e2: Page | None = None) -> Page:
-    """E-infinity on [0, top] by tensor rewriting, one scheduled stage at a
-    time, from e2 when given (see closed_form_pages)."""
-    for out in closed_form_pages(p, n, variance, top, e2):
+    """E-infinity on [0, top]: the last page of closed_form_pages, from e2
+    when given, with no page before it built."""
+    if e2 is None:
+        e2 = e2_closed_form(p, n, variance, top)
+    state = None
+    for state in _rewrite(p, n, variance, top):
         pass
-    return out
+    return e2 if state is None else state.snapshot(e2.zp_family)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,7 +1020,7 @@ def run_bruteforce(p: int, n: int, variance: str, top: int) -> Page:
         stage=plan.max_stage + 1 if plan.max_stage else 2,
         top=top,
         v_free=None,
-        torsion=tuple(TowerSummand(None, g, o, c) for g, o, c in towers if g <= top and c),
+        torsion=tuple(TowerSummand(g, o, c) for g, o, c in towers if g <= top and c),
         zp_family=zp_family_counts(p, n, variance, top),
     )
 
@@ -1114,11 +1095,11 @@ def uct_transport(hom: Page) -> Page:
     if hom.variance != "homology":
         raise ValueError("uct_transport starts from a homology page")
     p, n, top = hom.p, hom.n, hom.top
-    towers = [TowerSummand(None, d, INF, c) for d, c in hom.free_by_degree().items()]
+    towers = [TowerSummand(d, INF, c) for d, c in hom.free_by_degree().items()]
     for (d, r), c in hom.torsion_by_degree().items():
         moved = d + degree_step(r, p, n)
         if moved <= top:
-            towers.append(TowerSummand(None, moved, r, c))
+            towers.append(TowerSummand(moved, r, c))
     dq = 2 * p**n - 1
     zp = tuple((d + dq, c) for d, c in hom.zp_family if d + dq <= top)
     return Page(p, n, "cohomology", hom.stage, top, None, tuple(towers), zp)

@@ -318,8 +318,9 @@ def lattice_name(lat: ss_engine._Lattice, mono: tuple) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def bruteforce_full_reference(p: int, n: int, variance: str, top: int) -> ss_engine.Page:
-    """ss_engine.run_bruteforce on [0, top] with one lattice over every
+def bruteforce_full_towers(p: int, n: int, variance: str, top: int) -> list[tuple]:
+    """The (name, generator degree, order) of each tower of
+    ss_engine.run_bruteforce on [0, top], from one lattice over every
     residue class and the head at once, so no _fold; each tower is named by
     its lattice monomial.
 
@@ -337,7 +338,7 @@ def bruteforce_full_reference(p: int, n: int, variance: str, top: int) -> ss_eng
         coords += ss_engine._class_coords(p, n, cls, limit)
     lat = ss_engine._Lattice(p, n, coords, limit)
     fired, bound = ss_engine._sweep(lat, ss_engine.schedule(p, n, plan.j_ext, variance), variance)
-    summands = []
+    towers = []
     for mono, g in sorted(lat.monomials.items(), key=lambda kv: kv[1]):
         if g > top:
             continue
@@ -350,7 +351,13 @@ def bruteforce_full_reference(p: int, n: int, variance: str, top: int) -> ss_eng
                 f"tower over {lattice_name(lat, mono)} survives only above filtration {f}"
             )
         order = ss_engine.INF if b == ss_engine.INF else int(b)
-        summands.append(ss_engine.TowerSummand(lattice_name(lat, mono), g, order))
+        towers.append((lattice_name(lat, mono), g, order))
+    return towers
+
+
+def bruteforce_full_reference(p: int, n: int, variance: str, top: int) -> ss_engine.Page:
+    """The page of bruteforce_full_towers, one TowerSummand per tower."""
+    plan = ss_engine._plan(p, n, variance, top)
     return ss_engine.Page(
         p=p,
         n=n,
@@ -358,7 +365,10 @@ def bruteforce_full_reference(p: int, n: int, variance: str, top: int) -> ss_eng
         stage=plan.max_stage + 1 if plan.max_stage else 2,
         top=top,
         v_free=None,
-        torsion=tuple(summands),
+        torsion=tuple(
+            ss_engine.TowerSummand(g, order)
+            for _name, g, order in bruteforce_full_towers(p, n, variance, top)
+        ),
         zp_family=ss_engine.zp_family_counts(p, n, variance, top),
     )
 
@@ -389,7 +399,7 @@ def bruteforce_single_limit_reference(p: int, n: int, variance: str, top: int) -
     head_towers = Counter((g, ss_engine.INF) for g in head.monomials.values())
     folded = ss_engine._fold(folded, head_towers, p, n, variance, limit)
     summands = [
-        ss_engine.TowerSummand(None, g, order, c)
+        ss_engine.TowerSummand(g, order, c)
         for (g, order), c in sorted(
             folded.items(), key=lambda kv: (kv[0][0], kv[0][1] == ss_engine.INF, kv[0][1])
         )

@@ -203,10 +203,6 @@ def test_answer_matches_engine_run():
             assert ok, (p, n, variance, msg)
 
 
-def _summand_key(t):
-    return t.generator_degree, t.order, t.generator_expression.label(), t.count
-
-
 @given(
     pn=st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]),
     variance=st.sampled_from(["cohomology", "homology"]),
@@ -224,8 +220,31 @@ def test_answer_page_is_the_rewrite_e_infinity(pn, variance, top):
     page = answer.to_page(answer.closed_form(*pn, variance, top))
     einf = ss.run_closed_form(*pn, variance, top)
     assert page.v_free == einf.v_free
-    assert sorted(page.torsion, key=_summand_key) == sorted(einf.torsion, key=_summand_key)
+    assert sorted(page.torsion) == sorted(einf.torsion)
     assert page.zp_family == einf.zp_family
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 3),
+    variance=st.sampled_from(["cohomology", "homology"]),
+    top=st.integers(2, 120),
+)
+@settings(deadline=None, max_examples=60)
+def test_closed_pages_hold_the_free_towers_of_their_label(p, n, variance, top):
+    """A closed page's free towers, which its torsion table holds, are one
+    per basis element of its v_free label without P[v]: on E2 (the first of
+    closed_form_pages), on every page of the rewrite, on run_closed_form's
+    E-infinity and on the answer module's page."""
+    pages = [
+        *ss.closed_form_pages(p, n, variance, top),
+        ss.run_closed_form(p, n, variance, top),
+        answer.to_page(answer.closed_form(p, n, variance, top)),
+    ]
+    for page in pages:
+        dims = ss._without_v(page.v_free).poincare(top).dims
+        want = {d: c for d, c in enumerate(dims) if c}
+        assert page.free_by_degree() == want, page.stage
 
 
 def _drop_first_exterior_of_first_y_family(real):

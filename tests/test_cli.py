@@ -177,6 +177,15 @@ STDOUT_SHA256 = {
         "34b3b4271027ae2a5564ca5f109510f24d37b43a1d15df28a423b46337795654",
     ("table", 2, 2, "homology", 300):
         "29653e88c5d41e0523fdb5eff303840f7206b5ae0c20b94b5be939e1f528efd6",
+    # homology grids, drawn by chart_dims
+    ("table", 3, 1, "homology", 80):
+        "bc967e5f2ddbd64533f11c6d9835ef6b2f66200109d28e049c0a336649c0a45e",
+    ("table", 2, 1, "homology", 60):
+        "a86ff0f1474fc2307ee6c8cb55dd8553fe29712fe36c9b50bec67b0ab3c6cc15",
+    ("table", 2, 2, "homology", 90):
+        "1e9e221c9afa7a4da0acd30d4a02f4772dd1fa4c661434c89d7c81bc4d339a66",
+    ("table", 3, 2, "homology", 90):
+        "e1247973e033ce0e84ea9b5a0baa38916111de3419146204a954d032c001ec26",
 }
 
 
@@ -465,16 +474,16 @@ def test_internal_assertion_exits_3(capsys, monkeypatch):
 
 
 def test_series_readers_see_a_planted_tower_defect(capsys, monkeypatch):
-    """With Page._towers reading one class too many on every torsion tower,
-    the chart of the answer's page no longer counts what poincare_answer
-    counts, and compute refuses to print: the two readers share no tower
-    arithmetic, and poincare_answer reads the families, never the page."""
-    real = ss_engine.Page._towers
+    """With the answer's page holding one class too many on every torsion
+    tower, its chart no longer counts what poincare_answer counts, and
+    compute refuses to print: the two readers share no tower arithmetic,
+    and poincare_answer reads the families, never the page."""
+    real = answer._summands
 
-    def planted(page):
-        return [(g, order + 1, c) for g, order, c in real(page)]
+    def planted(expr, order, hi):
+        return [t._replace(order=t.order + 1) for t in real(expr, order, hi)]
 
-    monkeypatch.setattr(ss_engine.Page, "_towers", planted)
+    monkeypatch.setattr(answer, "_summands", planted)
     a = answer.closed_form(3, 1, "cohomology", 600)
     assert answer.poincare_answer(a).total != answer.to_page(a).chart_series(0, 600)
     assert main(["compute", "--p", "3", "--n", "1", "--format", "json"]) == 3
@@ -976,6 +985,63 @@ def test_compute_and_table_refuse_a_window_over_the_cap(capsys, monkeypatch, arg
     monkeypatch.setattr(graded_algebra, "_times_exponent_range", real)
     assert main(argv.format(top).split()) == 0
     capsys.readouterr()
+
+
+def _forbid_computing(monkeypatch):
+    """Make every command's first computation raise, so that a run that the
+    caps on n and j-max should refuse exits 3 at once instead of running."""
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a refused run started computing")
+
+    for module, name in ((answer, "closed_form"), (ss_engine, "window_schedule"),
+                         (cli.numerology, "identity_suite")):
+        monkeypatch.setattr(module, name, ran)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # each took seconds to minutes, or failed with exit 3, before the caps
+        ("compute --p 3 --n 2000 --max-degree 100", "n must be at most 16"),
+        ("compute --p 3 --n 5000 --max-degree 100", "n must be at most 16"),
+        ("compute --p 3 --n 10000 --max-degree 100", "n must be at most 16"),
+        ("compute --p 3 --n 100000 --max-degree 100", "n must be at most 16"),
+        ("table --p 3 --n 10000 --max-degree 100", "n must be at most 16"),
+        ("verify --suite numerology --p 3 --n 20000", "n must be at most 16"),
+        ("verify --suite localization --p 11 --n 100 --max-degree 100", "n must be at most 16"),
+        ("verify --suite numerology --p 5 --n 1 --j-max 4000", "j-max must be at most 500"),
+        ("verify --suite numerology --p 5 --n 1 --j-max 8000", "j-max must be at most 500"),
+        ("verify --suite numerology --p 5 --n 1 --j-max 16000", "j-max must be at most 500"),
+    ],
+)
+def test_costly_n_and_j_max_are_refused_before_any_work(capsys, monkeypatch, argv, message):
+    _forbid_computing(monkeypatch)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_parse_answer_refuses_an_n_over_the_cap(capsys, monkeypatch):
+    doc = json.loads(_compute_json(capsys, (3, 1, "cohomology", 40, False)))
+    _forbid_computing(monkeypatch)
+    with pytest.raises(cli.ConfigError, match="n must be at most 16"):
+        cli.parse_answer({**doc, "n": 10000})
+
+
+def test_the_n_and_j_max_caps_admit_their_limits(capsys):
+    """n = _N_CAP with its default j-max, and j-max = _J_MAX_CAP, pass the
+    checks; at the largest admitted p the localization suite prints
+    p^C(n,2) for n = _N_CAP, within Python's int-to-str digit limit."""
+    assert (cli._N_CAP, cli._J_MAX_CAP) == (16, 500)
+    cli._build_config("verify", {"n": cli._N_CAP})
+    cli._build_config("verify", {"j_max": cli._J_MAX_CAP})
+    p = 3317044064679887385961813  # the largest prime below km2.PRIME_BOUND
+    assert km2._is_prime(p) and not any(map(km2._is_prime, range(p + 1, km2.PRIME_BOUND)))
+    argv = ["verify", "--suite", "localization", "--p", str(p), "--n", str(cli._N_CAP)]
+    assert main(argv + ["--max-degree", "100"]) == 0
+    assert str(p ** (cli._N_CAP * (cli._N_CAP - 1) // 2)) in capsys.readouterr().out
 
 
 def test_table_annotates_differentials(capsys):

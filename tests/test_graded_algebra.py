@@ -21,11 +21,11 @@ from helpers import restrict, series_one, tensor
 
 def test_generator_rejects_degree_zero():
     with pytest.raises(ValueError):
-        Generator(1, "x", 0)
+        Generator("x", 0)
 
 
 def test_factor_height_validation():
-    x = Generator(1, "x", 4)
+    x = Generator("x", 4)
     with pytest.raises(ValueError):
         Factor(TP, x)
     with pytest.raises(ValueError):
@@ -35,23 +35,23 @@ def test_factor_height_validation():
 
 
 def test_exterior_series():
-    x = Generator(1, "x", 7)
+    x = Generator("x", 7)
     s = TensorExpression((Factor(E, x),)).poincare(10)
     assert s.dims == (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)
 
 
 def test_truncated_series():
-    x = Generator(1, "x", 4)
+    x = Generator("x", 4)
     s = TensorExpression((Factor(TP, x, height=3),)).poincare(10)
     assert [s.dim(d) for d in (0, 4, 8)] == [1, 1, 1]
     assert s.dim(12) == 0
 
 
 def test_reduced_kinds_drop_exponent_zero():
-    x = Generator(1, "x", 4)
+    x = Generator("x", 4)
     s = TensorExpression((Factor(TP_BAR, x, height=3),)).poincare(10)
     assert [s.dim(d) for d in (0, 4, 8)] == [0, 1, 1]
-    y = Generator(2, "y", 5)
+    y = Generator("y", 5)
     t = TensorExpression((Factor(E_BAR, y),)).poincare(10)
     assert [t.dim(d) for d in (0, 5)] == [0, 1]
 
@@ -68,7 +68,7 @@ def test_divided_power_two_routes():
     """A divided power algebra has the series of the polynomial algebra on
     the same generator, and its height-h truncation that of TP_h."""
     for deg in (2, 3, 5):
-        a = Generator(1, "a", deg)
+        a = Generator("a", deg)
         for hi in (0, 12, 40):
             assert TensorExpression((Factor(GAMMA, a),)).poincare(hi) == TensorExpression(
                 (Factor(P, a),)
@@ -94,18 +94,17 @@ def small_expressions(draw):
         deg = draw(st.integers(1, 9))
         kind = draw(st.sampled_from([P, E, TP]))
         h = draw(st.integers(2, 5)) if kind == TP else None
-        factors.append(Factor(kind, Generator(i + 1, f"g{i}", deg), height=h))
+        factors.append(Factor(kind, Generator(f"g{i}", deg), height=h))
     return TensorExpression(tuple(factors))
 
 
 @given(small_expressions(), small_expressions())
 @settings(deadline=None)
 def test_poincare_multiplicative(a, b):
-    # relabel b's generators so ids do not collide
-    shift = max(f.gen.id for f in a.factors)
+    # relabel b's generators so names do not collide
     b2 = TensorExpression(
         tuple(
-            Factor(f.kind, Generator(f.gen.id + shift, f.gen.name + "'", f.gen.degree), height=f.height)
+            Factor(f.kind, Generator(f.gen.name + "'", f.gen.degree), height=f.height)
             for f in b.factors
         )
     )
@@ -132,7 +131,7 @@ def positive_expressions(draw):
         deg = draw(st.integers(1, 12))
         kind = draw(st.sampled_from([P, E, E_BAR, TP, TP_BAR, GAMMA, GAMMA_TRUNC]))
         h = draw(st.integers(2, 6)) if kind in (TP, TP_BAR, GAMMA_TRUNC) else None
-        factors.append(Factor(kind, Generator(i + 1, f"g{i}", deg), height=h))
+        factors.append(Factor(kind, Generator(f"g{i}", deg), height=h))
     return TensorExpression(tuple(factors))
 
 

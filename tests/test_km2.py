@@ -565,9 +565,9 @@ def test_trivial_prefix_frozen():
 def test_total_dims_matches_series_route():
     pres = km2.build(3, 1)
     factors = []
-    for i, g in enumerate(pres.generators(40)):
+    for g in pres.generators(40):
         kind = P if g.exp_kind == "P" else E
-        factors.append(Factor(kind, Generator(i, g.name, g.degree)))
+        factors.append(Factor(kind, Generator(g.name, g.degree)))
     series = TensorExpression(tuple(factors)).poincare(40)
     assert km2.total_dims(pres, 40) == [series.dim(d) for d in range(41)]
 

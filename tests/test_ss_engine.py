@@ -13,7 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 from morava_k2 import answer, km2, numerology, ss_engine as ss
 from morava_k2.graded_algebra import TensorExpression, replace
 
-from helpers import bruteforce_full_reference, bruteforce_single_limit_reference
+from helpers import (
+    bruteforce_full_reference,
+    bruteforce_full_towers,
+    bruteforce_single_limit_reference,
+)
 
 
 def test_degree_step():
@@ -213,15 +217,17 @@ def test_closed_form_31_families():
     pages = {page.stage: page for page in ss.closed_form_pages(3, 1, "cohomology", 60)}
     assert sorted(pages) == [2, 3, 4, 7, 9, 20, 23, 60]
 
+    families = {f.order: f.expression for f in ss._families(3, 1, "cohomology", 60)}
+    assert families[2].label() == "P[y_1] @ TPbar_3[z_2] @ E[w_2] @ TP_3[z_3]"
+    assert families[3].label() == "P[y_2] @ TP_2[y_1] @ Ebar[w_2] @ E[w_3] @ TP_3[z_3]"
+
     after2 = pages[3]
-    labels2 = {t.generator_expression.label() for t in after2.torsion}
-    assert labels2 == {"P[y_1] @ TPbar_3[z_2] @ E[w_2] @ TP_3[z_3]"}
-    assert {t.order for t in after2.torsion} == {2}
+    torsion2 = [t for t in after2.torsion if t.order != ss.INF]
+    assert torsion2 == ss._summands(families[2], 2, 60)
 
     after3 = pages[4]
-    labels3 = {t.generator_expression.label() for t in after3.torsion}
-    assert labels3 == labels2 | {"P[y_2] @ TP_2[y_1] @ Ebar[w_2] @ E[w_3] @ TP_3[z_3]"}
-    assert {t.order for t in after3.torsion} == {2, 3}
+    torsion3 = [t for t in after3.torsion if t.order != ss.INF]
+    assert torsion3 == torsion2 + ss._summands(families[3], 3, 60)
 
 
 def test_closed_form_31_frozen_window():
@@ -281,16 +287,12 @@ def test_closed_form_preconditions(monkeypatch):
 
 
 def test_bruteforce_full_names_generators():
-    full = bruteforce_full_reference(3, 1, "cohomology", 60)
-    named = {
-        (t.generator_degree, t.order): t.generator_expression
-        for t in full.torsion
-        if t.order != ss.INF
-    }
+    towers = bruteforce_full_towers(3, 1, "cohomology", 60)
+    named = {(g, order): name for name, g, order in towers if order != ss.INF}
     assert named[(20, 2)] == "z_2"
     assert named[(19, 3)] == "w_2"
     assert named[(51, 8)] == "w_3/2 z_2^2"
-    assert [t.generator_expression for t in full.torsion if t.order == ss.INF] == ["1"]
+    assert [name for name, _g, order in towers if order == ss.INF] == ["1"]
 
 
 def test_routes_agree_small_windows():
@@ -584,7 +586,7 @@ def test_uct_transport_shifts():
 
 
 def _plant_free_tower(hom):
-    return hom._replace(torsion=hom.torsion + (ss.TowerSummand(None, 4, ss.INF),))
+    return hom._replace(torsion=hom.torsion + (ss.TowerSummand(4, ss.INF),))
 
 
 def _plant_wrong_order(hom):
