@@ -26,7 +26,8 @@ print()
 page = ss.e2_closed_form(3, 1, "cohomology", 24)
 print("E2 v-free part:", page.v_free.label())
 
-# run_closed_form builds that E2 page and the window's schedule itself.
+# run_closed_form walks the rewrite of that page through the window's
+# schedule, which it builds itself.
 final = ss.run_closed_form(3, 1, "cohomology", 24)
 print("after all in-window differentials, the surviving torsion is:")
 for (degree, order), count in sorted(final.torsion_by_degree().items()):

@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
-from itertools import groupby
 
 from . import answer, km2, numerology, ss_engine
 from .graded_algebra import Factor
@@ -522,10 +521,7 @@ def _render_grid(page, out) -> None:
         row = " ".join(map(str, page.chart_series(lo, hi).dims))
         print(f"window too wide for a grid; dims by degree: {row}", file=out)
         return
-    chart = page.chart_dims(lo, hi)
-    if not chart:
-        print("(empty grid)", file=out)
-        return
+    chart = page.chart_dims(lo, hi)  # never empty: the unit's free tower sits at (0, 0)
     smax = max(s for _d, s in chart)
     width = max(len(str(c)) for c in chart.values())
     for s in range(smax, -1, -1):
@@ -539,35 +535,31 @@ def _render_grid(page, out) -> None:
 
 
 def cmd_table(cfg: RunConfig, out) -> int:
-    full = ss_engine.window_schedule(cfg.p, cfg.n, cfg.variance, cfg.hi)
-    sched = [e for e in full if min(e.source_degree, e.target_degree) <= cfg.hi]
-    pages = ss_engine.closed_form_pages(cfg.p, cfg.n, cfg.variance, cfg.hi)
-    page = next(pages)
     arrow = "d^" if cfg.variance == "cohomology" else "d_"
     print(
         f"Adams chart for {cfg.variance} at p={cfg.p}, n={cfg.n}, window [0, {cfg.hi}]",
         file=out,
     )
-    if not sched:
-        print("no differentials reach the window; the E2 grid is final", file=out)
-        _render_grid(page, out)
-        return 0
-    for stage, group in groupby(sched, key=lambda e: e.stage):
-        entries = list(group)
-        print(f"\nE_{stage} page, stage r={stage}:", file=out)
-        _render_grid(page, out)
+    zp = ss_engine.zp_family_closed(cfg.p, cfg.n, cfg.variance, cfg.hi)
+    drawn = False
+    for group, state in ss_engine.rewrite(cfg.p, cfg.n, cfg.variance, cfg.hi):
+        entries = [e for e in group if min(e.source_degree, e.target_degree) <= cfg.hi]
+        if group and not entries:
+            continue  # applied, not drawn: it adds and moves nothing in [0, top]
+        if entries:
+            print(f"\nE_{group[0].stage} page, stage r={group[0].stage}:", file=out)
+        elif drawn:
+            print("\nfinal page:", file=out)
+        else:
+            print("no differentials reach the window; the E2 grid is final", file=out)
+        _render_grid(state.snapshot(zp), out)
         for e in entries:
             print(
-                f"  {arrow}{stage}({e.source}) = v^{stage} {e.target}"
+                f"  {arrow}{e.stage}({e.source}) = v^{e.stage} {e.target}"
                 f"   [{e.source_degree} -> {e.target_degree}]",
                 file=out,
             )
-        # every scheduled stage up to this one, shown or not; a page after
-        # stage r has page.stage r + 1
-        while page.stage <= stage:
-            page = next(pages)
-    print("\nfinal page:", file=out)
-    _render_grid(page, out)
+        drawn = True
     return 0
 
 

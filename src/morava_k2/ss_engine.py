@@ -2,11 +2,12 @@
 
 The E2 page over E[Q_n] is run to E-infinity in two independent ways:
 
-* ``run_closed_form(p, n, variance, top)`` builds the E2 page and the
-  window's schedule itself and applies each scheduled differential as a
-  tensor rewrite of the page's v-free factors; each stage adds the towers
-  of the torsion families (``_families``, the rule the answer module is
-  built from) whose order is that stage,
+* ``rewrite(p, n, variance, top)`` walks the window's schedule one stage
+  at a time, applying each scheduled differential as a tensor rewrite of
+  the page's v-free factors; each stage adds the towers of the torsion
+  families (``_families``, the rule the answer module is built from) whose
+  order is that stage.  ``run_closed_form`` snapshots the walk's last state
+  and the ``table`` command the state before each stage it draws,
 * ``run_bruteforce`` replays the same schedule monomial by monomial over the
   E2 lattice and reads tower orders off a matching sweep.
 
@@ -544,36 +545,31 @@ def e2_closed_form(p: int, n: int, variance: str, top: int) -> Page:
     return _PageState(p, n, variance, top).snapshot(zp_family_closed(p, n, variance, top))
 
 
-def _rewrite(p: int, n: int, variance: str, top: int) -> Iterator[_PageState]:
-    """One tensor rewrite of the E2 page, yielded after each stage of
-    window_schedule; a stage adds the towers of the _families of its order."""
+def rewrite(
+    p: int, n: int, variance: str, top: int
+) -> Iterator[tuple[list[Differential], _PageState]]:
+    """The closed-form rewrite of the E2 page: yields each stage group of
+    window_schedule with the state it acts on, applies the group when
+    resumed, and ends with ([], the E-infinity state).  A stage adds the
+    towers of the _families of its order.  The state is one object,
+    rewritten in place, so a reader snapshots it before resuming."""
+    km2.check_top(top)
+    km2.build(p, n, variance)
     state = _PageState(p, n, variance, top, tuple(_families(p, n, variance, top)))
     for _, group in groupby(window_schedule(p, n, variance, top), key=lambda e: e.stage):
-        state.apply_stage(list(group))
-        yield state
-
-
-def closed_form_pages(
-    p: int, n: int, variance: str, top: int, e2: Page | None = None
-) -> Iterator[Page]:
-    """The E2 page, then the page after each stage of the rewrite; e2, when
-    given, is the e2_closed_form(p, n, variance, top) a caller holds."""
-    if e2 is None:
-        e2 = e2_closed_form(p, n, variance, top)
-    yield e2
-    for state in _rewrite(p, n, variance, top):
-        yield state.snapshot(e2.zp_family)
+        group = list(group)
+        yield group, state
+        state.apply_stage(group)
+    yield [], state
 
 
 def run_closed_form(p: int, n: int, variance: str, top: int, e2: Page | None = None) -> Page:
-    """E-infinity on [0, top]: the last page of closed_form_pages, from e2
-    when given, with no page before it built."""
-    if e2 is None:
-        e2 = e2_closed_form(p, n, variance, top)
-    state = None
-    for state in _rewrite(p, n, variance, top):
-        pass
-    return e2 if state is None else state.snapshot(e2.zp_family)
+    """E-infinity on [0, top]: the last state of the rewrite, snapshotted
+    once, with the Z_p family of e2 when given (the e2_closed_form page a
+    caller holds) and otherwise of zp_family_closed; no earlier page is
+    built."""
+    *_, (_, state) = rewrite(p, n, variance, top)
+    return state.snapshot(zp_family_closed(p, n, variance, top) if e2 is None else e2.zp_family)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ one monomial at a time (at p = 2 over polynomial u_i, through the basis
 bijection), the kernel's one-column case, the seeded mixed samples drawn
 by the stdlib calls, the Q_n-square sweep one monomial at a time, the
 brute-force sweep over the whole E2 lattice at once, the brute-force folds
-all cut at one limit, the answer's Poincare series one tower class at
-a time, and the Bockstein kernel slots read off each family's own series.
+all cut at one limit, every page of the closed rewrite, the answer's
+Poincare series one tower class at a time, and the Bockstein kernel slots
+read off each family's own series.
 """
 
 import random
@@ -295,6 +296,16 @@ def qn_square_reference(
     for _ in range(mixed_samples):
         run(ctx, random_monomial(rng, ctx, full_gens, max_degree))
     return checked, failures
+
+
+# ---- every page of the closed rewrite
+
+
+def closed_pages(p: int, n: int, variance: str, top: int) -> list[ss_engine.Page]:
+    """The E2 page, then the page after each stage of ss_engine.rewrite,
+    each state snapshotted before the walk applies the next stage."""
+    zp = ss_engine.zp_family_closed(p, n, variance, top)
+    return [state.snapshot(zp) for _group, state in ss_engine.rewrite(p, n, variance, top)]
 
 
 # ---- the brute-force sweep over the whole E2 lattice

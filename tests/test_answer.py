@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from morava_k2 import answer, cli, graded_algebra, km2, numerology, ss_engine as ss
 from morava_k2.graded_algebra import E, TensorExpression, replace
 
-from helpers import kernel_slots_reference, poincare_answer_reference
+from helpers import closed_pages, kernel_slots_reference, poincare_answer_reference
 
 
 def test_free_part_labels():
@@ -234,10 +234,10 @@ def test_answer_page_is_the_rewrite_e_infinity(pn, variance, top):
 def test_closed_pages_hold_the_free_towers_of_their_label(p, n, variance, top):
     """A closed page's free towers, which its torsion table holds, are one
     per basis element of its v_free label without P[v]: on E2 (the first of
-    closed_form_pages), on every page of the rewrite, on run_closed_form's
+    closed_pages), on every page of the rewrite, on run_closed_form's
     E-infinity and on the answer module's page."""
     pages = [
-        *ss.closed_form_pages(p, n, variance, top),
+        *closed_pages(p, n, variance, top),
         ss.run_closed_form(p, n, variance, top),
         answer.to_page(answer.closed_form(p, n, variance, top)),
     ]

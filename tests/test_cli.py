@@ -20,6 +20,8 @@ from morava_k2 import answer, cli, graded_algebra, km2, ss_engine
 from morava_k2.cli import main
 from morava_k2.graded_algebra import replace
 
+from helpers import closed_pages
+
 
 def test_compute_json_schema_key_order(capsys):
     assert main(["compute", "--p", "3", "--n", "1", "--max-degree", "40", "--format", "json"]) == 0
@@ -186,6 +188,18 @@ STDOUT_SHA256 = {
         "1e9e221c9afa7a4da0acd30d4a02f4772dd1fa4c661434c89d7c81bc4d339a66",
     ("table", 3, 2, "homology", 90):
         "e1247973e033ce0e84ea9b5a0baa38916111de3419146204a954d032c001ec26",
+    # windows whose schedule is not empty but draws no stage: the one grid
+    # is the state after every stage, all of which lie above the window
+    ("table", 3, 1, "cohomology", 4):
+        "82929b677c31b8da10965611702ae9bcb98e271f637762fec07ce4628d409d2f",
+    ("table", 3, 1, "homology", 4):
+        "c7b566b2f536d34b9fa604569869e42257357baf5be8eda70d7712a270d81549",
+    ("table", 7, 1, "cohomology", 5):
+        "e058e7bc06f84a5215ae84f5b75821bf48314c71c7d96ee65d044ce05657909c",
+    ("table", 7, 1, "homology", 5):
+        "931d237939af3de361bbfce503c3599b3ed13505277cd61dd91281f3f346112e",
+    ("table", 2, 1, "homology", 2):
+        "5076c20983450e41e3fa83bf1b6e766c1181c4b0d810f222ee13ee0de0490104",
 }
 
 
@@ -217,8 +231,41 @@ def test_table_computes_each_chart_once(capsys, monkeypatch):
     calls.clear()
     assert main(["table", "--p", "3", "--n", "1", "--max-degree", "60"]) == 0
     out = capsys.readouterr().out
-    assert out.count("left to right") + out.count("(empty grid)") == calls["chart_dims"] > 1
+    assert out.count("left to right") == calls["chart_dims"] > 1
     assert calls["chart_series"] == 0
+
+
+def test_table_builds_one_page_per_grid_or_row(capsys, monkeypatch):
+    """Over the four perfbench chart jobs, table snapshots the rewrite once
+    per grid or row it prints, builds no E2 page and one schedule a job,
+    and prints the pinned bytes."""
+    jobs = [command for command in BENCHMARK_STDOUT_SHA256 if command.startswith("table")]
+    assert len(jobs) == 4
+    snapshots = _count_calls(monkeypatch, ss_engine._PageState, "snapshot")
+    e2_pages = _count_calls(monkeypatch, ss_engine, "e2_closed_form")
+    schedules = _count_calls(monkeypatch, ss_engine, "window_schedule")
+    drawn = 0
+    for command in jobs:
+        assert main(command.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_STDOUT_SHA256[command]
+        drawn += out.count("left to right") + out.count("window too wide for a grid")
+    assert drawn == len(snapshots) == 32
+    assert (len(e2_pages), len(schedules)) == (0, 4)
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    n=st.integers(1, 3),
+    variance=st.sampled_from(["cohomology", "homology"]),
+    top=st.integers(2, 90),
+)
+@settings(deadline=None, max_examples=60)
+def test_every_page_table_draws_has_the_unit_spot(p, n, variance, top):
+    """_render_grid has no empty-grid case: every page of the rewrite walk,
+    which table draws from, holds the unit's free tower at (0, 0)."""
+    for page in closed_pages(p, n, variance, top):
+        assert page.chart_dims(0, top)[(0, 0)] >= 1, page.stage
 
 
 @pytest.mark.parametrize("job", COMPUTE_JSON_SHA256, ids=_job_id)
@@ -1071,6 +1118,21 @@ def test_table_window_below_first_differential(capsys):
     assert main(["table", "--p", "3", "--n", "1", "--max-degree", "4"]) == 0
     out = capsys.readouterr().out
     assert "no differentials reach the window" in out
+
+
+@pytest.mark.parametrize("p, variance, top", [
+    (3, "cohomology", 4), (3, "homology", 4), (7, "cohomology", 5), (7, "homology", 5),
+    (2, "homology", 2),
+])
+def test_table_draws_no_stage_of_a_nonempty_schedule(capsys, p, variance, top):
+    """The windows pinned in STDOUT_SHA256 as drawing no stage do have a
+    schedule: its stages all lie above the window, and table draws one grid."""
+    assert ss_engine.window_schedule(p, 1, variance, top)
+    assert main(["table", "--p", str(p), "--n", "1", "--variance", variance,
+                 "--max-degree", str(top)]) == 0
+    out = capsys.readouterr().out
+    assert "no differentials reach the window" in out
+    assert out.count("left to right") == 1 and "stage r=" not in out
 
 
 @pytest.mark.parametrize(

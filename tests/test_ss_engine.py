@@ -17,6 +17,7 @@ from helpers import (
     bruteforce_full_reference,
     bruteforce_full_towers,
     bruteforce_single_limit_reference,
+    closed_pages,
 )
 
 
@@ -214,7 +215,7 @@ def test_closed_form_31_families():
     sched = ss.window_schedule(3, 1, "cohomology", 60)
     assert sorted({e.stage for e in sched}) == [2, 3, 6, 8, 19, 22, 59]
     # a page after stage r has page.stage r + 1
-    pages = {page.stage: page for page in ss.closed_form_pages(3, 1, "cohomology", 60)}
+    pages = {page.stage: page for page in closed_pages(3, 1, "cohomology", 60)}
     assert sorted(pages) == [2, 3, 4, 7, 9, 20, 23, 60]
 
     families = {f.order: f.expression for f in ss._families(3, 1, "cohomology", 60)}
@@ -256,7 +257,7 @@ def test_empty_schedule_returns_e2(monkeypatch):
     """The rewrite starts from e2_closed_form's page and yields it first; with
     no stage scheduled it is also E-infinity."""
     e2 = ss.e2_closed_form(3, 1, "cohomology", 60)
-    assert next(ss.closed_form_pages(3, 1, "cohomology", 60)) == e2
+    assert closed_pages(3, 1, "cohomology", 60)[0] == e2
     monkeypatch.setattr(ss, "window_schedule", lambda *args: [])
     assert ss.run_closed_form(3, 1, "cohomology", 60) == e2
 
@@ -652,7 +653,7 @@ def test_chart_dims_places_towers():
 def _charted_pages(p, n, variance, top):
     """Every kind of page the chart readers see: each closed-form stage, the
     brute E-infinity, and the answer module's page, plain and localized."""
-    yield from ss.closed_form_pages(p, n, variance, top)
+    yield from closed_pages(p, n, variance, top)
     yield ss.run_bruteforce(p, n, variance, top)
     a = answer.closed_form(p, n, variance, top)
     yield answer.to_page(a)
