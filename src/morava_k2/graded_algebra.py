@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from operator import sub
+from operator import add, sub
 
 P = "P"
 E = "E"
@@ -118,11 +118,21 @@ class PoincareSeries(namedtuple("PoincareSeries", "lo hi dims")):
 def _times_exponent_range(dims: list[int], d: int, exps: range) -> list[int]:
     """dims times sum_{e in exps} t^{e d} for d > 0, cut to the same window.
 
-    With stride-d prefix sums S[k] = dims[k] + S[k - d] the product is
+    When at most three exponents e have e d inside the window, the product
+    is that many copies of dims shifted by e d and added.  Otherwise, with
+    stride-d prefix sums S[k] = dims[k] + S[k - d] the product is
     S[k - e0 d] - S[k - e1 d] for exps = range(e0, e1), an index below 0
     counting as 0: O(len(dims)) whatever the exponent range.
     """
     n = len(dims)
+    shifts = range(exps.start * d, min(exps.stop * d, n), d)
+    if len(shifts) <= 3:
+        if not shifts:
+            return [0] * n
+        out = [0] * shifts[0] + dims[: n - shifts[0]]
+        for k in shifts[1:]:
+            out[k:] = map(add, out[k:], dims[: n - k])
+        return out
     s = dims[:]
     for k in range(d, n):
         s[k] += s[k - d]

@@ -14,8 +14,11 @@ the carry joining z_{n+1} to i2 and u_n, and multiplies the component series.
 One sweep per component builds each of its Q_n blocks once: it ranks the
 blocks out of the window for the homology dimensions and multiplies
 consecutive blocks for the square check, in the same pass.  Every component
-has at most four generators.  The rank of the whole basis at once, which
-needs no split, is a reference that only the tests run.
+has at most four generators.  The pass over all components stores the
+trivial series in one memo entry per (p, n, top), and qn_homology adds the
+total and free lists to it on its first read, for both variances.  The rank
+of the whole basis at once, which needs no split, is a reference that only
+the tests run.
 """
 
 from __future__ import annotations
@@ -618,10 +621,13 @@ def _sweep_component(ctx: DerivationContext, top: int, failures: list) -> tuple[
     return sum(len(b) for d, b in buckets.items() if d <= top), dims
 
 
-# Trivial Q_n-homology dimensions on [0, top] per (p, n, top), stored by
-# every sweep.  The homology blocks are the transposes of the cohomology
-# ones, so the ranks, and with them the series, serve either variance.
-_TRIVIAL_MEMO: dict[tuple[int, int, int], tuple[int, ...]] = {}
+# The Q_n-homology lists on [0, top] per (p, n, top).  Every sweep stores a
+# fresh entry that holds the trivial series alone, and qn_homology adds the
+# total and free lists on its first read, so a sweep never leaves lists
+# that an earlier one derived.  The homology blocks are the transposes of
+# the cohomology ones and total_dims reads only degrees, so one entry
+# serves either variance.
+_TRIVIAL_MEMO: dict[tuple[int, int, int], dict[str, tuple[int, ...]]] = {}
 
 
 def _qn_sweep(pres: Presentation, top: int) -> tuple[int, list[tuple[int, ...]]]:
@@ -648,7 +654,7 @@ def _qn_sweep(pres: Presentation, top: int) -> tuple[int, list[tuple[int, ...]]]
                         break
                     out[d1 + d2] += a * c
         series = out
-    _TRIVIAL_MEMO[pres.p, pres.n, top] = tuple(series)
+    _TRIVIAL_MEMO[pres.p, pres.n, top] = {"trivial": tuple(series)}
     return checked, failures
 
 
@@ -723,20 +729,26 @@ def check_top(top: int) -> None:
 
 
 def qn_homology(p: int, n: int, variance: str, top: int) -> QnHomologyReport:
+    """The report on [0, top], its lists computed once per (p, n, top) and
+    kept in _TRIVIAL_MEMO; each report holds its own copies."""
     pres = build(p, n, variance)
     check_top(top)
-    total = total_dims(pres, top)
     if (p, n, top) not in _TRIVIAL_MEMO:
         _qn_sweep(pres, top)
-    triv = list(_TRIVIAL_MEMO[p, n, top])
-    dq = pres.qn_degree
-    free = [0] * (top + 1)
-    for d in range(top + 1):
-        lower = free[d - dq] if d >= dq else 0
-        free[d] = total[d] - triv[d] - lower
-        if free[d] < 0:
-            raise AssertionError(f"negative free rank at degree {d}")
-    return QnHomologyReport(p, n, variance, top, total, triv, free)
+    entry = _TRIVIAL_MEMO[p, n, top]
+    if "free" not in entry:
+        total, triv = total_dims(pres, top), entry["trivial"]
+        dq = pres.qn_degree
+        free = [0] * (top + 1)
+        for d in range(top + 1):
+            lower = free[d - dq] if d >= dq else 0
+            free[d] = total[d] - triv[d] - lower
+            if free[d] < 0:
+                raise AssertionError(f"negative free rank at degree {d}")
+        entry["total"], entry["free"] = tuple(total), tuple(free)
+    return QnHomologyReport(
+        p, n, variance, top, list(entry["total"]), list(entry["trivial"]), list(entry["free"])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ The E2 page over E[Q_n] is run to E-infinity in two independent ways:
   order is that stage.  ``run_closed_form`` snapshots the walk's last state
   and the ``table`` command the state before each stage it draws,
 * ``run_bruteforce`` replays the same schedule monomial by monomial over the
-  E2 lattice and reads tower orders off a matching sweep.
+  E2 lattice, one lattice per class of the family index, reads tower
+  orders off a matching sweep and multiplies the classes' towers by
+  ``_fold``, starting from the first class's.
 
 Both report per-degree free ranks, v-torsion towers and the filtration-0 Z_p
 family; every page holds all its towers, free ones included, in
@@ -25,6 +27,7 @@ brute route off the F_p ranks of ``km2.qn_homology`` (``zp_family_counts``).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from array import array
@@ -229,12 +232,14 @@ class Differential(
     __slots__ = ()
 
 
-def schedule(p: int, n: int, j_max: int, variance: str = "cohomology") -> list[Differential]:
+@functools.lru_cache(maxsize=64)
+def schedule(p: int, n: int, j_max: int, variance: str = "cohomology") -> tuple[Differential, ...]:
     """All differentials with family index <= j_max, ordered by stage.
 
     Every entry is checked against the degree identity
     |target| = |source| + 1 + 2r(p^n - 1), with the roles of source and
-    target swapped in homology where differentials lower degree.
+    target swapped in homology where differentials lower degree.  Kept per
+    argument tuple: a verify run reads one schedule in several places.
     """
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
@@ -279,7 +284,7 @@ def schedule(p: int, n: int, j_max: int, variance: str = "cohomology") -> list[D
         raise RuntimeError("two scheduled differentials share a source")
 
     entries.sort(key=lambda e: (e.stage, 0 if e.family == "y" else 1))
-    return entries
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +329,18 @@ class Page(namedtuple("Page", "p n variance stage top v_free torsion zp_family")
 
     def free_by_degree(self) -> Counter:
         """Generator degrees of the free towers, all in [0, top]."""
-        out: Counter = Counter()
-        for t in self.torsion:
-            if t.order == INF:
-                out[t.generator_degree] += t.count
-        return out
+        out: dict = {}
+        for g, order, c in self.torsion:
+            if order == INF:
+                out[g] = out.get(g, 0) + c
+        return Counter(out)
 
     def torsion_by_degree(self) -> Counter:
-        out: Counter = Counter()
-        for t in self.torsion:
-            if t.order != INF:
-                out[(t.generator_degree, t.order)] += t.count
-        return out
+        out: dict = {}
+        for g, order, c in self.torsion:
+            if order != INF:
+                out[g, order] = out.get((g, order), 0) + c
+        return Counter(out)
 
     def chart_dims(self, lo: int, hi: int) -> Counter:
         """Dimension of each (degree, filtration) spot in [lo, hi], from the
@@ -601,10 +606,12 @@ def _stage_relevance(p: int, n: int, j: int) -> list[tuple[int, int]]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _plan(p: int, n: int, variance: str, top: int) -> _WindowPlan:
-    # at odd p index 0 has only the half source w_{n+1/2}, which lies above
-    # y_1, so the scan stops only at an index j >= 1 with no source in
-    # [0, top]; j_top ends at 1 or above either way
+    # kept per argument tuple, as schedule is.  At odd p index 0 has only
+    # the half source w_{n+1/2}, which lies above y_1, so the scan stops
+    # only at an index j >= 1 with no source in [0, top]; j_top ends at 1
+    # or above either way
     j_top = 1
     max_stage = 0
     j = 0 if p != 2 else 1
@@ -658,7 +665,7 @@ def fold_work(p: int, n: int, variance: str, top: int) -> int:
     return work + (top + 1) * len(running)
 
 
-def window_schedule(p: int, n: int, variance: str, top: int) -> list[Differential]:
+def window_schedule(p: int, n: int, variance: str, top: int) -> tuple[Differential, ...]:
     """The schedule truncated to the families visible inside [0, top]."""
     return schedule(p, n, _plan(p, n, variance, top).j_top, variance)
 
@@ -758,7 +765,8 @@ class _Lattice:
     Each stage operator is a weighted matching: a monomial has at most one
     image and at most one preimage, so kernel and image bookkeeping reduces
     to two cursors per monomial tower (how far it has fired as a source, and
-    from which v-power it is a boundary).
+    from which v-power it is a boundary).  An operator visits only the
+    monomials that carry its source coordinate.
     """
 
     def __init__(self, p: int, n: int, coords: list[_Coord], limit: int):
@@ -769,6 +777,15 @@ class _Lattice:
         km2.each_monomial(
             [c.degree for c in coords], [c.cap for c in coords], limit, self.monomials.__setitem__
         )
+        self._carriers: dict[int, list[tuple]] = {}
+
+    def _carrying(self, k: int) -> list[tuple]:
+        """The monomials with a positive exponent at coordinate k, in
+        lattice order, listed on first use."""
+        out = self._carriers.get(k)
+        if out is None:
+            out = self._carriers[k] = [m for m in self.monomials if m[k]]
+        return out
 
     def _shift(self, mono: tuple, delta: list[tuple[int, int]]) -> tuple | None:
         exps = list(mono)
@@ -812,13 +829,12 @@ class _Lattice:
         digit_pos = self.pos.get(("digit", j))
         if e.family == "y" and digit_pos is None:
             return []
+        # the source's own coordinate: every source monomial carries it
+        src_pos = self.pos[("half", 0)] if e.family == "half" and j == 0 else digit_pos
         out = []
-        for mono in self.monomials:
+        for mono in self._carrying(src_pos):
             if e.family == "y":
-                a = mono[digit_pos]
-                if a == 0:
-                    continue
-                coeff = a % p
+                coeff = mono[digit_pos] % p
             else:
                 if any(mono[k] < amt for k, amt in need_pos):
                     continue
@@ -953,7 +969,10 @@ def run_bruteforce(p: int, n: int, variance: str, top: int) -> Page:
 
     One lattice runs per residue class of the family index modulo n+1 (no
     differential couples distinct classes), and the per-class towers are
-    combined over P[v] by _fold.  The schedule runs to the widest stage
+    combined over P[v] by _fold: the product starts from class 0's part,
+    folds in each further class part and then the head's free towers, the
+    head only when it has coordinates (n >= 2 and z_1 in the window), so
+    no fold multiplies by the unit.  The schedule runs to the widest stage
     that reaches the window, so no v-power bound is needed.  The page holds
     only towers, unnamed and counted per degree and order (v_free is None),
     and the Z_p family read off the F_p ranks of km2.qn_homology.
@@ -980,7 +999,7 @@ def run_bruteforce(p: int, n: int, variance: str, top: int) -> Page:
     km2.check_top(top)
     plan = _plan(p, n, variance, top)
     sched = schedule(p, n, plan.j_ext, variance)
-    folded: Counter = Counter({(0, INF): 1})
+    floors: dict = {}  # _key_floor of each order met, read once
     for cls in range(n + 1):
         lat = _Lattice(p, n, _class_coords(p, n, cls, plan.enum_limit), plan.enum_limit)
         fired, bound = _sweep(lat, [e for e in sched if e.index % (n + 1) == cls], variance)
@@ -995,20 +1014,20 @@ def run_bruteforce(p: int, n: int, variance: str, top: int) -> Page:
                     f"class-{cls} tower over degree {g} survives only above filtration {f}"
                 )
             order = INF if b == INF else int(b)
-            h = g - _key_floor(order, p, n, variance)
+            if order not in floors:
+                floors[order] = _key_floor(order, p, n, variance)
+            h = g - floors[order]
             if h < 0:
                 raise RuntimeError(f"class-{cls} tower of order {order} sits below its source")
             if h <= top:
                 part[(h, order)] += 1
-        folded = _fold(folded, part, p, n, "homology", top)
-    head = _Lattice(p, n, _head_coords(p, n, top), top)
-    head_towers: Counter = Counter()
-    for _mono, g in head.monomials.items():
-        head_towers[(g, INF)] += 1
-    folded = _fold(folded, head_towers, p, n, "homology", top)
-    towers = sorted(
-        (h + _key_floor(order, p, n, variance), order, c) for (h, order), c in folded.items()
-    )
+        folded = part if cls == 0 else _fold(folded, part, p, n, "homology", top)
+    head_coords = _head_coords(p, n, top)
+    if head_coords:
+        head = _Lattice(p, n, head_coords, top)
+        head_towers = Counter((g, INF) for g in head.monomials.values())
+        folded = _fold(folded, head_towers, p, n, "homology", top)
+    towers = sorted((h + floors[order], order, c) for (h, order), c in folded.items())
     return Page(
         p=p,
         n=n,

@@ -1,21 +1,34 @@
-"""Reference code that only the tests read: series arithmetic for the
-schoolbook Poincare fold, the Q_n matrix on the full monomial basis, the
+"""Reference code that only the tests read: one call that empties every
+cache the package keeps, series arithmetic for the schoolbook Poincare
+fold, the product by an exponent range through prefix sums alone, the Q_n
+matrix on the full monomial basis, dim H counted on that basis, the
 trivial Q_n-homology ranked on the whole basis at once, the E[Q_n] split
 invariant of a report, the degree of u_i, monomial names, the derivation
 one monomial at a time (at p = 2 over polynomial u_i, through the basis
 bijection), the kernel's one-column case, the seeded mixed samples drawn
 by the stdlib calls, the Q_n-square sweep one monomial at a time, the
 brute-force sweep over the whole E2 lattice at once, the brute-force folds
-all cut at one limit, every page of the closed rewrite, the answer's
+all cut at one limit, the arcs of one lattice operator found by scanning
+every monomial, every page of the closed rewrite, the answer's
 Poincare series one tower class at a time, and the Bockstein kernel slots
 read off each family's own series.
 """
 
 import random
 from collections import Counter
+from operator import sub
 
 from morava_k2 import km2, ss_engine
 from morava_k2.graded_algebra import PoincareSeries, TensorExpression
+
+
+def clear_caches() -> None:
+    """Empty every cache the package keeps: the Q_n-homology memo, the
+    family series, the window plans and the schedules."""
+    km2._TRIVIAL_MEMO.clear()
+    TensorExpression.poincare.cache_clear()
+    ss_engine._plan.cache_clear()
+    ss_engine.schedule.cache_clear()
 
 
 def restrict(series: PoincareSeries, lo: int, hi: int) -> PoincareSeries:
@@ -29,6 +42,21 @@ def series_one(lo: int, hi: int) -> PoincareSeries:
     if lo <= 0 <= hi:
         dims[-lo] = 1
     return PoincareSeries(lo, hi, tuple(dims))
+
+
+def times_exponent_range_prefix(dims: list[int], d: int, exps: range) -> list[int]:
+    """graded_algebra._times_exponent_range by stride-d prefix sums alone,
+    whatever the number of exponents: S[k] = dims[k] + S[k - d], and the
+    product is S[k - e0 d] - S[k - e1 d] for exps = range(e0, e1)."""
+    n = len(dims)
+    s = dims[:]
+    for k in range(d, n):
+        s[k] += s[k - d]
+    a, b = exps.start * d, exps.stop * d
+    out = [0] * min(a, n) + s[: max(n - a, 0)]
+    if b >= n:
+        return out
+    return list(map(sub, out, [0] * b + s[: n - b]))
 
 
 def tensor(a: TensorExpression, b: TensorExpression) -> TensorExpression:
@@ -75,6 +103,12 @@ def transpose(m: km2.Matrix) -> km2.Matrix:
     return km2.Matrix(
         [sum((r >> j & 1) << i for i, r in enumerate(m.rows)) for j in range(cols)], rows, 2
     )
+
+
+def whole_basis_total(p: int, n: int, hi: int) -> list[int]:
+    """dim H on [0, hi], the monomial basis of each degree counted."""
+    pres = km2.build(p, n)
+    return [len(b) for b in km2.window_bases(pres.generators(hi), hi)]
 
 
 def whole_basis_trivial(p: int, n: int, hi: int) -> list[int]:
@@ -309,6 +343,53 @@ def closed_pages(p: int, n: int, variance: str, top: int) -> list[ss_engine.Page
 
 
 # ---- the brute-force sweep over the whole E2 lattice
+
+
+def arcs_full_scan(lat: ss_engine._Lattice, e: ss_engine.Differential) -> list[tuple]:
+    """ss_engine._Lattice.arcs_for visiting every monomial of the lattice,
+    not only those that carry the source coordinate: the arcs
+    (source, target, coefficient) of one entry, in lattice order."""
+    p, n = lat.p, lat.n
+    j = e.index
+    if e.paired and e.family == "half":
+        return []
+    if e.family == "y":
+        delta = dict(ss_engine._w_delta(p, n, j))
+        delta[("digit", j)] = delta.get(("digit", j), 0) - 1
+        need: dict = {}
+    else:
+        if j == 0:
+            need = {("half", 0): 1}
+        else:
+            need = dict(ss_engine._w_delta(p, n, j))
+            need[("digit", j)] = need.get(("digit", j), 0) + (p - 1)
+        delta = {k: -amt for k, amt in need.items()}
+        delta[("z", n + j + 1)] = delta.get(("z", n + j + 1), 0) + 1
+    if any(key not in lat.pos for key, amt in delta.items() if amt) or any(
+        key not in lat.pos for key in need
+    ):
+        return []
+    compiled = [(lat.pos[key], amt) for key, amt in delta.items() if amt]
+    need_pos = [(lat.pos[key], amt) for key, amt in need.items()]
+    digit_pos = lat.pos.get(("digit", j))
+    if e.family == "y" and digit_pos is None:
+        return []
+    out = []
+    for mono in lat.monomials:
+        if e.family == "y":
+            a = mono[digit_pos]
+            if a == 0:
+                continue
+            coeff = a % p
+        else:
+            if any(mono[k] < amt for k, amt in need_pos):
+                continue
+            coeff = 1
+        tgt = lat._shift(mono, compiled)
+        if tgt is None or tgt not in lat.monomials:
+            continue
+        out.append((mono, tgt, coeff))
+    return out
 
 
 def lattice_name(lat: ss_engine._Lattice, mono: tuple) -> str:

@@ -20,7 +20,7 @@ from morava_k2 import answer, cli, graded_algebra, km2, ss_engine
 from morava_k2.cli import main
 from morava_k2.graded_algebra import replace
 
-from helpers import closed_pages
+from helpers import clear_caches, closed_pages
 
 
 def test_compute_json_schema_key_order(capsys):
@@ -815,6 +815,26 @@ def test_verify_builds_each_qn_block_once(capsys, monkeypatch):
     monkeypatch.setattr(km2, "_qn_block", counted)
     assert main(["verify", "--p", "3", "--n", "2", "--max-degree", "300"]) == 0
     assert built and max(built.values()) == 1
+
+
+def test_verify_computes_each_shared_input_once(capsys, monkeypatch):
+    """One verify run counts dim H twice, once for the Q_n-homology report
+    that e2 and both brute-force pages read and once for bockstein, and
+    computes each window plan and schedule once per argument tuple,
+    however often its suites read them."""
+    argv = ["verify", "--p", "3", "--n", "2", "--max-degree", "300"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    real_plan, real_schedule = ss_engine._plan, ss_engine.schedule
+    clear_caches()
+    totals = _count_calls(monkeypatch, km2, "total_dims")
+    plans = _count_calls(monkeypatch, ss_engine, "_plan")
+    schedules = _count_calls(monkeypatch, ss_engine, "schedule")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert len(totals) == 2
+    assert real_plan.cache_info().misses == len(set(plans)) < len(plans)
+    assert real_schedule.cache_info().misses == len(set(schedules)) < len(schedules)
 
 
 def test_composite_p_rejected(capsys):

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from morava_k2 import answer
+from morava_k2 import answer, graded_algebra
 from morava_k2.graded_algebra import (
     E,
     E_BAR,
@@ -16,7 +16,7 @@ from morava_k2.graded_algebra import (
     TensorExpression,
 )
 
-from helpers import restrict, series_one, tensor
+from helpers import restrict, series_one, tensor, times_exponent_range_prefix
 
 
 def test_generator_rejects_degree_zero():
@@ -139,3 +139,30 @@ def positive_expressions(draw):
 @settings(deadline=None, max_examples=300)
 def test_poincare_matches_schoolbook_fold(expr, hi):
     assert expr.poincare(hi) == _schoolbook_poincare(expr, hi)
+
+
+@given(
+    dims=st.lists(st.integers(0, 9), min_size=1, max_size=40),
+    d=st.integers(1, 50),
+    start=st.integers(0, 8),
+    length=st.integers(0, 8),
+    unbounded=st.booleans(),
+)
+@example(dims=[1, 2, 3], d=1, start=0, length=0, unbounded=False)  # empty range
+@example(dims=[1] * 20, d=3, start=1, length=3, unbounded=False)  # three shifts
+@example(dims=[1] * 20, d=3, start=1, length=4, unbounded=False)  # four: prefix sums
+@example(dims=[1] * 20, d=6, start=0, length=0, unbounded=True)  # P: 0..19 // 6
+@example(dims=[2, 1, 1], d=5, start=0, length=2, unbounded=False)  # d above the window
+@settings(deadline=None, max_examples=300)
+def test_shifted_slices_match_prefix_sums(dims, d, start, length, unbounded):
+    """The product by a range of exponents, added as shifted slices when at
+    most three exponents land in the window, equals the prefix-sum formula
+    for empty, bounded and unbounded ranges, d above the window included;
+    an unbounded range runs to the last exponent the window holds, as a
+    polynomial factor's does."""
+    stop = max(start, (len(dims) - 1) // d + 1) if unbounded else start + length
+    exps = range(start, stop)
+    before = list(dims)
+    got = graded_algebra._times_exponent_range(dims, d, exps)
+    assert dims == before
+    assert got == times_exponent_range_prefix(dims, d, exps)

@@ -33,6 +33,7 @@ from helpers import (
     random_monomial,
     render,
     transpose,
+    whole_basis_total,
     whole_basis_trivial,
 )
 
@@ -282,14 +283,19 @@ def test_p2_basis_rewrites_the_polynomial_basis(n, hi):
 
 @contextlib.contextmanager
 def _fresh_memo(*keys):
-    """Run a planted defect against a fresh trivial-series memo.  Once the
+    """Run a planted defect against a fresh Q_n-homology memo.  Once the
     plant is undone, qn_homology at every (p, n, hi) in keys must equal the
-    whole-basis reference again: no entry the plant computed survives."""
+    whole-basis references again, total, trivial and free lists alike: no
+    entry the plant computed survives."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(km2, "_TRIVIAL_MEMO", {})
         yield mp
     for p, n, hi in keys:
-        assert km2.qn_homology(p, n, "cohomology", hi).trivial == whole_basis_trivial(p, n, hi)
+        rep = km2.qn_homology(p, n, "cohomology", hi)
+        assert rep.trivial == whole_basis_trivial(p, n, hi)
+        assert rep.total == whole_basis_total(p, n, hi)
+        # with total and trivial right, the invariant pins every free rank
+        assert check_invariant(rep)
 
 
 def test_qn_square_zero_small_windows():
@@ -352,12 +358,15 @@ def test_square_check_matches_per_monomial_sweep(p, n, hi, planted):
 @pytest.mark.parametrize("p, n, hi", SQUARE_WINDOWS)
 def test_square_check_is_never_served_from_the_memo(p, n, hi):
     """A clean check stores its trivial series; a planted defect at the same
-    (p, n, hi) is still swept afresh and reports every failure."""
+    (p, n, hi) is still swept afresh and reports every failure, and its
+    entry keeps no total or free list derived from the clean series."""
     with _fresh_memo((p, n, hi)) as mp:
         assert km2.qn_square_check(p, n, hi)[1] == []
         assert (p, n, hi) in km2._TRIVIAL_MEMO
+        km2.qn_homology(p, n, "cohomology", hi)
         _drop_first_term_at_cube(mp)
         assert len(km2.qn_square_check(p, n, hi)[1]) == PLANTED_FAILURES[p, n, hi]
+        assert list(km2._TRIVIAL_MEMO[p, n, hi]) == ["trivial"]
 
 
 @given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 3), top=st.integers(2, 80))
@@ -375,7 +384,7 @@ def test_sweep_matches_the_references(p, n, top):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(km2, "_TRIVIAL_MEMO", {})
         assert km2.qn_square_check(p, n, top, 50) == qn_square_reference(p, n, top, 50)
-        assert list(km2._TRIVIAL_MEMO[p, n, top]) == whole_basis_trivial(p, n, top)
+        assert list(km2._TRIVIAL_MEMO[p, n, top]["trivial"]) == whole_basis_trivial(p, n, top)
     # under the cube plant the batched failure list is the per-sample one
     with _fresh_memo() as mp:
         _drop_first_term_at_cube(mp)
@@ -585,16 +594,18 @@ def test_report_invariant_is_checked():
 
 
 def test_factored_memo_is_shared_and_immutable(monkeypatch):
-    """Both variances read one factored computation per (p, n, hi), and a
-    caller that edits its report cannot edit the next caller's."""
+    """Both variances read one total, trivial and free list per (p, n, hi),
+    and a caller that edits its report cannot edit the next caller's."""
     c = km2.qn_homology(3, 2, "cohomology", 70)
-    want = (list(c.trivial), list(c.free_rank))
+    want = (list(c.total), list(c.trivial), list(c.free_rank))
+    c.total[16] += 1
     c.trivial[16] += 1
     c.free_rank[16] += 1
     monkeypatch.setattr(km2, "rref_modp", lambda *a: pytest.fail("memo missed"))
+    monkeypatch.setattr(km2, "total_dims", lambda *a: pytest.fail("memo missed"))
     h = km2.qn_homology(3, 2, "homology", 70)
     assert h.variance == "homology"
-    assert (h.trivial, h.free_rank) == want
+    assert (h.total, h.trivial, h.free_rank) == want
 
 
 def test_w_element_degrees_and_names():

@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import morava_k2
-from morava_k2 import graded_algebra, km2
 from morava_k2.cli import main
+
+from helpers import clear_caches
 
 SRC = Path(morava_k2.__file__).resolve().parent
 
@@ -125,10 +126,9 @@ def called(tmp_path_factory):
             seen.add((c.co_filename, c.co_firstlineno, c.co_name))
 
     runs = _runs(config)
-    # the package's two caches may hold what earlier tests computed: empty
+    # the package's caches may hold what earlier tests computed: empty
     # them, so that each command computes everything it reads
-    km2._TRIVIAL_MEMO.clear()
-    graded_algebra.TensorExpression.poincare.cache_clear()
+    clear_caches()
     before = sys.getprofile()
     sys.setprofile(profile)
     try:

@@ -14,6 +14,7 @@ from morava_k2 import answer, km2, numerology, ss_engine as ss
 from morava_k2.graded_algebra import TensorExpression, replace
 
 from helpers import (
+    arcs_full_scan,
     bruteforce_full_reference,
     bruteforce_full_towers,
     bruteforce_single_limit_reference,
@@ -90,7 +91,7 @@ def test_schedule_homology_swaps_roles(p, n, top):
         )
         for e in ss.window_schedule(p, n, "cohomology", top)
     ]
-    assert ss.window_schedule(p, n, "homology", top) == mirrored
+    assert list(ss.window_schedule(p, n, "homology", top)) == mirrored
 
 
 def test_schedule_degree_identity():
@@ -358,8 +359,9 @@ def test_window_plan_reaches_past_the_half_source(p, n, top, variance):
 
 
 def test_every_fold_cuts_at_the_window(monkeypatch):
-    """run_bruteforce folds on [0, top] alone: each of the n + 2 folds cuts
-    at top, by the homology rule (cohomology towers keyed by source degree),
+    """run_bruteforce folds on [0, top] alone: each fold, one per class part
+    after the first and one for the head when it has coordinates, cuts at
+    top, by the homology rule (cohomology towers keyed by source degree),
     on keys that never pass top, and fold_work bounds the (limit + 1) x
     order pairs it multiplies.  A single cut at top + (n + 1) * delta, or one
     staged per class, would read limits such as [3951] * 4 or
@@ -377,7 +379,8 @@ def test_every_fold_cuts_at_the_window(monkeypatch):
         for p, n, top in [(3, 2, 300), (2, 1, 60), (2, 3, 200)]:
             calls.clear()
             ss.run_bruteforce(p, n, variance, top)
-            assert [c[:2] for c in calls] == [("homology", top)] * (n + 2)
+            folds = n + (1 if ss._head_coords(p, n, top) else 0)
+            assert [c[:2] for c in calls] == [("homology", top)] * folds
             assert max(c[2] for c in calls) <= top
             work = sum((top + 1) * len(oa) * len(ob) for _v, _l, _g, oa, ob in calls)
             assert work <= ss.fold_work(p, n, variance, top)
@@ -407,6 +410,31 @@ def test_no_class_monomial_lies_on_two_arcs(p, n, top):
         assert max(seen.values(), default=1) == 1, (cls, seen.most_common(1))
         arcs += len(seen) // 2
     assert arcs > 0
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 3),
+    variance=st.sampled_from(["cohomology", "homology"]),
+    top=st.integers(2, 200),
+)
+@example(p=2, n=1, variance="cohomology", top=200)
+@example(p=2, n=2, variance="homology", top=200)
+@example(p=3, n=2, variance="cohomology", top=200)
+@settings(deadline=None, max_examples=40)
+def test_indexed_arcs_match_the_full_scan(p, n, variance, top):
+    """arcs_for, visiting only the monomials that carry the source
+    coordinate, finds the arcs of a scan over every monomial, in the same
+    order, for every entry of every class lattice that run_bruteforce
+    builds, the p = 2 paired stages included."""
+    plan = ss._plan(p, n, variance, top)
+    sched = ss.schedule(p, n, plan.j_ext, variance)
+    assert p != 2 or any(e.paired for e in sched)
+    for cls in range(n + 1):
+        lat = ss._Lattice(p, n, ss._class_coords(p, n, cls, plan.enum_limit), plan.enum_limit)
+        for e in sched:
+            if e.index % (n + 1) == cls:
+                assert lat.arcs_for(e) == arcs_full_scan(lat, e), e
 
 
 @given(
