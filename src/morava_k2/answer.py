@@ -26,12 +26,11 @@ family's towers start on the dual of its differential's source.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import accumulate
 from operator import add, sub
 
 from . import km2, numerology, ss_engine
-from .graded_algebra import PoincareSeries, replace
+from .graded_algebra import PoincareSeries, Record, replace
 from .km2 import WindowError
 from .ss_engine import (
     INF,
@@ -46,30 +45,23 @@ from .ss_engine import (
 )
 
 
-class AnswerModule(
-    namedtuple(
-        "AnswerModule",
-        "p n variance top free_part torsion_families zp_family localized",
-        defaults=(False,),
-    )
-):
+class AnswerModule(Record):
     """The module on [0, top]: free_part a TensorExpression, torsion_families
     a tuple of TorsionFamily whose orders the schedule fixes, zp_family
     (degree, count) pairs."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for f in self.torsion_families:
-            want = (
-                numerology.r(f.j, self.p, self.n)
-                if f.kind == "y"
-                else numerology.rprime(f.j, self.p, self.n)
-            )
+    def __new__(
+        cls, p, n, variance, top, free_part, torsion_families, zp_family, localized=False
+    ):
+        for f in torsion_families:
+            want = numerology.r(f.j, p, n) if f.kind == "y" else numerology.rprime(f.j, p, n)
             if f.order != want:
                 raise ValueError(f"family ({f.kind}, {f.j}) must have order {want}, got {f.order}")
-        return self
+        return tuple.__new__(
+            cls, (p, n, variance, top, free_part, torsion_families, zp_family, localized)
+        )
 
 
 def closed_form(p: int, n: int, variance: str, top: int) -> AnswerModule:
@@ -119,12 +111,15 @@ def to_page(a: AnswerModule) -> Page:
     )
 
 
-class AnswerSeries(namedtuple("AnswerSeries", "total family_counts")):
+class AnswerSeries(Record):
     """The module's dimensions on a window [lo, hi] (total, a
     PoincareSeries), and each torsion family's generator count on
     [0, module top]."""
 
     __slots__ = ()
+
+    def __new__(cls, total, family_counts):
+        return tuple.__new__(cls, (total, family_counts))
 
 
 def _add_shifted(dims: list[int], lo: int, series: PoincareSeries, shift: int, op) -> None:

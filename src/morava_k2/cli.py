@@ -36,20 +36,20 @@ from __future__ import annotations
 
 import os
 import sys
-from collections import namedtuple
 
 from . import answer, km2, numerology, ss_engine
-from .graded_algebra import Factor
+from .graded_algebra import Factor, Record
 
 
 class ConfigError(ValueError):
     pass
 
 
-class RunConfig(
-    namedtuple("RunConfig", "command p n variance lo hi j_max fmt suite localize")
-):
+class RunConfig(Record):
     __slots__ = ()
+
+    def __new__(cls, command, p, n, variance, lo, hi, j_max, fmt, suite, localize):
+        return tuple.__new__(cls, (command, p, n, variance, lo, hi, j_max, fmt, suite, localize))
 
 
 _JSON_TYPE = {int: "integer", str: "string", bool: "boolean", list: "array", dict: "object"}

@@ -13,7 +13,7 @@ cohomology page, whose v has negative degree, is stripped first.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
+from collections import _tuplegetter
 from operator import add, sub
 
 P = "P"
@@ -28,25 +28,70 @@ _KINDS = {P, E, E_BAR, TP, TP_BAR, GAMMA, GAMMA_TRUNC}
 _NEED_HEIGHT = {TP, TP_BAR, GAMMA_TRUNC}
 
 
+class Record(tuple):
+    """A named tuple whose class is written out, with no code generated.
+
+    A record class declares __slots__ = () and its own __new__, which
+    returns tuple.__new__(cls, values); the parameters of that __new__, in
+    order, are the record's fields.  Each field is read through the getter
+    collections.namedtuple installs, and _fields, _make, _replace, _asdict,
+    the repr and pickling behave as a named tuple's.  namedtuple compiles a
+    __new__ with eval for every class it makes, at each import; here the
+    constructors are in the modules' .pyc.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "__new__" in cls.__dict__:
+            code = cls.__new__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+            for i, name in enumerate(cls._fields):
+                setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
+
+    @classmethod
+    def _make(cls, iterable):
+        """A record of the values, without the constructor checks."""
+        result = tuple.__new__(cls, iterable)
+        if len(result) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(result)}")
+        return result
+
+    def _replace(self, **changes):
+        result = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return result
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+
 def replace(record, **changes):
     """A copy of a record with some fields changed, built through its class so
-    that the constructor checks run again (namedtuple's _replace skips them)."""
+    that the constructor checks run again (Record._replace skips them)."""
     return type(record)(**{**record._asdict(), **changes})
 
 
-class Generator(namedtuple("Generator", "name degree")):
+class Generator(Record):
     """A named generator of nonzero degree."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.degree == 0:
-            raise ValueError(f"generator {self.name} has degree 0")
-        return self
+    def __new__(cls, name, degree):
+        if degree == 0:
+            raise ValueError(f"generator {name} has degree 0")
+        return tuple.__new__(cls, (name, degree))
 
 
-class Factor(namedtuple("Factor", "kind gen height", defaults=(None,))):
+class Factor(Record):
     """One tensor factor: a generator with an exponent-range kind, and a
     height (an int) for the truncated kinds only.
 
@@ -58,16 +103,15 @@ class Factor(namedtuple("Factor", "kind gen height", defaults=(None,))):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        if self.kind in _NEED_HEIGHT:
-            if self.height is None or self.height < 2:
-                raise ValueError(f"{self.kind} factor needs height >= 2")
-        elif self.height is not None:
-            raise ValueError(f"{self.kind} factor takes no height")
-        return self
+    def __new__(cls, kind, gen, height=None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown factor kind {kind!r}")
+        if kind in _NEED_HEIGHT:
+            if height is None or height < 2:
+                raise ValueError(f"{kind} factor needs height >= 2")
+        elif height is not None:
+            raise ValueError(f"{kind} factor takes no height")
+        return tuple.__new__(cls, (kind, gen, height))
 
     def exponent_range(self, limit: int) -> range:
         lo = 1 if self.kind in (E_BAR, TP_BAR) else 0
@@ -87,16 +131,15 @@ class Factor(namedtuple("Factor", "kind gen height", defaults=(None,))):
         return f"{kind}{height}[{self.gen.name}]"
 
 
-class PoincareSeries(namedtuple("PoincareSeries", "lo hi dims")):
+class PoincareSeries(Record):
     """Per-degree dimensions over a closed window [lo, hi], dims a tuple."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.dims) != self.hi - self.lo + 1:
+    def __new__(cls, lo, hi, dims):
+        if len(dims) != hi - lo + 1:
             raise ValueError("dims length does not match window")
-        return self
+        return tuple.__new__(cls, (lo, hi, dims))
 
     def dim(self, d: int) -> int:
         if d < self.lo or d > self.hi:
@@ -143,10 +186,13 @@ def _times_exponent_range(dims: list[int], d: int, exps: range) -> list[int]:
     return list(map(sub, out, [0] * b + s[: n - b]))
 
 
-class TensorExpression(namedtuple("TensorExpression", "factors")):
+class TensorExpression(Record):
     """An ordered tuple of Factors."""
 
     __slots__ = ()
+
+    def __new__(cls, factors):
+        return tuple.__new__(cls, (factors,))
 
     def label(self) -> str:
         if not self.factors:

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import namedtuple
 from collections.abc import Callable, Iterator
 
 from . import numerology
-from .graded_algebra import PoincareSeries
+from .graded_algebra import PoincareSeries, Record
 
 
 class WindowError(ValueError):
@@ -192,12 +191,15 @@ def nullspace_modp(a: Matrix, p: int) -> Matrix:
 # presentation
 
 
-class PresGenerator(namedtuple("PresGenerator", "name degree exp_kind family index")):
+class PresGenerator(Record):
     """One generator of the presentation: exp_kind "P" for an unbounded
     exponent, "E" for an exponent at most 1; family "i2", "z" or "u", with
     index its subscript."""
 
     __slots__ = ()
+
+    def __new__(cls, name, degree, exp_kind, family, index):
+        return tuple.__new__(cls, (name, degree, exp_kind, family, index))
 
 
 # Miller-Rabin over the first thirteen primes as bases is exact below
@@ -233,7 +235,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class Presentation(namedtuple("Presentation", "p n variance")):
+class Presentation(Record):
     """Generators and Q_n images for H*K(Z_p, 2) (or its homology dual).
 
     The homology variant has the same per-degree dimensions (graded dual)
@@ -243,6 +245,9 @@ class Presentation(namedtuple("Presentation", "p n variance")):
     """
 
     __slots__ = ()
+
+    def __new__(cls, p, n, variance):
+        return tuple.__new__(cls, (p, n, variance))
 
     @property
     def qn_degree(self) -> int:
@@ -293,7 +298,7 @@ def build(p: int, n: int, variance: str = "cohomology") -> Presentation:
 # the derivation on monomials
 
 
-class _LeibnizTerm(namedtuple("_LeibnizTerm", "k tpos texp exterior odd")):
+class _LeibnizTerm(Record):
     """The Leibniz term of one generator k with a Q_n image x_t^texp.
 
     tpos is the target slot, -1 when the target lies outside the context;
@@ -305,6 +310,9 @@ class _LeibnizTerm(namedtuple("_LeibnizTerm", "k tpos texp exterior odd")):
     """
 
     __slots__ = ()
+
+    def __new__(cls, k, tpos, texp, exterior, odd):
+        return tuple.__new__(cls, (k, tpos, texp, exterior, odd))
 
 
 def _odd_getter(slots: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]] | None:
@@ -500,18 +508,14 @@ def each_monomial(degrees: list[int], caps: list[int], hi: int, emit) -> None:
     del rec
 
 
-def window_bases(gens: list[PresGenerator], hi: int) -> list[list[tuple[int, ...]]]:
-    """Monomial bases for every degree 0..hi, in deterministic order."""
-    bases = degree_bases(gens, hi)
-    return [bases.get(d, []) for d in range(hi + 1)]
-
-
 def degree_bases(
     gens: list[PresGenerator], hi: int, keep: Callable[[int], bool] | None = None
 ) -> dict[int, list[tuple[int, ...]]]:
     """The nonempty monomial bases of the degrees 0..hi that keep accepts
-    (all of them without keep), keyed by degree, each in window_bases'
-    order.  Every monomial of degree <= hi is enumerated, but one of a
+    (all of them without keep), keyed by degree.  Each basis lists its
+    monomials in the order each_monomial emits them: exponent vectors
+    ordered lexicographically, the first generator's exponent most
+    significant.  Every monomial of degree <= hi is enumerated, but one of a
     refused degree is dropped at once, and that degree gets no list."""
     buckets: dict[int, list[tuple[int, ...]]] = {}
     caps = [1 if g.exp_kind == "E" else hi for g in gens]
@@ -581,6 +585,10 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
     return sorted(groups.values(), key=lambda c: min(g.degree for g in c))
 
 
+def _nonzero(a: Matrix) -> bool:
+    return any(a.rows) if a.p == 2 else any(map(any, a.rows))
+
+
 def _sweep_component(ctx: DerivationContext, top: int, failures: list) -> tuple[int, list[int]]:
     """The number of the component's monomials of degree <= top and its
     trivial Q_n-homology dims on [0, top], with the monomials on which
@@ -590,8 +598,10 @@ def _sweep_component(ctx: DerivationContext, top: int, failures: list) -> tuple[
     [0, top], are kept: as top + 2dq < 3dq unless every degree is read,
     they are the degrees whose remainder mod dq is at most top.  Each block
     is built once: block d is ranked, and when it is nonzero the block out
-    of d + dq is built, multiplied onto it and held until its own turn.  A
-    degree whose source or target bucket is empty is skipped.
+    of d + dq is built, multiplied onto it unless it is zero, and held
+    until its own turn.  A block where no Leibniz term lands has rank 0
+    without a reduction, and a degree whose source or target bucket is
+    empty is skipped.
     """
     p, dq = ctx.p, ctx.pres.qn_degree
     buckets = degree_bases(ctx.gens, top + 2 * dq, lambda d: d % dq <= top)
@@ -602,12 +612,16 @@ def _sweep_component(ctx: DerivationContext, top: int, failures: list) -> tuple[
         if not src or not tgt:
             continue
         first = ahead.pop(d, None) or _qn_block(ctx, src, tgt)
+        if not _nonzero(first):
+            continue
         ranks[d] = rank_modp(first, p)
         if not ranks[d] or d + 2 * dq not in buckets:
             continue
         second = _qn_block(ctx, tgt, buckets[d + 2 * dq])
         if d + dq <= top:
             ahead[d + dq] = second
+        if not _nonzero(second):
+            continue
         square = _matmul(second, first)
         if p == 2:
             bad = functools.reduce(int.__or__, square.rows, 0)
@@ -680,9 +694,7 @@ def sweep_monomials(p: int, n: int, top: int, cap: int) -> int:
 # reports
 
 
-class QnHomologyReport(
-    namedtuple("QnHomologyReport", "p n variance max_degree total trivial free_rank")
-):
+class QnHomologyReport(Record):
     """Trivial/free split of H* as a module over E[Q_n].
 
     total, trivial and free_rank are per-degree lists on [0, max_degree];
@@ -691,6 +703,9 @@ class QnHomologyReport(
     """
 
     __slots__ = ()
+
+    def __new__(cls, p, n, variance, max_degree, total, trivial, free_rank):
+        return tuple.__new__(cls, (p, n, variance, max_degree, total, trivial, free_rank))
 
     def trivial_series(self) -> PoincareSeries:
         return PoincareSeries(0, self.max_degree, tuple(self.trivial))
@@ -755,11 +770,14 @@ def qn_homology(p: int, n: int, variance: str, top: int) -> QnHomologyReport:
 # the w-elements
 
 
-class WElement(namedtuple("WElement", "index2 name degree poly")):
+class WElement(Record):
     """A w-element: index2 is the doubled index 2(n+j) or 2(n+j)+1, poly
     the sorted (exponents, coefficient) pairs of its cycle."""
 
     __slots__ = ()
+
+    def __new__(cls, index2, name, degree, poly):
+        return tuple.__new__(cls, (index2, name, degree, poly))
 
 
 def w_name(index2: int) -> str:

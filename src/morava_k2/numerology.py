@@ -9,7 +9,7 @@ on.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from .graded_algebra import Record
 
 
 def _check_pn(p: int, n: int) -> None:
@@ -25,10 +25,13 @@ def q(k: int, p: int, n: int) -> int:
     return (b**k - 1) // (b - 1)
 
 
-class IndexSplit(namedtuple("IndexSplit", "j i k")):
+class IndexSplit(Record):
     """j = i + k*(n+1) with 0 <= i < n+1."""
 
     __slots__ = ()
+
+    def __new__(cls, j, i, k):
+        return tuple.__new__(cls, (j, i, k))
 
 
 def split(j: int, n: int) -> IndexSplit:
@@ -97,8 +100,11 @@ def divisibility_check(source_degree: int, target_degree: int, p: int, n: int) -
     return gap // step
 
 
-class IdentityFailure(namedtuple("IdentityFailure", "identity j detail")):
+class IdentityFailure(Record):
     __slots__ = ()
+
+    def __new__(cls, identity, j, detail):
+        return tuple.__new__(cls, (identity, j, detail))
 
 
 def identity_suite(p: int, n: int, j_max: int) -> list[IdentityFailure]:

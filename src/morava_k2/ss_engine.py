@@ -23,6 +23,10 @@ moved to cohomology degrees by ``uct_transport``.
 The Z_p family, too, comes two ways: the closed route reads it off the
 total and E2 Poincare series (``zp_family_closed``, no linear algebra), the
 brute route off the F_p ranks of ``km2.qn_homology`` (``zp_family_counts``).
+
+``array`` is imported where ``_fold`` first packs a tower table
+(``_slot_code`` and ``_join_slots``), not at import: ``compute`` and
+``table`` fold nothing and never load it.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from array import array
-from collections import Counter, namedtuple
+from collections import Counter
 from collections.abc import Iterator
 from itertools import groupby
 
@@ -47,6 +50,7 @@ from .graded_algebra import (
     Factor,
     Generator,
     PoincareSeries,
+    Record,
     TensorExpression,
 )
 
@@ -145,7 +149,7 @@ def _v_free(p: int, n: int, variance: str, factors, hi: int) -> TensorExpression
     )
 
 
-class TorsionFamily(namedtuple("TorsionFamily", "j kind order base_degree expression")):
+class TorsionFamily(Record):
     """One v-torsion summand family TP_order[v] (x) expression.
 
     kind "y" families are indexed by the differential on y_j (order r(j)),
@@ -157,6 +161,9 @@ class TorsionFamily(namedtuple("TorsionFamily", "j kind order base_degree expres
     """
 
     __slots__ = ()
+
+    def __new__(cls, j, kind, order, base_degree, expression):
+        return tuple.__new__(cls, (j, kind, order, base_degree, expression))
 
 
 def _families(p: int, n: int, variance: str, hi: int) -> list[TorsionFamily]:
@@ -214,13 +221,7 @@ def _families(p: int, n: int, variance: str, hi: int) -> list[TorsionFamily]:
 # the differential schedule
 
 
-class Differential(
-    namedtuple(
-        "Differential",
-        "stage source target source_degree target_degree family index paired",
-        defaults=(False,),
-    )
-):
+class Differential(Record):
     """One scheduled differential d(source) = v^stage * target.
 
     family "y" entries follow the d^{r(j)}(y_j) = v^{r(j)} w_{n+j} pattern and
@@ -230,6 +231,13 @@ class Differential(
     """
 
     __slots__ = ()
+
+    def __new__(
+        cls, stage, source, target, source_degree, target_degree, family, index, paired=False
+    ):
+        return tuple.__new__(
+            cls, (stage, source, target, source_degree, target_degree, family, index, paired)
+        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -291,12 +299,15 @@ def schedule(p: int, n: int, j_max: int, variance: str = "cohomology") -> tuple[
 # pages
 
 
-class TowerSummand(namedtuple("TowerSummand", "generator_degree order count", defaults=(1,))):
+class TowerSummand(Record):
     """count P[v]-towers over generators of one degree: order-r torsion (v^r
     kills it), or free for order math.inf.  Towers are counted per degree
     and order on every page, not named."""
 
     __slots__ = ()
+
+    def __new__(cls, generator_degree, order, count=1):
+        return tuple.__new__(cls, (generator_degree, order, count))
 
 
 def _summands(expr: TensorExpression, order, hi: int) -> list[TowerSummand]:
@@ -320,12 +331,15 @@ def _tower_powers(g: int, order, dv: int, lo: int, hi: int) -> range:
     return range(max(first, 0), last + 1)
 
 
-class Page(namedtuple("Page", "p n variance stage top v_free torsion zp_family")):
+class Page(Record):
     """A page on [0, top]: torsion holds every tower, free and v-torsion, as
     TowerSummands, zp_family (degree, count) pairs.  v_free is only a label:
     the closed route's v-free factor list, None on the other pages."""
 
     __slots__ = ()
+
+    def __new__(cls, p, n, variance, stage, top, v_free, torsion, zp_family):
+        return tuple.__new__(cls, (p, n, variance, stage, top, v_free, torsion, zp_family))
 
     def free_by_degree(self) -> Counter:
         """Generator degrees of the free towers, all in [0, top]."""
@@ -510,6 +524,7 @@ class _PageState:
         self.wlist.append(2 * n + j + 1)
 
 
+@functools.lru_cache(maxsize=64)
 def zp_family_closed(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int, int], ...]:
     """The filtration-0 Z_p family on [0, hi] from two closed-form series.
 
@@ -518,7 +533,9 @@ def zp_family_closed(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int,
     E[Q_n]-summand on a degree-d generator spans d and d + 2p^n - 1, so
     free[d] = total[d] - trivial[d] - free[d - (2p^n - 1)]; each free
     summand gives one Z_p at its top cell in cohomology and at its bottom
-    cell in homology.  No F_p rank is computed here.
+    cell in homology.  No F_p rank is computed here.  Kept per argument
+    tuple, as schedule is: the answer module and the E2 page of one verify
+    run read the same family.
     """
     pres = km2.build(p, n, variance)
     total = TensorExpression(
@@ -581,13 +598,16 @@ def run_closed_form(p: int, n: int, variance: str, top: int, e2: Page | None = N
 # window planning shared by both runs
 
 
-class _WindowPlan(namedtuple("_WindowPlan", "j_top j_ext max_stage enum_limit")):
+class _WindowPlan(Record):
     """j_top is the widest family index whose action reaches into [0, top],
     j_ext the widest used for lattice arcs, max_stage the largest stage
     among in-window stages and enum_limit the per-class lattice
     enumeration bound."""
 
     __slots__ = ()
+
+    def __new__(cls, j_top, j_ext, max_stage, enum_limit):
+        return tuple.__new__(cls, (j_top, j_ext, max_stage, enum_limit))
 
 
 def _stage_relevance(p: int, n: int, j: int) -> list[tuple[int, int]]:
@@ -674,11 +694,14 @@ def window_schedule(p: int, n: int, variance: str, top: int) -> tuple[Differenti
 # the brute-force lattice
 
 
-class _Coord(namedtuple("_Coord", "tag index degree cap")):
+class _Coord(Record):
     """One E2 coordinate: tag "digit", "w", "half" or "z", and cap the
     largest allowed exponent."""
 
     __slots__ = ()
+
+    def __new__(cls, tag, index, degree, cap):
+        return tuple.__new__(cls, (tag, index, degree, cap))
 
 
 def _class_coords(p: int, n: int, cls: int, limit: int) -> list[_Coord]:
@@ -933,14 +956,25 @@ def _fold(a: Counter, b: Counter, p: int, n: int, variance: str, limit: int) -> 
     return folded
 
 
-# array typecodes by item size, for slots of 1, 2, 4 and 8 bytes
-_SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
+# array typecodes by item size, for slots of 1, 2, 4 and 8 bytes: filled
+# by the first _slot_code call, so that only a run that folds imports array
+_SLOT_CODES: dict[int, str] = {}
+
+
+def _slot_code(width: int) -> str | None:
+    if not _SLOT_CODES:
+        from array import array
+
+        _SLOT_CODES.update((array(code).itemsize, code) for code in "BHILQ")
+    return _SLOT_CODES.get(width)
 
 
 def _join_slots(values: list[int], width: int) -> int:
     """The int whose width-byte slots, lowest first, hold values."""
-    code = _SLOT_CODES.get(width)
+    code = _slot_code(width)
     if code:
+        from array import array
+
         data = array(code, values).tobytes()
     else:
         data = b"".join(v.to_bytes(width, sys.byteorder) for v in values)
@@ -950,7 +984,7 @@ def _join_slots(values: list[int], width: int) -> int:
 def _split_slots(x: int, width: int, count: int):
     """The first count width-byte slots of x, lowest first."""
     data = x.to_bytes(width * count, sys.byteorder)
-    code = _SLOT_CODES.get(width)
+    code = _slot_code(width)
     if code:
         return memoryview(data).cast(code)
     return [int.from_bytes(data[i : i + width], sys.byteorder) for i in range(0, len(data), width)]

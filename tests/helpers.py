@@ -1,17 +1,17 @@
 """Reference code that only the tests read: one call that empties every
-cache the package keeps, series arithmetic for the schoolbook Poincare
-fold, the product by an exponent range through prefix sums alone, the Q_n
-matrix on the full monomial basis, dim H counted on that basis, the
-trivial Q_n-homology ranked on the whole basis at once, the E[Q_n] split
-invariant of a report, the degree of u_i, monomial names, the derivation
-one monomial at a time (at p = 2 over polynomial u_i, through the basis
-bijection), the kernel's one-column case, the seeded mixed samples drawn
-by the stdlib calls, the Q_n-square sweep one monomial at a time, the
-brute-force sweep over the whole E2 lattice at once, the brute-force folds
-all cut at one limit, the arcs of one lattice operator found by scanning
-every monomial, every page of the closed rewrite, the answer's
-Poincare series one tower class at a time, and the Bockstein kernel slots
-read off each family's own series.
+cache the package keeps, the monomial bases of a whole window, series
+arithmetic for the schoolbook Poincare fold, the product by an exponent
+range through prefix sums alone, the Q_n matrix on the full monomial
+basis, dim H counted on that basis, the trivial Q_n-homology ranked on the
+whole basis at once, the E[Q_n] split invariant of a report, the degree
+of u_i, monomial names, the derivation one monomial at a time (at p = 2
+over polynomial u_i, through the basis bijection), the kernel's one-column
+case, the seeded mixed samples drawn by the stdlib calls, the Q_n-square
+sweep one monomial at a time, the brute-force sweep over the whole E2
+lattice at once, the brute-force folds all cut at one limit, the arcs of
+one lattice operator found by scanning every monomial, every page of the
+closed rewrite, the answer's Poincare series one tower class at a time,
+and the Bockstein kernel slots read off each family's own series.
 """
 
 import random
@@ -24,11 +24,20 @@ from morava_k2.graded_algebra import PoincareSeries, TensorExpression
 
 def clear_caches() -> None:
     """Empty every cache the package keeps: the Q_n-homology memo, the
-    family series, the window plans and the schedules."""
+    family series, the window plans, the schedules and the closed Z_p
+    families."""
     km2._TRIVIAL_MEMO.clear()
     TensorExpression.poincare.cache_clear()
     ss_engine._plan.cache_clear()
     ss_engine.schedule.cache_clear()
+    ss_engine.zp_family_closed.cache_clear()
+
+
+def window_bases(gens: list[km2.PresGenerator], hi: int) -> list[list[tuple[int, ...]]]:
+    """Monomial bases for every degree 0..hi, each in km2.degree_bases'
+    order, an empty list for an empty degree."""
+    bases = km2.degree_bases(gens, hi)
+    return [bases.get(d, []) for d in range(hi + 1)]
 
 
 def restrict(series: PoincareSeries, lo: int, hi: int) -> PoincareSeries:
@@ -88,7 +97,7 @@ def qn_matrix(pres: km2.Presentation, d: int, max_degree: int) -> km2.Matrix:
     """
     dq = pres.qn_degree
     ctx = km2.DerivationContext(pres, max_degree)
-    buckets = km2.window_bases(ctx.gens, max_degree)
+    buckets = window_bases(ctx.gens, max_degree)
     if pres.variance == "cohomology":
         return km2._qn_block(ctx, buckets[d], buckets[d + dq])
     if d < dq:
@@ -108,7 +117,7 @@ def transpose(m: km2.Matrix) -> km2.Matrix:
 def whole_basis_total(p: int, n: int, hi: int) -> list[int]:
     """dim H on [0, hi], the monomial basis of each degree counted."""
     pres = km2.build(p, n)
-    return [len(b) for b in km2.window_bases(pres.generators(hi), hi)]
+    return [len(b) for b in window_bases(pres.generators(hi), hi)]
 
 
 def whole_basis_trivial(p: int, n: int, hi: int) -> list[int]:
@@ -118,7 +127,7 @@ def whole_basis_trivial(p: int, n: int, hi: int) -> list[int]:
     pres = km2.build(p, n)
     dq = pres.qn_degree
     ctx = km2.DerivationContext(pres, hi + dq)
-    buckets = km2.window_bases(ctx.gens, hi + dq)
+    buckets = window_bases(ctx.gens, hi + dq)
     ranks = [
         km2.rank_modp(km2._qn_block(ctx, buckets[d], buckets[d + dq]), p) for d in range(hi + 1)
     ]
@@ -321,7 +330,7 @@ def qn_square_reference(
 
     for comp in km2.components(pres, max_degree + 2 * dq):
         ctx = km2.DerivationContext(pres, max_degree + 2 * dq, gens=comp)
-        for bucket in km2.window_bases(comp, max_degree):
+        for bucket in window_bases(comp, max_degree):
             for m in bucket:
                 run(ctx, m)
     rng = random.Random(km2.SQUARE_SEED)

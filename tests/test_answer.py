@@ -1,5 +1,7 @@
 """Module answers: displayed summands, dimensions, localization, Bockstein."""
 
+import inspect
+import pickle
 import re
 from collections import Counter
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from morava_k2 import answer, cli, graded_algebra, km2, numerology, ss_engine as ss
 from morava_k2.graded_algebra import E, TensorExpression, replace
 
-from helpers import closed_pages, kernel_slots_reference, poincare_answer_reference
+from helpers import clear_caches, closed_pages, kernel_slots_reference, poincare_answer_reference
 
 
 def test_free_part_labels():
@@ -190,6 +192,78 @@ def test_a_record_without_slots_is_found():
     value = Loose._make((1, 2))
     value.extra = 1
     assert value.__dict__ == {"extra": 1}
+
+
+# a value of each record that its constructor accepts: a real one where the
+# constructor checks its fields or the repr is pinned, else _make's
+_SAMPLES = {
+    "Generator": lambda: graded_algebra.Generator("y_1", 6),
+    "Factor": lambda: graded_algebra.Factor("TP", graded_algebra.Generator("y_1", 6), 3),
+    "PoincareSeries": lambda: graded_algebra.PoincareSeries(0, 2, (1, 0, 1)),
+    "Page": lambda: ss.run_closed_form(2, 1, "cohomology", 8),
+    "AnswerModule": lambda: answer.closed_form(3, 1, "cohomology", 60),
+}
+# the changes that a record's constructor check refuses
+_REFUSED = {
+    "Generator": lambda g: {"degree": 0},
+    "Factor": lambda f: {"height": None},
+    "PoincareSeries": lambda s: {"dims": s.dims[1:]},
+    "AnswerModule": lambda a: {
+        "torsion_families": tuple(f._replace(order=f.order + 1) for f in a.torsion_families)
+    },
+}
+_DEFAULTS = {
+    "Factor": {"height": None},
+    "TowerSummand": {"count": 1},
+    "Differential": {"paired": False},
+    "AnswerModule": {"localized": False},
+}
+# the reprs the records printed as collections.namedtuple subclasses
+_REPRS = {
+    "Factor": "Factor(kind='TP', gen=Generator(name='y_1', degree=6), height=3)",
+    "Page": (
+        "Page(p=2, n=1, variance='cohomology', stage=5, top=8, v_free=TensorExpression("
+        "factors=(Factor(kind='P', gen=Generator(name='v', degree=-2), height=None),)), "
+        "torsion=(TowerSummand(generator_degree=0, order=inf, count=1),), "
+        "zp_family=((5, 1), (6, 1), (8, 1)))"
+    ),
+}
+
+
+@pytest.mark.parametrize("record", _record_classes(), ids=lambda r: r.__name__)
+def test_records_keep_the_named_tuple_contract(record):
+    """Each record keeps what it had as a named tuple: _fields are its
+    constructor's parameters in order, its defaults stand, _make, _replace,
+    _asdict and pickling round-trip, replace runs the constructor check that
+    _replace skips, a value equals and hashes as the plain tuple of its
+    fields, and the repr is unchanged."""
+    params = inspect.signature(record).parameters
+    assert record._fields == tuple(params)
+    defaults = {k: v.default for k, v in params.items() if v.default is not v.empty}
+    assert defaults == _DEFAULTS.get(record.__name__, {})
+    name = record.__name__
+    value = _SAMPLES[name]() if name in _SAMPLES else record._make(range(len(params)))
+    assert type(value) is record
+    assert record._make(list(value)) == value
+    with pytest.raises(TypeError):
+        record._make(tuple(value) + (None,))
+    assert value._asdict() == dict(zip(record._fields, value))
+    assert value._replace() == value
+    first = record._fields[0]
+    assert value._replace(**{first: "x"}) == ("x", *value[1:])
+    with pytest.raises(ValueError):
+        value._replace(missing=1)
+    assert replace(value) == value
+    if name in _REFUSED:
+        changes = _REFUSED[name](value)
+        value._replace(**changes)
+        with pytest.raises(ValueError):
+            replace(value, **changes)
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is record and back == value
+    assert value == tuple(value) and hash(value) == hash(tuple(value))
+    if name in _REPRS:
+        assert repr(value) == _REPRS[name]
 
 
 def test_answer_matches_engine_run():
@@ -601,6 +675,7 @@ def test_bockstein_builds_no_series_past_the_window(monkeypatch):
     every family series, the free part's and dim H^d on [0, 2500], where
     placing the kernel slots from the cohomology families took a series to
     degree 40,302,409 (300 + dq + 66 q2 at a window of 300)."""
+    clear_caches()
     tops = Counter()
     real = TensorExpression.poincare
 

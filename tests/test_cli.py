@@ -510,6 +510,8 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
 
 
 def test_internal_assertion_exits_3(capsys, monkeypatch):
+    clear_caches()
+
     def broken(*args, **kwargs):
         raise AssertionError("planted invariant failure")
 
@@ -725,6 +727,7 @@ def test_verify_refuses_a_window_over_the_cap(capsys, monkeypatch, suite):
     """bockstein and localization build their series on [0, top] as compute
     does, so they take the compute window cap: one degree over it is refused
     with exit 2 before any series is built, and the cap itself runs."""
+    clear_caches()
 
     def no_series(*args, **kwargs):
         raise AssertionError("a series was built")
@@ -820,21 +823,27 @@ def test_verify_builds_each_qn_block_once(capsys, monkeypatch):
 def test_verify_computes_each_shared_input_once(capsys, monkeypatch):
     """One verify run counts dim H twice, once for the Q_n-homology report
     that e2 and both brute-force pages read and once for bockstein, and
-    computes each window plan and schedule once per argument tuple,
-    however often its suites read them."""
+    computes each window plan, schedule and closed Z_p family once per
+    argument tuple, however often its suites read them: the cohomology
+    family is read by the answer module and by the E2 page."""
     argv = ["verify", "--p", "3", "--n", "2", "--max-degree", "300"]
     assert main(argv) == 0
     want = capsys.readouterr().out
     real_plan, real_schedule = ss_engine._plan, ss_engine.schedule
+    real_zp = ss_engine.zp_family_closed
     clear_caches()
     totals = _count_calls(monkeypatch, km2, "total_dims")
     plans = _count_calls(monkeypatch, ss_engine, "_plan")
     schedules = _count_calls(monkeypatch, ss_engine, "schedule")
+    zps = _count_calls(monkeypatch, ss_engine, "zp_family_closed")
     assert main(argv) == 0
     assert capsys.readouterr().out == want
     assert len(totals) == 2
     assert real_plan.cache_info().misses == len(set(plans)) < len(plans)
     assert real_schedule.cache_info().misses == len(set(schedules)) < len(schedules)
+    assert real_zp.cache_info().misses == len(set(zps)) < len(zps)
+    cohomology = [args for args in zps if args[2] == "cohomology"]
+    assert len(cohomology) == 2 and len(set(cohomology)) == 1
 
 
 def test_composite_p_rejected(capsys):
@@ -1038,6 +1047,7 @@ def test_compute_and_table_refuse_a_window_over_the_cap(capsys, monkeypatch, arg
     counted from the lower of 0 and --min-degree, is refused with exit 2
     before any series is built; one degree less runs.  The default windows
     pass."""
+    clear_caches()
     assert max(km2.default_window(n) for n in (1, 2, 3)) < cli._WINDOW_CAP == 10**4
     real = graded_algebra._times_exponent_range
 
@@ -1185,13 +1195,23 @@ def test_answer_path_runs_no_linear_algebra(capsys, monkeypatch, argv):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # runs the CLI on argv[2:]; argv[1] == "block" first makes `import numpy`
-# raise, and the last stderr line says whether numpy was loaded
+# raise, and the last stderr line says whether numpy was loaded.  With
+# argv[1] == "count" the line before it names each collections.namedtuple
+# and eval call made while morava_k2.cli is imported, and says whether the
+# run loaded array
 _CLI_SCRIPT = """
-import sys
+import builtins, collections, sys
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
+made, real = [], (collections.namedtuple, builtins.eval)
+if sys.argv[1] == "count":
+    collections.namedtuple = lambda *a, **k: made.append("namedtuple") or real[0](*a, **k)
+    builtins.eval = lambda *a: made.append("eval") or real[1](*a)
 from morava_k2.cli import main
+collections.namedtuple, builtins.eval = real
 code = main(sys.argv[2:])
+if sys.argv[1] == "count":
+    print("import made:", *made, "| array loaded:", "array" in sys.modules, file=sys.stderr)
 print("numpy loaded:", sys.modules.get("numpy") is not None, file=sys.stderr)
 sys.exit(code)
 """
@@ -1449,6 +1469,27 @@ def test_verify_runs_without_numpy(capsys, argv):
     assert done.returncode == 0, done.stderr.decode()
     assert done.stderr == b"numpy loaded: False\n"
     assert done.stdout == want
+
+
+@pytest.mark.parametrize(
+    "argv, array_loaded",
+    [
+        (["compute", "--p", "3", "--n", "2", "--max-degree", "60", "--format", "json"], False),
+        (["table", "--p", "2", "--n", "2", "--max-degree", "120"], False),
+        (["verify", "--p", "3", "--n", "1", "--max-degree", "60"], True),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_cold_start_generates_no_code(argv, array_loaded):
+    """Importing morava_k2.cli calls neither collections.namedtuple nor eval:
+    every record's constructor is in its module's .pyc.  array is loaded
+    only by the fold, so compute and table end without it and verify, whose
+    brute route folds, loads it."""
+    done = _python("-c", _CLI_SCRIPT, "count", *argv)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stderr.decode() == (
+        f"import made: | array loaded: {array_loaded}\nnumpy loaded: False\n"
+    )
 
 
 _HASH_SEED_JOBS = [

@@ -35,6 +35,7 @@ from helpers import (
     transpose,
     whole_basis_total,
     whole_basis_trivial,
+    window_bases,
 )
 
 
@@ -145,7 +146,7 @@ def test_qn_matrix_single_generator_degrees():
     pres = km2.build(3, 1)
     m = qn_matrix(pres, 2, 40)
     gens = pres.generators(40)
-    basis7 = km2.window_bases(gens, 40)[7]
+    basis7 = window_bases(gens, 40)[7]
     assert m.shape == (len(basis7), 1)
     u1 = next(i for i, g in enumerate(gens) if g.name == "u_1")
     expected_row = basis7.index(tuple(1 if k == u1 else 0 for k in range(len(gens))))
@@ -153,7 +154,7 @@ def test_qn_matrix_single_generator_degrees():
     assert count_nonzero(m) == 1
 
     m3 = qn_matrix(pres, 3, 40)
-    basis8 = km2.window_bases(gens, 40)[8]
+    basis8 = window_bases(gens, 40)[8]
     z1 = next(i for i, g in enumerate(gens) if g.name == "z_1")
     row = basis8.index(tuple(1 if k == z1 else 0 for k in range(len(gens))))
     assert m3.rows[row][0] == 1
@@ -164,7 +165,7 @@ def test_qn_matrix_exterior_square_kill():
     # Q_1(i2 u_1) = u_1 u_1 - 0 = 0
     pres = km2.build(3, 1)
     gens = pres.generators(40)
-    basis9 = km2.window_bases(gens, 40)[9]
+    basis9 = window_bases(gens, 40)[9]
     i2 = next(i for i, g in enumerate(gens) if g.name == "i2")
     u1 = next(i for i, g in enumerate(gens) if g.name == "u_1")
     exps = [0] * len(gens)
@@ -254,7 +255,7 @@ def test_leibniz_kernel_matches_per_monomial_reference(p, n, hi):
     cases.append((pres.generators(hi + dq), hi + dq))
     for gens, top in cases:
         ctx = km2.DerivationContext(pres, top, gens=gens)
-        buckets = km2.window_bases(gens, top)
+        buckets = window_bases(gens, top)
         for d in range(top - dq + 1):
             got = km2._qn_block(ctx, buckets[d], buckets[d + dq])
             want = qn_block_reference(ctx, buckets[d], buckets[d + dq])
@@ -277,7 +278,7 @@ def test_p2_basis_rewrites_the_polynomial_basis(n, hi):
         images.append(exps)
         want = {from_polynomial_basis(ctx, dict(t)): 1 for t in polynomial_qn_p2(n, mono)}
         assert qn_monomial(ctx, exps) == want, mono
-    basis = [m for bucket in km2.window_bases(ctx.gens, hi) for m in bucket]
+    basis = [m for bucket in window_bases(ctx.gens, hi) for m in bucket]
     assert sorted(images) == sorted(basis)
 
 
@@ -397,6 +398,37 @@ def test_sweep_matches_the_references(p, n, top):
 VERIFY_WINDOWS = [(3, 1, 400), (5, 1, 400), (2, 1, 300), (3, 2, 300), (2, 2, 200)]
 
 
+@pytest.mark.parametrize("p, n, hi", VERIFY_WINDOWS)
+def test_sweep_reduces_only_nonzero_blocks(p, n, hi):
+    """A Q_n block where no Leibniz term lands has rank 0 without a
+    reduction, and no product is formed with one: every block the sweep
+    ranks or multiplies has a nonzero entry, some blocks are zero, and the
+    square check and the trivial series are those of a sweep that ranks
+    and multiplies every block."""
+    reduced, multiplied, built = [], [], []
+    real_block, real_rank, real_matmul = km2._qn_block, km2.rank_modp, km2._matmul
+
+    def zero(m):
+        return not any(m.rows if m.p == 2 else (x for row in m.rows for x in row))
+
+    def sweep(mp):
+        mp.setattr(km2, "_TRIVIAL_MEMO", {})
+        result = km2.qn_square_check(p, n, hi, 0)
+        return result, km2._TRIVIAL_MEMO[p, n, hi]["trivial"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km2, "_qn_block", lambda *a: built.append(real_block(*a)) or built[-1])
+        mp.setattr(km2, "rank_modp", lambda m, q: reduced.append(zero(m)) or real_rank(m, q))
+        mp.setattr(km2, "_matmul", lambda a, b: multiplied.append(zero(a)) or real_matmul(a, b))
+        got = sweep(mp)
+    assert reduced and not any(reduced) and multiplied and not any(multiplied)
+    assert any(zero(m) for m in built)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km2, "_nonzero", lambda m: True)
+        assert sweep(mp) == got
+
+
+
 @pytest.mark.parametrize("p, n, hi", VERIFY_WINDOWS + SQUARE_WINDOWS)
 def test_mixed_draws_replay_the_stdlib_sequence(p, n, hi):
     """_draw_monomials, straight from getrandbits, draws what rng.sample
@@ -448,7 +480,7 @@ def test_verify_qn_fails_on_a_plant_only_the_mixed_samples_see(capsys):
 def test_each_monomial_is_the_capped_product_in_order(gens, hi):
     """Every exponent vector under the caps with degree <= hi, emitted in
     lexicographic order, first generator outermost (_Lattice arc order and
-    the bucket order of window_bases read this order)."""
+    the bucket order of degree_bases read this order)."""
     degrees = [d for d, _ in gens]
     caps = [c for _, c in gens]
     got = []
@@ -492,7 +524,7 @@ def test_degree_bases_keep_only_the_degrees_the_sweep_reads(p, n, top):
     read = {d + k * dq for k in range(3) for d in range(top + 1)}
     for comp in km2.components(pres, hi):
         kept = km2.degree_bases(comp, hi, lambda d: d % dq <= top)
-        full = km2.window_bases(comp, hi)
+        full = window_bases(comp, hi)
         assert kept == {d: b for d, b in enumerate(full) if b and d in read}
 
 
@@ -516,7 +548,7 @@ def test_homology_variance_same_dims_starred_reps():
     want = [1] + [0] * hi
     for comp in km2.components(pres, hi + dq):
         ctx = km2.DerivationContext(pres, hi + dq, gens=comp)
-        buckets = km2.window_bases(comp, hi + dq)
+        buckets = window_bases(comp, hi + dq)
         # down[d]: rank of homology Q_n from degree d + dq to d
         down = [
             km2.rank_modp(transpose(km2._qn_block(ctx, buckets[d], buckets[d + dq])), p)

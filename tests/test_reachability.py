@@ -25,6 +25,7 @@ from helpers import clear_caches
 SRC = Path(morava_k2.__file__).resolve().parent
 
 _W_ELEMENTS = "the w-elements: criterion 2 and the qn_homology_tour demo"
+_RECORD_API = "named-tuple API of every record, which the tests read"
 
 # "module.qualname" of each function no traced command runs: why it stays.
 DECLARED = {
@@ -33,16 +34,22 @@ DECLARED = {
     "cli._field": "parse_answer's key reader",
     "cli.run": "public API: the installed command, which leaves through os._exit",
     "graded_algebra.PoincareSeries.mul": "a target of perfbench/tracer.py",
+    "graded_algebra.Record.__init_subclass__": "runs at import, as each record class is made",
+    "graded_algebra.Record.__getnewargs__": _RECORD_API,
+    "graded_algebra.Record.__repr__": _RECORD_API,
+    "graded_algebra.Record._make": _RECORD_API,
+    "graded_algebra.Record._replace": _RECORD_API,
     "km2.nullspace_modp": "a target of perfbench/tracer.py",
-    "km2.window_bases": "a reference that tests/helpers.py reads",
     "km2.QnHomologyReport.trivial_series": "criterion 3 and the qn_homology_tour demo",
     "km2.DerivationContext._square_slot": "failure only: a square beyond the window",
+    "numerology.IdentityFailure.__new__": "failure only: a schedule identity that fails",
     "ss_engine._first_difference": "failure only: where two pages disagree",
     "ss_engine.advisory_scan": "criterion 8",
     "ss_engine.advisory_scan.<locals>.add": "advisory_scan's",
     "km2.DerivationContext.degree": _W_ELEMENTS,
     "km2.DerivationContext.mul_poly": _W_ELEMENTS,
     "km2.DerivationContext.qn_poly": _W_ELEMENTS,
+    "km2.WElement.__new__": _W_ELEMENTS,
     "km2.WFactory.__init__": _W_ELEMENTS,
     "km2.WFactory._mono": _W_ELEMENTS,
     "km2.WFactory.element": _W_ELEMENTS,
