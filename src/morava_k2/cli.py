@@ -378,9 +378,8 @@ def cmd_compute(cfg: RunConfig, out) -> int:
 def _run_suite(name: str, cfg: RunConfig, pages: dict):
     """One suite's (ok, detail).  Every result that two suites read is
     built once per run and held in pages: the brute-force page of each
-    variance (oracle, pairing, uct), the E2 page that starts the closed
-    rewrite (e2, oracle), the UCT comparison (pairing, uct) and the
-    closed-form module (bockstein, localization)."""
+    variance (oracle, pairing, uct), the UCT comparison (pairing, uct) and
+    the closed-form module (bockstein, localization)."""
     p, n, variance, hi = cfg.p, cfg.n, cfg.variance, cfg.hi
 
     def once(key, build, *args):
@@ -390,9 +389,6 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
 
     def brute(v: str):
         return once(v, ss_engine.run_bruteforce, p, n, v, hi)
-
-    def e2():
-        return once("e2", ss_engine.e2_closed_form, p, n, variance, hi)
 
     def uct():
         return once("uct", ss_engine.uct_matches, brute("homology"), brute("cohomology"))
@@ -415,7 +411,7 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
             else f"Q_n^2 != 0 on exponent vector {failures[0]}"
         )
     if name == "e2":
-        free = e2().free_by_degree()
+        free = ss_engine.e2_closed_form(p, n, variance, hi).free_by_degree()
         trivial = km2.qn_homology(p, n, variance, hi).trivial
         bad = [d for d in range(hi + 1) if free[d] != trivial[d]]
         return not bad, (
@@ -424,7 +420,7 @@ def _run_suite(name: str, cfg: RunConfig, pages: dict):
             else f"E2 dimension differs at degree {bad[0]}"
         )
     if name == "oracle":
-        rewritten = ss_engine.run_closed_form(p, n, variance, hi, e2())
+        rewritten = ss_engine.run_closed_form(p, n, variance, hi)
         return ss_engine.oracle_match(rewritten, brute(variance))
     if name == "pairing":
         return ss_engine.pairing_check(brute("cohomology"), brute("homology"), uct())
@@ -540,7 +536,6 @@ def cmd_table(cfg: RunConfig, out) -> int:
         f"Adams chart for {cfg.variance} at p={cfg.p}, n={cfg.n}, window [0, {cfg.hi}]",
         file=out,
     )
-    zp = ss_engine.zp_family_closed(cfg.p, cfg.n, cfg.variance, cfg.hi)
     drawn = False
     for group, state in ss_engine.rewrite(cfg.p, cfg.n, cfg.variance, cfg.hi):
         entries = [e for e in group if min(e.source_degree, e.target_degree) <= cfg.hi]
@@ -552,7 +547,7 @@ def cmd_table(cfg: RunConfig, out) -> int:
             print("\nfinal page:", file=out)
         else:
             print("no differentials reach the window; the E2 grid is final", file=out)
-        _render_grid(state.snapshot(zp), out)
+        _render_grid(state.snapshot(), out)
         for e in entries:
             print(
                 f"  {arrow}{e.stage}({e.source}) = v^{e.stage} {e.target}"

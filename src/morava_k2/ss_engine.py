@@ -459,7 +459,9 @@ class _PageState:
                 out.append(f)
         return out + _z_tail(p, n, self.zlo, self.top, self.variance)
 
-    def snapshot(self, zp: tuple[tuple[int, int], ...]) -> Page:
+    def snapshot(self) -> Page:
+        """The page this state stands for, with the filtration-0 Z_p family
+        of zp_family_closed, which no stage rewrites."""
         v_free = _v_free(self.p, self.n, self.variance, self._base_factors(), self.top)
         return Page(
             p=self.p,
@@ -469,7 +471,7 @@ class _PageState:
             top=self.top,
             v_free=v_free,
             torsion=(*self.torsion, *_summands(_without_v(v_free), INF, self.top)),
-            zp_family=zp,
+            zp_family=zp_family_closed(self.p, self.n, self.variance, self.top),
         )
 
     def apply_stage(self, group: list[Differential]) -> None:
@@ -534,8 +536,8 @@ def zp_family_closed(p: int, n: int, variance: str, hi: int) -> tuple[tuple[int,
     free[d] = total[d] - trivial[d] - free[d - (2p^n - 1)]; each free
     summand gives one Z_p at its top cell in cohomology and at its bottom
     cell in homology.  No F_p rank is computed here.  Kept per argument
-    tuple, as schedule is: the answer module and the E2 page of one verify
-    run read the same family.
+    tuple, as schedule is: the answer module and every page snapshotted in
+    one run read the same family.
     """
     pres = km2.build(p, n, variance)
     total = TensorExpression(
@@ -564,7 +566,7 @@ def e2_closed_form(p: int, n: int, variance: str, top: int) -> Page:
     algebra runs; criterion 3 and the verify e2 suite compare this page
     with km2.qn_homology."""
     km2.check_top(top)
-    return _PageState(p, n, variance, top).snapshot(zp_family_closed(p, n, variance, top))
+    return _PageState(p, n, variance, top).snapshot()
 
 
 def rewrite(
@@ -585,13 +587,11 @@ def rewrite(
     yield [], state
 
 
-def run_closed_form(p: int, n: int, variance: str, top: int, e2: Page | None = None) -> Page:
+def run_closed_form(p: int, n: int, variance: str, top: int) -> Page:
     """E-infinity on [0, top]: the last state of the rewrite, snapshotted
-    once, with the Z_p family of e2 when given (the e2_closed_form page a
-    caller holds) and otherwise of zp_family_closed; no earlier page is
-    built."""
+    once; no earlier page is built."""
     *_, (_, state) = rewrite(p, n, variance, top)
-    return state.snapshot(zp_family_closed(p, n, variance, top) if e2 is None else e2.zp_family)
+    return state.snapshot()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ and the Bockstein kernel slots read off each family's own series.
 """
 
 import random
+import sys
 from collections import Counter
 from operator import sub
 
@@ -22,15 +23,28 @@ from morava_k2 import km2, ss_engine
 from morava_k2.graded_algebra import PoincareSeries, TensorExpression
 
 
+def package_caches() -> list:
+    """Every functools cache the package keeps, found by search rather than
+    listed: each attribute of a loaded morava_k2 module, or entry of a class
+    such an attribute names, that has cache_clear."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "morava_k2":
+            continue
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else ()
+            for obj in (value, *members):
+                if hasattr(obj, "cache_clear"):
+                    found[id(obj)] = obj
+    return list(found.values())
+
+
 def clear_caches() -> None:
-    """Empty every cache the package keeps: the Q_n-homology memo, the
-    family series, the window plans, the schedules and the closed Z_p
-    families."""
+    """Empty every cache the package keeps: the Q_n-homology memo and each
+    of package_caches."""
     km2._TRIVIAL_MEMO.clear()
-    TensorExpression.poincare.cache_clear()
-    ss_engine._plan.cache_clear()
-    ss_engine.schedule.cache_clear()
-    ss_engine.zp_family_closed.cache_clear()
+    for cache in package_caches():
+        cache.cache_clear()
 
 
 def window_bases(gens: list[km2.PresGenerator], hi: int) -> list[list[tuple[int, ...]]]:
@@ -347,8 +361,7 @@ def qn_square_reference(
 def closed_pages(p: int, n: int, variance: str, top: int) -> list[ss_engine.Page]:
     """The E2 page, then the page after each stage of ss_engine.rewrite,
     each state snapshotted before the walk applies the next stage."""
-    zp = ss_engine.zp_family_closed(p, n, variance, top)
-    return [state.snapshot(zp) for _group, state in ss_engine.rewrite(p, n, variance, top)]
+    return [state.snapshot() for _group, state in ss_engine.rewrite(p, n, variance, top)]
 
 
 # ---- the brute-force sweep over the whole E2 lattice

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from morava_k2 import answer, cli, graded_algebra, km2, numerology, ss_engine as ss
 from morava_k2.graded_algebra import E, TensorExpression, replace
 
-from helpers import clear_caches, closed_pages, kernel_slots_reference, poincare_answer_reference
+from helpers import closed_pages, kernel_slots_reference, poincare_answer_reference
 
 
 def test_free_part_labels():
@@ -675,7 +675,6 @@ def test_bockstein_builds_no_series_past_the_window(monkeypatch):
     every family series, the free part's and dim H^d on [0, 2500], where
     placing the kernel slots from the cohomology families took a series to
     degree 40,302,409 (300 + dq + 66 q2 at a window of 300)."""
-    clear_caches()
     tops = Counter()
     real = TensorExpression.poincare
 

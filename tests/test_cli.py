@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import functools
 import hashlib
 import io
 import json
@@ -16,11 +17,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morava_k2 import answer, cli, graded_algebra, km2, ss_engine
+from morava_k2 import answer, cli, graded_algebra, km2, numerology, ss_engine
 from morava_k2.cli import main
 from morava_k2.graded_algebra import replace
 
-from helpers import clear_caches, closed_pages
+from helpers import clear_caches, closed_pages, package_caches
 
 
 def test_compute_json_schema_key_order(capsys):
@@ -510,8 +511,6 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
 
 
 def test_internal_assertion_exits_3(capsys, monkeypatch):
-    clear_caches()
-
     def broken(*args, **kwargs):
         raise AssertionError("planted invariant failure")
 
@@ -694,7 +693,6 @@ def test_verify_refuses_a_sweep_over_the_cap(capsys, monkeypatch, suite):
     def no_block(*args, **kwargs):
         raise AssertionError("a Q_n block was built")
 
-    monkeypatch.setattr(km2, "_TRIVIAL_MEMO", {})
     monkeypatch.setattr(km2, "_qn_block", no_block)
     assert km2.sweep_monomials(2, 1, 4000, 10**9) == 1604786
     # the count stops at the first component that passes the cap
@@ -727,7 +725,6 @@ def test_verify_refuses_a_window_over_the_cap(capsys, monkeypatch, suite):
     """bockstein and localization build their series on [0, top] as compute
     does, so they take the compute window cap: one degree over it is refused
     with exit 2 before any series is built, and the cap itself runs."""
-    clear_caches()
 
     def no_series(*args, **kwargs):
         raise AssertionError("a series was built")
@@ -762,8 +759,8 @@ def test_window_cap_passes_every_default_window():
 
 
 def test_verify_computes_each_shared_result_once(capsys, monkeypatch):
-    """pairing and uct read one UCT transport, and e2 and oracle one E2
-    page, the first page of the closed rewrite; the output is unchanged."""
+    """pairing and uct read one UCT transport, and only the e2 suite builds
+    the E2 page; the output is unchanged."""
     argv = ["verify", "--p", "3", "--n", "2", "--max-degree", "300"]
     assert main(argv) == 0
     want = capsys.readouterr().out
@@ -790,18 +787,76 @@ def test_shared_uct_transport_keeps_pairing_and_uct_honest(capsys, monkeypatch):
 
 
 def test_a_plant_in_the_shared_e2_page_reaches_oracle(capsys, monkeypatch):
-    """A Z_p class dropped from the E2 page that e2 and oracle share fails
-    oracle, whose rewrite carries the E2 Z_p family to E-infinity, in a
-    full run as in the oracle suite alone."""
+    """A Z_p class dropped from the closed cohomology family, which every
+    snapshot of the rewrite reads, fails oracle in a full run as in the
+    oracle suite alone, and bockstein, which reads it through the answer
+    module.  The e2 suite compares no Z_p family and passes."""
+    real = ss_engine.zp_family_closed
 
-    def drop_first_zp(page):
-        return replace(page, zp_family=page.zp_family[1:])
+    def drop_first_zp(p, n, variance, hi):
+        family = real(p, n, variance, hi)
+        return family[1:] if variance == "cohomology" else family
 
-    _count_calls(monkeypatch, ss_engine, "e2_closed_form", drop_first_zp)
-    for suites in (["--suite", "oracle"], []):
-        assert main(VERIFY_31 + suites) == 1
-        out = capsys.readouterr().out
-        assert "FAIL\toracle\tZ_p families differ at degree " in out, out
+    monkeypatch.setattr(ss_engine, "zp_family_closed", drop_first_zp)
+    assert main(VERIFY_31) == 1
+    out = capsys.readouterr().out
+    assert [line.split("\t")[1] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "oracle",
+        "bockstein",
+    ]
+    assert main(VERIFY_31 + ["--suite", "oracle"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL\toracle\tZ_p families differ at degree ")
+    assert main(VERIFY_31 + ["--suite", "e2"]) == 0
+    assert capsys.readouterr().out.startswith("PASS\te2\t")
+
+
+@pytest.mark.parametrize(
+    "p, code, failing, passing, err",
+    [
+        (
+            "3",
+            1,
+            ["numerology", "e2", "oracle", "pairing", "uct"],
+            ["qn", "bockstein", "localization"],
+            "verification failed in numerology: first failure: IdentityFailure(identity='r_bounds', "
+            "j=1, detail='')\n",
+        ),
+        (
+            "2",
+            3,
+            ["numerology", "e2"],
+            ["qn"],
+            "internal consistency failure: a p = 2 paired stage needs exactly its two entries\n",
+        ),
+    ],
+    ids=["p3-n2", "p2-n2"],
+)
+def test_a_planted_stage_number_is_seen(capsys, monkeypatch, p, code, failing, passing, err):
+    """numerology.r(1) one too high is theorem data that both routes read:
+    the numerology suite sees it, e2 sees the E2 page it moves, and at
+    (3, 2) oracle, pairing and uct see the pages the two routes build from
+    it; at (2, 2) the closed rewrite meets a paired stage without its
+    partner and stops with exit 3.  Run on empty caches, as every test is:
+    a schedule kept from a clean run of the same job hides the plant from
+    the rewrite, and (2, 2) then exits 1."""
+    real = numerology.r
+    monkeypatch.setattr(numerology, "r", lambda j, p_, n: real(j, p_, n) + (j == 1))
+    assert main(["verify", "--p", p, "--n", "2", "--max-degree", "300"]) == code
+    captured = capsys.readouterr()
+    lines = [line.split("\t") for line in captured.out.splitlines()]
+    assert [name for verdict, name, _ in lines if verdict == "FAIL"] == failing
+    assert [name for verdict, name, _ in lines if verdict == "PASS"] == passing
+    assert captured.err == err
+
+
+def test_oracle_suite_builds_no_e2_page(capsys, monkeypatch):
+    """The oracle suite snapshots the rewrite's last state alone: it builds
+    no E2 page and snapshots one page."""
+    e2_pages = _count_calls(monkeypatch, ss_engine, "e2_closed_form")
+    snapshots = _count_calls(monkeypatch, ss_engine._PageState, "snapshot")
+    assert main(VERIFY_31 + ["--suite", "oracle"]) == 0
+    assert capsys.readouterr().out.startswith("PASS\toracle\t")
+    assert (len(e2_pages), len(snapshots)) == (0, 1)
 
 
 def test_verify_builds_each_qn_block_once(capsys, monkeypatch):
@@ -814,7 +869,6 @@ def test_verify_builds_each_qn_block_once(capsys, monkeypatch):
         built[tuple(g.name for g in ctx.gens), ctx.degree(src[0])] += 1
         return real(ctx, src, tgt)
 
-    monkeypatch.setattr(km2, "_TRIVIAL_MEMO", {})
     monkeypatch.setattr(km2, "_qn_block", counted)
     assert main(["verify", "--p", "3", "--n", "2", "--max-degree", "300"]) == 0
     assert built and max(built.values()) == 1
@@ -825,7 +879,8 @@ def test_verify_computes_each_shared_input_once(capsys, monkeypatch):
     that e2 and both brute-force pages read and once for bockstein, and
     computes each window plan, schedule and closed Z_p family once per
     argument tuple, however often its suites read them: the cohomology
-    family is read by the answer module and by the E2 page."""
+    family is read three times, by the answer module, the E2 page and the
+    E-infinity page of oracle, and computed once."""
     argv = ["verify", "--p", "3", "--n", "2", "--max-degree", "300"]
     assert main(argv) == 0
     want = capsys.readouterr().out
@@ -843,7 +898,37 @@ def test_verify_computes_each_shared_input_once(capsys, monkeypatch):
     assert real_schedule.cache_info().misses == len(set(schedules)) < len(schedules)
     assert real_zp.cache_info().misses == len(set(zps)) < len(zps)
     cohomology = [args for args in zps if args[2] == "cohomology"]
-    assert len(cohomology) == 2 and len(set(cohomology)) == 1
+    assert len(cohomology) == 3 and len(set(cohomology)) == 1
+    assert real_zp.cache_info().misses == len(set(zps)) == 2
+
+
+def test_clear_caches_finds_every_cache(capsys, monkeypatch):
+    """After a verify run the package's caches hold entries; clear_caches
+    empties each one it can find, the Q_n-homology memo and every
+    functools cache of a package module or class, a cache added to
+    ss_engine included."""
+
+    @functools.lru_cache(maxsize=None)
+    def added(x):
+        return x
+
+    monkeypatch.setattr(ss_engine, "added", added, raising=False)
+    added(1)
+    assert main(["verify", "--p", "3", "--n", "2", "--max-degree", "300"]) == 0
+    capsys.readouterr()
+    caches = package_caches()
+    known = [
+        graded_algebra.TensorExpression.poincare,
+        ss_engine._plan,
+        ss_engine.schedule,
+        ss_engine.zp_family_closed,
+        added,
+    ]
+    assert all(any(cache is c for c in caches) for cache in known)
+    assert all(cache.cache_info().currsize for cache in known) and km2._TRIVIAL_MEMO
+    clear_caches()
+    assert [cache for cache in caches if cache.cache_info().currsize] == []
+    assert km2._TRIVIAL_MEMO == {}
 
 
 def test_composite_p_rejected(capsys):
@@ -1047,7 +1132,6 @@ def test_compute_and_table_refuse_a_window_over_the_cap(capsys, monkeypatch, arg
     counted from the lower of 0 and --min-degree, is refused with exit 2
     before any series is built; one degree less runs.  The default windows
     pass."""
-    clear_caches()
     assert max(km2.default_window(n) for n in (1, 2, 3)) < cli._WINDOW_CAP == 10**4
     real = graded_algebra._times_exponent_range
 

@@ -18,7 +18,6 @@ from helpers import (
     bruteforce_full_reference,
     bruteforce_full_towers,
     bruteforce_single_limit_reference,
-    clear_caches,
     closed_pages,
 )
 
@@ -205,7 +204,6 @@ def _forbidden(*args, **kwargs):
 def test_zp_family_closed_matches_rank_route(monkeypatch, p, n, top, variance):
     """The series route to the Z_p family equals the F_p rank route, and it
     reads neither the ranks nor km2's own dimension count."""
-    clear_caches()
     want = ss.zp_family_counts(p, n, variance, top)
     assert want
     monkeypatch.setattr(km2, "qn_homology", _forbidden)
