@@ -13,7 +13,10 @@ Q_n-homology splits the algebra into the tensor components coupled by Q_n,
 the carry joining z_{n+1} to i2 and u_n, and multiplies the component series.
 One sweep per component builds each of its Q_n blocks once: it ranks the
 blocks out of the window for the homology dimensions and multiplies
-consecutive blocks for the square check, in the same pass.  Every component
+consecutive blocks for the square check, in the same pass.  A block where
+no Leibniz term lands is known to be empty as it is built, so it is
+neither ranked nor multiplied, and a rank counts the pivots of forward
+elimination, with no back-substitution.  Every component
 has at most four generators.  The pass over all components stores the
 trivial series in one memo entry per (p, n, top), and qn_homology adds the
 total and free lists to it on its first read, for both variances.  The rank
@@ -83,75 +86,72 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(out, cols, p)
 
 
-def _rref2(rows: list[int]) -> tuple[list[int], list[int]]:
-    """Nonzero RREF rows and pivot columns over F_2.
+def rref_modp(a: Matrix, p: int, reduced: bool = True) -> tuple[Matrix, list[int]]:
+    """Row echelon form over F_p, reduced unless reduced=False; returns
+    (new matrix, pivot columns).
 
-    Each row is reduced against a basis keyed by lowest set bit, so a sparse
-    row touches only the pivots it meets; the basis is then back-substituted
-    from the highest pivot down.
+    The forward pass reduces each row against the pivots it meets, lowest
+    first, until it is zero or has a new pivot, so it keeps one row per
+    pivot, led by a 1 there.  Reduced (the default), those rows are then
+    cleared at the pivots above their own, from the highest pivot down;
+    with reduced=False they are returned as the forward pass left them, an
+    echelon form with the same pivots, which is all rank_modp reads.
     """
-    basis: dict[int, int] = {}
-    for x in rows:
-        while x:
-            low = x & -x
-            y = basis.get(low)
-            if y is None:
-                basis[low] = x
-                break
-            x ^= y
-    pivmask = sum(basis)
-    done: dict[int, int] = {}
-    for low in sorted(basis, reverse=True):
-        x = basis[low]
-        m = (x & pivmask) ^ low
-        while m:
-            b = m & -m
-            x ^= done[b]
-            m ^= b
-        done[low] = x
-    order = sorted(done)
-    return [done[b] for b in order], [b.bit_length() - 1 for b in order]
-
-
-def _rref_odd(rows: list[list[int]], cols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Nonzero RREF rows and pivot columns over F_p, p odd, by Gauss-Jordan."""
-    a = [[x % p for x in r] for r in rows]
-    piv: list[int] = []
-    r = 0
-    for c in range(cols):
-        i = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if i is None:
-            continue
-        a[r], a[i] = a[i], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        row = a[r] = [x * inv % p for x in a[r]]
-        for j, other in enumerate(a):
-            f = other[c]
-            if f and j != r:
-                a[j] = [(x - f * y) % p for x, y in zip(other, row)]
-        piv.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a[:r], piv
-
-
-def rref_modp(a: Matrix, p: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over F_p; returns (new matrix, pivot columns)."""
     if a.p != p:
         raise ValueError(f"matrix over F_{a.p} reduced over F_{p}")
     rows, cols = a.shape
+    basis: dict = {}
     if p == 2:
-        red, piv = _rref2(a.rows)
-        return Matrix(red + [0] * (rows - len(red)), cols, p), piv
-    red, piv = _rref_odd(a.rows, cols, p)
-    return Matrix(red + [[0] * cols for _ in range(rows - len(red))], cols, p), piv
+        # keyed by the pivot's bit
+        for x in a.rows:
+            while x:
+                low = x & -x
+                y = basis.get(low)
+                if y is None:
+                    basis[low] = x
+                    break
+                x ^= y
+        if reduced:
+            pivmask = sum(basis)
+            for low in sorted(basis, reverse=True):
+                x = basis[low]
+                m = (x & pivmask) ^ low
+                while m:
+                    b = m & -m
+                    x ^= basis[b]
+                    m ^= b
+                basis[low] = x
+        order = sorted(basis)
+        red = [basis[b] for b in order] + [0] * (rows - len(order))
+        return Matrix(red, cols, p), [b.bit_length() - 1 for b in order]
+    for r in a.rows:
+        x = [v % p for v in r]
+        c = 0
+        while (c := next((i for i in range(c, cols) if x[i]), None)) is not None:
+            y = basis.get(c)
+            if y is None:
+                inv = pow(x[c], p - 2, p)
+                basis[c] = [v * inv % p for v in x]
+                break
+            f = x[c]
+            x = [(u - f * v) % p for u, v in zip(x, y)]
+    order = sorted(basis)
+    if reduced:
+        for i in reversed(range(len(order))):
+            x = basis[order[i]]
+            for c in order[i + 1 :]:
+                f = x[c]
+                if f:
+                    x = [(u - f * v) % p for u, v in zip(x, basis[c])]
+            basis[order[i]] = x
+    red = [basis[c] for c in order] + [[0] * cols for _ in range(rows - len(order))]
+    return Matrix(red, cols, p), order
 
 
 def rank_modp(a: Matrix, p: int) -> int:
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    return len(rref_modp(a, p)[1])
+    """The rank over F_p: the pivots of the forward pass, with no
+    back-substitution."""
+    return len(rref_modp(a, p, reduced=False)[1])
 
 
 def nullspace_modp(a: Matrix, p: int) -> Matrix:
@@ -536,15 +536,22 @@ def _qn_block(
     ctx: DerivationContext,
     src: list[tuple[int, ...]],
     tgt: list[tuple[int, ...]],
-) -> Matrix:
+) -> Matrix | None:
+    """The Q_n block from the basis src to the basis tgt, one column per
+    source monomial, or None where no Leibniz term lands.  Every term has a
+    nonzero coefficient and no two share an entry, so a block is zero
+    exactly when it has no term, which is known before a matrix is made."""
+    terms = list(ctx.leibniz_terms(src))
+    if not terms:
+        return None
     pos = {m: i for i, m in enumerate(tgt)}
     a = Matrix.zeros(len(tgt), len(src), ctx.p)
     rows = a.rows
     if ctx.p == 2:
-        for j, t, _c in ctx.leibniz_terms(src):
+        for j, t, _c in terms:
             rows[pos[t]] |= 1 << j
     else:
-        for j, t, c in ctx.leibniz_terms(src):
+        for j, t, c in terms:
             rows[pos[t]][j] = c
     return a
 
@@ -585,10 +592,6 @@ def components(pres: Presentation, max_degree: int) -> list[list[PresGenerator]]
     return sorted(groups.values(), key=lambda c: min(g.degree for g in c))
 
 
-def _nonzero(a: Matrix) -> bool:
-    return any(a.rows) if a.p == 2 else any(map(any, a.rows))
-
-
 def _sweep_component(ctx: DerivationContext, top: int, failures: list) -> tuple[int, list[int]]:
     """The number of the component's monomials of degree <= top and its
     trivial Q_n-homology dims on [0, top], with the monomials on which
@@ -597,30 +600,31 @@ def _sweep_component(ctx: DerivationContext, top: int, failures: list) -> tuple[
     Only the bases of the degrees read, d, d + dq and d + 2dq for d in
     [0, top], are kept: as top + 2dq < 3dq unless every degree is read,
     they are the degrees whose remainder mod dq is at most top.  Each block
-    is built once: block d is ranked, and when it is nonzero the block out
-    of d + dq is built, multiplied onto it unless it is zero, and held
-    until its own turn.  A block where no Leibniz term lands has rank 0
-    without a reduction, and a degree whose source or target bucket is
-    empty is skipped.
+    is built once: block d is ranked, then the block out of d + dq is
+    built, multiplied onto it and held until its own turn.  A block where
+    no Leibniz term lands is None from _qn_block, known as it is built, so
+    no matrix is made for it and it is neither ranked (its rank is 0) nor
+    multiplied; a degree whose source or target bucket is empty is
+    skipped.  rank_modp counts the pivots of the forward pass alone.
     """
     p, dq = ctx.p, ctx.pres.qn_degree
     buckets = degree_bases(ctx.gens, top + 2 * dq, lambda d: d % dq <= top)
     ranks = [0] * (top + 1)
-    ahead: dict[int, Matrix] = {}
+    ahead: dict[int, Matrix | None] = {}
     for d in range(top + 1):
         src, tgt = buckets.get(d), buckets.get(d + dq)
         if not src or not tgt:
             continue
-        first = ahead.pop(d, None) or _qn_block(ctx, src, tgt)
-        if not _nonzero(first):
+        first = ahead.pop(d) if d in ahead else _qn_block(ctx, src, tgt)
+        if first is None:
             continue
         ranks[d] = rank_modp(first, p)
-        if not ranks[d] or d + 2 * dq not in buckets:
+        if d + 2 * dq not in buckets:
             continue
         second = _qn_block(ctx, tgt, buckets[d + 2 * dq])
         if d + dq <= top:
             ahead[d + dq] = second
-        if not _nonzero(second):
+        if second is None:
             continue
         square = _matmul(second, first)
         if p == 2:

@@ -602,7 +602,32 @@ class _WindowPlan(Record):
     """j_top is the widest family index whose action reaches into [0, top],
     j_ext the widest used for lattice arcs, max_stage the largest stage
     among in-window stages and enum_limit the per-class lattice
-    enumeration bound."""
+    enumeration bound.
+
+    In cohomology enum_limit is top + delta, delta the degree step of
+    max_stage, and each class lattice cut there gives the uncut lattice's
+    part on the keys [0, top] that the folds read.  A stage-r arc raises
+    degree by degree_step(r), which grows with r, and its source carries
+    the source generator of its entry, so a source at degree <= top fires
+    at a stage of at most max_stage.  _sweep takes the stages in
+    increasing order, fires a source at most once, and bounds the target
+    at that stage's order; run_bruteforce keys a torsion tower by its
+    source's degree (_key_floor).
+    - A key h <= top of the uncut lattice is a free tower at degree h, or a
+      target bounded from a source at degree h at a stage r <= max_stage,
+      so at degree h + degree_step(r) <= enum_limit.
+    - The cut lattice lacks the monomials above enum_limit and the arcs
+      into them.  A source s whose firing arc (s, t) is lost, t above
+      enum_limit, fires in neither lattice at an earlier stage (its arcs
+      then did not fire it uncut), and its arcs at later stages end above
+      t.  So s stays a free tower, at a degree above
+      enum_limit - degree_step(r), which is >= top when r <= max_stage,
+      and above top when r > max_stage, as its source generator is.  Every
+      other decision reads the same fired and bounded monomials in both.
+    Hence the parts agree on [0, top], for the arcs of stages above
+    max_stage that j_ext adds as well.  In homology arcs run downward and
+    chain (_plan), so enum_limit is top plus the stacked steps.
+    """
 
     __slots__ = ()
 
@@ -644,9 +669,10 @@ def _plan(p: int, n: int, variance: str, top: int) -> _WindowPlan:
             max_stage = max(max_stage, *stages)
         j += 1
     if variance == "cohomology":
-        # a value at degree g only depends on arcs reaching up to g + the
-        # degree step of max_stage
-        enum_limit = top + (n + 2) * degree_step(max_stage, p, n)
+        # a key in [0, top] is decided by arcs from sources at degree <=
+        # top, which fire at stages <= max_stage: no such arc lands above
+        # top + its step (the argument is _WindowPlan's)
+        enum_limit = top + degree_step(max_stage, p, n)
     else:
         # downward arcs chain: a value can depend on strictly descending
         # stages stacked above it, so allow the sum of their degree steps
@@ -787,8 +813,8 @@ class _Lattice:
 
     Each stage operator is a weighted matching: a monomial has at most one
     image and at most one preimage, so kernel and image bookkeeping reduces
-    to two cursors per monomial tower (how far it has fired as a source, and
-    from which v-power it is a boundary).  An operator visits only the
+    to whether a monomial's tower has fired as a source and from which
+    v-power it is a boundary (_sweep).  An operator visits only the
     monomials that carry its source coordinate.
     """
 
@@ -810,17 +836,16 @@ class _Lattice:
             out = self._carriers[k] = [m for m in self.monomials if m[k]]
         return out
 
-    def _shift(self, mono: tuple, delta: list[tuple[int, int]]) -> tuple | None:
-        exps = list(mono)
-        for k, amt in delta:
-            e = exps[k] + amt
-            if e < 0 or e > self.coords[k].cap:
-                return None  # truncation (or a digit carry): the image vanishes
-            exps[k] = e
-        return tuple(exps)
-
     def arcs_for(self, e: Differential) -> list[tuple[tuple, tuple, int]]:
-        """Cohomology-oriented arcs (source, target, coefficient) for one entry."""
+        """Cohomology-oriented arcs (source, target, coefficient) for one entry.
+
+        The entry's shift is compiled once into (coordinate, amount, cap)
+        triples and applied inline to each monomial that carries the source
+        coordinate.  An exponent shifted below 0 is a source that lacks what
+        the entry lowers (at a "half" entry, the source generator), and one
+        above its cap a truncation or a digit carry: either way there is no
+        arc.
+        """
         p, n = self.p, self.n
         j = e.index
         if e.paired and e.family == "half":
@@ -828,51 +853,58 @@ class _Lattice:
         if e.family == "y":
             delta = dict(_w_delta(p, n, j))
             delta[("digit", j)] = delta.get(("digit", j), 0) - 1
-            need: dict[tuple[str, int], int] = {}
         else:
             if j == 0:
-                need = {("half", 0): 1}
+                delta = {("half", 0): -1}
             else:
-                need = dict(_w_delta(p, n, j))
-                need[("digit", j)] = need.get(("digit", j), 0) + (p - 1)
-            delta = {k: -amt for k, amt in need.items()}
+                delta = {k: -amt for k, amt in _w_delta(p, n, j).items()}
+                delta[("digit", j)] = delta.get(("digit", j), 0) - (p - 1)
             delta[("z", n + j + 1)] = delta.get(("z", n + j + 1), 0) + 1
-        compiled = []
+        shift = []
         for key, amt in delta.items():
             if amt == 0:
                 continue
-            if key not in self.pos:
+            k = self.pos.get(key)
+            if k is None:
                 return []  # a coordinate beyond the window: every image is out of range
-            compiled.append((self.pos[key], amt))
-        need_pos = []
-        for key, amt in need.items():
-            if key not in self.pos:
-                return []
-            need_pos.append((self.pos[key], amt))
+            shift.append((k, amt, self.coords[k].cap))
         digit_pos = self.pos.get(("digit", j))
-        if e.family == "y" and digit_pos is None:
+        y = e.family == "y"
+        if y and digit_pos is None:
             return []
         # the source's own coordinate: every source monomial carries it
-        src_pos = self.pos[("half", 0)] if e.family == "half" and j == 0 else digit_pos
+        src_pos = digit_pos if j else self.pos[("half", 0)]
+        monomials = self.monomials
         out = []
         for mono in self._carrying(src_pos):
-            if e.family == "y":
-                coeff = mono[digit_pos] % p
+            exps = list(mono)
+            for k, amt, cap in shift:
+                x = exps[k] + amt
+                if x < 0 or x > cap:
+                    break
+                exps[k] = x
             else:
-                if any(mono[k] < amt for k, amt in need_pos):
-                    continue
-                coeff = 1
-            tgt = self._shift(mono, compiled)
-            if tgt is None or tgt not in self.monomials:
-                continue
-            out.append((mono, tgt, coeff))
+                tgt = tuple(exps)
+                if tgt in monomials:
+                    out.append((mono, tgt, mono[digit_pos] % p if y else 1))
         return out
 
 
 def _sweep(
     lattice: _Lattice, entries: list[Differential], variance: str
-) -> tuple[dict[tuple, object], dict[tuple, object]]:
-    """Run the matching sweep; returns the fired and boundary cursors."""
+) -> tuple[set[tuple], dict[tuple, int]]:
+    """Run the matching sweep; returns the fired sources and the order of
+    each bounded target.
+
+    Stages run in increasing order.  A stage operator is P[v]-linear, so it
+    pairs free towers: an arc fires when its source has not fired and its
+    target is not bounded, the source's whole tower goes and the target
+    becomes a tower of the stage's order.  A bounded target stays so, as an
+    arc onto it would fire only v-powers beyond the boundary.  A source
+    bounded at an earlier stage o is a torsion tower, v^o s = 0, so by
+    P[v]-linearity v^o times its image on a free target would vanish too:
+    no stage operator can fire it, and the sweep refuses that arc.
+    """
     staged: dict[int, list[tuple[tuple, tuple, int]]] = {}
     for e in entries:
         arcs = lattice.arcs_for(e)
@@ -880,8 +912,8 @@ def _sweep(
             arcs = [(t, s, c) for (s, t, c) in arcs]
         if arcs:
             staged.setdefault(e.stage, []).extend(arcs)
-    fired: dict[tuple, object] = {}
-    bound: dict[tuple, object] = {}
+    fired: set[tuple] = set()
+    bound: dict[tuple, int] = {}
     for stage in sorted(staged):
         arcs = staged[stage]
         sources = {s for s, _t, _c in arcs}
@@ -889,13 +921,12 @@ def _sweep(
         if sources & targets:
             raise RuntimeError(f"stage-{stage} operator does not square to zero")
         for s, t, _c in arcs:
-            bs = bound.get(s, INF)
-            bt = bound.get(t, INF)
-            hi = min(bs, bt - stage)
-            fs = fired.get(s, 0)
-            if hi > fs:
-                bound[t] = min(bt, fs + stage)
-                fired[s] = hi
+            if s in fired or t in bound:
+                continue
+            if s in bound:
+                raise RuntimeError(f"stage-{stage} operator fires a torsion tower")
+            fired.add(s)
+            bound[t] = stage
     return fired, bound
 
 
@@ -1039,15 +1070,9 @@ def run_bruteforce(p: int, n: int, variance: str, top: int) -> Page:
         fired, bound = _sweep(lat, [e for e in sched if e.index % (n + 1) == cls], variance)
         part: Counter = Counter()
         for mono, g in lat.monomials.items():
-            f = fired.get(mono, 0)
-            b = bound.get(mono, INF)
-            if b <= f:
+            if mono in fired:
                 continue
-            if f != 0:
-                raise RuntimeError(
-                    f"class-{cls} tower over degree {g} survives only above filtration {f}"
-                )
-            order = INF if b == INF else int(b)
+            order = bound.get(mono, INF)
             if order not in floors:
                 floors[order] = _key_floor(order, p, n, variance)
             h = g - floors[order]

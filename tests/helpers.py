@@ -103,6 +103,12 @@ def render(ctx: km2.DerivationContext, exps: tuple[int, ...]) -> str:
     return " ".join(parts) if parts else "1"
 
 
+def qn_block(ctx: km2.DerivationContext, src: list, tgt: list) -> km2.Matrix:
+    """km2._qn_block with a block where no term lands as its zero matrix."""
+    block = km2._qn_block(ctx, src, tgt)
+    return km2.Matrix.zeros(len(tgt), len(src), ctx.p) if block is None else block
+
+
 def qn_matrix(pres: km2.Presentation, d: int, max_degree: int) -> km2.Matrix:
     """Matrix of Q_n out of degree d over the full monomial basis.
 
@@ -113,10 +119,10 @@ def qn_matrix(pres: km2.Presentation, d: int, max_degree: int) -> km2.Matrix:
     ctx = km2.DerivationContext(pres, max_degree)
     buckets = window_bases(ctx.gens, max_degree)
     if pres.variance == "cohomology":
-        return km2._qn_block(ctx, buckets[d], buckets[d + dq])
+        return qn_block(ctx, buckets[d], buckets[d + dq])
     if d < dq:
         return km2.Matrix.zeros(0, len(buckets[d]), pres.p)
-    return transpose(km2._qn_block(ctx, buckets[d - dq], buckets[d]))
+    return transpose(qn_block(ctx, buckets[d - dq], buckets[d]))
 
 
 def transpose(m: km2.Matrix) -> km2.Matrix:
@@ -143,7 +149,7 @@ def whole_basis_trivial(p: int, n: int, hi: int) -> list[int]:
     ctx = km2.DerivationContext(pres, hi + dq)
     buckets = window_bases(ctx.gens, hi + dq)
     ranks = [
-        km2.rank_modp(km2._qn_block(ctx, buckets[d], buckets[d + dq]), p) for d in range(hi + 1)
+        km2.rank_modp(qn_block(ctx, buckets[d], buckets[d + dq]), p) for d in range(hi + 1)
     ]
     return [len(buckets[d]) - ranks[d] - (ranks[d - dq] if d >= dq else 0) for d in range(hi + 1)]
 
@@ -407,8 +413,13 @@ def arcs_full_scan(lat: ss_engine._Lattice, e: ss_engine.Differential) -> list[t
             if any(mono[k] < amt for k, amt in need_pos):
                 continue
             coeff = 1
-        tgt = lat._shift(mono, compiled)
-        if tgt is None or tgt not in lat.monomials:
+        exps = list(mono)
+        for k, amt in compiled:
+            exps[k] += amt
+        if any(not 0 <= x <= c.cap for x, c in zip(exps, lat.coords)):
+            continue  # truncation, or a digit carry: the image vanishes
+        tgt = tuple(exps)
+        if tgt not in lat.monomials:
             continue
         out.append((mono, tgt, coeff))
     return out
@@ -454,18 +465,9 @@ def bruteforce_full_towers(p: int, n: int, variance: str, top: int) -> list[tupl
     fired, bound = ss_engine._sweep(lat, ss_engine.schedule(p, n, plan.j_ext, variance), variance)
     towers = []
     for mono, g in sorted(lat.monomials.items(), key=lambda kv: kv[1]):
-        if g > top:
-            continue
-        f = fired.get(mono, 0)
-        b = bound.get(mono, ss_engine.INF)
-        if b <= f:
-            continue  # the whole tower cancels
-        if f != 0:
-            raise RuntimeError(
-                f"tower over {lattice_name(lat, mono)} survives only above filtration {f}"
-            )
-        order = ss_engine.INF if b == ss_engine.INF else int(b)
-        towers.append((lattice_name(lat, mono), g, order))
+        if g > top or mono in fired:
+            continue  # out of the window, or the whole tower cancels
+        towers.append((lattice_name(lat, mono), g, bound.get(mono, ss_engine.INF)))
     return towers
 
 
@@ -487,12 +489,28 @@ def bruteforce_full_reference(p: int, n: int, variance: str, top: int) -> ss_eng
     )
 
 
+def reference_plan(p: int, n: int, variance: str, top: int) -> ss_engine._WindowPlan:
+    """ss_engine._plan with the wider cohomology bound it once used: the
+    class lattices enumerated to top + (n + 2) * delta, delta the degree
+    step of max_stage, and j_ext widened to the families whose sources lie
+    below that; a homology plan is _plan's own."""
+    plan = ss_engine._plan(p, n, variance, top)
+    if variance != "cohomology":
+        return plan
+    limit = top + (n + 2) * ss_engine.degree_step(plan.max_stage, p, n)
+    j_ext = plan.j_ext
+    while min(src for _st, src in ss_engine._stage_relevance(p, n, j_ext + 1)) <= limit:
+        j_ext += 1
+    return ss_engine._WindowPlan(plan.j_top, j_ext, plan.max_stage, limit)
+
+
 def bruteforce_single_limit_reference(p: int, n: int, variance: str, top: int) -> ss_engine.Page:
     """ss_engine.run_bruteforce with every fold, and every class part, cut at
     one limit: top + (n + 1) * delta in cohomology, delta the degree step of
     the largest in-window stage (one Tor shift per fold, class 0 and the head
-    included), and top in homology."""
-    plan = ss_engine._plan(p, n, variance, top)
+    included), and top in homology.  The class lattices are reference_plan's,
+    so every tower below that limit is there."""
+    plan = reference_plan(p, n, variance, top)
     limit = top
     if variance == "cohomology":
         limit += (n + 1) * ss_engine.degree_step(plan.max_stage, p, n)
@@ -505,9 +523,8 @@ def bruteforce_single_limit_reference(p: int, n: int, variance: str, top: int) -
         fired, bound = ss_engine._sweep(lat, entries, variance)
         part = Counter()
         for mono, g in lat.monomials.items():
-            b = bound.get(mono, ss_engine.INF)
-            if g <= limit and b > fired.get(mono, 0):
-                part[(g, b if b == ss_engine.INF else int(b))] += 1
+            if g <= limit and mono not in fired:
+                part[(g, bound.get(mono, ss_engine.INF))] += 1
         folded = ss_engine._fold(folded, part, p, n, variance, limit)
     head = ss_engine._Lattice(p, n, ss_engine._head_coords(p, n, limit), limit)
     head_towers = Counter((g, ss_engine.INF) for g in head.monomials.values())

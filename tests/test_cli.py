@@ -849,6 +849,75 @@ def test_a_planted_stage_number_is_seen(capsys, monkeypatch, p, code, failing, p
     assert captured.err == err
 
 
+def _fold_without_tor(monkeypatch):
+    """_fold with no Tor term: two towers meet only at their degree sum."""
+
+    def fold(a, b, p, n, variance, limit):
+        out = Counter()
+        for (g1, o1), c1 in a.items():
+            for (g2, o2), c2 in b.items():
+                if g1 + g2 <= limit:
+                    out[(g1 + g2, min(o1, o2))] += c1 * c2
+        return out
+
+    monkeypatch.setattr(ss_engine, "_fold", fold)
+
+
+def _key_floor_two_higher(monkeypatch):
+    """Every cohomology torsion tower keyed 2 below its source degree."""
+    real = ss_engine._key_floor
+    monkeypatch.setattr(ss_engine, "_key_floor", lambda order, p, n, variance: real(
+        order, p, n, variance) + 2 * (variance == "cohomology" and order != ss_engine.INF))
+
+
+def _lattice_cut_at_half_a_step(monkeypatch):
+    """The cohomology class lattices enumerated to top + delta / 2 only."""
+    real = ss_engine._plan
+
+    def plan(p, n, variance, top):
+        got = real(p, n, variance, top)
+        if variance != "cohomology":
+            return got
+        return got._replace(enum_limit=top + ss_engine.degree_step(got.max_stage, p, n) // 2)
+
+    monkeypatch.setattr(ss_engine, "_plan", plan)
+
+
+def _rank_one_short(monkeypatch):
+    """rank_modp one short on every block of rank 2 or more."""
+    real = km2.rank_modp
+    monkeypatch.setattr(km2, "rank_modp", lambda a, p: (lambda r: r - (r >= 2))(real(a, p)))
+
+
+_DEFECT_WINDOWS = [("3", "2", "300"), ("2", "2", "200"), ("3", "1", "300")]
+_DEFECT_MATRIX = [
+    (_fold_without_tor, ["oracle"]),
+    (_key_floor_two_higher, ["oracle", "pairing", "uct"]),
+    (_lattice_cut_at_half_a_step, ["oracle", "pairing", "uct"]),
+    # every Q_n block at (3, 2)/300 and (3, 1)/300 has rank 0 or 1, so the
+    # plant is blind there: those rows pin the blind spot
+    (_rank_one_short, {"2": ["e2", "oracle"], "3": []}),
+]
+
+
+@pytest.mark.parametrize(
+    "plant, failing, window",
+    [(plant, failing, w) for plant, failing in _DEFECT_MATRIX for w in _DEFECT_WINDOWS],
+    ids=[f"{plant.__name__[1:]}-{'-'.join(w)}" for plant, _ in _DEFECT_MATRIX for w in _DEFECT_WINDOWS],
+)
+def test_a_planted_defect_fails_its_suites(capsys, monkeypatch, plant, failing, window):
+    """Each planted defect in the brute route or the Q_n sweep fails
+    exactly the verify suites named in its row, at each window (a dict
+    row names them per p), and the rest pass."""
+    p, n, top = window
+    failing = failing[p] if isinstance(failing, dict) else failing
+    plant(monkeypatch)
+    assert main(["verify", "--p", p, "--n", n, "--max-degree", top]) == (1 if failing else 0)
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [name for verdict, name, _ in lines if verdict == "FAIL"] == failing
+    assert len(lines) == 8
+
+
 def test_oracle_suite_builds_no_e2_page(capsys, monkeypatch):
     """The oracle suite snapshots the rewrite's last state alone: it builds
     no E2 page and snapshots one page."""

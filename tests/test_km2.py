@@ -25,6 +25,7 @@ from helpers import (
     from_polynomial_basis,
     polynomial_basis_p2,
     polynomial_qn_p2,
+    qn_block,
     qn_block_reference,
     qn_matrix,
     qn_monomial,
@@ -257,7 +258,7 @@ def test_leibniz_kernel_matches_per_monomial_reference(p, n, hi):
         ctx = km2.DerivationContext(pres, top, gens=gens)
         buckets = window_bases(gens, top)
         for d in range(top - dq + 1):
-            got = km2._qn_block(ctx, buckets[d], buckets[d + dq])
+            got = qn_block(ctx, buckets[d], buckets[d + dq])
             want = qn_block_reference(ctx, buckets[d], buckets[d + dq])
             assert (got.shape, got.rows) == (want.shape, want.rows)
             for m in buckets[d]:
@@ -400,13 +401,14 @@ VERIFY_WINDOWS = [(3, 1, 400), (5, 1, 400), (2, 1, 300), (3, 2, 300), (2, 2, 200
 
 @pytest.mark.parametrize("p, n, hi", VERIFY_WINDOWS)
 def test_sweep_reduces_only_nonzero_blocks(p, n, hi):
-    """A Q_n block where no Leibniz term lands has rank 0 without a
-    reduction, and no product is formed with one: every block the sweep
-    ranks or multiplies has a nonzero entry, some blocks are zero, and the
-    square check and the trivial series are those of a sweep that ranks
-    and multiplies every block."""
-    reduced, multiplied, built = [], [], []
+    """A Q_n block where no Leibniz term lands allocates no matrix and is
+    neither ranked nor multiplied: _qn_block returns None for it, every
+    matrix the sweep allocates, ranks or multiplies has a nonzero entry,
+    some blocks are empty, and the square check and the trivial series are
+    those of a sweep that gets every block as a matrix, zero or not."""
+    reduced, multiplied, built, allocated = [], [], [], []
     real_block, real_rank, real_matmul = km2._qn_block, km2.rank_modp, km2._matmul
+    real_zeros = km2.Matrix.zeros
 
     def zero(m):
         return not any(m.rows if m.p == 2 else (x for row in m.rows for x in row))
@@ -418,13 +420,19 @@ def test_sweep_reduces_only_nonzero_blocks(p, n, hi):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(km2, "_qn_block", lambda *a: built.append(real_block(*a)) or built[-1])
+        mp.setattr(km2.Matrix, "zeros", classmethod(
+            lambda cls, *a: allocated.append(real_zeros(*a)) or allocated[-1]
+        ))
         mp.setattr(km2, "rank_modp", lambda m, q: reduced.append(zero(m)) or real_rank(m, q))
         mp.setattr(km2, "_matmul", lambda a, b: multiplied.append(zero(a)) or real_matmul(a, b))
         got = sweep(mp)
+    assert None in built and not any(zero(m) for m in built if m is not None)
+    assert len(allocated) == len(built) - built.count(None)
     assert reduced and not any(reduced) and multiplied and not any(multiplied)
-    assert any(zero(m) for m in built)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(km2, "_nonzero", lambda m: True)
+        mp.setattr(km2, "_qn_block", lambda ctx, src, tgt: (
+            real_block(ctx, src, tgt) or km2.Matrix.zeros(len(tgt), len(src), ctx.p)
+        ))
         assert sweep(mp) == got
 
 
@@ -551,7 +559,7 @@ def test_homology_variance_same_dims_starred_reps():
         buckets = window_bases(comp, hi + dq)
         # down[d]: rank of homology Q_n from degree d + dq to d
         down = [
-            km2.rank_modp(transpose(km2._qn_block(ctx, buckets[d], buckets[d + dq])), p)
+            km2.rank_modp(transpose(qn_block(ctx, buckets[d], buckets[d + dq])), p)
             for d in range(hi + 1)
         ]
         dims = [len(buckets[d]) - down[d] - (down[d - dq] if d >= dq else 0) for d in range(hi + 1)]
@@ -779,4 +787,38 @@ def test_fp_kernel_matches_schoolbook(mat):
     assert len(want_piv) + nullity == cols
     assert _matmul(entries, _entries(null), cols, nullity, p) == [[0] * nullity] * rows
     assert len(_schoolbook_rref(_entries(null), nullity, p)[1]) == nullity
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """(p, cols, entries): random residues on shapes 0 x 0 to 8 x 8, with
+    some rows and columns cleared to zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entries = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    return p, cols, [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+                     for i, row in enumerate(entries)]
+
+
+@given(_sparse_matrices())
+@settings(deadline=None, max_examples=300)
+def test_forward_rank_counts_the_rref_pivots(mat):
+    """rank_modp, the forward pass alone, counts the pivots of the full
+    reduction; the forward echelon form leads each nonzero row with a 1 at
+    a pivot to the right of the row above, puts zero rows last, and spans
+    the same rows (its reduction is the matrix's)."""
+    p, cols, entries = mat
+    a = _matrix(entries, cols, p)
+    red, piv = km2.rref_modp(a, p)
+    assert km2.rank_modp(a, p) == len(piv)
+    ech, ech_piv = km2.rref_modp(a, p, reduced=False)
+    assert ech.shape == a.shape and ech_piv == piv
+    rows = _entries(ech)
+    for i, c in enumerate(piv):
+        assert rows[i][:c] == [0] * c and rows[i][c] == 1
+    assert not any(map(any, rows[len(piv):]))
+    assert _entries(km2.rref_modp(ech, p)[0]) == _entries(red)
 

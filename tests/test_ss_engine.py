@@ -19,6 +19,7 @@ from helpers import (
     bruteforce_full_towers,
     bruteforce_single_limit_reference,
     closed_pages,
+    reference_plan,
 )
 
 
@@ -451,6 +452,54 @@ def test_window_folds_match_single_limit_reference(p, n, variance, top):
     assert ss.run_bruteforce(p, n, variance, top) == bruteforce_single_limit_reference(
         p, n, variance, top
     )
+
+
+@pytest.mark.parametrize("top", [30, 100, 200, 300])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cut_cohomology_lattices_match_the_reference_plan(monkeypatch, p, n, top):
+    """Class lattices enumerated to top + delta give the page of lattices
+    enumerated to top + (n + 2) * delta, and the same fold_work, the
+    refusal guard's prediction."""
+    key = (p, n, "cohomology", top)
+    ref = reference_plan(*key)
+    assert ss._plan(*key).enum_limit < ref.enum_limit
+    page, work = ss.run_bruteforce(*key), ss.fold_work(*key)
+    real = ss._plan
+    monkeypatch.setattr(ss, "_plan", lambda *args: ref if args == key else real(*args))
+    assert ss.run_bruteforce(*key) == page
+    assert ss.fold_work(*key) == work
+
+
+class _ArcLattice:
+    """A stand-in for _Lattice whose arcs are given per entry."""
+
+    def arcs_for(self, e):
+        return e.arcs
+
+
+class _Entry:
+    def __init__(self, stage, arcs):
+        self.stage, self.arcs = stage, arcs
+
+
+def test_sweep_fires_free_towers_once():
+    """A stage pairs a source that has not fired with a target no arc has
+    bounded; a later arc from a fired source or onto a bounded target
+    fires nothing, and one from a bounded source is refused.  In homology
+    each arc runs backwards."""
+    entries = [
+        _Entry(3, [("a", "b", 1)]),
+        _Entry(1, [("c", "d", 1)]),
+        _Entry(3, [("c", "e", 1), ("f", "d", 1)]),
+    ]
+    fired, bound = ss._sweep(_ArcLattice(), entries, "cohomology")
+    assert fired == {"a", "c"} and bound == {"b": 3, "d": 1}
+    fired, bound = ss._sweep(_ArcLattice(), entries[:1] + entries[2:], "homology")
+    assert fired == {"b", "e", "d"} and bound == {"a": 3, "c": 3, "f": 3}
+    with pytest.raises(RuntimeError, match="fires a torsion tower"):
+        ss._sweep(_ArcLattice(), [_Entry(1, [("a", "b", 1)]), _Entry(2, [("b", "c", 1)])],
+                  "cohomology")
 
 
 @pytest.mark.parametrize(
