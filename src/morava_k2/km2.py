@@ -10,18 +10,19 @@ derivation with Koszul signs.  The only Leibniz term that meets the relation
 is Q_n(i2) = u_n landing on a u_n already present: it carries into z_{n+1}.
 
 Q_n-homology splits the algebra into the tensor components coupled by Q_n,
-the carry joining z_{n+1} to i2 and u_n, and multiplies the component series.
-One sweep per component builds each of its Q_n blocks once: it ranks the
+the carry joining z_{n+1} to i2 and u_n, and multiplies the component
+series.  One sweep per component enumerates its monomials on [0, top] and
+no higher, and builds each of its Q_n blocks once: a block whose targets
+lie past top takes as rows the targets its terms reach.  It ranks the
 blocks out of the window for the homology dimensions and multiplies
 consecutive blocks for the square check, in the same pass.  A block where
 no Leibniz term lands is known to be empty as it is built, so it is
 neither ranked nor multiplied, and a rank counts the pivots of forward
-elimination, with no back-substitution.  Every component
-has at most four generators.  The pass over all components stores the
-trivial series in one memo entry per (p, n, top), and qn_homology adds the
-total and free lists to it on its first read, for both variances.  The rank
-of the whole basis at once, which needs no split, is a reference that only
-the tests run.
+elimination, with no back-substitution.  Every component has at most four
+generators.  The pass over all components stores the trivial series in one
+memo entry per (p, n, top), and qn_homology adds the total and free lists
+to it on its first read, for both variances.  The rank of the whole basis
+at once, which needs no split, is a reference that only the tests run.
 """
 
 from __future__ import annotations
@@ -508,23 +509,17 @@ def each_monomial(degrees: list[int], caps: list[int], hi: int, emit) -> None:
     del rec
 
 
-def degree_bases(
-    gens: list[PresGenerator], hi: int, keep: Callable[[int], bool] | None = None
-) -> dict[int, list[tuple[int, ...]]]:
-    """The nonempty monomial bases of the degrees 0..hi that keep accepts
-    (all of them without keep), keyed by degree.  Each basis lists its
-    monomials in the order each_monomial emits them: exponent vectors
-    ordered lexicographically, the first generator's exponent most
-    significant.  Every monomial of degree <= hi is enumerated, but one of a
-    refused degree is dropped at once, and that degree gets no list."""
+def degree_bases(gens: list[PresGenerator], hi: int) -> dict[int, list[tuple[int, ...]]]:
+    """The nonempty monomial bases of the degrees 0..hi, keyed by degree.
+    Each basis lists its monomials in the order each_monomial emits them:
+    exponent vectors ordered lexicographically, the first generator's
+    exponent most significant."""
     buckets: dict[int, list[tuple[int, ...]]] = {}
     caps = [1 if g.exp_kind == "E" else hi for g in gens]
 
     def emit(m: tuple[int, ...], d: int) -> None:
         bucket = buckets.get(d)
         if bucket is None:
-            if keep is not None and not keep(d):
-                return
             bucket = buckets[d] = []
         bucket.append(m)
 
@@ -535,15 +530,19 @@ def degree_bases(
 def _qn_block(
     ctx: DerivationContext,
     src: list[tuple[int, ...]],
-    tgt: list[tuple[int, ...]],
-) -> Matrix | None:
-    """The Q_n block from the basis src to the basis tgt, one column per
-    source monomial, or None where no Leibniz term lands.  Every term has a
-    nonzero coefficient and no two share an entry, so a block is zero
-    exactly when it has no term, which is known before a matrix is made."""
+    tgt: list[tuple[int, ...]] | None,
+) -> tuple[Matrix | None, list[tuple[int, ...]]]:
+    """The Q_n block out of the basis src, one column per source monomial,
+    and the basis of its rows: tgt, or, where tgt is None, the targets its
+    Leibniz terms reach, in the order first reached.  The block is None
+    where no term lands.  Every term has a nonzero coefficient and no two
+    share an entry, so a block is zero exactly when it has no term, which
+    is known before a matrix is made."""
     terms = list(ctx.leibniz_terms(src))
     if not terms:
-        return None
+        return None, []
+    if tgt is None:
+        tgt = list(dict.fromkeys(t for _j, t, _c in terms))
     pos = {m: i for i, m in enumerate(tgt)}
     a = Matrix.zeros(len(tgt), len(src), ctx.p)
     rows = a.rows
@@ -553,7 +552,7 @@ def _qn_block(
     else:
         for j, t, c in terms:
             rows[pos[t]][j] = c
-    return a
+    return a, tgt
 
 
 # ---------------------------------------------------------------------------
@@ -597,33 +596,31 @@ def _sweep_component(ctx: DerivationContext, top: int, failures: list) -> tuple[
     trivial Q_n-homology dims on [0, top], with the monomials on which
     Q_n∘Q_n is nonzero appended to failures in bucket order.
 
-    Only the bases of the degrees read, d, d + dq and d + 2dq for d in
-    [0, top], are kept: as top + 2dq < 3dq unless every degree is read,
-    they are the degrees whose remainder mod dq is at most top.  Each block
-    is built once: block d is ranked, then the block out of d + dq is
-    built, multiplied onto it and held until its own turn.  A block where
-    no Leibniz term lands is None from _qn_block, known as it is built, so
-    no matrix is made for it and it is neither ranked (its rank is 0) nor
-    multiplied; a degree whose source or target bucket is empty is
-    skipped.  rank_modp counts the pivots of the forward pass alone.
+    Only the monomials of degree <= top are enumerated.  The block out of
+    degree d takes the basis of d + dq as its rows while d + dq <= top and,
+    past the window, the targets its Leibniz terms reach; the block out of
+    those rows is built the same way, multiplied onto it and, when its
+    source lies in the window, held until its own turn, so each block is
+    built once.  A zero row adds nothing to a rank or a product, so the
+    ranks and the failures are those of the whole bases.  A block where no
+    Leibniz term lands is None from _qn_block, known as it is built, so no
+    matrix is made for it and it is neither ranked (its rank is 0) nor
+    multiplied.  rank_modp counts the pivots of the forward pass alone.
     """
     p, dq = ctx.p, ctx.pres.qn_degree
-    buckets = degree_bases(ctx.gens, top + 2 * dq, lambda d: d % dq <= top)
+    # a degree past top, or one with no monomial, has no entry: get reads
+    # None there, and _qn_block takes the targets reached
+    buckets = degree_bases(ctx.gens, top)
     ranks = [0] * (top + 1)
-    ahead: dict[int, Matrix | None] = {}
-    for d in range(top + 1):
-        src, tgt = buckets.get(d), buckets.get(d + dq)
-        if not src or not tgt:
-            continue
-        first = ahead.pop(d) if d in ahead else _qn_block(ctx, src, tgt)
+    ahead: dict[int, tuple[Matrix | None, list[tuple[int, ...]]]] = {}
+    for d, src in sorted(buckets.items()):
+        first, mid = ahead.pop(d) if d in ahead else _qn_block(ctx, src, buckets.get(d + dq))
         if first is None:
             continue
         ranks[d] = rank_modp(first, p)
-        if d + 2 * dq not in buckets:
-            continue
-        second = _qn_block(ctx, tgt, buckets[d + 2 * dq])
+        second, last = _qn_block(ctx, mid, buckets.get(d + 2 * dq))
         if d + dq <= top:
-            ahead[d + dq] = second
+            ahead[d + dq] = second, last
         if second is None:
             continue
         square = _matmul(second, first)
@@ -636,7 +633,7 @@ def _sweep_component(ctx: DerivationContext, top: int, failures: list) -> tuple[
         len(buckets.get(d, ())) - ranks[d] - (ranks[d - dq] if d >= dq else 0)
         for d in range(top + 1)
     ]
-    return sum(len(b) for d, b in buckets.items() if d <= top), dims
+    return sum(map(len, buckets.values())), dims
 
 
 # The Q_n-homology lists on [0, top] per (p, n, top).  Every sweep stores a
@@ -678,17 +675,16 @@ def _qn_sweep(pres: Presentation, top: int) -> tuple[int, list[tuple[int, ...]]]
 
 def sweep_monomials(p: int, n: int, top: int, cap: int) -> int:
     """The monomials the sweep on [0, top] enumerates, every monomial of
-    degree <= top + 2(2p^n - 1) of every component, or, once the count
-    passes cap, a partial count above cap.  The powers of i2 alone number
-    hi // 2 + 1, which bounds the count before any series is built."""
+    degree <= top of every component, or, once the count passes cap, a
+    partial count above cap.  The powers of i2 alone number top // 2 + 1,
+    which bounds the count before any series is built."""
     pres = build(p, n)
-    hi = top + 2 * pres.qn_degree
-    count = hi // 2 + 1
+    count = top // 2 + 1
     if count > cap:
         return count
     count = 0
-    for comp in components(pres, hi):
-        count += sum(_prefix_sum_series(comp, hi))
+    for comp in components(pres, top + 2 * pres.qn_degree):
+        count += sum(_prefix_sum_series(comp, top))
         if count > cap:
             break
     return count
@@ -936,16 +932,17 @@ def qn_square_check(
     """Check Q_n(Q_n(m)) = 0 through the implemented derivation.
 
     Every Q_n-coupled tensor component is swept whole, every monomial up
-    to max_degree: degree by degree, the product of the Q_n block out of
-    d + dq with the block out of d must vanish, and each nonzero column is
-    a failing monomial.  The sweep that multiplies the blocks also ranks
-    them and stores the trivial series that qn_homology reads; the check
-    itself never reads that memo.  Products across components satisfy the
-    identity once each factor does (the cross terms of a derivation square
-    cancel), but seeded random mixed monomials over all generators are
-    pushed through the kernel as well, as one bucket, and their failures
-    follow the sweep's in draw order.  Returns (monomials checked,
-    failures).
+    to max_degree: degree by degree, the product of the Q_n block out of d
+    with the block out of its rows must vanish, and each nonzero column is
+    a failing monomial; past max_degree the rows are the targets the
+    Leibniz terms reach, so no basis above it is enumerated.  The sweep
+    that multiplies the blocks also ranks them and stores the trivial
+    series that qn_homology reads; the check itself never reads that memo.
+    Products across components satisfy the identity once each factor does
+    (the cross terms of a derivation square cancel), but seeded random
+    mixed monomials over all generators are pushed through the kernel as
+    well, as one bucket, and their failures follow the sweep's in draw
+    order.  Returns (monomials checked, failures).
     """
     import random
 

@@ -3,15 +3,16 @@ cache the package keeps, the monomial bases of a whole window, series
 arithmetic for the schoolbook Poincare fold, the product by an exponent
 range through prefix sums alone, the Q_n matrix on the full monomial
 basis, dim H counted on that basis, the trivial Q_n-homology ranked on the
-whole basis at once, the E[Q_n] split invariant of a report, the degree
-of u_i, monomial names, the derivation one monomial at a time (at p = 2
-over polynomial u_i, through the basis bijection), the kernel's one-column
-case, the seeded mixed samples drawn by the stdlib calls, the Q_n-square
-sweep one monomial at a time, the brute-force sweep over the whole E2
-lattice at once, the brute-force folds all cut at one limit, the arcs of
-one lattice operator found by scanning every monomial, every page of the
-closed rewrite, the answer's Poincare series one tower class at a time,
-and the Bockstein kernel slots read off each family's own series.
+whole basis at once and on each component's whole bases, the E[Q_n] split
+invariant of a report, the degree of u_i, monomial names, the derivation
+one monomial at a time (at p = 2 over polynomial u_i, through the basis
+bijection), the kernel's one-column case, the seeded mixed samples drawn
+by the stdlib calls, the Q_n-square sweep one monomial at a time, the
+brute-force sweep over the whole E2 lattice at once, the brute-force folds
+all cut at one limit, the arcs of one lattice operator found by scanning
+every monomial, every page of the closed rewrite, the answer's Poincare
+series one tower class at a time, and the Bockstein kernel slots read off
+each family's own series.
 """
 
 import random
@@ -104,8 +105,9 @@ def render(ctx: km2.DerivationContext, exps: tuple[int, ...]) -> str:
 
 
 def qn_block(ctx: km2.DerivationContext, src: list, tgt: list) -> km2.Matrix:
-    """km2._qn_block with a block where no term lands as its zero matrix."""
-    block = km2._qn_block(ctx, src, tgt)
+    """km2._qn_block into the whole basis tgt, with a block where no term
+    lands as its zero matrix."""
+    block, _rows = km2._qn_block(ctx, src, tgt)
     return km2.Matrix.zeros(len(tgt), len(src), ctx.p) if block is None else block
 
 
@@ -142,11 +144,30 @@ def whole_basis_total(p: int, n: int, hi: int) -> list[int]:
 
 def whole_basis_trivial(p: int, n: int, hi: int) -> list[int]:
     """Trivial Q_n-homology dimensions on [0, hi] from the Q_n blocks of the
-    whole monomial basis, with no split into components: dim H(d) is the
-    basis at d minus the ranks of the blocks out of d and into d."""
+    whole monomial basis, with no split into components."""
     pres = km2.build(p, n)
-    dq = pres.qn_degree
-    ctx = km2.DerivationContext(pres, hi + dq)
+    return _trivial_on_whole_bases(km2.DerivationContext(pres, hi + pres.qn_degree), hi)
+
+
+def component_trivial(p: int, n: int, hi: int) -> list[int]:
+    """Trivial Q_n-homology dimensions on [0, hi] of each Q_n-coupled
+    component in the sweep's own context, folded over the components: the
+    sweep's series with every block ranked into the whole basis of its
+    target degree, none cut at hi."""
+    pres = km2.build(p, n)
+    wide = hi + 2 * pres.qn_degree
+    series = [1] + [0] * hi
+    for comp in km2.components(pres, wide):
+        dims = _trivial_on_whole_bases(km2.DerivationContext(pres, wide, gens=comp), hi)
+        series = [sum(series[a] * dims[d - a] for a in range(d + 1)) for d in range(hi + 1)]
+    return series
+
+
+def _trivial_on_whole_bases(ctx: km2.DerivationContext, hi: int) -> list[int]:
+    """dim H(d) on [0, hi] over ctx's generators: the basis at d minus the
+    ranks of the blocks out of d and into d, each block taken into the
+    whole basis of its target degree."""
+    p, dq = ctx.p, ctx.pres.qn_degree
     buckets = window_bases(ctx.gens, hi + dq)
     ranks = [
         km2.rank_modp(qn_block(ctx, buckets[d], buckets[d + dq]), p) for d in range(hi + 1)

@@ -22,6 +22,7 @@ from morava_k2.graded_algebra import E, Factor, Generator, P, TensorExpression
 
 from helpers import (
     check_invariant,
+    component_trivial,
     from_polynomial_basis,
     polynomial_basis_p2,
     polynomial_qn_p2,
@@ -374,7 +375,7 @@ def test_square_check_is_never_served_from_the_memo(p, n, hi):
 @given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 3), top=st.integers(2, 80))
 @example(p=2, n=1, top=60)
 @example(p=5, n=3, top=80)
-@example(p=3, n=2, top=12)  # dq = 17 > top: the sweep keeps no basis in 13..16 or 30..33
+@example(p=3, n=2, top=12)  # dq = 17 > top: every block the sweep builds reaches past top
 @settings(deadline=None, max_examples=40)
 def test_sweep_matches_the_references(p, n, top):
     """One sweep gives the whole-basis trivial series and exactly the
@@ -405,7 +406,8 @@ def test_sweep_reduces_only_nonzero_blocks(p, n, hi):
     neither ranked nor multiplied: _qn_block returns None for it, every
     matrix the sweep allocates, ranks or multiplies has a nonzero entry,
     some blocks are empty, and the square check and the trivial series are
-    those of a sweep that gets every block as a matrix, zero or not."""
+    those of a sweep that gets every block as a matrix, zero or not (a zero
+    block past the window has no rows: it reaches no target)."""
     reduced, multiplied, built, allocated = [], [], [], []
     real_block, real_rank, real_matmul = km2._qn_block, km2.rank_modp, km2._matmul
     real_zeros = km2.Matrix.zeros
@@ -418,8 +420,20 @@ def test_sweep_reduces_only_nonzero_blocks(p, n, hi):
         result = km2.qn_square_check(p, n, hi, 0)
         return result, km2._TRIVIAL_MEMO[p, n, hi]["trivial"]
 
+    def block(*args):
+        got = real_block(*args)
+        built.append(got[0])
+        return got
+
+    def zero_block(ctx, src, tgt):
+        got, rows = real_block(ctx, src, tgt)
+        if got is None:
+            rows = tgt or []
+            got = km2.Matrix.zeros(len(rows), len(src), ctx.p)
+        return got, rows
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(km2, "_qn_block", lambda *a: built.append(real_block(*a)) or built[-1])
+        mp.setattr(km2, "_qn_block", block)
         mp.setattr(km2.Matrix, "zeros", classmethod(
             lambda cls, *a: allocated.append(real_zeros(*a)) or allocated[-1]
         ))
@@ -430,9 +444,7 @@ def test_sweep_reduces_only_nonzero_blocks(p, n, hi):
     assert len(allocated) == len(built) - built.count(None)
     assert reduced and not any(reduced) and multiplied and not any(multiplied)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(km2, "_qn_block", lambda ctx, src, tgt: (
-            real_block(ctx, src, tgt) or km2.Matrix.zeros(len(tgt), len(src), ctx.p)
-        ))
+        mp.setattr(km2, "_qn_block", zero_block)
         assert sweep(mp) == got
 
 
@@ -522,18 +534,44 @@ def test_each_monomial_lets_go_of_emit():
         gc.enable()
 
 
-@pytest.mark.parametrize("p, n, top", [(3, 2, 12), (5, 1, 3), (2, 2, 30)])
-def test_degree_bases_keep_only_the_degrees_the_sweep_reads(p, n, top):
-    """The bases the sweep keeps are window_bases' nonempty buckets at the
-    degrees d, d + dq and d + 2dq for d <= top, and nothing else."""
-    pres = km2.build(p, n)
-    dq = pres.qn_degree
-    hi = top + 2 * dq
-    read = {d + k * dq for k in range(3) for d in range(top + 1)}
-    for comp in km2.components(pres, hi):
-        kept = km2.degree_bases(comp, hi, lambda d: d % dq <= top)
-        full = window_bases(comp, hi)
-        assert kept == {d: b for d, b in enumerate(full) if b and d in read}
+# windows where blocks out of degrees <= top reach past top: most with top
+# below dq = 2p^n - 1, and two at p = 2 where the one failure the cube plant
+# leaves in the sweep lies within dq of top (degree 28 of 28, 18 of 20), so
+# that only the rows past top see it
+PAST_TOP_WINDOWS = [
+    (3, 2, 12), (5, 2, 30), (7, 2, 60), (2, 3, 10), (3, 3, 40), (2, 2, 28), (2, 1, 20)
+]
+# dq = 601525 and 2000005: the series references, which enumerate to
+# top + dq, are out of reach there
+FAR_WINDOWS = [(67, 3, 40), (1000003, 1, 50)]
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
+@pytest.mark.parametrize("p, n, top", PAST_TOP_WINDOWS + FAR_WINDOWS)
+def test_window_only_sweep_matches_the_references(p, n, top, planted):
+    """The sweep enumerates the monomials of degree <= top and no other, as
+    many as sweep_monomials counts, and the rows it reaches past top give
+    the per-monomial square sweep's (checked, failures) and the trivial
+    series of each component ranked into whole bases, clean and under the
+    cube plant; clean, that series is the whole-basis one, with no split."""
+    real = km2.each_monomial
+    degrees = []
+    with _fresh_memo() as mp:
+        if planted:
+            _drop_first_term_at_cube(mp)
+        want = qn_square_reference(p, n, top, 50)
+        trivial = component_trivial(p, n, top) if (p, n, top) in PAST_TOP_WINDOWS else None
+        mp.setattr(km2, "each_monomial", lambda gens, caps, hi, emit: real(
+            gens, caps, hi, lambda m, d: degrees.append(d) or emit(m, d)
+        ))
+        assert km2.qn_square_check(p, n, top, 50) == want
+        got = km2.qn_homology(p, n, "cohomology", top).trivial
+    assert degrees and max(degrees) <= top
+    assert len(degrees) == want[0] - 50 == km2.sweep_monomials(p, n, top, 10**9)
+    if trivial is not None:
+        assert got == trivial
+        if not planted:
+            assert got == whole_basis_trivial(p, n, top)
 
 
 def test_trivial_homology_31_reference_degrees():
